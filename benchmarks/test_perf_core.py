@@ -1,4 +1,4 @@
-"""Core-pipeline performance benchmarks (PR 1 baseline, PR 2 message plane).
+"""Core-pipeline performance benchmarks.
 
 Times the hot paths the simulation core was rebuilt around:
 
@@ -8,9 +8,8 @@ Times the hot paths the simulation core was rebuilt around:
    cancellation-heavy workload that exercises heap compaction;
 3. **Multi-seed replicate** — serial vs ``workers=4``, asserting the
    parallel estimates are bit-identical to the serial ones;
-4. **Message plane** — broadcast-flood delivery through the per-link
-   queue fast path vs legacy one-event-per-message scheduling, with the
-   live heap bounded O(links) instead of O(in-flight messages);
+4. **Message plane** — broadcast-flood delivery throughput of the
+   channel (one engine event per message);
 5. **Telemetry** — instrumented-vs-off overhead for the flood and an
    alg2-line protocol workload, plus the zero-cost-when-off guard
    against the committed baseline (normalized by a fresh event-loop
@@ -338,7 +337,7 @@ def test_replicate_parallel_matches_serial(report, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 4. Message plane: per-link delivery queues vs per-message events
+# 4. Message plane: broadcast-flood delivery throughput
 # ---------------------------------------------------------------------------
 
 
@@ -347,8 +346,7 @@ class Flood(Message):
     round_index: int = 0
 
 
-def _run_flood(per_message: bool, n: int, bursts: int, rounds: int,
-               profile: bool = False):
+def _run_flood(n: int, bursts: int, rounds: int, profile: bool = False):
     """Broadcast flood: every node sends ``bursts`` messages to every
     neighbor in each round.  Returns (wall seconds, delivered count,
     heap high-water, directed link count)."""
@@ -366,12 +364,12 @@ def _run_flood(per_message: bool, n: int, bursts: int, rounds: int,
 
     channel = ChannelLayer(
         sim, topo, bounds, RandomSource(7).stream("c"),
-        deliver=sink, per_message=per_message,
+        deliver=sink,
     )
 
     def burst(round_index):
-        # ``bursts`` back-to-back broadcasts per node build the per-link
-        # FIFO trains the delivery queues are designed around.
+        # ``bursts`` back-to-back broadcasts per node: long per-link
+        # FIFO trains, so the engine holds every message of a round.
         for b in range(bursts):
             message = Flood(round_index * bursts + b)
             for node in range(n):
@@ -392,44 +390,24 @@ def test_message_plane_flood_throughput(report):
     bursts = 25
     rounds = 2
 
-    fast_time, fast_delivered, fast_high_water, directed_links = _run_flood(
-        per_message=False, n=n, bursts=bursts, rounds=rounds
+    elapsed, delivered, high_water, directed_links = min(
+        (_run_flood(n=n, bursts=bursts, rounds=rounds) for _ in range(3)),
+        key=lambda r: r[0],
     )
-    slow_time, slow_delivered, slow_high_water, _ = _run_flood(
-        per_message=True, n=n, bursts=bursts, rounds=rounds
-    )
-    assert fast_delivered == slow_delivered > 0
-
-    fast_throughput = fast_delivered / fast_time if fast_time else math.inf
-    slow_throughput = slow_delivered / slow_time if slow_time else math.inf
-    speedup = fast_throughput / slow_throughput if slow_throughput else math.inf
+    assert delivered == directed_links * bursts * rounds
+    throughput = delivered / elapsed if elapsed else math.inf
 
     _record("message_plane", {
         "n": n,
         "directed_links": directed_links,
-        "messages": fast_delivered,
-        "queue_seconds": round(fast_time, 6),
-        "per_message_seconds": round(slow_time, 6),
-        "queue_msgs_per_second": round(fast_throughput),
-        "per_message_msgs_per_second": round(slow_throughput),
-        "speedup": round(speedup, 2),
-        "queue_heap_high_water": fast_high_water,
-        "per_message_heap_high_water": slow_high_water,
+        "messages": delivered,
+        "seconds": round(elapsed, 6),
+        "msgs_per_second": round(throughput),
+        "heap_high_water": high_water,
     })
     report(
-        f"message plane n={n}: queue {fast_time:.3f}s, "
-        f"per-message {slow_time:.3f}s ({speedup:.1f}x), heap high-water "
-        f"{fast_high_water} vs {slow_high_water}"
-    )
-    assert speedup >= 2.0, (
-        f"per-link queues should at least double flood throughput, "
-        f"got {speedup:.2f}x"
-    )
-    # Heap stays O(links): one in-flight event per active directed link
-    # plus the round-burst events, never one event per message.
-    assert fast_high_water <= directed_links + rounds + 64, (
-        f"fast-path heap high-water {fast_high_water} exceeds the "
-        f"O(links) bound ({directed_links} directed links)"
+        f"message plane n={n}: {delivered} msgs in {elapsed:.3f}s "
+        f"({throughput:,.0f} msg/s), heap high-water {high_water}"
     )
 
 
@@ -497,13 +475,13 @@ def test_telemetry_overhead(report):
     alg2_overhead = on_time / off_time - 1 if off_time else 0.0
 
     flood_n, bursts, rounds = 400, 10, 2
-    _run_flood(False, flood_n, bursts, rounds)  # warm-up: first run is cold
+    _run_flood(flood_n, bursts, rounds)  # warm-up: first run is cold
     plain = min(
-        (_run_flood(False, flood_n, bursts, rounds) for _ in range(3)),
+        (_run_flood(flood_n, bursts, rounds) for _ in range(3)),
         key=lambda r: r[0],
     )
     profiled = min(
-        (_run_flood(False, flood_n, bursts, rounds, profile=True)
+        (_run_flood(flood_n, bursts, rounds, profile=True)
          for _ in range(3)),
         key=lambda r: r[0],
     )
@@ -595,13 +573,13 @@ def test_telemetry_off_matches_baseline(report):
         pytest.skip("no BENCH_core.json baseline committed")
     baseline = json.loads(path.read_text())
     base_events = baseline.get("event_throughput", {}).get("events_per_second")
-    base_flood = baseline.get("message_plane", {}).get("queue_msgs_per_second")
+    base_flood = baseline.get("message_plane", {}).get("msgs_per_second")
     if not base_events or not base_flood:
         pytest.skip("baseline lacks event_throughput/message_plane sections")
 
     calibrations = [_calibrate_events_per_second()]
     flood = min(
-        (_run_flood(per_message=False, n=1000, bursts=25, rounds=2)
+        (_run_flood(n=1000, bursts=25, rounds=2)
          for _ in range(3)),
         key=lambda r: r[0],
     )
@@ -615,9 +593,9 @@ def test_telemetry_off_matches_baseline(report):
     _record("telemetry_guard", {
         "machine_factor": round(machine, 4),
         "calibration_jitter": round(jitter, 4),
-        "flood_msgs_per_second": round(throughput),
-        "flood_normalized_msgs_per_second": round(normalized),
-        "flood_baseline_msgs_per_second": base_flood,
+        "msgs_per_second": round(throughput),
+        "normalized_msgs_per_second": round(normalized),
+        "baseline_msgs_per_second": base_flood,
     })
     report(
         f"telemetry-off guard: flood {throughput:,.0f} msg/s, normalized "

@@ -16,6 +16,7 @@ delta is needed.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.core.coloring.session import (
@@ -29,21 +30,20 @@ from repro.net.topology import link_key
 
 Edge = Tuple[int, int]
 
+_NO_EDGES: FrozenSet[Edge] = frozenset()
 
-def greedy_color_graph(edges: FrozenSet[Edge], node_id: int) -> int:
-    """Deterministically greedy-color the graph; return node_id's color.
 
-    Traversal is DFS from the smallest node id of each component,
-    visiting neighbors in ascending order — every node computing this
-    on the same edge set assigns the same colors.  A node absent from
-    the graph is isolated and gets color 0.
-    """
+# Concurrent participants end the flood with equal edge sets (Lemma 14),
+# so a recolouring wave asks for the same colouring once per node.  The
+# cache is small because each entry pins a whole edge set; callers must
+# not mutate the returned dict.
+@lru_cache(maxsize=8)
+def _color_map(edges: FrozenSet[Edge]) -> Dict[int, int]:
+    """The deterministic greedy colouring of every node in ``edges``."""
     adjacency: Dict[int, Set[int]] = {}
     for a, b in edges:
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
-    if node_id not in adjacency:
-        return 0
     colors: Dict[int, int] = {}
     visited: Set[int] = set()
     for root in sorted(adjacency):
@@ -62,7 +62,18 @@ def greedy_color_graph(edges: FrozenSet[Edge], node_id: int) -> int:
                 if j not in visited:
                     visited.add(j)
                     stack.append(j)
-    return colors[node_id]
+    return colors
+
+
+def greedy_color_graph(edges: FrozenSet[Edge], node_id: int) -> int:
+    """Deterministically greedy-color the graph; return node_id's color.
+
+    Traversal is DFS from the smallest node id of each component,
+    visiting neighbors in ascending order — every node computing this
+    on the same edge set assigns the same colors.  A node absent from
+    the graph is isolated and gets color 0.
+    """
+    return _color_map(edges).get(node_id, 0)
 
 
 class GreedySession(ColoringSession):
@@ -73,41 +84,38 @@ class GreedySession(ColoringSession):
     ) -> None:
         super().__init__(node_id, peers, send, finish)
         self.graph: Set[Edge] = set()
+        # ``frozenset(graph)``, rebuilt only when a round added edges:
+        # the one object every peer of a round receives.
+        self._frozen = _NO_EDGES
 
     def _start(self) -> None:
         if not self.peers:
             # Line 69: nobody is recoloring with us; decide immediately.
-            self._finish(greedy_color_graph(frozenset(), self.node_id))
+            self._finish(greedy_color_graph(_NO_EDGES, self.node_id))
             return
-        self._send_round(
-            lambda peer: GraphExchange(
-                self.rounds_executed + 1, frozenset(self.graph), False
-            )
-        )
+        self._send_round(GraphExchange(1, _NO_EDGES, False))
 
     def _complete_round(self, inputs) -> None:
-        finished_seen = any(msg.finished for _, msg in inputs)
-        merged = set(self.graph)
+        graph = self.graph
+        known = len(graph)
+        finished_seen = False
         for _, msg in inputs:
-            merged.update(msg.edges)
-        merged.update(link_key(self.node_id, peer) for peer in self.peers)
-        no_change = merged == self.graph
-        self.graph = merged
-        if no_change or finished_seen or not self.peers:
-            self._finish_loop()
+            graph.update(msg.edges)
+            finished_seen = finished_seen or msg.finished
+        graph.update(link_key(self.node_id, peer) for peer in self.peers)
+        # The merge only ever adds edges, so equal size means no change.
+        changed = len(graph) != known
+        if changed:
+            self._frozen = frozenset(graph)
+        iteration = self.rounds_executed + 1
+        if changed and not finished_seen and self.peers:
+            self._send_round(GraphExchange(iteration, self._frozen, False))
             return
-        self._send_round(
-            lambda peer: GraphExchange(
-                self.rounds_executed + 1, frozenset(self.graph), False
-            )
-        )
-
-    def _finish_loop(self) -> None:
-        final = frozenset(self.graph)
+        # Line 71: one last message with the finished flag on.
+        last = GraphExchange(iteration, self._frozen, True)
         for peer in sorted(self.peers):
-            # Line 71: one last message with the finished flag on.
-            self._send(peer, GraphExchange(self.rounds_executed + 1, final, True))
-        self._finish(greedy_color_graph(final, self.node_id))
+            self._send(peer, last)
+        self._finish(greedy_color_graph(self._frozen, self.node_id))
 
 
 class GreedyColoring(ColoringProcedure):

@@ -56,7 +56,7 @@ class LinialSession(ColoringSession):
         self._send_phase()
 
     def _send_phase(self) -> None:
-        self._send_round(lambda peer: TempColor(self.phase, self.temp_color))
+        self._send_round(TempColor(self.phase, self.temp_color))
 
     def _complete_round(self, inputs) -> None:
         if not self.peers:

@@ -95,9 +95,7 @@ class RandomizedSession(ColoringSession):
             self._decide(self._palette_size + self.node_id)
             return
         self._candidate = self._draw()
-        self._send_round(
-            lambda peer: Candidate(self.rounds_executed, self._candidate)
-        )
+        self._send_round(Candidate(self.rounds_executed, self._candidate))
 
     def _complete_round(self, inputs: List[RoundInput]) -> None:
         conflicted = False

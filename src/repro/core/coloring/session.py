@@ -92,23 +92,18 @@ class ColoringSession(abc.ABC):
     # Message intake
     # ------------------------------------------------------------------
     def on_peer_message(self, src: int, message: Message) -> None:
-        """Queue a round message from a participating peer."""
+        """Take a round message from a participating peer."""
         if not self.active or src not in self.peers:
             return  # stale (peer already dropped, or session over)
-        self._inbox.setdefault(src, deque()).append(message)
-        self._drain()
-
-    def _drain(self) -> None:
-        if not self._in_round:
-            return
-        for src in sorted(self._awaiting & set(self._inbox)):
-            queue = self._inbox.get(src)
-            if queue:
-                self._round_inputs.append((src, queue.popleft()))
-                self._awaiting.discard(src)
-                if not queue:
-                    del self._inbox[src]
-        self._maybe_complete_round()
+        if self._in_round and src in self._awaiting:
+            # Nothing older of src's is queued: _send_round consumed
+            # its backlog before leaving it in the awaited set.
+            self._awaiting.discard(src)
+            self._round_inputs.append((src, message))
+            self._maybe_complete_round()
+        else:
+            # src ran a round ahead of us; keep it for our next round.
+            self._inbox.setdefault(src, deque()).append(message)
 
     def _maybe_complete_round(self) -> None:
         if self._in_round and not self._awaiting:
@@ -123,13 +118,21 @@ class ColoringSession(abc.ABC):
     # ------------------------------------------------------------------
     # Round plumbing for subclasses
     # ------------------------------------------------------------------
-    def _send_round(self, make_message: Callable[[int], Message]) -> None:
+    def _send_round(self, message: Message) -> None:
         """Send this round's message to every peer and await replies."""
-        self._awaiting = set(self.peers)
+        self._awaiting = awaiting = set(self.peers)
         self._in_round = True
-        for peer in sorted(self.peers):
-            self._send(peer, make_message(peer))
-        self._drain()
+        for peer in sorted(awaiting):
+            self._send(peer, message)
+        # Backlog of peers that ran a round ahead: O(backlog), not O(R).
+        inbox = self._inbox
+        for src in sorted(awaiting.intersection(inbox)):
+            queue = inbox[src]
+            awaiting.discard(src)
+            self._round_inputs.append((src, queue.popleft()))
+            if not queue:
+                del inbox[src]
+        self._maybe_complete_round()
 
     def _finish(self, value: int) -> None:
         self.active = False

@@ -47,9 +47,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.doorway import SYNC_DOORWAYS
+from repro.core.doorway import FORK_SYNC, SYNC_DOORWAYS
 from repro.core.states import NodeState
 from repro.errors import ConfigurationError
 from repro.obs.watchdog import StarvationWatchdog
@@ -73,6 +73,43 @@ class Violation:
         }
 
 
+class LinkPairs:
+    """The ``(a, b, harness_a, harness_b)`` walk of the pair monitors.
+
+    Only links with both endpoint harnesses hosted here are listed.  In
+    a sharded run one endpoint of a boundary link may be a ghost (no
+    local harness); the owning shard's monitor sees that node's state,
+    so pair invariants straddling a boundary are checked by whichever
+    shard owns both endpoints of a *conflict* — and an exclusion/fork
+    conflict always has a real harness behind each eating or
+    fork-holding endpoint on its own shard.
+
+    The list is rebuilt once per topology ``version``, not once per
+    event per monitor: the harness dict is fixed when the simulation is
+    built (shard ownership is sticky) and ghosts arrive through the
+    topology, which bumps the version.  A topology without a
+    ``version`` (test fakes) is walked afresh on every call.
+    """
+
+    def __init__(self, simulation) -> None:
+        self._simulation = simulation
+        self._version = None
+        self._pairs: List[Tuple[int, int, Any, Any]] = []
+
+    def __call__(self) -> List[Tuple[int, int, Any, Any]]:
+        topology = self._simulation.topology
+        version = getattr(topology, "version", None)
+        if version is None or version != self._version:
+            get = self._simulation.harnesses.get
+            candidates = ((a, b, get(a), get(b)) for a, b in topology.links())
+            self._pairs = [
+                pair for pair in candidates
+                if pair[2] is not None and pair[3] is not None
+            ]
+            self._version = version
+        return self._pairs
+
+
 class InvariantMonitor:
     """Base class: attach to a built simulation, check after each event."""
 
@@ -88,6 +125,7 @@ class InvariantMonitor:
     def attach(self, simulation) -> None:
         """Grab references and baseline snapshots before the run starts."""
         self.simulation = simulation
+        self._link_pairs = LinkPairs(simulation)
 
     def check(self) -> Optional[Dict[str, Any]]:
         """Post-event check; violation details or None."""
@@ -101,30 +139,6 @@ class InvariantMonitor:
     def _algorithms(self):
         for node_id, harness in self.simulation.harnesses.items():
             yield node_id, harness.algorithm
-
-    def _links(self):
-        return self.simulation.topology.links()
-
-    def _link_pairs(self):
-        """Links with both endpoint harnesses hosted here.
-
-        In a sharded run one endpoint of a boundary link may be a ghost
-        (no local harness); the owning shard's monitor sees that node's
-        state, so pair invariants straddling a boundary are checked by
-        whichever shard owns both endpoints of a *conflict* — and an
-        exclusion/fork conflict always has a real harness behind each
-        eating or fork-holding endpoint on its own shard.
-        """
-        harnesses = self.simulation.harnesses
-        get = harnesses.get
-        for a, b in self._links():
-            harness_a = get(a)
-            if harness_a is None:
-                continue
-            harness_b = get(b)
-            if harness_b is None:
-                continue
-            yield a, b, harness_a, harness_b
 
 
 class ExclusionMonitor(InvariantMonitor):
@@ -161,10 +175,10 @@ class DoorwayEntryMonitor(InvariantMonitor):
 
     The post-event snapshot of each node's ``behind_set()`` doubles as
     the pre-event state of the next event (nothing changes between
-    events), so a diff pinpoints fresh crossings.  In per-message mode
-    a node's ``L`` view cannot change between its cross and this
-    listener (one delivery per event), so ``peers_behind`` at check
-    time is exactly the view the entry code decided on.
+    events), so a diff pinpoints fresh crossings.  A node's ``L`` view
+    cannot change between its cross and this listener (one delivery
+    per event), so ``peers_behind`` at check time is exactly the view
+    the entry code decided on.
     """
 
     name = "doorway-entry"
@@ -221,9 +235,7 @@ class ReturnPathMonitor(InvariantMonitor):
         harness = self.simulation.harnesses[node_id]
         alg = harness.algorithm
         doorways = getattr(alg, "doorways", None)
-        neighbors = frozenset(harness.neighbors())
-        from repro.core.doorway import FORK_SYNC
-
+        neighbors = harness.neighbors()
         return {
             "neighbors": neighbors,
             "behind_sdf": (doorways.is_behind(FORK_SYNC)
@@ -401,9 +413,7 @@ class StalePriorityMonitor(InvariantMonitor):
         sim = self.simulation
         now = sim.sim.now
         harnesses = sim.harnesses
-        links: Set[FrozenSet[int]] = {
-            frozenset(link) for link in self._links()
-        }
+        has_link = sim.topology.has_link
 
         # Discharge or time out the outstanding obligations.
         violation = None
@@ -414,7 +424,7 @@ class StalePriorityMonitor(InvariantMonitor):
             if (
                 higher.get(j) is not True
                 or thinker.state is not NodeState.THINKING
-                or frozenset((i, j)) not in links
+                or not has_link(i, j)
                 or hungry.crashed
                 or thinker.crashed
             ):
@@ -528,8 +538,11 @@ class MonitorSuite:
 
     def attach(self, simulation) -> None:
         self._simulation = simulation
+        # One link-pair walk per topology version for the whole suite.
+        link_pairs = LinkPairs(simulation)
         for monitor in self.monitors:
             monitor.attach(simulation)
+            monitor._link_pairs = link_pairs
         simulation.sim.add_listener(self._on_event)
 
     def specs(self) -> List[Dict[str, Any]]:

@@ -8,14 +8,10 @@ returns an :class:`ExplorationResult` whose
 :class:`~repro.obs.report.RunReport` carries an ``exploration``
 section and ``explore.*`` probe counters.
 
-Controlled runs force two existing equivalence modes:
-
-* ``channel_per_message=True`` — the fast path's run-ahead delivery
-  drain bypasses engine events, which would blind the tie-break
-  controller to message arrivals; the per-message path is bit-identical
-  and keeps every delivery a schedulable (and thus controllable) event.
-* ``mobility_fixed_step=True`` — same reasoning for movement: discrete
-  step events instead of kinetic run-ahead.
+Every message delivery is already one engine event, so the tie-break
+controller sees them all.  Controlled runs force one existing
+equivalence mode, ``mobility_fixed_step=True``, to get the same for
+movement: discrete step events instead of kinetic run-ahead.
 
 ``strict_safety`` is turned *off*: the monitors are the oracle here,
 and a violation must be recorded (step, time, details) rather than
@@ -109,7 +105,6 @@ def run_controlled(
     config = config_from_dict(scenario)
     # See module docstring: keep every choice an engine event, record
     # violations instead of raising.
-    config.channel_per_message = True
     config.mobility_fixed_step = True
     config.strict_safety = False
 

@@ -164,6 +164,7 @@ def run_bus(
         def do_crash(node_id: int) -> None:
             linklayer.crash(node_id)
             nodes.harnesses[node_id].crash()
+            nodes.metrics.note_crash(node_id, runtime.now)
 
         def fire_crash(node_id: int) -> None:
             live_probes.inc_event("crash")

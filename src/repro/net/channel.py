@@ -12,63 +12,29 @@ do) tolerate this, because the paper destroys per-link state (forks, L[]
 entries) on link failure.  Messages to crashed nodes are delivered into
 the void (the crashed node ignores everything), matching silent crashes.
 
-Fast path
----------
+Scheduling
+----------
 
-The channel does **not** schedule one engine event per message.  Each
-directed link keeps a deque of ``(arrival, seq, message, incarnation)``
-entries plus at most one in-flight :class:`ScheduledEvent`; the event's
-callback drains the deque.  Two properties make this exactly equivalent
-to per-message scheduling:
-
-* per-link arrivals are strictly increasing (the FIFO clamp), so the
-  deque is already in delivery order;
-* every message claims an engine ordering ticket (``seq``) at *send*
-  time, and both the in-flight event and the drain's run-ahead use that
-  ticket, so ties against other events resolve exactly as they would
-  for an event scheduled at send time.
-
-The drain also *runs ahead*: after delivering the head entry it keeps
-delivering queued messages — advancing the engine clock itself — for as
-long as each entry's ``(arrival, priority, seq)`` key precedes the
-engine's next live event and the active run deadline.  Delivery order
-and timestamps are bit-identical to per-message scheduling; what
-changes is live heap size (O(links) instead of O(in-flight messages)),
-the number of executed engine events, and ``link_down`` cost (queued
-messages are dropped by clearing the deque and lazily cancelling one
-event instead of leaving dead shells in the heap).
-
-The legacy one-event-per-message path survives behind
-``ChannelLayer(..., per_message=True)`` (same pattern as the topology's
-``brute_force=True``) and the equivalence suite drives both paths
-through identical scenarios asserting identical delivery sequences,
-timestamps, drop counts and run metrics.
+Every accepted message is one engine event: ``send`` draws the delay,
+applies the FIFO clamp and schedules :meth:`ChannelLayer._arrive` at the
+arrival time; the event carries the link incarnation it was sent under,
+and ``_arrive`` drops it if the link has died (or died and re-formed)
+in the meantime.  ``link_down`` therefore only bumps the incarnation —
+messages in flight are counted as dropped when their event fires.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.net.messages import Message
-from repro.net.topology import DynamicTopology
+from repro.net.topology import DynamicTopology, link_key
 from repro.sim.clock import TIME_EPSILON, TimeBounds
 from repro.sim.engine import Simulator
-from repro.sim.events import EventPriority, ScheduledEvent
 from repro.sim.trace import TraceLog, live_trace
 
 DeliverFn = Callable[[int, int, Message], None]
-
-#: One queued transmission: (arrival time, engine sort key built from
-#: the seq ticket claimed at send time, message, link incarnation).
-_QueueEntry = Tuple[float, Tuple[float, int, int], Message, int]
-
-#: Placeholder installed in the in-flight map while a drain is running,
-#: so a same-link send during the drain cannot schedule a second event.
-_DRAINING = object()
-
-_NORMAL = int(EventPriority.NORMAL)
 
 
 class ChannelStats:
@@ -98,21 +64,6 @@ class ChannelStats:
         self.delivered_by_kind: Dict[str, int] = {}
         self.dropped_by_kind: Dict[str, int] = {}
 
-    def note_sent(self, kind: str) -> None:
-        self.sent += 1
-        by_kind = self.sent_by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-
-    def note_delivered(self, kind: str) -> None:
-        self.delivered += 1
-        by_kind = self.delivered_by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-
-    def note_dropped(self, kind: str) -> None:
-        self.dropped_link_down += 1
-        by_kind = self.dropped_by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-
     def snapshot(self) -> Dict[str, object]:
         """All counters — totals and per-kind dicts — as one copy."""
         return {
@@ -136,7 +87,6 @@ class ChannelLayer:
         rng,
         deliver: DeliverFn,
         trace: Optional[TraceLog] = None,
-        per_message: bool = False,
     ) -> None:
         """
         Args:
@@ -147,24 +97,15 @@ class ChannelLayer:
             deliver: callback invoked as ``deliver(src, dst, message)``
                 when a message arrives at a live link endpoint.
             trace: optional trace log (disabled logs cost nothing).
-            per_message: schedule one engine event per message (the
-                legacy path) instead of using per-link delivery queues.
-                Same deliveries, same timestamps; exists for equivalence
-                testing and benchmarking.
         """
         self._sim = sim
-        self._topology = topology
-        self._bounds = bounds
-        self._rng = rng
         self._deliver = deliver
         self._trace = live_trace(trace)
-        self.per_message = per_message
         # send() runs once per message hop, so its collaborators are
         # pre-resolved: bound methods and the delay distribution's
         # parameters (the inline draw below reproduces ``rng.uniform``
         # bit for bit: ``a + (b - a) * random()``).
         self._has_link = topology.has_link
-        self._claim_seq = sim.claim_seq
         self._rng_random = rng.random
         if bounds.min_delay_fraction >= 1.0:
             self._delay_floor: Optional[float] = None
@@ -177,13 +118,6 @@ class ChannelLayer:
         # model (fresh fork, fresh doorway state).  Incarnation counters
         # keep messages from a dead incarnation out of the new one.
         self._incarnation: Dict[Tuple[int, int], int] = {}
-        # Fast path state: per-directed-link pending deliveries and the
-        # single scheduled event currently covering each queue's head.
-        self._queues: Dict[Tuple[int, int], Deque[_QueueEntry]] = {}
-        self._inflight: Dict[Tuple[int, int], object] = {}
-        # Bumped on every link_down; lets a running drain notice that a
-        # delivery callback invalidated its link/incarnation snapshot.
-        self._mutations = 0
         #: Optional delay override hook (set post-construction by the
         #: exploration subsystem): ``delay_source(src, dst, message)``
         #: returns the per-hop delay, replacing the rng draw.  The
@@ -232,6 +166,7 @@ class ChannelLayer:
                 f"(message {message.kind})"
             )
         sim = self._sim
+        now = sim._now
         delay_source = self.delay_source
         floor_delay = self._delay_floor
         if delay_source is not None:
@@ -240,46 +175,28 @@ class ChannelLayer:
             delay = self._nu
         else:
             delay = floor_delay + self._delay_span * self._rng_random()
-        arrival = sim._now + delay
+        arrival = now + delay
         key = (src, dst)
         last = self._last_arrival
         floor = last.get(key)
         if floor is not None and arrival <= floor:
             arrival = floor + TIME_EPSILON
         last[key] = arrival
-        remote = self._remote_nodes
-        if remote is not None and dst in remote:
-            stats = self.stats
-            stats.sent += 1
-            kind = message.kind
-            sent_by_kind = stats.sent_by_kind
-            sent_by_kind[kind] = sent_by_kind.get(kind, 0) + 1
-            if self._trace is not None:
-                self._trace.record(sim._now, "msg.send", src, dst=dst, kind=kind)
-            self._remote_send(src, dst, message, arrival)
-            return
-        incarnation = self._incarnation.get(
-            key if src < dst else (dst, src), 0
-        )
         stats = self.stats
         stats.sent += 1
         kind = message.kind
         sent_by_kind = stats.sent_by_kind
         sent_by_kind[kind] = sent_by_kind.get(kind, 0) + 1
         if self._trace is not None:
-            self._trace.record(sim._now, "msg.send", src, dst=dst, kind=kind)
-        if self.per_message:
-            sim.schedule_at(arrival, self._arrive, src, dst, message, incarnation)
+            self._trace.record(now, "msg.send", src, dst=dst, kind=kind)
+        remote = self._remote_nodes
+        if remote is not None and dst in remote:
+            self._remote_send(src, dst, message, arrival)
             return
-        seq = self._claim_seq()
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = self._queues[key] = deque()
-        queue.append((arrival, (arrival, _NORMAL, seq), message, incarnation))
-        if key not in self._inflight:
-            self._inflight[key] = sim.schedule_at(
-                arrival, self._drain, src, dst, seq=seq
-            )
+        sim.schedule_at(
+            arrival, self._arrive, src, dst, message,
+            self._incarnation.get(key if src < dst else (dst, src), 0),
+        )
 
     def broadcast(self, src: int, neighbors, message: Message) -> None:
         """Send the same message to every node in ``neighbors``.
@@ -303,177 +220,53 @@ class ChannelLayer:
     def link_down(self, a: int, b: int) -> None:
         """Forget FIFO state for a destroyed link (both directions).
 
-        Queued messages are dropped on the spot: both directions'
-        deques are emptied (counted per kind) and the covering events
-        lazily cancelled, leaving no dead shells in the heap.  On the
-        legacy path the scheduled per-message events still fire and are
-        discarded by :meth:`_arrive` via the incarnation check.
+        Bumping the incarnation is what drops the messages in flight:
+        their events still fire and :meth:`_arrive` discards (and
+        counts) them then.
         """
-        for key in ((a, b), (b, a)):
-            self._last_arrival.pop(key, None)
-            queue = self._queues.pop(key, None)
-            if queue:
-                self._discard_queue(key, queue)
-            event = self._inflight.get(key)
-            if isinstance(event, ScheduledEvent):
-                event.cancel()
-                del self._inflight[key]
-            # A _DRAINING marker stays: the active drain owns the slot
-            # and will reschedule or release it when it unwinds.
-        link = self._link_id(a, b)
+        self._last_arrival.pop((a, b), None)
+        self._last_arrival.pop((b, a), None)
+        link = link_key(a, b)
         self._incarnation[link] = self._incarnation.get(link, 0) + 1
-        self._mutations += 1
-
-    def pending_messages(self) -> int:
-        """Messages currently queued on the fast path (0 when legacy)."""
-        return sum(len(q) for q in self._queues.values())
-
-    @staticmethod
-    def _link_id(a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    def _discard_queue(self, key: Tuple[int, int], queue: Deque[_QueueEntry]) -> None:
-        """Drop every queued entry of a dead link (consumes the deque)."""
-        src, dst = key
-        trace = self._trace
-        now = self._sim.now
-        while queue:
-            _, _, message, _ = queue.popleft()
-            self.stats.note_dropped(message.kind)
-            if trace is not None:
-                trace.record(now, "msg.drop", src, dst=dst, kind=message.kind)
 
     # ------------------------------------------------------------------
-    def _drain(self, src: int, dst: int) -> None:
-        """Deliver the head of one link queue, then run ahead.
+    def _arrive(self, src: int, dst: int, message: Message, incarnation: int) -> None:
+        """Delivery event of one message sent under ``incarnation``.
 
-        Fires at the head entry's (arrival, seq); after delivering it,
-        keeps delivering subsequent entries while their keys precede the
-        engine's next live event and the active deadline, advancing the
-        clock in between.  Reschedules itself for the next entry's
-        arrival (with that entry's seq ticket) when it has to stop.
-
-        This is the hottest loop in the library, so it works on
-        snapshots that stay valid for the whole batch and are refreshed
-        only when something observable changed:
-
-        * the run-ahead *barrier* (the engine's next live event key) is
-          recomputed only when the engine's push marker moved (a push,
-          timer arm, or wheel release may have introduced an earlier
-          key) — deliveries that schedule nothing reuse it;
-        * link existence and incarnation are snapshotted once and
-          refreshed only when :meth:`link_down` ran during a delivery
-          (tracked by the mutation counter);
-        * the clock is advanced by direct assignment — monotonicity is
-          guaranteed by the FIFO clamp plus the ``arrival > now`` guard,
-          which is exactly what ``Simulator.advance_clock`` validates.
+        Link existence is checked here, at delivery time: the link may
+        have died — or died and re-formed, hence the incarnation — while
+        the message was in flight.
         """
-        key = (src, dst)
-        # Guard the in-flight slot so a hypothetical same-link send from
-        # inside a delivery callback cannot schedule a second drain.
-        self._inflight[key] = _DRAINING
-        queue = self._queues.get(key)
-        sim = self._sim
         stats = self.stats
-        delivered_by_kind = stats.delivered_by_kind
-        deliver = self._deliver
-        trace = self._trace
-        deadline = sim._deadline  # constant for the duration of run()
-        link_id = self._link_id(src, dst)
-        link_ok = self._topology.has_link(src, dst)
-        current_inc = self._incarnation.get(link_id, 0)
-        mutations = self._mutations
-        marker = -1  # force the first barrier computation
-        barrier = None
-        while queue:
-            arrival, entry_key, message, incarnation = queue[0]
-            if arrival > sim._now:
-                # Run ahead only while nothing scheduled (and no run
-                # deadline or stop request) precedes this delivery.
-                if sim._stopped:
-                    break
-                if deadline is not None and arrival > deadline:
-                    break
-                if sim._push_marker != marker:
-                    barrier = sim.next_live_key()
-                    # Snapshot after: next_live_key can release wheel
-                    # timers into the queue, bumping the marker itself.
-                    marker = sim._push_marker
-                if barrier is not None and barrier < entry_key:
-                    break
-                sim._now = arrival
-            queue.popleft()
-            if not link_ok or incarnation != current_inc:
-                stats.note_dropped(message.kind)
-                if trace is not None:
-                    trace.record(
-                        sim._now, "msg.drop", src, dst=dst, kind=message.kind
-                    )
-                continue
-            kind = message.kind
-            stats.delivered += 1
-            delivered_by_kind[kind] = delivered_by_kind.get(kind, 0) + 1
-            if trace is not None:
-                trace.record(sim._now, "msg.recv", dst, src=src, kind=kind)
-            deliver(src, dst, message)
-            if mutations != self._mutations:
-                # A delivery tore a link down (possibly ours, clearing
-                # the queue out from under us): refresh every snapshot.
-                queue = self._queues.get(key, queue)
-                link_ok = self._topology.has_link(src, dst)
-                current_inc = self._incarnation.get(link_id, 0)
-                mutations = self._mutations
-        if queue:
-            head = queue[0]
-            self._inflight[key] = sim.schedule_at(
-                head[0], self._drain, src, dst, seq=head[1][2]
-            )
-        else:
-            self._inflight.pop(key, None)
-            self._queues.pop(key, None)
+        kind = message.kind
+        link = (src, dst) if src < dst else (dst, src)
+        stale = incarnation != self._incarnation.get(link, 0)
+        if stale or not self._has_link(src, dst):
+            stats.dropped_link_down += 1
+            by_kind = stats.dropped_by_kind
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+            if self._trace is not None:
+                self._trace.record(
+                    self._sim._now, "msg.drop", src, dst=dst, kind=kind
+                )
+            return
+        stats.delivered += 1
+        by_kind = stats.delivered_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if self._trace is not None:
+            self._trace.record(self._sim._now, "msg.recv", dst, src=src, kind=kind)
+        self._deliver(src, dst, message)
 
-    # ------------------------------------------------------------------
     def receive_remote(self, src: int, dst: int, message: Message) -> None:
         """Deliver one cross-shard message at its (already reached)
         arrival time.
 
         The sending shard ran the full send half; this is the delivery
         half, scheduled through ``Simulator.ingest`` on the owning
-        shard.  Link existence is checked here, at delivery time: the
-        link view may have changed during the window (either side moved
-        or crashed out), and a missing link drops the message exactly
-        like the in-shard paths do.  No incarnation check is needed —
-        a link that died and re-formed across the barrier is a fresh
-        link whose existence test already decides correctly.
+        shard.  The message is judged under the link's current
+        incarnation, so only link existence decides: a link that died
+        and re-formed across the barrier is a fresh link whose
+        existence test already decides correctly.
         """
-        if not self._topology.has_link(src, dst):
-            self.stats.note_dropped(message.kind)
-            if self._trace is not None:
-                self._trace.record(
-                    self._sim.now, "msg.drop", src, dst=dst, kind=message.kind
-                )
-            return
-        self.stats.note_delivered(message.kind)
-        if self._trace is not None:
-            self._trace.record(
-                self._sim.now, "msg.recv", dst, src=src, kind=message.kind
-            )
-        self._deliver(src, dst, message)
-
-    # ------------------------------------------------------------------
-    def _arrive(self, src: int, dst: int, message: Message, incarnation: int) -> None:
-        """Legacy per-message delivery event."""
-        stale = incarnation != self._incarnation.get(self._link_id(src, dst), 0)
-        if stale or not self._topology.has_link(src, dst):
-            self.stats.note_dropped(message.kind)
-            if self._trace is not None:
-                self._trace.record(
-                    self._sim.now, "msg.drop", src, dst=dst, kind=message.kind
-                )
-            return
-        self.stats.note_delivered(message.kind)
-        if self._trace is not None:
-            self._trace.record(
-                self._sim.now, "msg.recv", dst, src=src, kind=message.kind
-            )
-        self._deliver(src, dst, message)
+        current = self._incarnation.get(link_key(src, dst), 0)
+        self._arrive(src, dst, message, current)

@@ -139,6 +139,9 @@ class DynamicTopology:
         # One-slot BFS memo: (version, source) -> distance dict.
         self._bfs_key: Optional[Tuple[int, int]] = None
         self._bfs_result: Dict[int, int] = {}
+        # One-slot links() memo, keyed on version the same way.
+        self._links_version = -1
+        self._links_result: List[Link] = []
 
     # ------------------------------------------------------------------
     # Node management
@@ -461,12 +464,21 @@ class DynamicTopology:
         return b in self._adjacency.get(a, ())
 
     def links(self) -> List[Link]:
-        """All current links, canonically keyed and sorted."""
-        seen: Set[Link] = set()
-        for a, nbrs in self._adjacency.items():
-            for b in nbrs:
-                seen.add(link_key(a, b))
-        return sorted(seen)
+        """All current links, canonically keyed and sorted.
+
+        Memoized against :attr:`version` — the invariant monitors walk
+        the link list after every event of a mostly static graph.  Treat
+        the returned list as read-only.
+        """
+        if self._links_version != self.version:
+            self._links_result = sorted(
+                (a, b)
+                for a, nbrs in self._adjacency.items()
+                for b in nbrs
+                if a < b
+            )
+            self._links_version = self.version
+        return self._links_result
 
     def degree(self, node_id: int) -> int:
         """Current degree of a node."""

@@ -3,7 +3,7 @@
 Answers "where does the wall-clock of a run actually go?" without
 touching the protocol code: the engine, when a profiler is attached,
 times each executed callback and reports totals *per callback
-category* (the callback's qualified name — ``ChannelLayer._drain``,
+category* (the callback's qualified name — ``ChannelLayer._arrive``,
 ``Timer._fire``, ``MobilityController._step``, ...).  A periodic
 events/sec sample series shows how throughput evolves over a run
 (useful for spotting heap growth or degrading hot paths in long

@@ -98,10 +98,6 @@ class ScenarioConfig:
     crashes: List[Tuple[float, int]] = field(default_factory=list)
     trace: bool = False
     strict_safety: bool = True
-    #: Use the legacy one-event-per-message channel scheduling instead
-    #: of per-link delivery queues.  Deliveries are identical; exists
-    #: for equivalence testing and benchmarking.
-    channel_per_message: bool = False
     #: Recycle fired/cancelled engine event shells through a free-list
     #: pool instead of allocating one per schedule.  Same events, same
     #: order, bit-identical reports; ``pooling=False`` exists for
@@ -376,7 +372,6 @@ class Simulation:
             self.rng.stream("channel"),
             deliver=self.linklayer.deliver,
             trace=self.trace,
-            per_message=config.channel_per_message,
         )
         self.linklayer.bind_channel(self.channel)
         if shard is not None:

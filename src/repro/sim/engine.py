@@ -41,19 +41,6 @@ Design notes
   samples — see :mod:`repro.obs.profiler`).  The handle is hoisted
   once per :meth:`run` call, so the unprofiled hot loop pays a single
   ``is None`` test per event.
-* **Fused event batches.**  A callback that owns a pre-ordered stream
-  of future work (the channel layer's per-link delivery queues) can
-  process several logical events inside one scheduled event: it claims
-  an ordering ticket per item up front (:meth:`Simulator.claim_seq`),
-  and at run time keeps consuming items while each item's
-  ``(time, priority, seq)`` key precedes :meth:`next_live_key` and the
-  active deadline, advancing the clock itself via
-  :meth:`advance_clock`.  Such callbacks watch :attr:`push_marker` —
-  bumped on every schedule, timer arm, and wheel release — to learn
-  when a cached :meth:`next_live_key` barrier may have moved earlier.
-  Execution *order* and timestamps are exactly what per-item
-  scheduling would produce; only the number of queue operations (and
-  hence ``executed_events`` and listener firings) shrinks.
 * **Controlled tie-breaks.**  Events sharing a ``(time, priority)``
   pair normally run in insertion order — an arbitrary but fixed
   serialization of logically concurrent work.  A *choice controller*
@@ -119,17 +106,9 @@ class Simulator:
                 "(expected 'ladder' or 'heap')"
             )
         self._seq = itertools.count()
-        # Bumped whenever the set of pending keys may have gained an
-        # earlier entry (push, timer arm, wheel release).  Fused-batch
-        # callbacks compare it to decide when a cached next_live_key
-        # barrier must be recomputed; cancellations leave it alone —
-        # a stale-early barrier is conservative, a stale-late one
-        # would reorder.
-        self._push_marker = 0
         self._running = False
         self._stopped = False
         self._executed_events = 0
-        self._deadline: Optional[float] = None
         # Standing cap on how far run() may advance, independent of the
         # per-call ``until``.  The sharded engine sets this to the next
         # barrier time so a shard can never execute past what a
@@ -188,16 +167,6 @@ class Simulator:
     def compactions(self) -> int:
         """How many times the pending set was compacted in place."""
         return self._queue.compactions
-
-    @property
-    def push_marker(self) -> int:
-        """Monotone counter of pushes/arms/releases (see class docs)."""
-        return self._push_marker
-
-    @property
-    def deadline(self) -> Optional[float]:
-        """The ``until`` bound of the active :meth:`run` call, if any."""
-        return self._deadline
 
     @property
     def wall_time_s(self) -> float:
@@ -266,25 +235,16 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: EventPriority = EventPriority.NORMAL,
-        seq: Optional[int] = None,
     ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at an absolute virtual time.
-
-        ``seq`` lets a caller spend an ordering ticket previously claimed
-        with :meth:`claim_seq` instead of drawing a fresh one, so a
-        deferred scheduling decision (a queued message whose delivery
-        event is created later) keeps the tie-break rank of the moment
-        the work was *created*, not the moment it was scheduled.
-        """
+        """Schedule ``callback(*args)`` at an absolute virtual time."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
-        if seq is None:
-            seq = next(self._seq)
-        event = self._acquire(time, priority, seq, callback, tuple(args), self)
+        event = self._acquire(
+            time, priority, next(self._seq), callback, tuple(args), self
+        )
         self._queue.push(event)
-        self._push_marker += 1
         return event
 
     def schedule_timer(
@@ -316,7 +276,6 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: EventPriority = EventPriority.NORMAL,
-        seq: Optional[int] = None,
     ) -> ScheduledEvent:
         """Absolute-time form of :meth:`schedule_timer`.
 
@@ -328,67 +287,12 @@ class Simulator:
         """
         wheel = self._wheel
         if wheel is not None and wheel.accepts(time, self._now):
-            if seq is None:
-                seq = next(self._seq)
-            event = self._acquire(time, priority, seq, callback, tuple(args), wheel)
-            wheel.arm(event)
-            self._push_marker += 1
-            return event
-        return self.schedule_at(time, callback, *args, priority=priority, seq=seq)
-
-    def claim_seq(self) -> int:
-        """Reserve the next ordering ticket without scheduling anything.
-
-        Tickets and implicitly drawn sequence numbers come from the same
-        counter, so claiming one per logical event keeps total order
-        across both kinds of scheduling.
-        """
-        return next(self._seq)
-
-    def next_live_key(self) -> Optional[Tuple[float, int, int]]:
-        """Sort key of the earliest non-cancelled scheduled event.
-
-        Pops cancelled shells off the queue head as a side effect (they
-        would be skipped by :meth:`run` anyway) and releases any
-        wheel-resident timers due at or before the head so the returned
-        key is a true global minimum.  Returns ``None`` when nothing
-        live remains anywhere.
-        """
-        queue = self._queue
-        wheel = self._wheel
-        if wheel is not None and wheel.live:
-            inject = self._wheel_inject
-            while True:
-                head = queue.peek()
-                if head is None:
-                    if wheel.live:
-                        wheel.release_until_live(math.inf, inject)
-                        continue
-                    return None
-                if wheel.live == 0 or wheel.next_time > head.time:
-                    return head.sort_key()
-                # One release pass empties the wheel of everything at or
-                # before the head; whatever peeks next is the global min.
-                wheel.release_through(head.time, inject)
-                return queue.peek().sort_key()
-        head = queue.peek()
-        return None if head is None else head.sort_key()
-
-    def advance_clock(self, time: float) -> None:
-        """Advance ``now`` from inside a fused event batch.
-
-        Only a running callback that has verified (via
-        :meth:`next_live_key` and :attr:`deadline`) that no scheduled
-        event precedes ``time`` may call this; the engine checks
-        monotonicity but trusts the caller on ordering.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot advance the clock backwards: t={time} < now={self._now}"
+            event = self._acquire(
+                time, priority, next(self._seq), callback, tuple(args), wheel
             )
-        if not self._running:
-            raise SimulationError("advance_clock is only valid while running")
-        self._now = time
+            wheel.arm(event)
+            return event
+        return self.schedule_at(time, callback, *args, priority=priority)
 
     def attach_profiler(self, profiler) -> None:
         """Attach a wall-clock profiler (``repro.obs.EngineProfiler``).
@@ -541,7 +445,6 @@ class Simulator:
         """
         event.engine = self
         self._queue.push(event)
-        self._push_marker += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -577,7 +480,6 @@ class Simulator:
             until = horizon
         self._running = True
         self._stopped = False
-        self._deadline = until
         wall_started = perf_counter()
         executed_this_call = 0
         queue = self._queue
@@ -645,7 +547,6 @@ class Simulator:
                 recycle(event)
         finally:
             self._running = False
-            self._deadline = None
             self._wall_time_s += perf_counter() - wall_started
         return self._now
 
@@ -686,7 +587,6 @@ class Simulator:
         push = queue.push
         for event in group:
             push(event)
-        self._push_marker += 1
         return chosen
 
     def run_until_quiet(self, max_events: int = 10_000_000) -> float:

@@ -1,29 +1,22 @@
-"""Fast-path / legacy-path equivalence for the message plane.
+"""Contract of the message plane (one engine event per message).
 
-The per-link delivery-queue fast path (the default) must be *bit
-identical* to the legacy one-event-per-message scheduling: same
-deliveries, in the same order, at the same timestamps, with the same
-drop accounting — including under link churn and crashes.  These tests
-drive both paths through identical fixed-seed scenarios and compare
-everything observable.
-
-Also here: the randomized churn property test — random link up/down
-cycles with traffic in flight never deliver a stale-incarnation
-message, and per-directed-link arrivals are strictly increasing, on
-both paths.
+Per-directed-link FIFO with strictly increasing arrivals even when
+delays collide; drop of whatever is in flight when a link dies, counted
+when the message would have arrived; no leak from a dead link
+incarnation into its re-formed successor; and — as a regression pin —
+the exact delivery log of a randomized churn run per seed.
 """
 
+import hashlib
 import random
 from dataclasses import dataclass
 
 import pytest
 
-from repro.mobility import RandomWaypoint
 from repro.net.channel import ChannelLayer
-from repro.net.geometry import Point, grid_positions, line_positions
+from repro.net.geometry import Point
 from repro.net.messages import Message
 from repro.net.topology import DynamicTopology
-from repro.runtime.simulation import ScenarioConfig, Simulation
 from repro.sim.clock import TimeBounds
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomSource
@@ -37,130 +30,101 @@ class Tagged(Message):
     epoch: int = 0
 
 
-def _record_deliveries(simulation: Simulation):
-    """Interpose on the channel's deliver callback, logging (t, src, dst, kind)."""
-    log = []
-    original = simulation.channel._deliver
-
-    def recorder(src, dst, message):
-        log.append((simulation.sim.now, src, dst, message.kind))
-        original(src, dst, message)
-
-    simulation.channel._deliver = recorder
-    return log
+HOME = [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0)]
+AWAY = Point(50.0, 50.0)
 
 
-def _run_scenario(per_message: bool, **overrides):
-    until = overrides.pop("_until", 60.0)
-    config = ScenarioConfig(channel_per_message=per_message, **overrides)
-    simulation = Simulation(config)
-    log = _record_deliveries(simulation)
-    result = simulation.run(until=until)
-    return simulation, result, log
-
-
-def _compare_paths(**overrides):
-    until = overrides.pop("until", 60.0)
-    overrides["_until"] = until
-    fast_sim, fast_result, fast_log = _run_scenario(False, **dict(overrides))
-    slow_sim, slow_result, slow_log = _run_scenario(True, **dict(overrides))
-    # Delivery sequences: same messages, same order, same timestamps.
-    assert fast_log == slow_log
-    # Drop/delivery accounting, per kind.
-    assert fast_sim.channel.stats.snapshot() == slow_sim.channel.stats.snapshot()
-    # End-to-end run metrics.
-    assert fast_result.duration == slow_result.duration
-    assert fast_result.messages_sent == slow_result.messages_sent
-    assert fast_result.messages_by_kind == slow_result.messages_by_kind
-    assert fast_result.cs_entries == slow_result.cs_entries
-    assert fast_result.response_times == slow_result.response_times
-    assert fast_result.starved == slow_result.starved
-    # Anything still queued on the fast path is exactly what the legacy
-    # path also left undelivered at the deadline.
-    legacy_undelivered = (
-        slow_sim.channel.stats.sent
-        - slow_sim.channel.stats.delivered
-        - slow_sim.channel.stats.dropped_link_down
-    )
-    assert fast_sim.channel.pending_messages() == legacy_undelivered
-    return fast_sim, slow_sim
-
-
-def test_equivalence_static_contention():
-    """Static line, alg2: pure protocol traffic, no churn."""
-    _compare_paths(
-        positions=line_positions(8, spacing=1.0),
-        algorithm="alg2",
-        seed=101,
-        think_range=(0.2, 1.0),
-        until=80.0,
-    )
-
-
-def test_equivalence_deterministic_delays():
-    """With jitter off, timestamp ties across links are common — the
-    regime where per-send seq tickets are what keeps order identical."""
-    _compare_paths(
-        positions=line_positions(6, spacing=1.0),
-        algorithm="alg2",
-        seed=7,
-        bounds=TimeBounds(min_delay_fraction=1.0),
-        think_range=(0.1, 0.5),
-        until=40.0,
-    )
-
-
-@pytest.mark.parametrize("algorithm", ["alg2", "alg1-greedy"])
-def test_equivalence_under_mobility_and_crashes(algorithm):
-    """Churn regime: moving node breaking/forming links plus a crash."""
-    _compare_paths(
-        positions=grid_positions(9, 1.0),
-        radio_range=1.4,
-        algorithm=algorithm,
-        seed=23,
-        think_range=(0.3, 1.5),
-        crashes=[(20.0, 4)],
-        delta_override=8,
-        mobility_factory=lambda i: (
-            RandomWaypoint(3.0, 3.0, speed_range=(0.4, 1.0),
-                           pause_range=(3.0, 8.0))
-            if i in (2, 7)
-            else None
-        ),
-        until=90.0,
-    )
-
-
-def test_equivalence_across_multiple_seeds():
-    for seed in (1, 2, 3, 4, 5):
-        _compare_paths(
-            positions=line_positions(5, spacing=1.0),
-            algorithm="alg2",
-            seed=seed,
-            think_range=(0.2, 1.0),
-            until=30.0,
-        )
-
-
-# ----------------------------------------------------------------------
-# Randomized churn property test
-# ----------------------------------------------------------------------
-
-
-def _run_churn(per_message: bool, seed: int):
-    """Random sends and link up/down cycles against a 3-node line.
-
-    Returns the delivery log; asserts inside the recorder that no
-    delivered message is from a dead link incarnation and that each
-    directed link's delivery times strictly increase.
-    """
-    plan_rng = random.Random(seed)
+def _line(seed=1):
+    """A 3-node line 0-1-2 with a delivery log of (t, src, dst, payload)."""
     sim = Simulator()
     topo = DynamicTopology(radio_range=1.5)
-    home = [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0)]
-    for i, p in enumerate(home):
+    for i, p in enumerate(HOME):
         topo.add_node(i, p)
-    bounds = TimeBounds(nu=1.0, min_delay_fraction=0.25)
+    log = []
+    channel = ChannelLayer(
+        sim, topo, TimeBounds(nu=1.0, min_delay_fraction=0.25),
+        RandomSource(seed).stream("c"),
+        deliver=lambda src, dst, m: log.append((sim.now, src, dst, m.payload)),
+    )
+    return sim, topo, channel, log
+
+
+def _move(topo, channel, node, position):
+    """Reposition ``node`` and report the destroyed links to the channel."""
+    for a, b in topo.set_position(node, position).removed:
+        channel.link_down(a, b)
+
+
+def test_fifo_strictly_increasing_under_colliding_delays():
+    """Later sends drawing smaller delays still arrive later, in send
+    order, on their link; equal arrivals on different links keep send
+    order too (the engine's insertion tie-break)."""
+    sim, topo, channel, log = _line()
+    delays = iter([0.9, 0.5, 0.5, 0.1, 0.9, 0.9])
+    channel.delay_source = lambda src, dst, message: next(delays)
+    for payload, (src, dst) in enumerate(
+        [(0, 1), (0, 1), (2, 1), (0, 1), (1, 2), (1, 0)]
+    ):
+        channel.send(src, dst, Tagged(payload))
+    sim.run()
+    on_01 = [(t, p) for t, src, dst, p in log if (src, dst) == (0, 1)]
+    assert [p for _, p in on_01] == [0, 1, 3]
+    assert on_01[0][0] == 0.9
+    assert on_01[0][0] < on_01[1][0] < on_01[2][0] <= 0.9 + 1e-6
+    # 2->1 arrives at 0.5, before everything clamped behind 0->1's 0.9;
+    # the two 0.9 arrivals sent last keep their send order.
+    assert [p for _, _, _, p in log] == [2, 0, 4, 5, 1, 3]
+
+
+def test_link_down_drops_in_flight_both_directions():
+    sim, topo, channel, log = _line()
+    channel.send(0, 1, Tagged(1))
+    channel.send(1, 0, Tagged(2))
+    channel.send(1, 2, Tagged(3))
+    _move(topo, channel, 0, AWAY)
+    # The drop is counted when the message would have arrived.
+    assert channel.stats.dropped_link_down == 0
+    assert sim.pending_events == 3
+    sim.run()
+    assert [p for _, _, _, p in log] == [3]
+    assert channel.stats.snapshot()["dropped_by_kind"] == {"Tagged": 2}
+    assert channel.stats.sent == 3 == (
+        channel.stats.delivered + channel.stats.dropped_link_down
+    )
+
+
+def test_reformed_link_never_sees_its_previous_incarnation():
+    """The re-formed link starts a fresh FIFO: its first message may
+    overtake — and must not resurrect — what the dead one still holds."""
+    sim, topo, channel, log = _line()
+    delays = iter([0.9, 0.9, 0.3])
+    channel.delay_source = lambda src, dst, message: next(delays)
+    channel.send(0, 1, Tagged(1))
+    channel.send(1, 0, Tagged(2))
+    _move(topo, channel, 1, AWAY)
+    _move(topo, channel, 1, HOME[1])
+    assert topo.has_link(0, 1)
+    channel.send(0, 1, Tagged(3))
+    sim.run()
+    assert log == [(0.3, 0, 1, 3)]
+    assert channel.stats.dropped_link_down == 2
+
+
+# ----------------------------------------------------------------------
+# Randomized churn
+# ----------------------------------------------------------------------
+
+
+def _run_churn(seed: int):
+    """Random sends and link up/down cycles against the 3-node line.
+
+    Returns the delivery log and the channel counters; asserts inside
+    the recorder that no delivered message is from a dead link
+    incarnation and that each directed link's delivery times strictly
+    increase.
+    """
+    plan_rng = random.Random(seed)
+    sim, topo, channel, _ = _line(seed)
 
     epoch = {}  # undirected link -> generation counter
     log = []
@@ -181,19 +145,13 @@ def _run_churn(per_message: bool, seed: int):
         last_seen[(src, dst)] = now
         log.append((now, src, dst, message.payload))
 
-    channel = ChannelLayer(
-        sim, topo, bounds, RandomSource(seed).stream("c"),
-        deliver=on_deliver, per_message=per_message,
-    )
-
-    away = Point(50.0, 50.0)
-    out = {1: False}  # is node 1 currently moved away?
+    channel._deliver = on_deliver
+    out = False  # is node 1 currently moved away?
 
     def toggle():
-        node = 1
-        target = home[node] if out[node] else away
-        diff = topo.set_position(node, target)
-        out[node] = not out[node]
+        nonlocal out
+        diff = topo.set_position(1, HOME[1] if out else AWAY)
+        out = not out
         for a, b in diff.removed:
             channel.link_down(a, b)
             epoch[link_id(a, b)] = epoch.get(link_id(a, b), 0) + 1
@@ -209,32 +167,31 @@ def _run_churn(per_message: bool, seed: int):
             src, dst, Tagged(payload, epoch.get(link_id(src, dst), 0))
         )
 
-    # Deterministic action plan, identical for both paths.
     t = 0.0
-    plan_out = False
     for _ in range(300):
         t += plan_rng.uniform(0.05, 0.6)
         if plan_rng.random() < 0.15:
             sim.schedule_at(t, toggle)
-            plan_out = not plan_out
         else:
             pair = plan_rng.choice([(0, 1), (1, 0), (1, 2), (2, 1)])
             sim.schedule_at(t, send, *pair)
     sim.run()
-    assert channel.pending_messages() == 0
-    assert channel.stats.sent == (
-        channel.stats.delivered + channel.stats.dropped_link_down
-    )
-    return log, channel.stats.snapshot()
+    return log, channel.stats
 
 
-@pytest.mark.parametrize("seed", [11, 42, 99, 1234])
-def test_churn_property_both_paths_identical(seed):
-    fast_log, fast_stats = _run_churn(per_message=False, seed=seed)
-    slow_log, slow_stats = _run_churn(per_message=True, seed=seed)
-    assert fast_log == slow_log
-    assert fast_stats == slow_stats
-    assert fast_stats["delivered"] > 0
-    # Churn actually happened: something was dropped in at least one run
-    # of the seed set (checked loosely per seed to avoid flakiness, the
-    # invariants above are the real assertions).
+#: seed -> (delivered, dropped, sha256 of the delivery log); recorded
+#: from the per-link drain this path replaced, whose log was identical.
+CHURN_PINS = {
+    11: (94, 30, "616fc744a84b8d7f"),
+    42: (141, 27, "ccc8a922e0787e82"),
+    99: (72, 25, "034bbe6f90dc91e6"),
+    1234: (107, 19, "2f900dab2f7681bd"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHURN_PINS))
+def test_churn_delivery_log_pinned(seed):
+    log, stats = _run_churn(seed)
+    assert stats.sent == stats.delivered + stats.dropped_link_down
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
+    assert (stats.delivered, stats.dropped_link_down, digest) == CHURN_PINS[seed]

@@ -1,5 +1,7 @@
 """Tests for the coloring procedures (Algorithms 4 and 5)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,20 +78,36 @@ class Wire:
         self.sessions = {}
         self.finished = {}
         self.queue = []
+        self.sent = []  # every (src, dst, msg) a session sent, in order
 
     def add(self, node_id, procedure, peers):
+        def send(dst, msg, src=node_id):
+            self.sent.append((src, dst, msg))
+            self.queue.append((src, dst, msg))
+
         session = procedure.create_session(
             node_id,
             set(peers),
-            lambda dst, msg, src=node_id: self.queue.append((src, dst, msg)),
+            send,
             lambda value, src=node_id: self.finished.__setitem__(src, value),
         )
         self.sessions[node_id] = session
         return session
 
-    def deliver_all(self, drop=()):
+    def _pop(self, rng):
+        """Next message: global FIFO, or with ``rng`` a random directed
+        link's oldest message (links stay FIFO, their interleaving is
+        arbitrary — the paper's channel model)."""
+        if rng is None:
+            return self.queue.pop(0)
+        heads = {}
+        for index, (src, dst, _) in enumerate(self.queue):
+            heads.setdefault((src, dst), index)
+        return self.queue.pop(rng.choice(list(heads.values())))
+
+    def deliver_all(self, drop=(), rng=None):
         while self.queue:
-            src, dst, msg = self.queue.pop(0)
+            src, dst, msg = self._pop(rng)
             if (src, dst) in drop:
                 continue
             target = self.sessions.get(dst)
@@ -161,6 +179,66 @@ def test_greedy_session_peer_loss_mid_round():
     wire.deliver_all()
     assert 0 in wire.finished and 1 in wire.finished
     assert wire.finished[0] != wire.finished[1]
+
+
+def _random_connected_graph(rng):
+    """A random spanning tree plus a few chords, as canonical edges."""
+    n = rng.randint(2, 9)
+    edges = {link_key(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(range(n), 2)
+        edges.add(link_key(a, b))
+    return n, edges
+
+
+def _flood(graph_seed, order_seed):
+    """All nodes of a random connected graph recolor at once."""
+    n, edges = _random_connected_graph(random.Random(graph_seed))
+    wire = Wire()
+    for node in range(n):
+        wire.add(node, GreedyColoring(),
+                 peers=[b if a == node else a for a, b in edges
+                        if node in (a, b)])
+    for session in wire.sessions.values():
+        session.begin()
+    wire.deliver_all(rng=random.Random(order_seed))
+    return wire, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_seed=st.integers(0, 10 ** 6), order_seed=st.integers(0, 10 ** 6))
+def test_greedy_flood_lemma_14(graph_seed, order_seed):
+    """Lemma 14 under arbitrary per-link interleavings: concurrent
+    participants (none lost mid-session) all end with the whole graph
+    and therefore with a legal coloring."""
+    wire, edges = _flood(graph_seed, order_seed)
+    assert set(wire.finished) == set(wire.sessions)
+    for a, b in edges:
+        assert wire.finished[a] != wire.finished[b]
+        assert wire.sessions[a].graph == wire.sessions[b].graph == edges
+    # One immutable edge set per sender per round, shared by every peer
+    # (and by the finished=True message when the last round added
+    # nothing), never one copy per peer.
+    by_sender = {}
+    for src, _, msg in wire.sent:
+        if isinstance(msg, GraphExchange):
+            by_sender.setdefault(src, []).append(msg.edges)
+    for sets in by_sender.values():
+        for earlier, later in zip(sets, sets[1:]):
+            assert later is earlier or later != earlier
+
+
+@pytest.mark.parametrize(
+    "graph_seed, order_seed, messages, rounds",
+    [(1, 0, 33, 13), (3, 0, 59, 17), (3, 1, 60, 17), (7, 0, 68, 29),
+     (7, 2, 69, 29), (8, 1, 50, 17)],
+)
+def test_greedy_flood_traffic_pinned(graph_seed, order_seed, messages, rounds):
+    """Recorded before the one-edge-set-per-round rewrite: the flood
+    must keep sending exactly the messages Algorithm 4 asks for."""
+    wire, _ = _flood(graph_seed, order_seed)
+    assert len(wire.sent) == messages
+    assert sum(s.rounds_executed for s in wire.sessions.values()) == rounds
 
 
 def test_linial_requires_valid_parameters():

@@ -284,6 +284,48 @@ def test_priority_monitor_cycle_gate():
     assert details is not None and details["kind"] == "antisymmetry"
 
 
+def test_suite_shares_one_link_pair_walk_per_topology_version():
+    from types import SimpleNamespace
+
+    from repro.core.states import NodeState
+    from repro.explore.monitors import MonitorSuite
+
+    walks = []
+    links = [(0, 1)]
+
+    def list_links():
+        walks.append(list(links))
+        return walks[-1]
+
+    topology = SimpleNamespace(links=list_links, version=0)
+    harnesses = {
+        node: SimpleNamespace(state=NodeState.EATING, algorithm=None)
+        for node in (0, 1, 2)
+    }
+    del harnesses[1]  # a ghost endpoint: no harness hosted here
+    engine = SimpleNamespace(
+        add_listener=lambda listener: None, executed_events=1, now=0.0,
+        stop=lambda: None,
+    )
+    suite = MonitorSuite(build_monitors([
+        {"name": "exclusion", "params": {}},
+        {"name": "fork-uniqueness", "params": {}},
+    ]))
+    suite.attach(SimpleNamespace(
+        harnesses=harnesses, topology=topology, sim=engine,
+    ))
+    suite._on_event(engine)
+    suite._on_event(engine)
+    assert suite.violation is None and len(walks) == 1
+    # A new link between two hosted eaters must be seen at once.
+    links.append((0, 2))
+    topology.version += 1
+    suite._on_event(engine)
+    assert len(walks) == 2
+    assert suite.violation.monitor == "exclusion"
+    assert suite.violation.details == {"link": [0, 2]}
+
+
 def test_build_monitors_validates_specs():
     monitors = build_monitors([
         {"name": "exclusion", "params": {}},

@@ -68,6 +68,7 @@ def test_bus_fig6_churn_and_crash_replays_clean():
     kinds = {row["k"] for row in recording["rows"]}
     assert "crash" in kinds
     assert {"up", "down"} & kinds
+    assert recording["metrics"]["crashed"] == 1
     assert_clean(verify_recording(recording))
 
 

@@ -97,6 +97,15 @@ def test_components_and_connectivity():
 def test_links_listing_is_canonical_and_sorted():
     topo = build_line(4)
     assert topo.links() == [(0, 1), (1, 2), (2, 3)]
+    # Memoized per version: unchanged graph, same list; any link or
+    # membership change rebuilds it.
+    assert topo.links() is topo.links()
+    topo.set_position(3, Point(50, 50))
+    assert topo.links() == [(0, 1), (1, 2)]
+    topo.force_link(0, 3, True)
+    assert topo.links() == [(0, 1), (0, 3), (1, 2)]
+    topo.remove_node(1)
+    assert topo.links() == [(0, 3)]
 
 
 def test_link_key_canonical():

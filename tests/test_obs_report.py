@@ -5,21 +5,28 @@ The golden file ``tests/data/golden_report.json`` pins the report
 version-bumped layout change.  Structure and integer leaves must match
 exactly; float leaves are compared approximately because the
 ``statistics`` module's summation details may differ across
-interpreter versions.
+interpreter versions.  ``tests/data/golden_greedy_flood.json`` pins a
+recolouring flood the same way (see ``_greedy_flood_config``), so a
+performance change to the colouring or message planes proves
+bit-identity against a file.  It is a pin, not a schema reference, and
+is stored unindented (``report.to_json(indent=None)``): read it with
+``repro report``.
 """
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.geometry import line_positions
+from repro.net.geometry import Point, line_positions
 from repro.obs.report import SCHEMA_VERSION, RunReport, _flatten
 from repro.runtime.simulation import ScenarioConfig, Simulation
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
+GOLDEN_FLOOD = Path(__file__).parent / "data" / "golden_greedy_flood.json"
 
 
 def _golden_config():
@@ -31,6 +38,25 @@ def _golden_config():
         crashes=[(20.0, 2)],
         telemetry=True,
         watchdog=15.0,
+    )
+
+
+def _greedy_flood_config():
+    """7x7 stratified unit-disk (one node per lattice cell, mean degree
+    about 10): every node recolours at once, so GreedySession floods."""
+    rng = random.Random(1)
+    radio, side = 3.0, 7
+    cell = math.sqrt(math.pi * radio * radio / 12)
+    return ScenarioConfig(
+        positions=[
+            Point((i % side + rng.random()) * cell,
+                  (i // side + rng.random()) * cell)
+            for i in range(side * side)
+        ],
+        radio_range=radio,
+        algorithm="alg1-greedy",
+        seed=1,
+        telemetry=True,
     )
 
 
@@ -151,11 +177,9 @@ def test_summary_lines_mention_the_essentials():
 # ----------------------------------------------------------------------
 
 
-def test_golden_report_schema_is_stable():
-    golden = RunReport.load(GOLDEN)
+def _assert_matches_golden(golden_path, fresh):
+    golden = RunReport.load(golden_path)
     assert golden.schema_version == SCHEMA_VERSION
-
-    fresh = Simulation(_golden_config()).run(until=120.0).report()
     golden_leaves = _flatten(golden.to_dict())
     fresh_leaves = _flatten(fresh.to_dict())
     # The set of dotted leaf paths IS the schema: any rename, removal or
@@ -167,6 +191,19 @@ def test_golden_report_schema_is_stable():
             assert math.isclose(value, other, rel_tol=1e-9, abs_tol=1e-12), path
         else:
             assert value == other, path
+
+
+def test_golden_report_schema_is_stable():
+    _assert_matches_golden(
+        GOLDEN, Simulation(_golden_config()).run(until=120.0).report()
+    )
+
+
+def test_golden_greedy_flood_is_stable():
+    _assert_matches_golden(
+        GOLDEN_FLOOD,
+        Simulation(_greedy_flood_config()).run(until=60.0).report(),
+    )
 
 
 def test_golden_report_is_valid_canonical_json():
