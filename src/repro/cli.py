@@ -148,7 +148,6 @@ def build_config(args, algorithm: Optional[str] = None) -> ScenarioConfig:
             getattr(args, "report", None) or getattr(args, "metrics", None)
         ),
         watchdog=getattr(args, "watchdog", None),
-        scheduler=getattr(args, "scheduler", "ladder"),
     )
 
 
@@ -665,11 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--watchdog", type=float, default=None, metavar="THRESHOLD",
         help="warn when a node stays hungry longer than this (virtual time)",
-    )
-    run_parser.add_argument(
-        "--scheduler", choices=("ladder", "heap"), default="ladder",
-        help="engine pending-set discipline (bit-identical results; "
-             "heap is the equivalence oracle)",
     )
     run_parser.add_argument(
         "--shards", type=int, default=1, metavar="N",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
-from repro.net.messages import Message, interned
+from repro.net.messages import Message
 
 # ----------------------------------------------------------------------
 # Doorway messages (Chapter 4).  ``doorway`` names which of the node's
@@ -18,7 +18,6 @@ from repro.net.messages import Message, interned
 # ----------------------------------------------------------------------
 
 
-@interned
 @dataclass(frozen=True, slots=True)
 class DoorwayCross(Message):
     """Broadcast when a node crosses (completes the entry code of) a doorway."""
@@ -26,7 +25,6 @@ class DoorwayCross(Message):
     doorway: str
 
 
-@interned
 @dataclass(frozen=True, slots=True)
 class DoorwayExit(Message):
     """Broadcast when a node exits a doorway."""
@@ -39,13 +37,11 @@ class DoorwayExit(Message):
 # ----------------------------------------------------------------------
 
 
-@interned
 @dataclass(frozen=True, slots=True)
 class ForkRequest(Message):
     """``req`` — ask the neighbor for the shared fork."""
 
 
-@interned
 @dataclass(frozen=True, slots=True)
 class ForkGrant(Message):
     """``(fork, flag)`` — hand over the shared fork.
@@ -135,13 +131,11 @@ class RecolorNack(Message):
 # ----------------------------------------------------------------------
 
 
-@interned
 @dataclass(frozen=True, slots=True)
 class Notification(Message):
     """``notification`` — sent to all neighbors upon becoming hungry."""
 
 
-@interned
 @dataclass(frozen=True, slots=True)
 class Switch(Message):
     """``switch`` — the sender lowers its priority below the receiver."""

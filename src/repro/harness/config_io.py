@@ -67,11 +67,8 @@ def config_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
         "initial_delay_range": list(config.initial_delay_range),
         "max_entries": config.max_entries,
         "mobility_step": config.mobility_step,
-        # Unlike pooling and scheduler (whose alternate paths are
-        # bit-identical, so omitting them can never replay a wrong
-        # cached result), the mobility execution mode changes event
-        # timings — it must be part of the serialized config and thus
-        # of every cache key.
+        # The mobility execution mode changes event timings — it must
+        # be part of the serialized config and thus of every cache key.
         "mobility_fixed_step": config.mobility_fixed_step,
         "crashes": [[t, n] for t, n in config.crashes],
         "trace": config.trace,

@@ -1,11 +1,10 @@
 """Length-prefixed frames for the socket transport.
 
 A frame is a 4-byte big-endian length followed by a pickled payload
-dict.  Pickle is what lets the interned protocol messages of
-:mod:`repro.net.messages` cross the wire as themselves — their
-``__reduce__`` round-trips through the constructor, so an unpickled
-``ForkGrant(True)`` resolves to the receiver's interned instance, and
-the receiving node runs the same objects the simulator would hand it.
+dict.  Pickle is what lets the frozen, slotted protocol messages of
+:mod:`repro.core.messages` cross the wire as themselves, so the
+receiving node is handed objects equal to (and of the same type as)
+the ones the simulator would hand it.
 
 Deserialization is restricted: :class:`_RestrictedUnpickler` only
 resolves classes from ``repro.*`` modules (plus a tiny builtin

@@ -12,20 +12,13 @@ message classes are declared with ``@dataclass(frozen=True,
 slots=True)``; the slots keep per-message memory flat and attribute
 access cheap on the delivery path.  (Plain ``@dataclass(frozen=True)``
 subclasses still work — test fixtures use them — they just carry a
-``__dict__``.)
-
-Field-light messages (no payload, or a payload drawn from a small
-finite set: ``ForkRequest``, ``ForkGrant(flag)``, ``Notification``,
-``Switch``, the doorway broadcasts) additionally use :func:`interned`:
-construction returns one shared immutable instance per distinct field
-tuple instead of allocating per send.  Because messages are frozen and
-compared by value, interning is observationally identical — it only
-removes the per-message allocation on the hottest send paths.
+``__dict__``.)  Messages are compared by value and cross process
+boundaries (shard pipes, the live socket codec) by ordinary pickling.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,45 +48,3 @@ class Message:
             parts.append(f"{f.name}={getattr(self, f.name)!r}")
         return f"{self.kind}({', '.join(parts)})"
 
-
-def interned(cls):
-    """Class decorator: memoize instances of a field-light frozen message.
-
-    ``cls(*args)`` returns one shared instance per distinct (hashable)
-    field tuple, so the protocol hot paths stop allocating a fresh
-    object per send.  Only apply this to frozen messages whose field
-    values come from a small finite set — the intern table is never
-    evicted.
-
-    Subclasses are exempt (they get ordinary fresh instances), and
-    pickling round-trips through the constructor via ``__reduce__`` so
-    an unpickled message resolves to the interned instance instead of
-    mutating a shared one through ``__setstate__``.
-    """
-    names = tuple(f.name for f in fields(cls))
-    defaults = {
-        f.name: f.default for f in fields(cls) if f.default is not MISSING
-    }
-    cache = {}
-
-    def __new__(klass, *args, **kwargs):
-        if klass is not cls:
-            return object.__new__(klass)
-        if kwargs or len(args) != len(names):
-            merged = dict(zip(names, args))
-            merged.update(kwargs)
-            args = tuple(
-                merged[n] if n in merged else defaults[n] for n in names
-            )
-        instance = cache.get(args)
-        if instance is None:
-            instance = object.__new__(klass)
-            cache[args] = instance
-        return instance
-
-    def __reduce__(self):
-        return (cls, tuple(getattr(self, n) for n in names))
-
-    cls.__new__ = __new__
-    cls.__reduce__ = __reduce__
-    return cls

@@ -56,10 +56,8 @@ The probe catalogue (all instrument names live here, nowhere else):
                                             wheel_arms / wheel_cascades /
                                             cancelled_in_place); recorded
                                             at run end by the runtime
-                                            from ``Simulator.stats()``,
-                                            discipline-dependent by
-                                            design (see
-                                            docs/performance.md)
+                                            from ``Simulator.stats()``
+                                            (see docs/performance.md)
 ==============================  ==========  =================================
 """
 

@@ -55,9 +55,9 @@ class RunReport:
     #: ``ChannelStats.snapshot()``: totals and per-kind breakdowns.
     channel: Dict[str, Any] = field(default_factory=dict)
     #: Engine statistics: executed_events, pending_events, now (the
-    #: wall-clock and scheduler-discipline counters are stripped so
-    #: reports stay deterministic and discipline-independent; queue ops
-    #: surface through the ``engine.sched_ops`` probe instead).
+    #: wall-clock and scheduler-queue counters are stripped so reports
+    #: stay deterministic and independent of the queue structure; queue
+    #: ops surface through the ``engine.sched_ops`` probe instead).
     engine: Dict[str, Any] = field(default_factory=dict)
     #: ``MetricRegistry.snapshot()`` — empty when telemetry was off.
     probes: Dict[str, Any] = field(default_factory=dict)

@@ -62,25 +62,15 @@ class HungerWorkload:
         # _on_done_eating.
         self._scratch = random.Random()
 
-    def attach(self, harness: NodeHarness) -> None:
-        """Start driving a node (schedules its first hunger)."""
-        harness.on_done_eating = self._on_done_eating
-        rng = self._scratch
-        rng.seed(self._rng_source.stream_seed("workload", harness.node_id))
-        delay = rng.uniform(*self.initial_delay_range)
-        self._sim.schedule(delay, harness.become_hungry)
-
     def attach_all(self, harnesses: Iterable[NodeHarness]) -> None:
-        """Attach every node at once, deferring the draws to run start.
+        """Start driving every node, deferring the draws to run start.
 
         Per-node attach work is pure RNG arithmetic — derive the
         substream seed, seed the scratch RNG, draw the initial delay —
-        plus one schedule call, and at city scale it dominates
-        ``Simulation`` construction.  Since it only *schedules* events,
-        the whole loop rides the engine's startup hook: it runs right
-        before the first event pops, drawing the exact values
-        per-node :meth:`attach` would, with the heap holding the same
-        event set when execution starts (see
+        plus one schedule call (the node's first hunger), and at city
+        scale it dominates ``Simulation`` construction.  Since it only
+        *schedules* events, the whole loop rides the engine's startup
+        hook: it runs right before the first event pops (see
         :meth:`repro.sim.engine.Simulator.defer_startup`).
         """
         nodes = list(harnesses)

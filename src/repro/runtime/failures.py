@@ -43,11 +43,7 @@ class CrashInjector:
         self._mobility = mobility
         self.crashes: List[CrashEvent] = []
         #: Engine handles, aligned with :attr:`crashes` (retimeable).
-        #: Stored as ``(event, generation)`` tokens: a pooling engine
-        #: recycles fired shells, so a bare handle held across events
-        #: can come back to life as someone else's event — the captured
-        #: generation stamp detects that (see repro.sim.events).
-        self._events: List[Tuple[ScheduledEvent, int]] = []
+        self._events: List[ScheduledEvent] = []
 
     def schedule(self, time: float, node_id: int) -> None:
         """Crash ``node_id`` at the given virtual time."""
@@ -55,8 +51,9 @@ class CrashInjector:
         self.crashes.append(event)
         # A crash is a retimeable deadline — exactly the churn profile
         # the timer wheel exists for (apply_control cancels + reissues).
-        handle = self._sim.schedule_timer_at(time, self._crash, node_id)
-        self._events.append((handle, handle.generation))
+        self._events.append(
+            self._sim.schedule_timer_at(time, self._crash, node_id)
+        )
 
     def schedule_all(self, plan: List[Tuple[float, int]]) -> None:
         """Schedule a whole crash plan of (time, node_id) pairs."""
@@ -76,11 +73,8 @@ class CrashInjector:
         into the past.
         """
         now = self._sim.now
-        for index, (handle, generation) in enumerate(self._events):
-            # A generation mismatch means the shell was recycled by the
-            # event pool after our crash fired — same outcome as a dead
-            # handle: nothing left to retime.
-            if handle.generation != generation or not handle.pending:
+        for index, handle in enumerate(self._events):
+            if not handle.pending:
                 continue
             planned = self.crashes[index]
             retimed = max(now, float(
@@ -90,10 +84,9 @@ class CrashInjector:
                 continue
             handle.cancel()
             self.crashes[index] = CrashEvent(retimed, planned.node_id)
-            fresh = self._sim.schedule_timer_at(
+            self._events[index] = self._sim.schedule_timer_at(
                 retimed, self._crash, planned.node_id
             )
-            self._events[index] = (fresh, fresh.generation)
 
     def crashed_nodes(self) -> List[int]:
         """Node ids crashed so far (in crash order)."""

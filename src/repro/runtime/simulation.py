@@ -98,16 +98,6 @@ class ScenarioConfig:
     crashes: List[Tuple[float, int]] = field(default_factory=list)
     trace: bool = False
     strict_safety: bool = True
-    #: Recycle fired/cancelled engine event shells through a free-list
-    #: pool instead of allocating one per schedule.  Same events, same
-    #: order, bit-identical reports; ``pooling=False`` exists for
-    #: equivalence testing and for isolating use-after-release reports.
-    pooling: bool = True
-    #: Engine pending-set discipline: ``"ladder"`` (adaptive ladder
-    #: queue + timer wheel, the O(1) default) or ``"heap"`` (the binary
-    #: heap kept as the equivalence oracle).  Same events, same order,
-    #: bit-identical reports either way.
-    scheduler: str = "ladder"
     #: Optional pre-assigned legal coloring (alg1 variants / choy-singh).
     initial_colors: Optional[Dict[int, int]] = None
     #: Override the delta the Linial procedure is built for (mobile runs
@@ -132,11 +122,6 @@ class ScenarioConfig:
         if self.watchdog is not None and self.watchdog <= 0:
             raise ConfigurationError(
                 f"watchdog threshold must be > 0: {self.watchdog}"
-            )
-        if self.scheduler not in ("ladder", "heap"):
-            raise ConfigurationError(
-                f"unknown scheduler discipline: {self.scheduler!r} "
-                "(expected 'ladder' or 'heap')"
             )
         for row in self.link_script or ():
             if len(row) != 5 or row[1] not in ("up", "down"):
@@ -207,13 +192,11 @@ class SimulationResult:
                 "nodes": len(self.config.positions),
             }
         # Wall-clock throughput keys are non-deterministic, and the
-        # scheduler ops counters differ between (bit-identical) queue
-        # disciplines by design; the report's engine block keeps only
-        # the virtual-time counters so fixed-seed reports stay
-        # bit-identical across disciplines too.  Queue behaviour is
-        # surfaced via the ``engine.sched_ops`` probe when telemetry is
-        # on (a probe is discipline-scoped observability, not part of
-        # the protocol-level outcome contract).
+        # scheduler ops counters describe the queue's data structure
+        # (they differ under the tests' heap oracle and between shard
+        # counts), not the run; the report's engine block keeps only
+        # the virtual-time counters.  Queue behaviour is surfaced via
+        # the ``engine.sched_ops`` probe when telemetry is on.
         engine = dict(self.engine)
         engine.pop("wall_time_s", None)
         engine.pop("events_per_sec", None)
@@ -339,9 +322,7 @@ class Simulation:
     ) -> None:
         self.config = config
         self.shard = shard
-        self.sim = Simulator(
-            pooling=config.pooling, scheduler=config.scheduler
-        )
+        self.sim = Simulator()
         # Already-recorded scheduler ops, per counter key: run() records
         # only the delta into the live registry so repeated run() calls
         # (paused runs, sharded windows) never double-count.
@@ -589,9 +570,9 @@ class Simulation:
             "wall_time_s": engine_stats["wall_time_s"],
             "events_per_sec": engine_stats["events_per_sec"],
             "peak_rss_kb": peak_rss_kb(),
-            # Operational view of the queue discipline; lives here (and
-            # in the sched_ops probe) rather than in the deterministic
-            # engine block because it differs between disciplines.
+            # Operational view of the scheduler queue; lives here (and
+            # in the sched_ops probe) rather than in the report's engine
+            # block (see SimulationResult.report).
             "scheduler": dict(engine_stats["scheduler"]),
         }
         return SimulationResult(
@@ -630,7 +611,7 @@ class Simulation:
         assert self.registry is not None
         counter = self.registry.counter(
             "engine.sched_ops",
-            "scheduler queue operations by kind (discipline-dependent)",
+            "scheduler queue operations by kind",
         )
         recorded = self._sched_ops_recorded
         for key in (

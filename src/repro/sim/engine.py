@@ -19,18 +19,19 @@ Design notes
   the engine as argument.  Using listeners rather than wrapping every
   callback keeps protocol code free of instrumentation.  The listener
   list is snapshotted once per :meth:`run` call.
-* **Scheduler disciplines.**  The pending set is an adaptive ladder
-  queue by default (:class:`repro.sim.schedqueue.LadderQueue` — O(1)
-  amortized enqueue/dequeue) with a hierarchical timer wheel
+* **Scheduler.**  The pending set is an adaptive ladder queue
+  (:class:`repro.sim.schedqueue.LadderQueue` — O(1) amortized
+  enqueue/dequeue) with a hierarchical timer wheel
   (:class:`repro.sim.schedqueue.TimerWheel`) fronting restartable
   timers scheduled through :meth:`schedule_timer`; cancelling a
   wheel-resident timer is a flag flip that never touches the ladder.
-  ``Simulator(scheduler="heap")`` selects the classic binary heap
-  instead, which is kept as the equivalence oracle: both disciplines
-  compare the same precomputed ``(time, priority, seq)`` keys and
-  bucket routing is monotone in time (see :mod:`repro.sim.schedqueue`),
-  so execution order, timestamps, and every deterministic counter are
-  bit-identical either way.
+  The tests check it against a binary heap
+  (``tests/oracles/heap_queue.py``, installed on a fresh engine in
+  place of both structures): every structure compares the same
+  precomputed ``(time, priority, seq)`` keys and bucket routing is
+  monotone in time (see :mod:`repro.sim.schedqueue`), so execution
+  order, timestamps, and every deterministic counter are bit-identical
+  to the heap's.
 * **Hot loop.**  Cancellation is lazy (cancelled shells stay resident),
   but the engine keeps a live count of them: ``pending_events`` is
   O(1), and when shells outnumber live events the pending set is swept
@@ -64,47 +65,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import EventPriority, ScheduledEvent
-from repro.sim.schedqueue import HeapQueue, LadderQueue, TimerWheel
-
-#: Free-list cap: shells beyond this are dropped to the garbage
-#: collector instead of retained.  Large enough to absorb the release
-#: burst of a compaction or a cancellation-heavy phase, small enough
-#: that the pool itself can never dominate memory (~8 MB worst case).
-_POOL_MAX = 65536
+from repro.sim.schedqueue import LadderQueue, TimerWheel
 
 
 class Simulator:
-    """A deterministic discrete-event scheduler.
+    """A deterministic discrete-event scheduler."""
 
-    Args:
-        pooling: recycle :class:`ScheduledEvent` shells through a free
-            list (acquire on schedule, release when an event has fired
-            or its cancelled shell leaves the pending set).  Event
-            execution order, timestamps and every counter are identical
-            either way — the flag exists for equivalence testing and
-            for callers that keep event handles beyond their lifetime
-            (see the handle contract in :mod:`repro.sim.events`).
-        scheduler: pending-set discipline — ``"ladder"`` (default; the
-            adaptive ladder queue plus timer wheel) or ``"heap"`` (the
-            binary-heap oracle).  Bit-identical execution either way.
-    """
-
-    def __init__(self, pooling: bool = True, scheduler: str = "ladder") -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
-        # Event free list (None when pooling is off — the established
-        # None-when-off idiom, so the hot paths test one pointer).
-        self._free: Optional[List[ScheduledEvent]] = [] if pooling else None
-        if scheduler == "ladder":
-            self._queue = LadderQueue(self._recycle)
-            self._wheel: Optional[TimerWheel] = TimerWheel(self._recycle)
-        elif scheduler == "heap":
-            self._queue = HeapQueue(self._recycle)
-            self._wheel = None
-        else:
-            raise SimulationError(
-                f"unknown scheduler discipline: {scheduler!r} "
-                "(expected 'ladder' or 'heap')"
-            )
+        self._queue = LadderQueue()
+        self._wheel = TimerWheel()
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -144,22 +114,15 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still scheduled and not cancelled (O(1))."""
-        wheel = self._wheel
-        return self._queue.live + (wheel.live if wheel is not None else 0)
-
-    @property
-    def heap_size(self) -> int:
-        """Resident entries, cancelled shells and wheel timers included."""
-        wheel = self._wheel
-        return self._queue.size + (wheel.resident if wheel is not None else 0)
+        return self._queue.live + self._wheel.live
 
     @property
     def heap_high_water(self) -> int:
         """Largest main-queue length ever reached (shells included).
 
         Wheel-resident timers do not count until released — that is the
-        point of the wheel — so under the ladder discipline this tracks
-        pressure on the ladder alone.
+        point of the wheel — so this tracks pressure on the ladder
+        alone.
         """
         return self._queue.high_water
 
@@ -179,10 +142,10 @@ class Simulator:
         ``wall_time_s`` and ``events_per_sec`` are wall-clock derived
         and therefore non-deterministic; deterministic consumers (the
         canonical RunReport) strip them.  The ``scheduler`` sub-dict
-        holds the queue-discipline ops counters — deterministic for a
-        given discipline but *different between disciplines* (that is
-        their job), so report-level consumers strip it too and surface
-        it through the ``engine.sched_ops`` probe instead.
+        holds the queue's ops counters — deterministic, but a property
+        of the data structure rather than of the run, so report-level
+        consumers strip it too and surface it through the
+        ``engine.sched_ops`` probe instead.
         """
         wall = self._wall_time_s
         queue = self._queue
@@ -199,20 +162,13 @@ class Simulator:
                 "high_water": queue.high_water,
                 "compactions": queue.compactions,
                 "rung_spills": queue.rung_spills,
-                "wheel_arms": wheel.arms if wheel is not None else 0,
-                "wheel_cascades": wheel.cascades if wheel is not None else 0,
-                "cancelled_in_place": (
-                    wheel.cancelled_in_place if wheel is not None else 0
-                ),
+                "wheel_arms": wheel.arms,
+                "wheel_cascades": wheel.cascades,
+                "cancelled_in_place": wheel.cancelled_in_place,
             },
             "wall_time_s": wall,
             "events_per_sec": (self._executed_events / wall) if wall > 0 else 0.0,
         }
-
-    @property
-    def stop_requested(self) -> bool:
-        """True after :meth:`stop`, until the next :meth:`run`."""
-        return self._stopped
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -241,7 +197,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
-        event = self._acquire(
+        event = ScheduledEvent(
             time, priority, next(self._seq), callback, tuple(args), self
         )
         self._queue.push(event)
@@ -257,8 +213,8 @@ class Simulator:
         """Schedule a high-churn (likely-to-be-cancelled) timeout.
 
         Semantically identical to :meth:`schedule` — same ordering
-        ticket, same handle contract — but under the ladder discipline
-        the event may be parked in the timer wheel, where a later
+        ticket, same handle contract — but the event may be parked in
+        the timer wheel, where a later
         :meth:`ScheduledEvent.cancel` is a pure flag flip that never
         touches the main queue.  Protocol timeouts and crash schedules
         (overwhelmingly cancelled or retimed before firing) should come
@@ -280,14 +236,14 @@ class Simulator:
         """Absolute-time form of :meth:`schedule_timer`.
 
         Falls back to :meth:`schedule_at` whenever the wheel cannot
-        host the time (heap discipline, zero delay, out of range), so
-        callers never need to care where the event actually lives.
-        Exactly one ordering ticket is drawn either way, which is what
-        keeps the two disciplines bit-identical.
+        host the time (zero delay, out of range), so callers never need
+        to care where the event actually lives.  Exactly one ordering
+        ticket is drawn either way, which is what keeps execution
+        bit-identical to a plain heap's.
         """
         wheel = self._wheel
-        if wheel is not None and wheel.accepts(time, self._now):
-            event = self._acquire(
+        if wheel.accepts(time, self._now):
+            event = ScheduledEvent(
                 time, priority, next(self._seq), callback, tuple(args), wheel
             )
             wheel.arm(event)
@@ -334,14 +290,6 @@ class Simulator:
                 "cannot install a choice controller while running"
             )
         self._choice_controller = controller
-
-    def clear_choice_controller(self) -> None:
-        """Remove the installed tie-break controller (if any)."""
-        if self._running:
-            raise SimulationError(
-                "cannot remove a choice controller while running"
-            )
-        self._choice_controller = None
 
     def set_safe_horizon(self, time: Optional[float]) -> None:
         """Cap how far :meth:`run` may advance, across run calls.
@@ -402,37 +350,8 @@ class Simulator:
         self._listeners.remove(listener)
 
     # ------------------------------------------------------------------
-    # Shell lifecycle (shared by both disciplines and the wheel)
+    # Queue/wheel hooks
     # ------------------------------------------------------------------
-    def _acquire(
-        self,
-        time: float,
-        priority: EventPriority,
-        seq: int,
-        callback: Callable[..., None],
-        args: Tuple[Any, ...],
-        engine,
-    ) -> ScheduledEvent:
-        """Pool-aware shell acquisition (the single construction path)."""
-        free = self._free
-        if free:
-            event = free.pop()
-            event._reinit(time, priority, seq, callback, args, engine)
-            return event
-        return ScheduledEvent(time, priority, seq, callback, args, engine=engine)
-
-    def _recycle(self, event: ScheduledEvent) -> None:
-        """Return a dead shell to the free list (no-op when pooling is off).
-
-        The one pool-cap-aware release path: the run loop, the queue
-        disciplines, and the timer wheel all retire shells through
-        here, so the cap check can't drift between call sites.
-        """
-        free = self._free
-        if free is not None and len(free) < _POOL_MAX:
-            event._release()
-            free.append(event)
-
     def _note_cancelled(self) -> None:
         """Cancellation bookkeeping (called by ScheduledEvent.cancel)."""
         self._queue.note_cancelled()
@@ -485,7 +404,6 @@ class Simulator:
         queue = self._queue
         peek = queue.peek
         take = queue.take
-        recycle = self._recycle
         profiler = self._profiler
         controller = self._choice_controller
         wheel = self._wheel
@@ -500,7 +418,7 @@ class Simulator:
                     break
                 event = peek()
                 if event is None:
-                    if wheel is not None and wheel.live:
+                    if wheel.live:
                         if wheel.release_until_live(until_f, inject):
                             continue
                     # Queue drained; advance to the deadline if given.
@@ -508,7 +426,7 @@ class Simulator:
                         self._now = until
                     break
                 t = event.time
-                if wheel is not None and wheel.next_time <= t:
+                if wheel.next_time <= t:
                     # Release everything due at or before the head (or
                     # the deadline, whichever is earlier).  One pass
                     # suffices: whatever remains wheel-resident is
@@ -542,9 +460,6 @@ class Simulator:
                 if listeners:
                     for listener in listeners:
                         listener(self)
-                # The callback has run and any holder following the
-                # handle contract has dropped its reference — recycle.
-                recycle(event)
         finally:
             self._running = False
             self._wall_time_s += perf_counter() - wall_started
@@ -588,10 +503,6 @@ class Simulator:
         for event in group:
             push(event)
         return chosen
-
-    def run_until_quiet(self, max_events: int = 10_000_000) -> float:
-        """Run until no events remain (bounded by ``max_events``)."""
-        return self.run(max_events=max_events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,45 +12,30 @@ comparisons reduce to one C-level tuple compare (or one key-attribute
 fetch in the ladder queue's bucket sorts) instead of attribute lookups
 and enum coercion per ``__lt__`` call.
 
-Pooling
+Handles
 -------
 
-A pooling engine (:class:`repro.sim.engine.Simulator` with the default
-``pooling=True``) recycles event shells through a free list instead of
-allocating one object per event: :meth:`ScheduledEvent._reinit` rebuilds
-a released shell in place, and :meth:`ScheduledEvent._release` retires
-it.  The handle contract for user code is the one the :class:`Timer`
-discipline already follows — **drop every reference once the event has
-fired or you have cancelled it**.  Each release bumps
-:attr:`ScheduledEvent.generation`, so long-lived holders that must
-revalidate a handle later (e.g. the crash injector's retime path) store
-``(event, event.generation)`` and treat a generation mismatch as "that
-event is gone".  Under ``__debug__`` a released shell is poisoned: its
-``callback`` is replaced by a sentinel and ``cancel()`` on it raises,
-catching use-after-release at the point of misuse.
+Every schedule call allocates one fresh :class:`ScheduledEvent` and
+nothing ever reuses it, so a handle may be kept for as long as its
+holder likes: ``cancel()`` after the event has fired (or was already
+cancelled) is a harmless no-op and ``pending`` stays ``False``.
 
 Scheduler interplay
 -------------------
 
 The :attr:`engine` pointer is duck-typed: it is whatever structure
-currently owns the pending shell — the simulator itself for main-queue
+currently owns the pending event — the simulator itself for main-queue
 events, or a :class:`repro.sim.schedqueue.TimerWheel` for wheel-parked
 timers (which re-home to the simulator when their slot is released).
 ``cancel()`` only requires a ``_note_cancelled()`` hook, so the wheel
-can account a cancellation as an in-place flag flip while the queue
-disciplines track lazy-deleted shells for compaction.  Either way the
-shell funnels back to the same pool through the engine's single
-recycle path once it has fired or its dead shell leaves its container.
+can account a cancellation as an in-place flag flip while the ladder
+queue tracks lazy-deleted entries for compaction.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import Any, Callable, Optional, Tuple
-
-
-def _freed_callback() -> None:  # pragma: no cover - never scheduled
-    raise AssertionError("a released (pooled) event shell was executed")
 
 
 class EventPriority(enum.IntEnum):
@@ -75,7 +60,7 @@ class ScheduledEvent:
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled",
-                 "engine", "generation", "_key")
+                 "engine", "_key")
 
     def __init__(
         self,
@@ -96,60 +81,14 @@ class ScheduledEvent:
         #: cancel so it can keep a live count of dead pending entries
         #: (see Simulator.pending_events).
         self.engine = engine
-        #: Recycling stamp: bumped each time a pooling engine releases
-        #: this shell back to its free list.  Holders that revalidate a
-        #: handle later compare against the generation they captured.
-        self.generation = 0
         self._key = (time, int(priority), seq)
-
-    def _reinit(
-        self,
-        time: float,
-        priority: EventPriority,
-        seq: int,
-        callback: Callable[..., None],
-        args: Tuple[Any, ...],
-        engine: Any,
-    ) -> None:
-        """Rebuild a released shell in place (pool acquire)."""
-        assert self.callback is _freed_callback, (
-            "pool invariant violated: re-initializing a live event"
-        )
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.engine = engine
-        self._key = (time, int(priority), seq)
-
-    def _release(self) -> None:
-        """Retire a fired/cancelled shell to the free list (pool release).
-
-        Clears the callback, arguments and engine pointer so the pool
-        never keeps referents alive, and bumps :attr:`generation` so
-        stale ``(event, generation)`` tokens stop validating.
-        """
-        self.generation += 1
-        self.callback = _freed_callback
-        self.args = ()
-        self.engine = None
 
     def cancel(self) -> None:
         """Prevent the callback from running.
 
         Cancelling an already-fired or already-cancelled event is a
-        harmless no-op, which keeps timer-management code simple.  A
-        handle that was *released to the event pool* is another matter —
-        cancelling it could tear down an unrelated recycled event — so
-        under ``__debug__`` that raises instead.
+        harmless no-op, which keeps timer-management code simple.
         """
-        assert self.callback is not _freed_callback, (
-            "use-after-release: cancel() on an event shell that was "
-            "returned to the pool (drop handles once an event has fired "
-            "or been cancelled, or revalidate via the generation stamp)"
-        )
         if self.cancelled:
             return
         self.cancelled = True
@@ -159,12 +98,8 @@ class ScheduledEvent:
 
     @property
     def pending(self) -> bool:
-        """True while the event is scheduled and not cancelled."""
+        """True until the event fires or is cancelled."""
         return not self.cancelled
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Total order used by the engine's pending set."""
-        return self._key
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
         return self._key < other._key

@@ -1,13 +1,10 @@
-"""Scheduler queues: the adaptive ladder queue, the timer wheel, and
-the binary-heap oracle.
+"""Scheduler queues: the adaptive ladder queue and the timer wheel.
 
 The engine (:class:`repro.sim.engine.Simulator`) executes events in
 ``(time, priority, seq)`` order.  This module provides the pending-set
-structures behind that contract:
+structures behind that contract (the binary heap they are checked
+against lives with the tests, in ``tests/oracles/heap_queue.py``):
 
-* :class:`HeapQueue` — the classic binary heap (``heapq``).  O(log n)
-  per operation, with lazy cancellation and in-place compaction.  Kept
-  as the equivalence oracle behind ``scheduler="heap"``.
 * :class:`LadderQueue` — an adaptive ladder queue (Tang/Goh/Thng):
   an unsorted *top* epoch for far-future events, spawn-on-demand
   *rungs* that bucket events by timestamp, and a sorted *bottom* list
@@ -19,14 +16,15 @@ structures behind that contract:
   high-churn restartable timers (protocol timeouts are overwhelmingly
   cancelled before firing).  Cancelling a wheel-resident timer is a
   flag flip that never touches the ladder; cancelled shells are
-  recycled when their slot's window is released.
+  dropped when their slot's window is released.
 
 Why bucket routing cannot reorder events
 ----------------------------------------
 
 Every structure here ultimately compares the same precomputed
-``event._key`` tuples the heap compares, so *within* a sorted run the
-order is trivially identical.  The only subtlety is bucket routing:
+``event._key`` tuples a binary heap would compare, so *within* a
+sorted run the order is trivially identical.  The only subtlety is
+bucket routing:
 an event's rung bucket is ``int((t - start) / width)``, and its wheel
 slot derives from ``int(t / g)``.  Both are monotone non-decreasing
 functions of ``t`` under IEEE float arithmetic (subtraction and
@@ -41,7 +39,6 @@ regardless of floating-point roundoff.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from typing import Callable, List, Optional
@@ -73,97 +70,6 @@ _WHEEL_RANGE = _WHEEL_SLOTS**_WHEEL_LEVELS
 #: conservative ``next_time`` bound no longer holds; such times simply
 #: stay in the ladder.
 _MAX_TICK = 1 << 52
-
-_Recycle = Callable[[ScheduledEvent], None]
-
-
-class HeapQueue:
-    """The binary-heap pending set (the equivalence oracle).
-
-    Interface contract shared with :class:`LadderQueue`:
-
-    * ``push(event)`` inserts.
-    * ``peek()`` returns the minimum *live* event without removing it
-      (recycling any cancelled shells it uncovers), or ``None``.
-    * ``take()`` removes the event the immediately preceding ``peek``
-      returned (peek-then-take pairing; never called cold).
-    * ``note_cancelled()`` records one lazy cancellation and may
-      compact.
-    """
-
-    discipline = "heap"
-    rung_spills = 0  # ladder-only concept; constant for the oracle
-
-    __slots__ = (
-        "_heap",
-        "_recycle",
-        "_cancelled",
-        "enqueues",
-        "dequeues",
-        "cancels",
-        "high_water",
-        "compactions",
-    )
-
-    def __init__(self, recycle: _Recycle) -> None:
-        self._heap: List[ScheduledEvent] = []
-        self._recycle = recycle
-        self._cancelled = 0
-        self.enqueues = 0
-        self.dequeues = 0
-        self.cancels = 0
-        self.high_water = 0
-        self.compactions = 0
-
-    @property
-    def size(self) -> int:
-        """Resident entries, cancelled shells included."""
-        return len(self._heap)
-
-    @property
-    def live(self) -> int:
-        """Pending (non-cancelled) entries, O(1)."""
-        return len(self._heap) - self._cancelled
-
-    def push(self, event: ScheduledEvent) -> None:
-        heap = self._heap
-        heapq.heappush(heap, event)
-        self.enqueues += 1
-        if len(heap) > self.high_water:
-            self.high_water = len(heap)
-
-    def peek(self) -> Optional[ScheduledEvent]:
-        heap = self._heap
-        heappop = heapq.heappop
-        recycle = self._recycle
-        while heap:
-            event = heap[0]
-            if not event.cancelled:
-                return event
-            heappop(heap)
-            self._cancelled -= 1
-            recycle(event)
-        return None
-
-    def take(self) -> ScheduledEvent:
-        self.dequeues += 1
-        return heapq.heappop(self._heap)
-
-    def note_cancelled(self) -> None:
-        self.cancels += 1
-        self._cancelled += 1
-        heap = self._heap
-        if self._cancelled > (len(heap) >> 1) and len(heap) >= _COMPACT_MIN:
-            # In-place rebuild (slice assignment) so a run() loop
-            # holding a reference keeps seeing the live heap.
-            recycle = self._recycle
-            for event in heap:
-                if event.cancelled:
-                    recycle(event)
-            heap[:] = [event for event in heap if not event.cancelled]
-            heapq.heapify(heap)
-            self._cancelled = 0
-            self.compactions += 1
 
 
 class _Rung:
@@ -201,6 +107,16 @@ class LadderQueue:
     Invariant: every bottom key < every remaining rung key < every top
     key (strict, because routing is monotone in time and ``_top_start``
     is bumped past the transferred maximum with ``math.nextafter``).
+
+    The interface the engine (and the tests' heap oracle) relies on:
+
+    * ``push(event)`` inserts.
+    * ``peek()`` returns the minimum *live* event without removing it
+      (dropping any cancelled shells it uncovers), or ``None``.
+    * ``take()`` removes the event the immediately preceding ``peek``
+      returned (peek-then-take pairing; never called cold).
+    * ``note_cancelled()`` records one lazy cancellation and may
+      compact.
     """
 
     discipline = "ladder"
@@ -210,7 +126,6 @@ class LadderQueue:
         "_top_start",
         "_rungs",
         "_bottom",
-        "_recycle",
         "_size",
         "_cancelled",
         "enqueues",
@@ -221,12 +136,11 @@ class LadderQueue:
         "rung_spills",
     )
 
-    def __init__(self, recycle: _Recycle) -> None:
+    def __init__(self) -> None:
         self._top: List[ScheduledEvent] = []
         self._top_start = -math.inf
         self._rungs: List[_Rung] = []
         self._bottom: List[ScheduledEvent] = []
-        self._recycle = recycle
         self._size = 0
         self._cancelled = 0
         self.enqueues = 0
@@ -332,7 +246,6 @@ class LadderQueue:
                 bottom.pop()
                 self._size -= 1
                 self._cancelled -= 1
-                self._recycle(event)
             if not self._refill():
                 return None
 
@@ -347,7 +260,6 @@ class LadderQueue:
         Returns False when the queue is completely drained.
         """
         rungs = self._rungs
-        recycle = self._recycle
         while True:
             while rungs:
                 rung = rungs[-1]
@@ -371,9 +283,6 @@ class LadderQueue:
                     if event.cancelled:
                         dead += 1
                 if dead:
-                    for event in batch:
-                        if event.cancelled:
-                            recycle(event)
                     batch = [e for e in batch if not e.cancelled]
                     self._size -= dead
                     self._cancelled -= dead
@@ -425,38 +334,16 @@ class LadderQueue:
 
     def _sweep(self) -> None:
         """Drop cancelled shells from every tier, order-preserving."""
-        recycle = self._recycle
-        size = 0
-        bottom = self._bottom
-        live = [e for e in bottom if not e.cancelled]
-        if len(live) != len(bottom):
-            for event in bottom:
-                if event.cancelled:
-                    recycle(event)
-            self._bottom = live
-        size += len(live)
+        self._bottom = [e for e in self._bottom if not e.cancelled]
+        size = len(self._bottom)
         for rung in self._rungs:
             buckets = rung.buckets
             for i in range(rung.cur, len(buckets)):
-                bucket = buckets[i]
-                if not bucket:
-                    continue
-                kept = [e for e in bucket if not e.cancelled]
-                if len(kept) != len(bucket):
-                    for event in bucket:
-                        if event.cancelled:
-                            recycle(event)
-                    buckets[i] = kept
-                size += len(kept)
-        top = self._top
-        kept_top = [e for e in top if not e.cancelled]
-        if len(kept_top) != len(top):
-            for event in top:
-                if event.cancelled:
-                    recycle(event)
-            self._top = kept_top
-        size += len(kept_top)
-        self._size = size
+                if buckets[i]:
+                    buckets[i] = [e for e in buckets[i] if not e.cancelled]
+                    size += len(buckets[i])
+        self._top = [e for e in self._top if not e.cancelled]
+        self._size = size + len(self._top)
         self._cancelled = 0
         self.compactions += 1
 
@@ -469,7 +356,7 @@ class TimerWheel:
     entries whose tick is ``delta`` ticks past the frontier with
     ``64**l <= delta < 64**(l+1)`` (level 0: ``delta < 64``).  The
     frontier advances only when the engine needs it to — releasing a
-    slot either recycles its cancelled shells (the common fate of a
+    slot either drops its cancelled shells (the common fate of a
     protocol timeout, which therefore never touches the ladder) or
     injects the survivors into the main queue.
 
@@ -486,7 +373,6 @@ class TimerWheel:
         "_frontier",
         "_levels",
         "_counts",
-        "_recycle",
         "next_time",
         "live",
         "resident",
@@ -495,14 +381,13 @@ class TimerWheel:
         "cancelled_in_place",
     )
 
-    def __init__(self, recycle: _Recycle) -> None:
+    def __init__(self) -> None:
         self._g: Optional[float] = None
         self._frontier = 0
         self._levels: List[List[List[ScheduledEvent]]] = [
             [[] for _ in range(_WHEEL_SLOTS)] for _ in range(_WHEEL_LEVELS)
         ]
         self._counts = [0] * _WHEEL_LEVELS
-        self._recycle = recycle
         #: Conservative earliest fire time of any live resident (+inf
         #: when none) — the engine's cheap per-event release test.
         self.next_time = math.inf
@@ -561,7 +446,7 @@ class TimerWheel:
         """Duck-typed engine hook (see ``ScheduledEvent.cancel``).
 
         The flag flip is the whole point: the shell stays slotted and
-        is recycled when its window is released or cascaded, so a
+        is dropped when its window is released or cascaded, so a
         cancel never touches the ladder.
         """
         self.cancelled_in_place += 1
@@ -588,7 +473,7 @@ class TimerWheel:
         """Advance until one live event is injected or ``limit`` passes.
 
         Used when the main queue is empty: the engine cannot know the
-        next occupied slot, so the wheel walks forward (recycling any
+        next occupied slot, so the wheel walks forward (dropping any
         cancelled shells on the way) until something fires or the run
         deadline is cleared.
         """
@@ -602,7 +487,6 @@ class TimerWheel:
                  stop_on_live: bool) -> int:
         levels = self._levels
         counts = self._counts
-        recycle = self._recycle
         level0 = levels[0]
         frontier = self._frontier
         injected = 0
@@ -631,9 +515,7 @@ class TimerWheel:
                 counts[0] -= len(slot)
                 self.resident -= len(slot)
                 for event in slot:
-                    if event.cancelled:
-                        recycle(event)
-                    else:
+                    if not event.cancelled:
                         self.live -= 1
                         injected += 1
                         inject(event)
@@ -652,7 +534,6 @@ class TimerWheel:
         so aligned boundaries compose)."""
         levels = self._levels
         counts = self._counts
-        recycle = self._recycle
         g = self._g
         for level in (3, 2, 1):
             if counts[level] == 0:
@@ -670,7 +551,6 @@ class TimerWheel:
             for event in slot:
                 if event.cancelled:
                     self.resident -= 1
-                    recycle(event)
                     continue
                 tick = int(event.time / g)
                 delta = tick - frontier

@@ -682,9 +682,8 @@ class ShardedEngine:
                 sched[key] += shard_sched.get(key, 0)
             # Per-shard wall-clock rates depend on worker grouping and
             # host load; keep the per-shard view purely virtual.  The
-            # scheduler ops counters are stripped with them: they are
-            # discipline-dependent by design, and the merged report
-            # must be identical for every discipline and worker count.
+            # scheduler ops counters are stripped with them, as in
+            # every report (see SimulationResult.report).
             engine["per_shard"].append({
                 "shard": shard_id,
                 **{k: v for k, v in shard_engine.items()

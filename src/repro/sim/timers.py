@@ -52,10 +52,10 @@ class Timer:
     def start(self, delay: float) -> None:
         """Arm the timer; restarts (and supersedes) any pending deadline.
 
-        Goes through :meth:`Simulator.schedule_timer`, so under the
-        ladder discipline the deadline usually parks in the timer wheel
-        and the (overwhelmingly common) restart-before-fire pattern
-        never touches the main queue.
+        Goes through :meth:`Simulator.schedule_timer`, so the deadline
+        usually parks in the timer wheel and the (overwhelmingly
+        common) restart-before-fire pattern never touches the main
+        queue.
         """
         self.cancel()
         self._event = self._sim.schedule_timer(

@@ -5,7 +5,7 @@ on the in-process bus (and on the per-process socket transport) must
 replay deterministically in-sim with every invariant monitor clean and
 the effect stream reproduced stamp for stamp.  Around those sit unit
 tests for the pieces: bus FIFO under concurrent senders, the framing
-codec (interned messages, restricted unpickling), reconnect backoff,
+codec (protocol messages, restricted unpickling), reconnect backoff,
 the recording schema, the scenario-config round trip of the new replay
 ingestion fields, and the ``repro live`` / ``repro --version`` CLI.
 """
@@ -36,7 +36,14 @@ from repro.live.bus import InProcessBus
 from repro.live.codec import FrameDecoder, decode_body, encode_frame
 from repro.live.socket_transport import backoff_delays
 from repro.net.geometry import Point
-from repro.core.messages import ForkRequest
+from repro.core.messages import (
+    DoorwayCross,
+    DoorwayExit,
+    ForkGrant,
+    ForkRequest,
+    Notification,
+    Switch,
+)
 from repro.net.topology import DynamicTopology
 from repro.runtime.simulation import ScenarioConfig
 from repro.explore.scenarios import build_scenario
@@ -168,7 +175,13 @@ def test_bus_preserves_per_link_fifo_under_concurrent_senders():
 # Framing codec
 # ----------------------------------------------------------------------
 def test_codec_round_trips_interned_messages():
-    frame = encode_frame({"y": "msg", "p": ForkRequest(), "s": 1.25})
+    # The field-light messages that used to be interned; they now pickle
+    # by the dataclass's own state like every other message.
+    sent = [
+        ForkRequest(), ForkGrant(True), ForkGrant(False), Notification(),
+        Switch(), DoorwayCross("ADf"), DoorwayExit("SDr"),
+    ]
+    frame = encode_frame({"y": "msg", "p": sent, "s": 1.25})
     decoder = FrameDecoder()
     # Feed byte by byte: the decoder must reassemble across chunks.
     frames = []
@@ -177,8 +190,8 @@ def test_codec_round_trips_interned_messages():
     assert len(frames) == 1
     payload = frames[0]
     assert payload["s"] == 1.25
-    # Interned messages resolve to the receiver-side canonical instance.
-    assert payload["p"] is ForkRequest()
+    assert payload["p"] == sent
+    assert [type(m) for m in payload["p"]] == [type(m) for m in sent]
 
 
 def test_codec_batches_multiple_frames():

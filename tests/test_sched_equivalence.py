@@ -1,7 +1,8 @@
 """Full-scenario bit-identity: ladder scheduler vs the heap oracle.
 
 Fixed-seed runs across the exploration scenario families must produce
-byte-for-byte identical RunReports under both scheduler disciplines.
+byte-for-byte identical RunReports whether the engine's pending set is
+the ladder queue + wheel or the binary heap of tests/oracles/.
 This is the end-to-end complement to the structure-level property tests
 in test_schedqueue.py: anything the queue swap perturbed — delivery
 order, timer firing, crash retimes, mobility steps — would surface here
@@ -12,9 +13,10 @@ import dataclasses
 
 import pytest
 
+from oracles.heap_queue import heap_simulator
 from repro.explore.scenarios import scenario_pool
 from repro.harness.config_io import config_from_dict
-from repro.runtime.simulation import ScenarioConfig, Simulation
+from repro.runtime.simulation import Simulation
 from repro.sim.sharded import ShardedEngine
 
 
@@ -25,14 +27,18 @@ def _pool_entry(algorithm, family):
     raise AssertionError(f"family {family!r} missing from pool")
 
 
-def _report_json(config, until, scheduler):
-    # sched_ops probe values are discipline-dependent by design, so the
+def _use_heap_oracle(monkeypatch):
+    """Every Simulation built from here on runs on the heap oracle."""
+    monkeypatch.setattr("repro.runtime.simulation.Simulator", heap_simulator)
+
+
+def _report_json(config, until):
+    # sched_ops probe values describe the queue structure, so the
     # comparison runs with telemetry off (reports already strip the
     # engine-level scheduler sub-dict).
-    run_config = dataclasses.replace(
-        config, telemetry=False, scheduler=scheduler
-    )
-    return Simulation(run_config).run(until=until).report().to_json()
+    run_config = dataclasses.replace(config, telemetry=False)
+    result = Simulation(run_config).run(until=until)
+    return result.engine["scheduler"]["discipline"], result.report().to_json()
 
 
 @pytest.mark.parametrize(
@@ -44,30 +50,27 @@ def _report_json(config, until, scheduler):
         ("alg2", "static-ring"),
     ],
 )
-def test_scenario_families_are_bit_identical(algorithm, family):
+def test_scenario_families_are_bit_identical(algorithm, family, monkeypatch):
     entry = _pool_entry(algorithm, family)
     config = config_from_dict(entry["scenario"])
     until = entry["until"]
-    ladder = _report_json(config, until, "ladder")
-    heap = _report_json(config, until, "heap")
+    ladder_discipline, ladder = _report_json(config, until)
+    _use_heap_oracle(monkeypatch)
+    heap_discipline, heap = _report_json(config, until)
+    assert (ladder_discipline, heap_discipline) == ("ladder", "heap")
     assert ladder == heap
 
 
-def test_single_shard_delegation_is_bit_identical():
+def test_single_shard_delegation_is_bit_identical(monkeypatch):
     entry = _pool_entry("alg2", "static-line")
-    base = config_from_dict(entry["scenario"])
-    reports = []
-    for scheduler in ("ladder", "heap"):
-        config = dataclasses.replace(
-            base, telemetry=False, scheduler=scheduler
-        )
-        engine = ShardedEngine(config, num_shards=1)
-        reports.append(engine.run(until=entry["until"]).report().to_json())
-    assert reports[0] == reports[1]
-
-
-def test_scheduler_field_is_validated():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        ScenarioConfig(positions=[], scheduler="fibonacci")
+    config = dataclasses.replace(
+        config_from_dict(entry["scenario"]), telemetry=False
+    )
+    reports = {}
+    for discipline in ("ladder", "heap"):
+        if discipline == "heap":
+            _use_heap_oracle(monkeypatch)
+        result = ShardedEngine(config, num_shards=1).run(until=entry["until"])
+        assert result.engine["scheduler"]["discipline"] == discipline
+        reports[discipline] = result.report().to_json()
+    assert reports["ladder"] == reports["heap"]

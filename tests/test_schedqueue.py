@@ -1,10 +1,10 @@
-"""Scheduler-discipline equivalence: ladder queue + wheel vs heap.
+"""Scheduler equivalence: ladder queue + wheel vs the heap oracle.
 
 The ladder/wheel scheduler is only allowed to exist because it is
-bit-identical to the binary heap.  These tests drive both disciplines
-through randomized schedules (cancellations, retimes, timer churn,
-same-instant tie groups under a ControlledScheduler, safe-horizon
-truncation) and require the *exact* execution sequence to match, then
+bit-identical to the binary heap (tests/oracles/heap_queue.py).  These
+tests drive both through randomized schedules (cancellations, retimes,
+timer churn, same-instant tie groups under a ControlledScheduler,
+safe-horizon truncation) and require the *exact* execution sequence to match, then
 poke the structures' own mechanics (rung spills, bottom spill, wheel
 cascades) directly.
 """
@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.errors import SimulationError
+from oracles.heap_queue import heap_simulator
 from repro.explore.schedule import RandomStrategy
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
@@ -35,17 +35,8 @@ def _drive(sim: Simulator, seed: int):
     """
     rng = random.Random(seed)
     log = []
-    # Handles are kept past their firing, so revalidate with the
-    # generation stamp (the documented pattern for long-lived holders):
-    # a fired shell may be recycled for an unrelated event, and pool
-    # reuse order is discipline-dependent.
+    # Handles are kept past their firing; a fired one reads cancelled.
     live = []
-
-    def grab(handle):
-        live.append((handle, handle.generation))
-
-    def still_ours(handle, generation):
-        return handle.generation == generation and not handle.cancelled
 
     def fire(label):
         log.append((sim.now, label))
@@ -61,30 +52,28 @@ def _drive(sim: Simulator, seed: int):
             t = sim.now + rng.choice((0.0, 0.25, 1.0, 1.0, 2.5, 7.0, 40.0))
             label = (chunk, i)
             if roll < 0.45:
-                grab(sim.schedule_at(t, fire, label))
+                live.append(sim.schedule_at(t, fire, label))
             elif roll < 0.75:
-                grab(sim.schedule_timer_at(t, fire, label))
+                live.append(sim.schedule_timer_at(t, fire, label))
             elif roll < 0.85 and live:
-                handle, generation = live.pop(rng.randrange(len(live)))
-                if still_ours(handle, generation):
-                    handle.cancel()
+                live.pop(rng.randrange(len(live))).cancel()
             elif live:
                 # Retime: the crash-injector pattern (cancel + reissue).
-                handle, generation = live.pop(rng.randrange(len(live)))
-                if still_ours(handle, generation):
-                    handle.cancel()
-                grab(sim.schedule_timer_at(t + 1.0, fire, ("retimed", label)))
+                live.pop(rng.randrange(len(live))).cancel()
+                live.append(
+                    sim.schedule_timer_at(t + 1.0, fire, ("retimed", label))
+                )
         horizon += rng.choice((1.5, 4.0, 9.0))
         sim.run(until=horizon)
-        live = [(h, g) for h, g in live if still_ours(h, g)]
+        live = [handle for handle in live if not handle.cancelled]
     sim.run(until=horizon + 200.0)
     return log
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11])
 def test_randomized_schedules_are_bit_identical(seed):
-    ladder = Simulator(scheduler="ladder")
-    heap = Simulator(scheduler="heap")
+    ladder = Simulator()
+    heap = heap_simulator()
     ladder_log = _drive(ladder, seed)
     heap_log = _drive(heap, seed)
     assert ladder_log == heap_log
@@ -93,25 +82,18 @@ def test_randomized_schedules_are_bit_identical(seed):
     assert ladder.pending_events == heap.pending_events
 
 
-@pytest.mark.parametrize("pooling", [True, False])
-def test_equivalence_holds_without_pooling(pooling):
-    ladder = Simulator(pooling=pooling, scheduler="ladder")
-    heap = Simulator(pooling=pooling, scheduler="heap")
-    assert _drive(ladder, 5) == _drive(heap, 5)
-
-
 @pytest.mark.parametrize("seed", [0, 7])
 def test_tie_groups_match_under_a_controller(seed):
-    """Same-key tie groups resolve identically in both disciplines.
+    """Same-key tie groups resolve identically under ladder and heap.
 
     Includes wheel-parked timers due exactly at the tie instant: the
     engine must release them into the queue before the controller sees
     the group, or the controller's permutation authority would differ
-    between disciplines.
+    from the heap's.
     """
     logs = []
-    for discipline in ("ladder", "heap"):
-        sim = Simulator(scheduler=discipline)
+    for make in (Simulator, heap_simulator):
+        sim = make()
         sim.set_choice_controller(RandomStrategy(seed))
         log = []
         for i in range(40):
@@ -136,8 +118,8 @@ def test_tie_groups_match_under_a_controller(seed):
 
 def test_safe_horizon_and_ingest_match():
     logs = []
-    for discipline in ("ladder", "heap"):
-        sim = Simulator(scheduler=discipline)
+    for make in (Simulator, heap_simulator):
+        sim = make()
         log = []
         for i in range(50):
             sim.schedule_at(float(i), log.append, i)
@@ -175,7 +157,7 @@ def _shells(times):
 
 
 def test_ladder_pops_random_times_in_sorted_order():
-    q = LadderQueue(lambda e: None)
+    q = LadderQueue()
     rng = random.Random(42)
     times = [rng.uniform(0.0, 1000.0) for _ in range(3000)]
     shells = _shells(times)
@@ -192,7 +174,7 @@ def test_ladder_spills_an_overloaded_bucket_into_a_deeper_rung():
     # Spread pushes spawn a coarse rung; a later burst lands >64 events
     # with distinct times in one coarse bucket, which must re-bucket
     # into a deeper rung instead of insertion-sorting the whole batch.
-    q = LadderQueue(lambda e: None)
+    q = LadderQueue()
     anchors = _shells([0.0, 1000.0])
     for shell in anchors:
         q.push(shell)
@@ -212,7 +194,7 @@ def test_ladder_spills_an_overloaded_bucket_into_a_deeper_rung():
 def test_ladder_single_timestamp_bucket_goes_straight_to_bottom():
     # >64 events at one timestamp cannot be re-bucketed; they must sort
     # directly to the bottom rather than recursing forever.
-    q = LadderQueue(lambda e: None)
+    q = LadderQueue()
     shells = _shells([5.0] * 300 + [1.0])
     for shell in shells:
         q.push(shell)
@@ -223,8 +205,7 @@ def test_ladder_single_timestamp_bucket_goes_straight_to_bottom():
 
 
 def test_ladder_sweep_recycles_cancelled_shells():
-    freed = []
-    q = LadderQueue(freed.append)
+    q = LadderQueue()
     shells = _shells([float(i % 37) for i in range(200)])
     for shell in shells:
         q.push(shell)
@@ -232,20 +213,19 @@ def test_ladder_sweep_recycles_cancelled_shells():
         shell.cancelled = True  # engine=None: flip directly
         q.note_cancelled()
     assert q.compactions >= 1
-    assert q.live == 50
-    # Draining recycles whatever cancelled shells the sweep left behind.
-    drained = 0
+    # The sweep dropped shells; draining drops those cancelled after it.
+    assert q.live == 50 < q.size < 200
+    drained = []
     while q.peek() is not None:
-        q.take()
-        drained += 1
-    assert drained == 50
-    assert len(freed) == 150
+        drained.append(q.take())
+    assert drained == sorted(shells[150:], key=lambda e: e._key)
+    assert q.size == 0 and q.live == 0
 
 
 def test_ladder_equal_time_push_after_top_transfer():
     # After a top transfer, a new push at exactly the transferred max
     # time must land below the fresh top epoch and sort by seq.
-    q = LadderQueue(lambda e: None)
+    q = LadderQueue()
     shells = _shells([10.0, 20.0, 30.0])
     for shell in shells:
         q.push(shell)
@@ -316,13 +296,8 @@ def test_wheel_empty_queue_idle_advance():
     assert fired == ["late"]
 
 
-def test_scheduler_argument_is_validated():
-    with pytest.raises(SimulationError):
-        Simulator(scheduler="splay")
-
-
 def test_wheel_granularity_is_lazy():
-    wheel = TimerWheel(lambda e: None)
+    wheel = TimerWheel()
     assert wheel.next_time == math.inf
     assert not wheel.accepts(5.0, 5.0)  # zero delay never parks
     assert wheel.accepts(7.0, 5.0)      # fixes g = 2.0

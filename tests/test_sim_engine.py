@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.heap_queue import heap_simulator
 from repro.errors import SimulationError
 from repro.sim import EventPriority, Simulator, TimeBounds, Timer
 from repro.sim.rng import RandomSource
@@ -37,6 +38,59 @@ def test_cancelled_event_does_not_fire():
     sim.run()
     assert fired == []
     assert sim.executed_events == 0
+
+
+def test_cancel_after_fire_is_noop():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, fired.append, "x")
+    sim.run(until=2.0)
+    event.cancel()
+    assert fired == ["x"]
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("method", ["schedule", "schedule_timer"])
+def test_handle_outlives_its_event(method):
+    # A handle kept past its event's firing stays dead: cancelling it
+    # must not reach any event scheduled afterwards.
+    sim = Simulator()
+    fired = []
+    a_handle = getattr(sim, method)(1.0, fired.append, "a")
+    sim.run(until=2.0)
+    b_handle = getattr(sim, method)(3.0, fired.append, "b")
+    assert not a_handle.pending
+    a_handle.cancel()
+    assert not a_handle.pending
+    assert b_handle.pending and sim.pending_events == 1
+    sim.run(until=10.0)
+    assert fired == ["a", "b"]
+    assert not a_handle.pending and not b_handle.pending
+
+
+def test_crash_retime_skips_a_crash_that_already_fired():
+    from repro.net.geometry import line_positions
+    from repro.runtime.simulation import ScenarioConfig, Simulation
+
+    class TenLater:
+        def crash_time(self, node_id, base):
+            return base + 10.0
+
+    simulation = Simulation(ScenarioConfig(
+        positions=line_positions(5, spacing=1.0), radio_range=1.1,
+        algorithm="alg2", crashes=[(5.0, 1), (30.0, 3)],
+    ))
+    simulation.run(until=10.0)
+    failures = simulation.failures
+    assert failures.crashed_nodes() == [1]
+    failures.apply_control(TenLater())
+    assert [(c.time, c.node_id) for c in failures.crashes] == [
+        (5.0, 1), (40.0, 3),
+    ]
+    simulation.run(until=35.0)
+    assert failures.crashed_nodes() == [1]
+    simulation.run(until=45.0)
+    assert failures.crashed_nodes() == [1, 3]
 
 
 def test_run_until_deadline_leaves_future_events_pending():
@@ -208,8 +262,8 @@ def test_random_source_fork_derives_new_seed():
 
 
 def test_stats_snapshot_tracks_counters():
-    for discipline in ("ladder", "heap"):
-        sim = Simulator(scheduler=discipline)
+    for discipline, make in (("ladder", Simulator), ("heap", heap_simulator)):
+        sim = make()
         for i in range(5):
             sim.schedule_at(float(i), lambda: None)
         sim.run()
@@ -226,10 +280,10 @@ def test_stats_snapshot_tracks_counters():
 
 
 def test_mass_cancellation_triggers_compaction():
-    # Both disciplines sweep their pending set in place once cancelled
-    # shells outnumber live events.
-    for discipline in ("ladder", "heap"):
-        sim = Simulator(scheduler=discipline)
+    # The ladder and the heap oracle both sweep their pending set in
+    # place once cancelled shells outnumber live events.
+    for make in (Simulator, heap_simulator):
+        sim = make()
         handles = [sim.schedule_at(float(i), lambda: None) for i in range(200)]
         for handle in handles[:150]:
             handle.cancel()
@@ -242,7 +296,7 @@ def test_mass_cancellation_triggers_compaction():
 def test_wheel_cancel_is_in_place():
     # A cancelled wheel-resident timer never enters the main queue: the
     # cancellation is a flag flip accounted on the wheel.
-    sim = Simulator()  # ladder + wheel
+    sim = Simulator()
     fired = []
     keep = sim.schedule_timer(5.0, fired.append, "keep")
     drop = [sim.schedule_timer(5.0 + i % 3, fired.append, i) for i in range(30)]
