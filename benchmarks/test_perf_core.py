@@ -1027,80 +1027,6 @@ def test_memory_plane(report):
     )
 
 
-# ---------------------------------------------------------------------------
-# 9. Scheduler: ladder queue + timer wheel
-# ---------------------------------------------------------------------------
-
-
-def _run_throughput(n_events=200_000):
-    """Seconds to drain ``n_events`` noop events."""
-    sim = Simulator()
-
-    def noop():
-        pass
-
-    for i in range(n_events):
-        sim.schedule_at(float(i % 997), noop)
-    elapsed = _timed(sim.run)
-    assert sim.executed_events == n_events
-    return elapsed
-
-
-def _run_cancellation(n_events=120_000):
-    """Cancel 90% of a pending timer set, then drain the survivors.
-
-    Timer churn (schedule + cancel before firing) is the restartable-
-    watchdog pattern the wheel front-end exists for: the cancellations
-    are in-place flag flips that never touch the ladder.
-    """
-    sim = Simulator()
-    handles = [
-        sim.schedule_timer_at(float(1 + i % 89), lambda: None)
-        for i in range(n_events)
-    ]
-
-    def cancel_most():
-        for i, handle in enumerate(handles):
-            if i % 10:
-                handle.cancel()
-
-    cancel_time = _timed(cancel_most)
-    assert sim.pending_events == n_events // 10
-    assert sim.stats()["scheduler"]["cancelled"] == 0  # all in the wheel
-    drain_time = _timed(sim.run)
-    assert sim.executed_events == n_events // 10
-    return cancel_time + drain_time
-
-
-def test_scheduler(report):
-    """The ladder queue's drain and the wheel's cancel-heavy timer churn.
-
-    Recorded for the trajectory (``repro bench check`` tracks both
-    ``*_seconds`` leaves).  The comparison against a binary heap that
-    keeps the ladder is in docs/performance.md ("Scheduler"); the heap
-    itself is the tests' oracle (tests/oracles/heap_queue.py), whose
-    bit-identity with the ladder tests/test_schedqueue.py and
-    tests/test_sched_equivalence.py assert.
-    """
-    calibrations = [_calibrate_events_per_second()]
-    throughput = min(_run_throughput() for _ in range(3))
-    cancellation = min(_run_cancellation() for _ in range(3))
-    calibrations.append(_calibrate_events_per_second())
-    jitter = max(calibrations) / min(calibrations) - 1.0
-
-    _record("scheduler", {
-        "throughput_events": 200_000,
-        "cancellation_events": 120_000,
-        "ladder_throughput_seconds": round(throughput, 6),
-        "ladder_cancellation_seconds": round(cancellation, 6),
-        "calibration_jitter": round(jitter, 4),
-    })
-    report(
-        f"scheduler: 200k-event drain {throughput:.3f}s, 120k-timer "
-        f"cancel-heavy churn {cancellation:.3f}s (jitter {jitter:.1%})"
-    )
-
-
 def _same_float(x, y):
     if math.isnan(x) and math.isnan(y):
         return True

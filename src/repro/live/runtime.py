@@ -2,12 +2,12 @@
 
 :class:`WallClockRuntime` gives :class:`~repro.runtime.node.NodeHarness`
 and the algorithms the same two things the simulator gives them — a
-clock (``now``) and restartable deadlines (``schedule`` /
-``schedule_timer``) — but backed by an asyncio event loop instead of a
-pending-event queue.  Virtual time maps linearly onto the loop's
-monotonic clock through ``time_scale`` (wall seconds per virtual unit),
-so one scenario description drives both worlds at whatever real-time
-rate the deployment wants.
+clock (``now``) and cancellable deadlines (``schedule``) — but backed
+by an asyncio event loop instead of a pending-event queue.  Virtual
+time maps linearly onto the loop's monotonic clock through
+``time_scale`` (wall seconds per virtual unit), so one scenario
+description drives both worlds at whatever real-time rate the
+deployment wants.
 
 Every piece of node code runs inside :meth:`execute`, which is where
 the record/replay contract is enforced:
@@ -168,15 +168,6 @@ class WallClockRuntime:
         ``priority`` is accepted for protocol compatibility and ignored:
         wall-clock stamps never tie, so there is nothing to break.
         """
-        return self.schedule_timer(delay, callback, *args, priority=priority)
-
-    def schedule_timer(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: EventPriority = EventPriority.NORMAL,
-    ) -> LiveTimerHandle:
         deadline = self.now + max(0.0, float(delay))
         holder: Dict[str, LiveTimerHandle] = {}
 

@@ -52,11 +52,10 @@ The probe catalogue (all instrument names live here, nowhere else):
 ``engine.sched_ops``            counter     scheduler queue operations,
                                             keyed by op kind (enqueues /
                                             dequeues / cancelled /
-                                            compactions / rung_spills /
-                                            wheel_arms / wheel_cascades /
-                                            cancelled_in_place); recorded
-                                            at run end by the runtime
-                                            from ``Simulator.stats()``
+                                            compactions / rung_spills);
+                                            recorded at run end by the
+                                            runtime from
+                                            ``Simulator.stats()``
                                             (see docs/performance.md)
 ==============================  ==========  =================================
 """

@@ -49,10 +49,10 @@ class CrashInjector:
         """Crash ``node_id`` at the given virtual time."""
         event = CrashEvent(time, node_id)
         self.crashes.append(event)
-        # A crash is a retimeable deadline — exactly the churn profile
-        # the timer wheel exists for (apply_control cancels + reissues).
+        # The handle is kept: apply_control retimes a pending crash by
+        # cancelling it and scheduling a new one.
         self._events.append(
-            self._sim.schedule_timer_at(time, self._crash, node_id)
+            self._sim.schedule_at(time, self._crash, node_id)
         )
 
     def schedule_all(self, plan: List[Tuple[float, int]]) -> None:
@@ -84,7 +84,7 @@ class CrashInjector:
                 continue
             handle.cancel()
             self.crashes[index] = CrashEvent(retimed, planned.node_id)
-            self._events[index] = self._sim.schedule_timer_at(
+            self._events[index] = self._sim.schedule_at(
                 retimed, self._crash, planned.node_id
             )
 

@@ -3,13 +3,13 @@
 :class:`~repro.runtime.node.NodeHarness`, :class:`~repro.sim.timers.Timer`
 and every algorithm built on them historically took the discrete-event
 :class:`~repro.sim.engine.Simulator` directly, but the only things they
-ever ask of it are a clock and a restartable deadline.  This module
+ever ask of it are a clock and a cancellable deadline.  This module
 names that contract so the same node code runs against the simulator
 *or* a wall-clock runtime (:mod:`repro.live`) without modification:
 
 * :class:`TimerHandle` — the cancel/pending/time surface of
   :class:`~repro.sim.events.ScheduledEvent`;
-* :class:`Runtime` — ``now`` plus the two scheduling entry points.
+* :class:`Runtime` — ``now`` plus ``schedule``.
 
 Both protocols are structural (``runtime_checkable``): the simulator
 already satisfies them as-is, and test fakes keep working unchanged.
@@ -17,14 +17,14 @@ already satisfies them as-is, and test fakes keep working unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.sim.events import EventPriority
 
 
 @runtime_checkable
 class TimerHandle(Protocol):
-    """Handle returned by :meth:`Runtime.schedule_timer`."""
+    """Handle returned by :meth:`Runtime.schedule`."""
 
     @property
     def pending(self) -> bool:
@@ -63,16 +63,7 @@ class Runtime(Protocol):
         callback: Callable[..., None],
         *args: Any,
         priority: EventPriority = EventPriority.NORMAL,
-    ) -> Optional[TimerHandle]:
-        """Run ``callback(*args)`` once, ``delay`` from now."""
-        ...
-
-    def schedule_timer(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: EventPriority = EventPriority.NORMAL,
     ) -> TimerHandle:
-        """Arm a high-churn (likely cancelled or restarted) deadline."""
+        """Run ``callback(*args)`` once, ``delay`` from now, unless the
+        returned handle is cancelled first."""
         ...

@@ -616,8 +616,7 @@ class Simulation:
         recorded = self._sched_ops_recorded
         for key in (
             "enqueues", "dequeues", "cancelled", "compactions",
-            "rung_spills", "wheel_arms", "wheel_cascades",
-            "cancelled_in_place",
+            "rung_spills",
         ):
             value = sched[key]
             delta = value - recorded.get(key, 0)

@@ -19,19 +19,16 @@ Design notes
   the engine as argument.  Using listeners rather than wrapping every
   callback keeps protocol code free of instrumentation.  The listener
   list is snapshotted once per :meth:`run` call.
-* **Scheduler.**  The pending set is an adaptive ladder queue
+* **Scheduler.**  The pending set is one adaptive ladder queue
   (:class:`repro.sim.schedqueue.LadderQueue` — O(1) amortized
-  enqueue/dequeue) with a hierarchical timer wheel
-  (:class:`repro.sim.schedqueue.TimerWheel`) fronting restartable
-  timers scheduled through :meth:`schedule_timer`; cancelling a
-  wheel-resident timer is a flag flip that never touches the ladder.
-  The tests check it against a binary heap
-  (``tests/oracles/heap_queue.py``, installed on a fresh engine in
-  place of both structures): every structure compares the same
-  precomputed ``(time, priority, seq)`` keys and bucket routing is
-  monotone in time (see :mod:`repro.sim.schedqueue`), so execution
-  order, timestamps, and every deterministic counter are bit-identical
-  to the heap's.
+  enqueue/dequeue), fed by one pair of entry points
+  (:meth:`schedule` / :meth:`schedule_at`) whether the event is a
+  message hop or a restartable deadline.  The tests check it against a
+  binary heap (``tests/oracles/heap_queue.py``, installed on a fresh
+  engine in its place): both compare the same precomputed ``(time,
+  priority, seq)`` keys and bucket routing is monotone in time (see
+  :mod:`repro.sim.schedqueue`), so execution order, timestamps, and
+  every deterministic counter are bit-identical to the heap's.
 * **Hot loop.**  Cancellation is lazy (cancelled shells stay resident),
   but the engine keeps a live count of them: ``pending_events`` is
   O(1), and when shells outnumber live events the pending set is swept
@@ -51,9 +48,7 @@ Design notes
   tickets, so the controller is consulted again as the group shrinks
   and can realize every permutation of the tie group.  Controllers see
   only genuinely concurrent events — they can never reorder across
-  distinct timestamps or priority classes.  Wheel-resident timers due
-  at the head's timestamp are released into the queue *before* the tie
-  group is collected, so controllers see them too.
+  distinct timestamps or priority classes.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import EventPriority, ScheduledEvent
-from repro.sim.schedqueue import LadderQueue, TimerWheel
+from repro.sim.schedqueue import LadderQueue
 
 
 class Simulator:
@@ -74,7 +69,6 @@ class Simulator:
     def __init__(self) -> None:
         self._now: float = 0.0
         self._queue = LadderQueue()
-        self._wheel = TimerWheel()
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -114,27 +108,17 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still scheduled and not cancelled (O(1))."""
-        return self._queue.live + self._wheel.live
+        return self._queue.live
 
     @property
     def heap_high_water(self) -> int:
-        """Largest main-queue length ever reached (shells included).
-
-        Wheel-resident timers do not count until released — that is the
-        point of the wheel — so this tracks pressure on the ladder
-        alone.
-        """
+        """Largest pending-set length ever reached (shells included)."""
         return self._queue.high_water
 
     @property
     def compactions(self) -> int:
         """How many times the pending set was compacted in place."""
         return self._queue.compactions
-
-    @property
-    def wall_time_s(self) -> float:
-        """Total wall-clock seconds spent inside :meth:`run` calls."""
-        return self._wall_time_s
 
     def stats(self) -> Dict[str, object]:
         """Engine counters as one JSON-ready dict (for run reports).
@@ -149,7 +133,6 @@ class Simulator:
         """
         wall = self._wall_time_s
         queue = self._queue
-        wheel = self._wheel
         return {
             "executed_events": self._executed_events,
             "pending_events": self.pending_events,
@@ -162,9 +145,9 @@ class Simulator:
                 "high_water": queue.high_water,
                 "compactions": queue.compactions,
                 "rung_spills": queue.rung_spills,
-                "wheel_arms": wheel.arms,
-                "wheel_cascades": wheel.cascades,
-                "cancelled_in_place": wheel.cancelled_in_place,
+                # Always 0 (every cancel counts under "cancelled");
+                # kept for benchmarks/e2e/workloads.py, which sums both.
+                "cancelled_in_place": 0,
             },
             "wall_time_s": wall,
             "events_per_sec": (self._executed_events / wall) if wall > 0 else 0.0,
@@ -202,53 +185,6 @@ class Simulator:
         )
         self._queue.push(event)
         return event
-
-    def schedule_timer(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: EventPriority = EventPriority.NORMAL,
-    ) -> ScheduledEvent:
-        """Schedule a high-churn (likely-to-be-cancelled) timeout.
-
-        Semantically identical to :meth:`schedule` — same ordering
-        ticket, same handle contract — but the event may be parked in
-        the timer wheel, where a later
-        :meth:`ScheduledEvent.cancel` is a pure flag flip that never
-        touches the main queue.  Protocol timeouts and crash schedules
-        (overwhelmingly cancelled or retimed before firing) should come
-        through here; one-shot work should use :meth:`schedule`.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_timer_at(
-            self._now + delay, callback, *args, priority=priority
-        )
-
-    def schedule_timer_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: EventPriority = EventPriority.NORMAL,
-    ) -> ScheduledEvent:
-        """Absolute-time form of :meth:`schedule_timer`.
-
-        Falls back to :meth:`schedule_at` whenever the wheel cannot
-        host the time (zero delay, out of range), so callers never need
-        to care where the event actually lives.  Exactly one ordering
-        ticket is drawn either way, which is what keeps execution
-        bit-identical to a plain heap's.
-        """
-        wheel = self._wheel
-        if wheel.accepts(time, self._now):
-            event = ScheduledEvent(
-                time, priority, next(self._seq), callback, tuple(args), wheel
-            )
-            wheel.arm(event)
-            return event
-        return self.schedule_at(time, callback, *args, priority=priority)
 
     def attach_profiler(self, profiler) -> None:
         """Attach a wall-clock profiler (``repro.obs.EngineProfiler``).
@@ -349,21 +285,9 @@ class Simulator:
         """Unregister a previously added observer."""
         self._listeners.remove(listener)
 
-    # ------------------------------------------------------------------
-    # Queue/wheel hooks
-    # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
         """Cancellation bookkeeping (called by ScheduledEvent.cancel)."""
         self._queue.note_cancelled()
-
-    def _wheel_inject(self, event: ScheduledEvent) -> None:
-        """Move a released wheel timer into the main queue.
-
-        The event re-homes to the engine so a subsequent cancel lands
-        in the queue's lazy-cancellation accounting, not the wheel's.
-        """
-        event.engine = self
-        self._queue.push(event)
 
     # ------------------------------------------------------------------
     # Execution
@@ -406,8 +330,6 @@ class Simulator:
         take = queue.take
         profiler = self._profiler
         controller = self._choice_controller
-        wheel = self._wheel
-        inject = self._wheel_inject
         until_f = math.inf if until is None else until
         listeners = tuple(self._listeners)
         try:
@@ -418,23 +340,11 @@ class Simulator:
                     break
                 event = peek()
                 if event is None:
-                    if wheel.live:
-                        if wheel.release_until_live(until_f, inject):
-                            continue
                     # Queue drained; advance to the deadline if given.
                     if until is not None and until > self._now:
                         self._now = until
                     break
                 t = event.time
-                if wheel.next_time <= t:
-                    # Release everything due at or before the head (or
-                    # the deadline, whichever is earlier).  One pass
-                    # suffices: whatever remains wheel-resident is
-                    # strictly later than the post-release head, so we
-                    # can pop without re-checking the wheel.
-                    wheel.release_through(t if t <= until_f else until_f, inject)
-                    event = peek()
-                    t = event.time
                 if t > until_f:
                     self._now = until
                     break
@@ -472,9 +382,8 @@ class Simulator:
         priority)``; with two or more, the controller picks which runs
         now and the rest go back on the queue with their original
         tickets (so a later consultation sees the same relative order).
-        The head is known live and in-bounds — :meth:`run` checked —
-        and any wheel timers due at its timestamp were already
-        released.  Tie comparison uses the precomputed ``_key`` fields,
+        The head is known live and in-bounds — :meth:`run` checked.
+        Tie comparison uses the precomputed ``_key`` fields,
         so no per-head IntEnum conversion happens in the loop.
         """
         queue = self._queue

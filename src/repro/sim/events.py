@@ -19,23 +19,19 @@ Every schedule call allocates one fresh :class:`ScheduledEvent` and
 nothing ever reuses it, so a handle may be kept for as long as its
 holder likes: ``cancel()`` after the event has fired (or was already
 cancelled) is a harmless no-op and ``pending`` stays ``False``.
-
-Scheduler interplay
--------------------
-
-The :attr:`engine` pointer is duck-typed: it is whatever structure
-currently owns the pending event — the simulator itself for main-queue
-events, or a :class:`repro.sim.schedqueue.TimerWheel` for wheel-parked
-timers (which re-home to the simulator when their slot is released).
-``cancel()`` only requires a ``_note_cancelled()`` hook, so the wheel
-can account a cancellation as an in-place flag flip while the ladder
-queue tracks lazy-deleted entries for compaction.
+Cancellation is lazy: ``cancel()`` flips a flag and tells the owning
+:class:`~repro.sim.engine.Simulator` (:attr:`ScheduledEvent.engine`;
+``None`` for a bare shell in a test), whose queue counts the dead
+entries and sweeps them once they outnumber the live ones.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.engine import Simulator
 
 
 class EventPriority(enum.IntEnum):
@@ -69,7 +65,7 @@ class ScheduledEvent:
         seq: int,
         callback: Callable[..., None],
         args: Tuple[Any, ...],
-        engine: Optional[Any] = None,
+        engine: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -77,9 +73,8 @@ class ScheduledEvent:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: Owning container (simulator or timer wheel), notified on
-        #: cancel so it can keep a live count of dead pending entries
-        #: (see Simulator.pending_events).
+        #: Owning simulator, notified on cancel so it can keep a live
+        #: count of dead pending entries (see Simulator.pending_events).
         self.engine = engine
         self._key = (time, int(priority), seq)
 

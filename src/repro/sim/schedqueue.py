@@ -1,47 +1,42 @@
-"""Scheduler queues: the adaptive ladder queue and the timer wheel.
+"""The scheduler's pending set: an adaptive ladder queue.
 
 The engine (:class:`repro.sim.engine.Simulator`) executes events in
-``(time, priority, seq)`` order.  This module provides the pending-set
-structures behind that contract (the binary heap they are checked
-against lives with the tests, in ``tests/oracles/heap_queue.py``):
-
-* :class:`LadderQueue` — an adaptive ladder queue (Tang/Goh/Thng):
-  an unsorted *top* epoch for far-future events, spawn-on-demand
-  *rungs* that bucket events by timestamp, and a sorted *bottom* list
-  events are popped from.  Enqueue and dequeue are O(1) amortized: a
-  push is one ``list.append`` (top or a rung bucket), and the sorting
-  work is paid once per small bucket with a C-level ``sort`` on the
-  precomputed event key.
-* :class:`TimerWheel` — a hierarchical timer wheel fronting the
-  high-churn restartable timers (protocol timeouts are overwhelmingly
-  cancelled before firing).  Cancelling a wheel-resident timer is a
-  flag flip that never touches the ladder; cancelled shells are
-  dropped when their slot's window is released.
+``(time, priority, seq)`` order.  :class:`LadderQueue` is the one
+pending-set structure behind that contract (the binary heap it is
+checked against lives with the tests, in
+``tests/oracles/heap_queue.py``): an adaptive ladder queue
+(Tang/Goh/Thng) with an unsorted *top* epoch for far-future events,
+spawn-on-demand *rungs* that bucket events by timestamp, and a sorted
+*bottom* list events are popped from.  Enqueue and dequeue are O(1)
+amortized: a push is one ``list.append`` (top or a rung bucket), and
+the sorting work is paid once per small bucket with a C-level ``sort``
+on the precomputed event key.  Cancellation is lazy — a flag flip on
+the event — and a sweep drops the shells once they outnumber the live
+entries, so a deadline restarted over and over keeps the queue at a
+bounded size.
 
 Why bucket routing cannot reorder events
 ----------------------------------------
 
-Every structure here ultimately compares the same precomputed
-``event._key`` tuples a binary heap would compare, so *within* a
-sorted run the order is trivially identical.  The only subtlety is
-bucket routing:
-an event's rung bucket is ``int((t - start) / width)``, and its wheel
-slot derives from ``int(t / g)``.  Both are monotone non-decreasing
-functions of ``t`` under IEEE float arithmetic (subtraction and
-division by a positive constant are monotone, and ``int`` truncation
-is monotone for non-negative operands), and two events with equal
-``t`` always map to the same bucket.  Monotone routing means a bucket
-boundary can never *invert* two events — at worst roundoff shifts
-which bucket a boundary time lands in, identically for every event at
-that time — so the dequeue order is bit-identical to the heap's
-regardless of floating-point roundoff.
+The ladder ultimately compares the same precomputed ``event._key``
+tuples a binary heap would compare, so *within* a sorted run the order
+is trivially identical.  The only subtlety is bucket routing: an
+event's rung bucket is ``int((t - start) / width)``, a monotone
+non-decreasing function of ``t`` under IEEE float arithmetic
+(subtraction and division by a positive constant are monotone, and
+``int`` truncation is monotone for non-negative operands), and two
+events with equal ``t`` always map to the same bucket.  Monotone
+routing means a bucket boundary can never *invert* two events — at
+worst roundoff shifts which bucket a boundary time lands in,
+identically for every event at that time — so the dequeue order is
+bit-identical to the heap's regardless of floating-point roundoff.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.sim.events import ScheduledEvent
 
@@ -62,14 +57,6 @@ _MAX_BUCKETS = 4096
 #: A bottom list pushed past this length is re-bucketed into a rung so
 #: insertion-sort work stays bounded.
 _BOTTOM_LIMIT = 4096
-
-_WHEEL_SLOTS = 64
-_WHEEL_LEVELS = 4
-_WHEEL_RANGE = _WHEEL_SLOTS**_WHEEL_LEVELS
-#: Beyond this absolute tick the float-vs-tick safety argument for the
-#: conservative ``next_time`` bound no longer holds; such times simply
-#: stay in the ladder.
-_MAX_TICK = 1 << 52
 
 
 class _Rung:
@@ -347,218 +334,3 @@ class LadderQueue:
         self._cancelled = 0
         self.compactions += 1
 
-
-class TimerWheel:
-    """Hierarchical timer wheel fronting restartable timers.
-
-    Absolute-tick scheme: an event's tick is ``int(time / g)`` where
-    the granularity ``g`` is the first armed delay; level ``l`` holds
-    entries whose tick is ``delta`` ticks past the frontier with
-    ``64**l <= delta < 64**(l+1)`` (level 0: ``delta < 64``).  The
-    frontier advances only when the engine needs it to — releasing a
-    slot either drops its cancelled shells (the common fate of a
-    protocol timeout, which therefore never touches the ladder) or
-    injects the survivors into the main queue.
-
-    ``next_time`` is a conservative lower bound on every resident
-    entry's fire time: ``(frontier - 1) * g`` understates by up to one
-    tick, so comparing it against a queue head can trigger a spurious
-    release pass but can never skip a needed one.  The actual release
-    cutoff is computed in tick space with the same ``int(t / g)``
-    expression used to arm, which makes "is this entry due?" exact.
-    """
-
-    __slots__ = (
-        "_g",
-        "_frontier",
-        "_levels",
-        "_counts",
-        "next_time",
-        "live",
-        "resident",
-        "arms",
-        "cascades",
-        "cancelled_in_place",
-    )
-
-    def __init__(self) -> None:
-        self._g: Optional[float] = None
-        self._frontier = 0
-        self._levels: List[List[List[ScheduledEvent]]] = [
-            [[] for _ in range(_WHEEL_SLOTS)] for _ in range(_WHEEL_LEVELS)
-        ]
-        self._counts = [0] * _WHEEL_LEVELS
-        #: Conservative earliest fire time of any live resident (+inf
-        #: when none) — the engine's cheap per-event release test.
-        self.next_time = math.inf
-        self.live = 0
-        self.resident = 0
-        self.arms = 0
-        self.cascades = 0
-        self.cancelled_in_place = 0
-
-    # ------------------------------------------------------------------
-    def accepts(self, time: float, now: float) -> bool:
-        """Whether a timer at ``time`` can be wheel-resident.
-
-        The first positive delay fixes the granularity.  Times before
-        the frontier window, beyond the wheel's range, or past the
-        tick-arithmetic safety bound fall back to the main queue.
-        """
-        g = self._g
-        if g is None:
-            delay = time - now
-            if delay <= 0.0:
-                return False
-            self._g = g = delay
-            # Every tick at or before "now" counts as already released.
-            self._frontier = int(now / g) + 1
-        if time - now >= g * _WHEEL_RANGE:
-            return False
-        tick = int(time / g)
-        if tick > _MAX_TICK:
-            return False
-        delta = tick - self._frontier
-        return 0 <= delta < _WHEEL_RANGE
-
-    def arm(self, event: ScheduledEvent) -> None:
-        """Place an accepted event; ``event.engine`` must be this wheel."""
-        g = self._g
-        tick = int(event.time / g)
-        delta = tick - self._frontier
-        if delta < 64:
-            level = 0
-        elif delta < 4096:
-            level = 1
-        elif delta < 262144:
-            level = 2
-        else:
-            level = 3
-        self._levels[level][(tick >> (6 * level)) & 63].append(event)
-        self._counts[level] += 1
-        self.resident += 1
-        self.arms += 1
-        if self.live == 0:
-            self.next_time = (self._frontier - 1) * g
-        self.live += 1
-
-    def _note_cancelled(self) -> None:
-        """Duck-typed engine hook (see ``ScheduledEvent.cancel``).
-
-        The flag flip is the whole point: the shell stays slotted and
-        is dropped when its window is released or cascaded, so a
-        cancel never touches the ladder.
-        """
-        self.cancelled_in_place += 1
-        self.live -= 1
-        if self.live == 0:
-            self.next_time = math.inf
-
-    # ------------------------------------------------------------------
-    def release_through(self, limit: float,
-                        inject: Callable[[ScheduledEvent], None]) -> int:
-        """Release every entry with ``time <= limit`` into ``inject``.
-
-        Exactness: an entry at time ``u <= limit`` satisfies
-        ``int(u / g) <= int(limit / g)`` because both sides apply the
-        same monotone function, so no due (or tied) entry can be left
-        behind.  Returns the number of live events injected.
-        """
-        if self._g is None:
-            return 0
-        return self._advance(int(limit / self._g), inject, stop_on_live=False)
-
-    def release_until_live(self, limit: float,
-                           inject: Callable[[ScheduledEvent], None]) -> int:
-        """Advance until one live event is injected or ``limit`` passes.
-
-        Used when the main queue is empty: the engine cannot know the
-        next occupied slot, so the wheel walks forward (dropping any
-        cancelled shells on the way) until something fires or the run
-        deadline is cleared.
-        """
-        if self._g is None:
-            return 0
-        target = None if limit == math.inf else int(limit / self._g)
-        return self._advance(target, inject, stop_on_live=True)
-
-    def _advance(self, target: Optional[int],
-                 inject: Callable[[ScheduledEvent], None],
-                 stop_on_live: bool) -> int:
-        levels = self._levels
-        counts = self._counts
-        level0 = levels[0]
-        frontier = self._frontier
-        injected = 0
-        while target is None or frontier <= target:
-            if self.resident == 0:
-                if target is None:
-                    break
-                frontier = target + 1
-                break
-            if (frontier & 63) == 0:
-                self._cascade_at(frontier)
-            if counts[0] == 0:
-                # Level 0 empty: stride straight to the next cascade
-                # boundary (never skipping one, so higher-level windows
-                # are flushed in order).
-                boundary = (frontier | 63) + 1
-                if target is not None and boundary > target + 1:
-                    frontier = target + 1
-                else:
-                    frontier = boundary
-                continue
-            idx = frontier & 63
-            slot = level0[idx]
-            if slot:
-                level0[idx] = []
-                counts[0] -= len(slot)
-                self.resident -= len(slot)
-                for event in slot:
-                    if not event.cancelled:
-                        self.live -= 1
-                        injected += 1
-                        inject(event)
-            frontier += 1
-            if stop_on_live and injected:
-                break
-        self._frontier = frontier
-        self.next_time = (
-            (frontier - 1) * self._g if self.live else math.inf
-        )
-        return injected
-
-    def _cascade_at(self, frontier: int) -> None:
-        """Flush each higher level's slot whose window opens at
-        ``frontier`` down into the lower levels (highest level first,
-        so aligned boundaries compose)."""
-        levels = self._levels
-        counts = self._counts
-        g = self._g
-        for level in (3, 2, 1):
-            if counts[level] == 0:
-                continue
-            shift = 6 * level
-            if frontier & ((1 << shift) - 1):
-                continue  # not at this level's window boundary
-            idx = (frontier >> shift) & 63
-            slot = levels[level][idx]
-            if not slot:
-                continue
-            levels[level][idx] = []
-            counts[level] -= len(slot)
-            self.cascades += len(slot)
-            for event in slot:
-                if event.cancelled:
-                    self.resident -= 1
-                    continue
-                tick = int(event.time / g)
-                delta = tick - frontier
-                if delta < 64:
-                    low = 0
-                elif delta < 4096:
-                    low = 1
-                else:
-                    low = 2
-                levels[low][(tick >> (6 * low)) & 63].append(event)
-                counts[low] += 1

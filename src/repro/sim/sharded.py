@@ -641,8 +641,6 @@ class ShardedEngine:
                 "high_water": 0,
                 "compactions": 0,
                 "rung_spills": 0,
-                "wheel_arms": 0,
-                "wheel_cascades": 0,
                 "cancelled_in_place": 0,
             },
             "per_shard": [],
@@ -676,8 +674,7 @@ class ShardedEngine:
             )
             for key in (
                 "enqueues", "dequeues", "cancelled", "compactions",
-                "rung_spills", "wheel_arms", "wheel_cascades",
-                "cancelled_in_place",
+                "rung_spills", "cancelled_in_place",
             ):
                 sched[key] += shard_sched.get(key, 0)
             # Per-shard wall-clock rates depend on worker grouping and

@@ -50,15 +50,9 @@ class Timer:
         return None
 
     def start(self, delay: float) -> None:
-        """Arm the timer; restarts (and supersedes) any pending deadline.
-
-        Goes through :meth:`Simulator.schedule_timer`, so the deadline
-        usually parks in the timer wheel and the (overwhelmingly
-        common) restart-before-fire pattern never touches the main
-        queue.
-        """
+        """Arm the timer; restarts (and supersedes) any pending deadline."""
         self.cancel()
-        self._event = self._sim.schedule_timer(
+        self._event = self._sim.schedule(
             delay, self._fire, priority=self._priority
         )
 

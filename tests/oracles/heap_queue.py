@@ -1,8 +1,8 @@
 """The binary-heap pending set: the scheduler's equivalence oracle.
 
-The engine's ladder queue and timer wheel (:mod:`repro.sim.schedqueue`)
-are only allowed to exist because they execute every schedule in
-exactly the order a plain ``heapq`` would.  This module is that plain
+The engine's ladder queue (:mod:`repro.sim.schedqueue`) is only
+allowed to exist because it executes every schedule in exactly the
+order a plain ``heapq`` would.  This module is that plain
 heap, plus :func:`heap_simulator`, which installs it on a fresh
 :class:`~repro.sim.engine.Simulator` so whole scenarios can be run
 under it and compared.
@@ -11,7 +11,6 @@ under it and compared.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import List, Optional
 
 from repro.sim.engine import Simulator
@@ -77,27 +76,12 @@ class HeapQueue:
             self.compactions += 1
 
 
-class _NoWheel:
-    """A timer wheel that never parks anything: every timer falls back
-    to the main queue, which is what a heap-only engine means."""
-
-    next_time = math.inf
-    live = 0
-    arms = 0
-    cascades = 0
-    cancelled_in_place = 0
-
-    def accepts(self, time: float, now: float) -> bool:
-        return False
-
-
 def heap_simulator() -> Simulator:
     """A fresh :class:`Simulator` whose pending set is the heap oracle.
 
-    Swaps the queue and the wheel before anything is scheduled; the
-    engine itself has no knob for this.
+    Swaps the queue before anything is scheduled; the engine itself
+    has no knob for this.
     """
     sim = Simulator()
     sim._queue = HeapQueue()
-    sim._wheel = _NoWheel()
     return sim

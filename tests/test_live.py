@@ -284,6 +284,74 @@ def test_peer_loss_surfaces_link_down_and_counts():
         loop.close()
 
 
+def test_runtimes_satisfy_the_runtime_protocol():
+    from repro.live.runtime import WallClockRuntime
+    from repro.runtime.interface import Runtime
+    from repro.sim import Simulator, Timer
+
+    assert {n for n in vars(Runtime) if not n.startswith("_")} == {
+        "now", "schedule",
+    }
+
+    def timer_script(runtime, advance):
+        """start -> restart -> fire -> start -> cancel, with readings."""
+        fired, readings = [], []
+        timer = Timer(runtime, lambda: fired.append(runtime.now))
+
+        def read():
+            readings.append((timer.pending, timer.deadline))
+
+        read()
+        timer.start(5.0)
+        read()
+        advance(2.0)
+        timer.start(4.0)  # restart: the deadline moves from 5 to 6
+        read()
+        advance(5.0)  # the superseded deadline passes silently
+        read()
+        advance(6.0)
+        read()
+        timer.start(1.0)
+        read()
+        timer.cancel()
+        read()
+        advance(8.0)
+        read()
+        return fired, readings
+
+    sim = Simulator()
+    assert isinstance(sim, Runtime)
+    on_sim = timer_script(sim, lambda t: sim.run(until=t))
+
+    loop = asyncio.new_event_loop()
+    try:
+        # A hand-moved loop clock makes the wall-clock side exact.
+        clock = [0.0]
+        loop.time = lambda: clock[0]
+        runtime = WallClockRuntime(loop, 1.0)
+        # Before start() `now` raises, and Python <= 3.11 evaluates
+        # properties inside isinstance().
+        runtime.start()
+        assert isinstance(runtime, Runtime)
+
+        def advance(t):
+            clock[0] = t
+            loop.call_soon(loop.stop)
+            loop.run_forever()
+
+        on_wall = timer_script(runtime, advance)
+    finally:
+        loop.close()
+
+    assert on_sim == on_wall
+    fired, readings = on_sim
+    assert fired == [6.0]
+    assert readings == [
+        (False, None), (True, 5.0), (True, 6.0), (True, 6.0),
+        (False, None), (True, 7.0), (False, None), (False, None),
+    ]
+
+
 # ----------------------------------------------------------------------
 # Replay-ingestion plumbing in the simulator
 # ----------------------------------------------------------------------

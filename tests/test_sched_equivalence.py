@@ -2,7 +2,7 @@
 
 Fixed-seed runs across the exploration scenario families must produce
 byte-for-byte identical RunReports whether the engine's pending set is
-the ladder queue + wheel or the binary heap of tests/oracles/.
+the ladder queue or the binary heap of tests/oracles/.
 This is the end-to-end complement to the structure-level property tests
 in test_schedqueue.py: anything the queue swap perturbed — delivery
 order, timer firing, crash retimes, mobility steps — would surface here

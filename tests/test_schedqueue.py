@@ -1,15 +1,14 @@
-"""Scheduler equivalence: ladder queue + wheel vs the heap oracle.
+"""Scheduler equivalence: the ladder queue vs the heap oracle.
 
-The ladder/wheel scheduler is only allowed to exist because it is
+The ladder scheduler is only allowed to exist because it is
 bit-identical to the binary heap (tests/oracles/heap_queue.py).  These
 tests drive both through randomized schedules (cancellations, retimes,
-timer churn, same-instant tie groups under a ControlledScheduler,
-safe-horizon truncation) and require the *exact* execution sequence to match, then
-poke the structures' own mechanics (rung spills, bottom spill, wheel
-cascades) directly.
+same-instant tie groups under a ControlledScheduler, safe-horizon
+truncation) and require the *exact* execution sequence to match, then
+poke the ladder's own mechanics (rung spills, bottom spill, sweep)
+directly.
 """
 
-import math
 import random
 
 import pytest
@@ -18,7 +17,7 @@ from oracles.heap_queue import heap_simulator
 from repro.explore.schedule import RandomStrategy
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
-from repro.sim.schedqueue import LadderQueue, TimerWheel
+from repro.sim.schedqueue import LadderQueue
 
 
 # ----------------------------------------------------------------------
@@ -29,9 +28,9 @@ from repro.sim.schedqueue import LadderQueue, TimerWheel
 def _drive(sim: Simulator, seed: int):
     """One deterministic pseudo-random workload against ``sim``.
 
-    Mixes plain schedules, timer schedules (wheel-eligible), clustered
-    timestamps (tie groups), cancellations, retimes, in-callback
-    scheduling, and chunked run() calls.  Returns the execution log.
+    Mixes schedules, clustered timestamps (tie groups), cancellations,
+    retimes, in-callback scheduling, and chunked run() calls.  Returns
+    the execution log.
     """
     rng = random.Random(seed)
     log = []
@@ -51,17 +50,15 @@ def _drive(sim: Simulator, seed: int):
             # Cluster times so tie groups and shared buckets happen.
             t = sim.now + rng.choice((0.0, 0.25, 1.0, 1.0, 2.5, 7.0, 40.0))
             label = (chunk, i)
-            if roll < 0.45:
+            if roll < 0.75:
                 live.append(sim.schedule_at(t, fire, label))
-            elif roll < 0.75:
-                live.append(sim.schedule_timer_at(t, fire, label))
             elif roll < 0.85 and live:
                 live.pop(rng.randrange(len(live))).cancel()
             elif live:
                 # Retime: the crash-injector pattern (cancel + reissue).
                 live.pop(rng.randrange(len(live))).cancel()
                 live.append(
-                    sim.schedule_timer_at(t + 1.0, fire, ("retimed", label))
+                    sim.schedule_at(t + 1.0, fire, ("retimed", label))
                 )
         horizon += rng.choice((1.5, 4.0, 9.0))
         sim.run(until=horizon)
@@ -84,13 +81,9 @@ def test_randomized_schedules_are_bit_identical(seed):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_tie_groups_match_under_a_controller(seed):
-    """Same-key tie groups resolve identically under ladder and heap.
-
-    Includes wheel-parked timers due exactly at the tie instant: the
-    engine must release them into the queue before the controller sees
-    the group, or the controller's permutation authority would differ
-    from the heap's.
-    """
+    """Same-key tie groups resolve identically under ladder and heap,
+    whether the tied events were scheduled by absolute time or by
+    delay."""
     logs = []
     for make in (Simulator, heap_simulator):
         sim = make()
@@ -98,10 +91,8 @@ def test_tie_groups_match_under_a_controller(seed):
         log = []
         for i in range(40):
             sim.schedule_at(5.0, log.append, ("event", i))
-        # Timers landing on the same instant (wheel-eligible: positive
-        # delay fixes granularity g=5.0, tick boundary at 5.0).
         for i in range(10):
-            sim.schedule_timer(5.0, log.append, ("timer", i))
+            sim.schedule(5.0, log.append, ("timer", i))
         # And a few at a different priority — never in the same group.
         for i in range(5):
             sim.schedule_at(
@@ -124,7 +115,7 @@ def test_safe_horizon_and_ingest_match():
         for i in range(50):
             sim.schedule_at(float(i), log.append, i)
         for i in range(20):
-            sim.schedule_timer(10.0 + i, log.append, ("t", i))
+            sim.schedule(10.0 + i, log.append, ("t", i))
         sim.set_safe_horizon(12.0)
         sim.run(until=100.0)
         assert sim.now == 12.0
@@ -239,66 +230,17 @@ def test_ladder_equal_time_push_after_top_transfer():
 
 
 # ----------------------------------------------------------------------
-# Wheel mechanics
+# Engine contract on an idle queue
 # ----------------------------------------------------------------------
 
 
-def test_wheel_spans_levels_and_cascades():
+def test_idle_advance_with_only_a_far_future_event():
+    # With only a far-future event pending, run() must advance to
+    # `until` without spinning or firing early.
     sim = Simulator()
     fired = []
-    # First delay fixes g=1.0; later arms span wheel levels 0..2.
-    delays = [1.0, 3.0, 70.0, 700.0, 5000.0]
-    for d in delays:
-        sim.schedule_timer(d, fired.append, d)
-    sched = sim.stats()["scheduler"]
-    assert sched["wheel_arms"] == len(delays)
-    sim.run(until=6000.0)
-    assert fired == sorted(delays)
-    assert sim.stats()["scheduler"]["wheel_cascades"] > 0
-
-
-def test_wheel_cancelled_shells_recycle_without_queue_traffic():
-    sim = Simulator()
-    enqueues_before = sim.stats()["scheduler"]["enqueues"]
-    handles = [sim.schedule_timer(2.0 + i % 5, lambda: None) for i in range(50)]
-    for handle in handles:
-        handle.cancel()
-    sched = sim.stats()["scheduler"]
-    assert sched["cancelled_in_place"] == 50
-    assert sched["enqueues"] == enqueues_before  # ladder untouched
-    assert sim.pending_events == 0
-    # Draining past the slots recycles the shells; time still advances.
-    assert sim.run(until=50.0) == 50.0
-
-
-def test_wheel_out_of_range_falls_back_to_queue():
-    sim = Simulator()
-    fired = []
-    sim.schedule_timer(1.0, fired.append, "sets-g")
-    # 64**4 ticks of g=1.0 is out of wheel range -> plain queue push.
-    far = sim.schedule_timer(float(64**4 + 10), fired.append, "far")
-    assert far.engine is sim
-    # Zero delay is not wheel-eligible either.
-    sim.schedule_timer(0.0, fired.append, "now")
-    sim.run(until=float(64**4 + 20))
-    assert fired == ["now", "sets-g", "far"]
-
-
-def test_wheel_empty_queue_idle_advance():
-    # With nothing in the queue and only far-future live timers, run()
-    # must advance to `until` without spinning or firing early.
-    sim = Simulator()
-    fired = []
-    sim.schedule_timer(100.0, fired.append, "late")
+    sim.schedule(100.0, fired.append, "late")
     assert sim.run(until=30.0) == 30.0
     assert fired == []
     assert sim.run(until=150.0) == 150.0
     assert fired == ["late"]
-
-
-def test_wheel_granularity_is_lazy():
-    wheel = TimerWheel()
-    assert wheel.next_time == math.inf
-    assert not wheel.accepts(5.0, 5.0)  # zero delay never parks
-    assert wheel.accepts(7.0, 5.0)      # fixes g = 2.0
-    assert not wheel.accepts(4.0, 5.0)  # behind now

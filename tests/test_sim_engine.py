@@ -50,7 +50,7 @@ def test_cancel_after_fire_is_noop():
     assert sim.pending_events == 0
 
 
-@pytest.mark.parametrize("method", ["schedule", "schedule_timer"])
+@pytest.mark.parametrize("method", ["schedule", "schedule_at"])
 def test_handle_outlives_its_event(method):
     # A handle kept past its event's firing stays dead: cancelling it
     # must not reach any event scheduled afterwards.
@@ -293,23 +293,22 @@ def test_mass_cancellation_triggers_compaction():
         assert sim.executed_events == 50
 
 
-def test_wheel_cancel_is_in_place():
-    # A cancelled wheel-resident timer never enters the main queue: the
-    # cancellation is a flag flip accounted on the wheel.
+def test_timer_restart_churn_is_bounded():
+    # A deadline restarted over and over leaves one live event behind:
+    # the queue's sweep drops the superseded shells as they pile up.
     sim = Simulator()
     fired = []
-    keep = sim.schedule_timer(5.0, fired.append, "keep")
-    drop = [sim.schedule_timer(5.0 + i % 3, fired.append, i) for i in range(30)]
-    for handle in drop:
-        handle.cancel()
-    assert keep.pending and not drop[0].pending
-    before = sim.stats()["scheduler"]
-    assert before["wheel_arms"] == 31
-    assert before["cancelled_in_place"] == 30
-    assert before["cancelled"] == 0  # the ladder never saw them
-    assert sim.pending_events == 1
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    for i in range(10_000):
+        timer.start(5.0 + i % 3)
+        assert sim.pending_events == 1
+    sched = sim.stats()["scheduler"]
+    assert sched["cancelled"] == 9999
+    assert sched["compactions"] >= 1
+    assert sched["high_water"] <= 128
     sim.run(until=10.0)
-    assert fired == ["keep"]
+    assert fired == [5.0 + 9999 % 3]
+    assert sim.pending_events == 0
 
 
 def test_profiler_attach_detach_and_categories():
