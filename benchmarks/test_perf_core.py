@@ -23,7 +23,11 @@ Times the hot paths the simulation core was rebuilt around:
 7. **Sharded engine** — single-shard delegation overhead (≤3%,
    jitter-gated) and the n=100k scaling curve across worker counts,
    with the 4-worker speedup assertion cpu-gated like the replicate
-   benchmark.
+   benchmark;
+8. **Invariant-monitor suite** — the full default monitor set on an
+   alg2 crash scenario shaped like the ledger's crash workload costs
+   at most 3x the plain run (jitter-gated), with a deterministic check
+   count.
 
 Run with ``pytest -m perf benchmarks/test_perf_core.py``.  Setting
 ``REPRO_WRITE_BENCH=1`` writes the measurements to ``BENCH_core.json``
@@ -1031,3 +1035,101 @@ def _same_float(x, y):
     if math.isnan(x) and math.isnan(y):
         return True
     return x == y
+
+
+# ---------------------------------------------------------------------------
+# 8. Invariant-monitor suite: event-scoped checks against a plain run
+# ---------------------------------------------------------------------------
+
+
+def _crash_disk_config(side=25, density=9.0, radio=3.0, seed=1):
+    """The e2e ledger's ``disk625-alg2-crash`` shape, built here: one
+    node per cell of a side x side lattice (a cell's area is
+    pi*r^2/density), three crashes on the main diagonal at t=10."""
+    cell = radio * math.sqrt(math.pi / density)
+    rng = random.Random(seed)
+    positions = [
+        Point((i % side + rng.random()) * cell,
+              (i // side + rng.random()) * cell)
+        for i in range(side * side)
+    ]
+    crashes = [(10.0, (side + 1) * (q * side // 4)) for q in (1, 2, 3)]
+    return ScenarioConfig(
+        positions=positions, radio_range=radio, algorithm="alg2",
+        seed=seed, crashes=crashes,
+    )
+
+
+def test_monitor_suite_overhead(report):
+    """The default monitor suite must cost at most 3x the plain run.
+
+    Every check is event-scoped (it reads only the nodes the event
+    touched), so the suite's cost per event is O(degree), not O(n).
+    ``monitor_checks`` is deterministic; the wall-clock bar is
+    jitter-gated like the other guards.
+    """
+    from repro.explore.monitors import (
+        MonitorSuite, build_monitors, default_monitor_specs,
+    )
+
+    until = 30.0
+    config = _crash_disk_config()
+    # The suite the ledger's until=120 crash run would get (progress
+    # threshold 72), timed over its first 30 time units: a threshold
+    # scaled to 30 would flag the slow first entries of the bootstrap.
+    specs = default_monitor_specs(
+        {"algorithm": "alg2", "crashes": [list(c) for c in config.crashes]},
+        120.0,
+    )
+
+    def run(with_suite):
+        simulation = Simulation(config)
+        suite = None
+        if with_suite:
+            suite = MonitorSuite(build_monitors(specs))
+            suite.attach(simulation)
+        started = time.perf_counter()
+        result = simulation.run(until=until)
+        if suite is not None:
+            suite.finalize()
+        elapsed = time.perf_counter() - started
+        if suite is not None:
+            assert suite.violation is None, suite.violation
+            return elapsed, result.engine["executed_events"], suite.checks
+        return elapsed, result.engine["executed_events"], 0
+
+    calibrations = [_calibrate_events_per_second()]
+    plain_runs, suite_runs = [], []
+    for _ in range(3):
+        plain_runs.append(run(False))
+        suite_runs.append(run(True))
+    calibrations.append(_calibrate_events_per_second())
+    jitter = max(calibrations) / min(calibrations) - 1.0
+
+    plain, suite = min(plain_runs), min(suite_runs)
+    assert plain[1] == suite[1] > 0
+    assert len({checks for _, _, checks in suite_runs}) == 1
+    ratio = suite[0] / plain[0]
+    _record("monitor_suite", {
+        "nodes": len(config.positions),
+        "until": until,
+        "monitors": [spec["name"] for spec in specs],
+        "events": plain[1],
+        "monitor_checks": suite[2],
+        "plain_seconds": round(plain[0], 6),
+        "suite_seconds": round(suite[0], 6),
+        "calibration_jitter": round(jitter, 4),
+    })
+    report(
+        f"monitor suite n={len(config.positions)} until={until}: plain "
+        f"{plain[0]:.3f} s, suite {suite[0]:.3f} s ({ratio:.2f}x, "
+        f"{suite[2]:,} checks; jitter {jitter:.1%})"
+    )
+    if jitter > 0.05:
+        pytest.skip(
+            f"calibration jitter {jitter:.1%} > 5%: box too noisy for a "
+            "wall-clock bound (numbers recorded above)"
+        )
+    assert suite[0] <= 3.0 * plain[0], (
+        f"monitor suite costs {ratio:.2f}x the plain run (bar: 3x)"
+    )

@@ -8,6 +8,19 @@ stops the run at the first violation and records *where* it happened
 (step = executed-event count), which is what makes violations exact
 replay targets.
 
+Checks are event-scoped.  An event changes the protocol state only of
+the nodes whose code it ran, plus both endpoints of any link it formed
+or broke; the suite collects those nodes in a *dirty set* (filled by
+the :class:`~repro.runtime.node.NodeHarness` entry points and a
+link-layer observer) and hands each monitor the hosted ones, ascending.
+Since the run stops at the first violation, every invariant held
+everywhere before the event, so a new violation must touch a dirty
+node: each monitor does O(degree) work per dirty node and still
+reports exactly what a whole-network scan in link order would have
+(the full scans live on as the test-suite oracle,
+``tests/oracles/monitor_scan.py``).  The first check after
+:meth:`MonitorSuite.attach` treats every node as dirty.
+
 Monitors and the claims they check:
 
 ``exclusion``
@@ -33,10 +46,8 @@ Monitors and the claims they check:
     thinking node cannot outrank a hungry neighbor for longer than a
     few message round trips.  Catches ``alg2-nonotify``.
 ``progress``
-    Eventual progress, via the existing
-    :class:`~repro.obs.watchdog.StarvationWatchdog` run in pull mode,
-    with a crash-exemption radius for the paper's failure-locality
-    allowance.
+    Eventual progress: no hungry interval outlives a threshold, with a
+    crash-exemption radius for the paper's failure-locality allowance.
 
 Monitors are rebuilt from ``{"name", "params"}`` specs recorded in
 repro files (:data:`MONITOR_BUILDERS`), so a replay judges the run
@@ -45,14 +56,15 @@ with exactly the monitors that originally flagged it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.core.doorway import FORK_SYNC, SYNC_DOORWAYS
 from repro.core.states import NodeState
 from repro.errors import ConfigurationError
-from repro.obs.watchdog import StarvationWatchdog
 
 
 @dataclass
@@ -73,41 +85,15 @@ class Violation:
         }
 
 
-class LinkPairs:
-    """The ``(a, b, harness_a, harness_b)`` walk of the pair monitors.
+def _lower(found: Optional[Tuple[int, int]], a: int,
+           b: int) -> Tuple[int, int]:
+    """The lower of ``found`` and link ``{a, b}`` as ``(low, high)``.
 
-    Only links with both endpoint harnesses hosted here are listed.  In
-    a sharded run one endpoint of a boundary link may be a ghost (no
-    local harness); the owning shard's monitor sees that node's state,
-    so pair invariants straddling a boundary are checked by whichever
-    shard owns both endpoints of a *conflict* — and an exclusion/fork
-    conflict always has a real harness behind each eating or
-    fork-holding endpoint on its own shard.
-
-    The list is rebuilt once per topology ``version``, not once per
-    event per monitor: the harness dict is fixed when the simulation is
-    built (shard ownership is sticky) and ghosts arrive through the
-    topology, which bumps the version.  A topology without a
-    ``version`` (test fakes) is walked afresh on every call.
+    Pair monitors report the lowest offending link touching a dirty
+    node: the one a scan in sorted link order meets first.
     """
-
-    def __init__(self, simulation) -> None:
-        self._simulation = simulation
-        self._version = None
-        self._pairs: List[Tuple[int, int, Any, Any]] = []
-
-    def __call__(self) -> List[Tuple[int, int, Any, Any]]:
-        topology = self._simulation.topology
-        version = getattr(topology, "version", None)
-        if version is None or version != self._version:
-            get = self._simulation.harnesses.get
-            candidates = ((a, b, get(a), get(b)) for a, b in topology.links())
-            self._pairs = [
-                pair for pair in candidates
-                if pair[2] is not None and pair[3] is not None
-            ]
-            self._version = version
-        return self._pairs
+    link = (a, b) if a < b else (b, a)
+    return link if found is None or link < found else found
 
 
 class InvariantMonitor:
@@ -125,33 +111,39 @@ class InvariantMonitor:
     def attach(self, simulation) -> None:
         """Grab references and baseline snapshots before the run starts."""
         self.simulation = simulation
-        self._link_pairs = LinkPairs(simulation)
 
-    def check(self) -> Optional[Dict[str, Any]]:
-        """Post-event check; violation details or None."""
+    def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
+        """Post-event check of the dirty hosted ``nodes`` (ascending);
+        violation details or None."""
         return None
 
-    def final(self) -> Optional[Dict[str, Any]]:
+    def final(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
         """End-of-run check (for liveness-style monitors)."""
         return None
 
-    # -- shared helpers -------------------------------------------------
-    def _algorithms(self):
-        for node_id, harness in self.simulation.harnesses.items():
-            yield node_id, harness.algorithm
-
 
 class ExclusionMonitor(InvariantMonitor):
-    """No two current neighbors eat at the same time."""
+    """No two current neighbors eat at the same time.
+
+    Only links with both endpoints hosted count, here and in the other
+    pair monitors: in a sharded run the far end of a boundary link may
+    be a ghost, whose own shard judges it.
+    """
 
     name = "exclusion"
 
-    def check(self) -> Optional[Dict[str, Any]]:
-        for a, b, harness_a, harness_b in self._link_pairs():
-            if (harness_a.state is NodeState.EATING
-                    and harness_b.state is NodeState.EATING):
-                return {"link": [a, b]}
-        return None
+    def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
+        harnesses = self.simulation.harnesses
+        found = None
+        for a in nodes:
+            harness = harnesses[a]
+            if harness.state is not NodeState.EATING:
+                continue
+            for b in harness.neighbors():
+                other = harnesses.get(b)
+                if other is not None and other.state is NodeState.EATING:
+                    found = _lower(found, a, b)
+        return None if found is None else {"link": list(found)}
 
 
 class ForkUniquenessMonitor(InvariantMonitor):
@@ -159,26 +151,35 @@ class ForkUniquenessMonitor(InvariantMonitor):
 
     name = "fork-uniqueness"
 
-    def check(self) -> Optional[Dict[str, Any]]:
-        for a, b, harness_a, harness_b in self._link_pairs():
-            forks_a = getattr(harness_a.algorithm, "forks", None)
-            forks_b = getattr(harness_b.algorithm, "forks", None)
-            if forks_a is None or forks_b is None:
+    def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
+        harnesses = self.simulation.harnesses
+        found = None
+        for a in nodes:
+            harness = harnesses[a]
+            forks = getattr(harness.algorithm, "forks", None)
+            if forks is None:
                 continue
-            if forks_a.holds(b) and forks_b.holds(a):
-                return {"link": [a, b]}
-        return None
+            for b in harness.neighbors():
+                if not forks.holds(b):
+                    continue
+                other = harnesses.get(b)
+                if other is None:
+                    continue
+                other_forks = getattr(other.algorithm, "forks", None)
+                if other_forks is not None and other_forks.holds(a):
+                    found = _lower(found, a, b)
+        return None if found is None else {"link": list(found)}
 
 
 class DoorwayEntryMonitor(InvariantMonitor):
     """A sync-doorway cross requires every peer observed outside.
 
-    The post-event snapshot of each node's ``behind_set()`` doubles as
-    the pre-event state of the next event (nothing changes between
-    events), so a diff pinpoints fresh crossings.  A node's ``L`` view
-    cannot change between its cross and this listener (one delivery
-    per event), so ``peers_behind`` at check time is exactly the view
-    the entry code decided on.
+    Each node's last ``behind_set()`` doubles as the pre-event state of
+    the next event that touches it (nothing else changes it), so a
+    diff pinpoints fresh crossings.  A node's ``L`` view cannot change
+    between its cross and this listener (one delivery per event), so
+    ``peers_behind`` at check time is exactly the view the entry code
+    decided on.
     """
 
     name = "doorway-entry"
@@ -186,23 +187,26 @@ class DoorwayEntryMonitor(InvariantMonitor):
     def attach(self, simulation) -> None:
         super().attach(simulation)
         self._behind: Dict[int, FrozenSet[str]] = {}
-        for node_id, alg in self._algorithms():
-            doorways = getattr(alg, "doorways", None)
+        for node_id, harness in simulation.harnesses.items():
+            doorways = getattr(harness.algorithm, "doorways", None)
             if doorways is not None:
                 self._behind[node_id] = doorways.behind_set()
 
-    def check(self) -> Optional[Dict[str, Any]]:
+    def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
+        harnesses = self.simulation.harnesses
         violation = None
-        for node_id in self._behind:
-            doorways = self.simulation.harnesses[node_id].algorithm.doorways
-            now_behind = doorways.behind_set()
-            if now_behind == self._behind[node_id]:
+        for node_id in nodes:
+            before = self._behind.get(node_id)
+            if before is None:
                 continue
-            fresh = now_behind - self._behind[node_id]
+            doorways = harnesses[node_id].algorithm.doorways
+            now_behind = doorways.behind_set()
+            if now_behind == before:
+                continue
             self._behind[node_id] = now_behind
             if violation is not None:
                 continue
-            for doorway in fresh & SYNC_DOORWAYS:
+            for doorway in (now_behind - before) & SYNC_DOORWAYS:
                 peers = doorways.peers_behind(doorway)
                 if peers:
                     violation = {
@@ -217,19 +221,21 @@ class DoorwayEntryMonitor(InvariantMonitor):
 class ReturnPathMonitor(InvariantMonitor):
     """Figure 5's return path fires whenever its trigger condition holds.
 
-    Pre-event state is the previous post-event snapshot.  Evaluated
-    only for single-departure events with no simultaneous link-up for
-    the node (a mover exiting all doorways legitimately skips the
-    return path), mirroring ``Algorithm1.on_link_down``.
+    Pre-event state is the node's snapshot from the last event that
+    touched it.  Evaluated only for single-departure events with no
+    simultaneous link-up for the node (a mover exiting all doorways
+    legitimately skips the return path), mirroring
+    ``Algorithm1.on_link_down``.
     """
 
     name = "return-path"
 
     def attach(self, simulation) -> None:
         super().attach(simulation)
-        self._snapshots: Dict[int, Dict[str, Any]] = {}
-        for node_id in simulation.harnesses:
-            self._snapshots[node_id] = self._snapshot(node_id)
+        self._snapshots: Dict[int, Dict[str, Any]] = {
+            node_id: self._snapshot(node_id)
+            for node_id in simulation.harnesses
+        }
 
     def _snapshot(self, node_id: int) -> Dict[str, Any]:
         harness = self.simulation.harnesses[node_id]
@@ -248,11 +254,11 @@ class ReturnPathMonitor(InvariantMonitor):
             "crashed": harness.crashed,
         }
 
-    def check(self) -> Optional[Dict[str, Any]]:
+    def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
         violation = None
-        for node_id, prev in list(self._snapshots.items()):
-            harness = self.simulation.harnesses[node_id]
-            # Refresh every node every event: doorway position, fork
+        for node_id in nodes:
+            prev = self._snapshots[node_id]
+            # Refresh every touched node: doorway position, fork
             # holdings and colors all evolve without the neighbor set
             # changing, and the next link-down must judge against the
             # state just before it.
@@ -270,7 +276,7 @@ class ReturnPathMonitor(InvariantMonitor):
             if (
                 prev["behind_sdf"]
                 and not prev["crashed"]
-                and not harness.crashed
+                and not snapshot["crashed"]
                 and not prev["holds"].get(peer, False)
                 and peer_color is not None
                 and prev["my_color"] is not None
@@ -295,6 +301,17 @@ class PriorityMonitor(InvariantMonitor):
     digraph (edge a->b when ``higher_a[b]`` and not ``higher_b[a]``,
     read "b outranks a") must stay acyclic.
 
+    The digraph is kept as in- and out-edge sets, and each check
+    recomputes only the edges incident to dirty nodes.  The graph was
+    acyclic before the event, so any cycle now uses an edge the event
+    added: a cycle exists iff some new edge's tail is reachable from
+    its head, which a depth-first walk backwards from the new tails
+    decides.  Under Algorithm 2 a new edge's tail is a node that just
+    switched below its neighbors, so that walk is short.  Only when it
+    finds a cycle is the whole graph searched again, in the order a
+    scan over sorted links would build it, so the reported cycle is
+    the one such a scan reports.
+
     The acyclicity half is a *static-case* invariant and is switched
     off with ``params={"cycles": False}`` for mobility scenarios: an
     abdication (Switch) in flight across a link formation can settle
@@ -313,44 +330,105 @@ class PriorityMonitor(InvariantMonitor):
         super().__init__(params)
         self.check_cycles = bool(self.params.get("cycles", True))
 
-    def check(self) -> Optional[Dict[str, Any]]:
-        edges: Dict[int, List[int]] = {}
-        for a, b, harness_a, harness_b in self._link_pairs():
-            alg_a = harness_a.algorithm
-            alg_b = harness_b.algorithm
-            higher_a = getattr(alg_a, "higher", None)
-            higher_b = getattr(alg_b, "higher", None)
-            if higher_a is None or higher_b is None:
+    def attach(self, simulation) -> None:
+        super().attach(simulation)
+        # Empty until the first check, which sees every node dirty.
+        self._out: Dict[int, Set[int]] = defaultdict(set)
+        self._in: Dict[int, Set[int]] = defaultdict(set)
+        #: node -> the neighbor set its edges were last derived from.
+        self._derived_from: Dict[int, FrozenSet[int]] = {}
+
+    def _unlink(self, a: int, b: int) -> None:
+        """Drop the edge between ``a`` and ``b``, whichever way it ran."""
+        self._out[a].discard(b)
+        self._in[b].discard(a)
+        self._out[b].discard(a)
+        self._in[a].discard(b)
+
+    def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
+        harnesses = self.simulation.harnesses
+        cycles = self.check_cycles
+        out, into = self._out, self._in
+        found = None
+        tails: List[int] = []
+        for a in nodes:
+            harness = harnesses[a]
+            higher = getattr(harness.algorithm, "higher", None)
+            if higher is None:
                 continue
-            if higher_a.get(b) is False and higher_b.get(a) is False:
-                return {"kind": "antisymmetry", "link": [a, b]}
-            if not self.check_cycles:
-                continue
-            if higher_a.get(b) and not higher_b.get(a):
-                edges.setdefault(a, []).append(b)
-            elif higher_b.get(a) and not higher_a.get(b):
-                edges.setdefault(b, []).append(a)
-        cycle = _find_cycle(edges)
-        if cycle is not None:
-            return {"kind": "cycle", "cycle": cycle}
+            neighbors = harness.neighbors()
+            if cycles and neighbors is not self._derived_from.get(a):
+                # Departed peers lose their edges.  The topology hands
+                # out one cached set per neighborhood change, so an
+                # unchanged neighborhood skips the sweep.
+                self._derived_from[a] = neighbors
+                for b in (out[a] | into[a]) - neighbors:
+                    self._unlink(a, b)
+            for b in neighbors:
+                other = harnesses.get(b)
+                other_higher = (getattr(other.algorithm, "higher", None)
+                                if other is not None else None)
+                if other_higher is None:
+                    continue
+                mine, theirs = higher.get(b), other_higher.get(a)
+                if mine is False and theirs is False:
+                    found = _lower(found, a, b)
+                if not cycles:
+                    continue
+                if mine and not theirs:
+                    tail, head = a, b
+                elif theirs and not mine:
+                    tail, head = b, a
+                else:
+                    tail = head = None
+                if tail is not None and head in out[tail]:
+                    continue
+                self._unlink(a, b)
+                if tail is not None:
+                    out[tail].add(head)
+                    into[head].add(tail)
+                    tails.append(tail)
+        if found is not None:
+            return {"kind": "antisymmetry", "link": list(found)}
+        if tails and _first_cycle(tails, into.__getitem__) is not None:
+            return {"kind": "cycle", "cycle": self._scan_order_cycle()}
         return None
 
+    def _scan_order_cycle(self) -> List[int]:
+        """The cycle a DFS over the digraph, built in sorted link order,
+        meets first."""
+        keyed = sorted(
+            (min(tail, head), max(tail, head), tail, head)
+            for tail, heads in self._out.items()
+            for head in heads
+        )
+        edges: Dict[int, List[int]] = {}
+        for _, _, tail, head in keyed:
+            edges.setdefault(tail, []).append(head)
+        return _first_cycle(edges, lambda node: edges.get(node, ()))
 
-def _find_cycle(edges: Dict[int, List[int]]) -> Optional[List[int]]:
-    """First directed cycle in ``edges`` (DFS with a grey set), or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in edges}
+
+def _first_cycle(roots: Iterable[int],
+                 children: Callable[[int], Iterable[int]]
+                 ) -> Optional[List[int]]:
+    """First directed cycle a grey-set DFS from ``roots`` meets, or None.
+
+    The cycle is listed along its edges, starting and ending at the
+    node the DFS reached it by.
+    """
+    GREY, BLACK = 1, 2
+    color: Dict[int, int] = {}
     parent: Dict[int, int] = {}
-    for root in edges:
-        if color[root] != WHITE:
+    for root in roots:
+        if root in color:
             continue
-        stack = [(root, iter(edges.get(root, ())))]
         color[root] = GREY
+        stack = [(root, iter(children(root)))]
         while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if color.get(child, WHITE) == GREY:
+            node, pending = stack[-1]
+            for child in pending:
+                seen = color.get(child)
+                if seen == GREY:
                     cycle = [child, node]
                     walk = node
                     while walk != child:
@@ -358,13 +436,12 @@ def _find_cycle(edges: Dict[int, List[int]]) -> Optional[List[int]]:
                         cycle.append(walk)
                     cycle.reverse()
                     return cycle
-                if color.get(child, WHITE) == WHITE:
+                if seen is None:
                     color[child] = GREY
                     parent[child] = node
-                    stack.append((child, iter(edges.get(child, ()))))
-                    advanced = True
+                    stack.append((child, iter(children(child))))
                     break
-            if not advanced:
+            else:
                 color[node] = BLACK
                 stack.pop()
     return None
@@ -391,6 +468,11 @@ class StalePriorityMonitor(InvariantMonitor):
     will ambush *i* whenever it wakes.  Must not be installed for
     mobility scenarios, where a link-up legitimately grants standing
     priority with no re-notification.
+
+    Every discharge condition reads only the two endpoints and their
+    link, so obligations are indexed by endpoint and re-evaluated only
+    when one is dirty.  They open in time order, so the oldest open
+    obligation is the only one that can be the first to time out.
     """
 
     name = "stale-priority"
@@ -407,39 +489,51 @@ class StalePriorityMonitor(InvariantMonitor):
             node_id: harness.state
             for node_id, harness in simulation.harnesses.items()
         }
+        #: (hungry, thinking) -> opening time, in opening order.
         self._obligations: Dict[Tuple[int, int], float] = {}
+        self._by_node: Dict[int, Set[Tuple[int, int]]] = defaultdict(set)
 
-    def check(self) -> Optional[Dict[str, Any]]:
+    def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
         sim = self.simulation
         now = sim.sim.now
         harnesses = sim.harnesses
         has_link = sim.topology.has_link
+        obligations = self._obligations
+        by_node = self._by_node
 
-        # Discharge or time out the outstanding obligations.
+        # Discharge the obligations a dirty node can have discharged.
+        for node_id in nodes:
+            for pair in list(by_node.get(node_id, ())):
+                i, j = pair
+                hungry = harnesses[i]
+                thinker = harnesses[j]
+                higher = getattr(hungry.algorithm, "higher", {})
+                if (
+                    higher.get(j) is not True
+                    or thinker.state is not NodeState.THINKING
+                    or not has_link(i, j)
+                    or hungry.crashed
+                    or thinker.crashed
+                ):
+                    del obligations[pair]
+                    by_node[i].discard(pair)
+                    by_node[j].discard(pair)
+
+        # Time out the oldest outstanding obligation.
         violation = None
-        for (i, j), since in list(self._obligations.items()):
-            hungry = harnesses[i]
-            thinker = harnesses[j]
-            higher = getattr(hungry.algorithm, "higher", {})
-            if (
-                higher.get(j) is not True
-                or thinker.state is not NodeState.THINKING
-                or not has_link(i, j)
-                or hungry.crashed
-                or thinker.crashed
-            ):
-                del self._obligations[(i, j)]
-                continue
-            if violation is None and now - since > self.bound:
-                violation = {
-                    "hungry_node": i,
-                    "thinking_node": j,
-                    "since": since,
-                    "bound": self.bound,
-                }
+        oldest = next(iter(obligations.items()), None)
+        if oldest is not None and now - oldest[1] > self.bound:
+            (i, j), since = oldest
+            violation = {
+                "hungry_node": i,
+                "thinking_node": j,
+                "since": since,
+                "bound": self.bound,
+            }
 
         # Open new obligations at hunger onsets.
-        for node_id, harness in harnesses.items():
+        for node_id in nodes:
+            harness = harnesses[node_id]
             prev = self._prev_state.get(node_id)
             self._prev_state[node_id] = harness.state
             if (harness.state is not NodeState.HUNGRY
@@ -450,26 +544,35 @@ class StalePriorityMonitor(InvariantMonitor):
                 continue
             for peer in harness.neighbors():
                 other = harnesses.get(peer)
+                pair = (node_id, peer)
                 if (
                     other is not None
                     and not other.crashed
                     and other.state is NodeState.THINKING
                     and higher.get(peer) is True
+                    and pair not in obligations
                 ):
-                    self._obligations.setdefault((node_id, peer), now)
+                    obligations[pair] = now
+                    by_node[node_id].add(pair)
+                    by_node[peer].add(pair)
         return violation
 
-    def final(self) -> Optional[Dict[str, Any]]:
-        return self.check()
+    def final(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
+        return self.check(nodes)
 
 
 class ProgressMonitor(InvariantMonitor):
-    """Eventual progress via the starvation watchdog in pull mode.
+    """Eventual progress: no hungry interval outlives ``threshold``.
 
-    ``threshold`` is the hungry duration that counts as starvation;
     ``exempt_radius`` excuses nodes within that topology distance of a
     crashed node (the paper's failure-locality allowance — radius 2
     for Algorithm 2 by Theorem 25).
+
+    Each hungry interval is judged exactly once, at the first check
+    where its age exceeds the threshold.  Intervals begin (in time
+    order) at dirty nodes, so their onsets queue up oldest first; a
+    check pops every onset that has aged past the threshold, skips the
+    intervals that have since ended, and judges the rest in node order.
     """
 
     name = "progress"
@@ -483,9 +586,10 @@ class ProgressMonitor(InvariantMonitor):
 
     def attach(self, simulation) -> None:
         super().attach(simulation)
-        self._watchdog = StarvationWatchdog(
-            simulation.sim, simulation.metrics, threshold=self.threshold
-        )
+        #: (since, node) per hungry interval, oldest first.
+        self._onsets: deque = deque()
+        #: node -> onset of its last queued interval.
+        self._queued: Dict[int, float] = {}
 
     def _exempt(self, node: int) -> bool:
         crashed = list(self.simulation.metrics.crashed)
@@ -506,22 +610,35 @@ class ProgressMonitor(InvariantMonitor):
                     frontier.append((peer, distance + 1))
         return False
 
-    def _judge(self) -> Optional[Dict[str, Any]]:
-        for warning in self._watchdog.check_now():
-            if not self._exempt(warning.node):
+    def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
+        hungry_since = self.simulation.metrics.hungry_since
+        fresh = []
+        for node in nodes:
+            since = hungry_since(node)
+            if since is not None and self._queued.get(node) != since:
+                self._queued[node] = since
+                fresh.append((since, node))
+        self._onsets.extend(sorted(fresh))
+
+        now = self.simulation.sim.now
+        onsets = self._onsets
+        starving = []
+        while onsets and now - onsets[0][0] > self.threshold:
+            since, node = onsets.popleft()
+            if hungry_since(node) == since:
+                starving.append((node, since))
+        for node, since in sorted(starving):
+            if not self._exempt(node):
                 return {
-                    "node": warning.node,
-                    "hungry_since": warning.hungry_since,
-                    "duration": warning.duration,
+                    "node": node,
+                    "hungry_since": since,
+                    "duration": now - since,
                     "threshold": self.threshold,
                 }
         return None
 
-    def check(self) -> Optional[Dict[str, Any]]:
-        return self._judge()
-
-    def final(self) -> Optional[Dict[str, Any]]:
-        return self._judge()
+    def final(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
+        return self.check(nodes)
 
 
 class MonitorSuite:
@@ -535,18 +652,35 @@ class MonitorSuite:
         self.monitors = monitors
         self.violation: Optional[Violation] = None
         self.checks = 0
+        #: Nodes an event may have changed since the last check.
+        self._dirty: Set[int] = set()
 
     def attach(self, simulation) -> None:
         self._simulation = simulation
-        # One link-pair walk per topology version for the whole suite.
-        link_pairs = LinkPairs(simulation)
+        dirty = self._dirty
+        dirty.update(simulation.harnesses)
+        for harness in simulation.harnesses.values():
+            harness.dirty = dirty
+        simulation.linklayer.observers.append(self._on_link_event)
         for monitor in self.monitors:
             monitor.attach(simulation)
-            monitor._link_pairs = link_pairs
         simulation.sim.add_listener(self._on_event)
 
     def specs(self) -> List[Dict[str, Any]]:
         return [monitor.spec() for monitor in self.monitors]
+
+    def _on_link_event(self, kind: str, a: int, b: int) -> None:
+        # Both endpoints, crashed ones included: their neighbor sets
+        # changed even when their indications were skipped.
+        self._dirty.add(a)
+        self._dirty.add(b)
+
+    def _take_dirty(self) -> List[int]:
+        """The hosted dirty nodes, ascending; empties the dirty set."""
+        harnesses = self._simulation.harnesses
+        nodes = sorted(node for node in self._dirty if node in harnesses)
+        self._dirty.clear()
+        return nodes
 
     def _record(self, monitor: InvariantMonitor,
                 details: Dict[str, Any], engine) -> None:
@@ -560,9 +694,10 @@ class MonitorSuite:
     def _on_event(self, engine) -> None:
         if self.violation is not None:
             return
+        nodes = self._take_dirty()
         for monitor in self.monitors:
             self.checks += 1
-            details = monitor.check()
+            details = monitor.check(nodes)
             if details is not None:
                 self._record(monitor, details, engine)
                 engine.stop()
@@ -573,9 +708,10 @@ class MonitorSuite:
         if self.violation is not None:
             return
         engine = self._simulation.sim
+        nodes = self._take_dirty()
         for monitor in self.monitors:
             self.checks += 1
-            details = monitor.final()
+            details = monitor.final(nodes)
             if details is not None:
                 self._record(monitor, details, engine)
                 return

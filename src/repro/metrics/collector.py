@@ -121,6 +121,10 @@ class MetricsCollector:
         """Nodes currently hungry, with the time they became so."""
         return dict(self._hungry_since)
 
+    def hungry_since(self, node_id: int) -> Optional[float]:
+        """When the node's current hungry interval began (None if not hungry)."""
+        return self._hungry_since.get(node_id)
+
     def starving(self, now: float, threshold: float) -> List[int]:
         """Nodes hungry for longer than ``threshold`` as of ``now``."""
         return sorted(

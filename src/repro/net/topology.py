@@ -466,8 +466,9 @@ class DynamicTopology:
     def links(self) -> List[Link]:
         """All current links, canonically keyed and sorted.
 
-        Memoized against :attr:`version` — the invariant monitors walk
-        the link list after every event of a mostly static graph.  Treat
+        Memoized against :attr:`version` — whole-network checks (the
+        tests' full-scan monitor oracle, the quiescent checkers) walk
+        the link list again and again on a mostly static graph.  Treat
         the returned list as read-only.
         """
         if self._links_version != self.version:

@@ -3,13 +3,13 @@
 Implements both sides of the node boundary: the
 :class:`~repro.core.base.NodeServices` the algorithm calls down into,
 and the link layer's handler contract events come up through.  Also the
-single place node state transitions happen, so the metrics collector
-and safety monitor see every change.
+single place node state transitions happen, so the metrics collector,
+safety monitor and invariant-monitor suite see every change.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Set
 
 from repro.core.base import LocalMutexAlgorithm
 from repro.core.states import NodeState, check_transition
@@ -59,6 +59,7 @@ class NodeHarness:
         "crashed",
         "algorithm",
         "on_done_eating",
+        "dirty",
     )
 
     def __init__(
@@ -103,6 +104,11 @@ class NodeHarness:
         self.algorithm: Optional[LocalMutexAlgorithm] = None
         #: Workload hook: called when the node finishes eating.
         self.on_done_eating: Optional[Callable[["NodeHarness"], None]] = None
+        #: The attached monitor suite's dirty set, or None when no suite
+        #: watches this run.  Every entry point below that can change
+        #: the node's protocol state adds the node's id, so monitors
+        #: re-check only the nodes an event touched.
+        self.dirty: Optional[Set[int]] = None
 
     def bind(self, algorithm: LocalMutexAlgorithm) -> None:
         """Attach the algorithm instance (exactly once, at build time)."""
@@ -134,13 +140,19 @@ class NodeHarness:
         return self._linklayer.sorted_neighbors(self.node_id)
 
     def send(self, dst: int, message: Message) -> None:
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         self._linklayer.send(self.node_id, dst, message)
 
     def broadcast(self, message: Message) -> None:
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         self._linklayer.broadcast(self.node_id, message)
 
     def start_eating(self) -> None:
         """Algorithm grants the critical section."""
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         check_transition(self._state, NodeState.EATING)
         self._state = NodeState.EATING
         if self._trace is not None:
@@ -175,6 +187,8 @@ class NodeHarness:
 
     def demote_to_hungry(self) -> None:
         """Mobility preemption: eating -> hungry (Algorithm 3 Line 50)."""
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         check_transition(self._state, NodeState.HUNGRY)
         self._eat_timer.cancel()
         self._state = NodeState.HUNGRY
@@ -188,6 +202,8 @@ class NodeHarness:
     # ------------------------------------------------------------------
     def become_hungry(self) -> None:
         """The external application requests the critical section."""
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         if self.crashed or self._state is not NodeState.THINKING:
             return
         check_transition(self._state, NodeState.HUNGRY)
@@ -200,6 +216,8 @@ class NodeHarness:
         self.algorithm.on_hungry()
 
     def _finish_eating(self) -> None:
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         if self.crashed:
             return
         assert self.algorithm is not None
@@ -219,18 +237,24 @@ class NodeHarness:
     # Link-layer handler contract
     # ------------------------------------------------------------------
     def on_message(self, src: int, message: Message) -> None:
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         if self.crashed:
             return
         assert self.algorithm is not None
         self.algorithm.on_message(src, message)
 
     def on_link_up(self, peer: int, moving: bool) -> None:
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         if self.crashed:
             return
         assert self.algorithm is not None
         self.algorithm.on_link_up(peer, moving)
 
     def on_link_down(self, peer: int) -> None:
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         if self.crashed:
             return
         assert self.algorithm is not None
@@ -241,6 +265,8 @@ class NodeHarness:
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Silently stop: no further timers, messages or transitions."""
+        if self.dirty is not None:
+            self.dirty.add(self.node_id)
         self.crashed = True
         if self._eat_timer is not None:
             self._eat_timer.cancel()

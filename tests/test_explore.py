@@ -248,15 +248,15 @@ def test_priority_monitor_cycle_gate():
     from repro.explore.monitors import PriorityMonitor
 
     def fake_sim(higher):
+        peers = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
         harnesses = {
-            node: SimpleNamespace(algorithm=SimpleNamespace(higher=flags))
+            node: SimpleNamespace(
+                algorithm=SimpleNamespace(higher=flags),
+                neighbors=lambda node=node: frozenset(peers[node]),
+            )
             for node, flags in higher.items()
         }
-        links = [(0, 1), (1, 2), (0, 2)]
-        return SimpleNamespace(
-            harnesses=harnesses,
-            topology=SimpleNamespace(links=lambda: links),
-        )
+        return SimpleNamespace(harnesses=harnesses)
 
     # A settled 3-cycle: 1 outranks 0, 2 outranks 1, 0 outranks 2.
     cycle = {
@@ -266,12 +266,13 @@ def test_priority_monitor_cycle_gate():
     }
     checking = PriorityMonitor({})
     checking.attach(fake_sim(cycle))
-    details = checking.check()
-    assert details is not None and details["kind"] == "cycle"
+    details = checking.check([0, 1, 2])
+    # Listed from where a DFS over sorted links enters it.
+    assert details == {"kind": "cycle", "cycle": [0, 1, 2, 0]}
 
     gated = PriorityMonitor({"cycles": False})
     gated.attach(fake_sim(cycle))
-    assert gated.check() is None
+    assert gated.check([0, 1, 2]) is None
 
     # Antisymmetry stays armed even with the cycle half off.
     both_low = {
@@ -280,50 +281,133 @@ def test_priority_monitor_cycle_gate():
         2: {1: False, 0: True},
     }
     gated.attach(fake_sim(both_low))
-    details = gated.check()
+    details = gated.check([0, 1, 2])
     assert details is not None and details["kind"] == "antisymmetry"
 
 
-def test_suite_shares_one_link_pair_walk_per_topology_version():
+def test_suite_reads_only_the_event_neighbourhood():
     from types import SimpleNamespace
 
     from repro.core.states import NodeState
     from repro.explore.monitors import MonitorSuite
+    from repro.net.geometry import Point
+    from repro.net.linklayer import LinkLayer
+    from repro.net.topology import DynamicTopology
+    from repro.runtime.node import NodeHarness
+    from repro.sim.clock import TimeBounds
 
-    walks = []
-    links = [(0, 1)]
+    class RecordingHarnesses(dict):
+        """A harness mapping that logs every node looked up in it."""
 
-    def list_links():
-        walks.append(list(links))
-        return walks[-1]
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.read = set()
 
-    topology = SimpleNamespace(links=list_links, version=0)
-    harnesses = {
-        node: SimpleNamespace(state=NodeState.EATING, algorithm=None)
-        for node in (0, 1, 2)
-    }
-    del harnesses[1]  # a ghost endpoint: no harness hosted here
+        def __getitem__(self, node):
+            self.read.add(node)
+            return super().__getitem__(node)
+
+        def get(self, node, default=None):
+            self.read.add(node)
+            return super().get(node, default)
+
     engine = SimpleNamespace(
         add_listener=lambda listener: None, executed_events=1, now=0.0,
         stop=lambda: None,
     )
+    # Hosted line 0-1-2-3-4; ghosts 8-9 (no harness here) off to the side.
+    topology = DynamicTopology(radio_range=1.1)
+    topology.add_nodes([(node, Point(float(node), 0.0)) for node in range(5)])
+    topology.add_nodes([(8, Point(4.0, 8.0)), (9, Point(4.0, 9.0))])
+    topology.force_link(8, 9, True)
+    linklayer = LinkLayer(engine, topology)
+    harnesses = RecordingHarnesses()
+    for node in range(5):
+        harness = NodeHarness(node, engine, linklayer, TimeBounds(), None,
+                              eat_rng=None)
+        # Each node holds the forks it shares with higher ids, so the
+        # fork check looks past every dirty node to some neighbours.
+        harness.bind(SimpleNamespace(
+            on_message=lambda src, message: None,
+            on_link_up=lambda peer, moving: None,
+            forks=SimpleNamespace(holds=lambda peer, node=node: peer > node),
+        ))
+        linklayer.register(node, harness)
+        harnesses[node] = harness
     suite = MonitorSuite(build_monitors([
         {"name": "exclusion", "params": {}},
         {"name": "fork-uniqueness", "params": {}},
     ]))
     suite.attach(SimpleNamespace(
-        harnesses=harnesses, topology=topology, sim=engine,
+        harnesses=harnesses, topology=topology, linklayer=linklayer,
+        sim=engine,
     ))
+    suite._on_event(engine)  # the first check reads everyone
+    assert harnesses.read == set(range(5))
+
+    # A delivery: the destination and its neighbours, nobody else.
+    harnesses.read.clear()
+    linklayer.deliver(0, 1, None)
     suite._on_event(engine)
+    assert {1, 2} <= harnesses.read <= {0, 1, 2}
+
+    # A link to a ghost: the hosted endpoint and its neighbours (the
+    # ghost looked up once, as one of them); the ghost's own
+    # neighbourhood is never walked.
+    harnesses.read.clear()
+    linklayer.apply_diff(topology.force_link(4, 9, True))
     suite._on_event(engine)
-    assert suite.violation is None and len(walks) == 1
-    # A new link between two hosted eaters must be seen at once.
-    links.append((0, 2))
-    topology.version += 1
+    assert {4, 9} <= harnesses.read <= {3, 4, 9}
+    assert suite.violation is None
+
+    # Two nodes that crashed mid-meal run no code when a link joins
+    # them: only the link-layer observer can reveal the conflict, and
+    # it must, at once.
+    for node in (0, 2):
+        harnesses[node]._state = NodeState.EATING
+        harnesses[node].crash()
+        linklayer.crash(node)
     suite._on_event(engine)
-    assert len(walks) == 2
+    assert suite.violation is None
+    harnesses.read.clear()
+    linklayer.apply_diff(topology.force_link(0, 2, True))
+    suite._on_event(engine)
+    assert harnesses.read == {0, 1, 2, 3}
     assert suite.violation.monitor == "exclusion"
     assert suite.violation.details == {"link": [0, 2]}
+
+
+def test_progress_monitor_is_silent_about_exempt_starvation(caplog):
+    import logging
+
+    from oracles.monitor_scan import ScanSuite
+    from repro.explore.scenarios import build_scenario
+
+    # Node 2 crashes at t=29.6; its neighbours 1 and 3 then starve.
+    entry = build_scenario("crash-line", "alg2", 4)
+
+    def specs(exempt_radius):
+        return [{"name": "progress", "params": {
+            "threshold": 20.0, "exempt_radius": exempt_radius,
+        }}]
+
+    caplog.set_level(logging.DEBUG)
+    exempt = run_controlled(
+        entry["scenario"], entry["until"], RandomStrategy(seed=4),
+        monitor_specs=specs(2),
+    )
+    assert exempt.violation is None
+    assert caplog.records == []
+
+    # Without the exemption the same starvation fires, exactly where
+    # the whole-network scan fires it.
+    scan = ScanSuite(specs(0))
+    flagged = run_controlled(
+        entry["scenario"], entry["until"], RandomStrategy(seed=4),
+        monitor_specs=specs(0), on_simulation=scan.attach,
+    )
+    assert flagged.violation.details["node"] == 3
+    assert flagged.violation.to_dict() == scan.violation.to_dict()
 
 
 def test_build_monitors_validates_specs():
