@@ -51,7 +51,6 @@ def main() -> None:
         seed=31,
         think_range=(4.0, 12.0),  # presenters talk a while between slides
         mobility_factory=arrivals,
-        mobility_step=1.0,
         trace=True,
     )
     sim = Simulation(config)

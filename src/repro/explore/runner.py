@@ -8,10 +8,13 @@ returns an :class:`ExplorationResult` whose
 :class:`~repro.obs.report.RunReport` carries an ``exploration``
 section and ``explore.*`` probe counters.
 
-Every message delivery is already one engine event, so the tie-break
-controller sees them all.  Controlled runs force one existing
-equivalence mode, ``mobility_fixed_step=True``, to get the same for
-movement: discrete step events instead of kinetic run-ahead.
+Every message delivery is one engine event, and so is every kinetic
+mobility event — link crossing, horizon refresh, arrival — at
+``TOPOLOGY`` priority, so the tie-break controller sees each of them
+whenever it shares an instant with another event of its class, and
+the delay choices decide where every delivery lands relative to the
+analytic crossing instants.  Controlled runs move nodes on the same
+path every other run uses; nothing is forced.
 
 ``strict_safety`` is turned *off*: the monitors are the oracle here,
 and a violation must be recorded (step, time, details) rather than
@@ -103,9 +106,7 @@ def run_controlled(
         monitor_specs = default_monitor_specs(scenario, until)
 
     config = config_from_dict(scenario)
-    # See module docstring: keep every choice an engine event, record
-    # violations instead of raising.
-    config.mobility_fixed_step = True
+    # See module docstring: record violations instead of raising.
     config.strict_safety = False
 
     strategy.bind(config.bounds.min_message_delay, config.bounds.nu)

@@ -66,10 +66,6 @@ def config_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
         "think_range": list(config.think_range),
         "initial_delay_range": list(config.initial_delay_range),
         "max_entries": config.max_entries,
-        "mobility_step": config.mobility_step,
-        # The mobility execution mode changes event timings — it must
-        # be part of the serialized config and thus of every cache key.
-        "mobility_fixed_step": config.mobility_fixed_step,
         "crashes": [[t, n] for t, n in config.crashes],
         "trace": config.trace,
         "strict_safety": config.strict_safety,
@@ -167,8 +163,6 @@ def config_from_dict(data: Dict[str, Any]) -> ScenarioConfig:
             else None
         ),
         mobility_factory=mobility_factory,
-        mobility_step=data.get("mobility_step", 0.25),
-        mobility_fixed_step=data.get("mobility_fixed_step", False),
         crashes=[(float(t), int(n)) for t, n in data.get("crashes", [])],
         trace=data.get("trace", False),
         strict_safety=data.get("strict_safety", True),

@@ -77,10 +77,3 @@ class SafetyMonitor:
         self.checks_performed += 1
         if self._is_eating(a) and self._is_eating(b):
             self._flag(time, a, b)
-
-    def deep_check(self, time: float) -> None:
-        """Full sweep over all links (used by tests at checkpoints)."""
-        self.checks_performed += 1
-        for a, b in self._topology.links():
-            if self._is_eating(a) and self._is_eating(b):
-                self._flag(time, a, b)

@@ -1,23 +1,13 @@
 """Mobility episodes and the controller executing them.
 
-Episodes are executed by one of two engines:
-
-* the **kinetic** path (default) — :mod:`repro.mobility.kinetic`
-  schedules exact link-crossing certificates and touches the topology
-  only when a link can actually change;
-* the **fixed-step** path (``fixed_step=True``, i.e.
-  ``ScenarioConfig(mobility_fixed_step=True)``) — the original
-  step-timer execution, kept selectable for equivalence testing and
-  for scenarios that want positions materialized along the whole path
-  (e.g. external trace export at step granularity).
-
-Both paths are deterministic for a fixed seed, arrive at identical
-destination sequences (models draw from the same per-node RNG
-streams), and produce identical link sets whenever the network is
-quiescent — asserted by ``tests/test_mobility_kinetic.py``.  They are
-*not* bit-identical mid-flight: the fixed-step path quantizes motion
-to ``step_length`` hops (its arrival leads true motion by up to one
-step), while the kinetic path follows the continuous trajectory.
+Episodes run on the kinetic engine (:mod:`repro.mobility.kinetic`): it
+schedules exact link-crossing certificates and touches the topology
+only when a link can actually change, so link events fire at the
+analytic crossing instants of the continuous trajectory.  Runs are
+deterministic for a fixed seed (models draw from per-node RNG
+streams).  A controller that walks nodes in fixed hops survives as the
+tests' oracle (``FixedStepController`` in ``tests/oracles/``): at every
+quiescent instant it lands on the same positions and link sets.
 """
 
 from __future__ import annotations
@@ -82,35 +72,17 @@ class MobilityController:
         topology: DynamicTopology,
         linklayer: LinkLayer,
         rng_source,
-        step_length: float = 0.25,
         trace: Optional[TraceLog] = None,
         probes=None,
-        fixed_step: bool = False,
     ) -> None:
-        if step_length <= 0:
-            raise ConfigurationError(
-                f"step_length must be positive, got {step_length}"
-            )
         self._sim = sim
         self._topology = topology
         self._linklayer = linklayer
         self._rng_source = rng_source
-        self._step_length = step_length
         self._trace = live_trace(trace)
-        self._probes = probes
-        self._kinetic: Optional[KineticEngine] = (
-            None
-            if fixed_step
-            else KineticEngine(
-                sim, topology, linklayer, step_length, probes=probes
-            )
-        )
+        self._kinetic = KineticEngine(sim, topology, linklayer, probes=probes)
         self._models: Dict[int, MobilityModel] = {}
         self._started = False
-        # Fixed-step path counters (mirror of KineticEngine's stats).
-        self._fixed_updates = 0
-        self._fixed_arrivals = 0
-        self._fixed_teleports = 0
 
     # ------------------------------------------------------------------
     def attach(self, node_id: int, model: MobilityModel) -> None:
@@ -147,13 +119,10 @@ class MobilityController:
     def position_now(self, node_id: int) -> Point:
         """The node's true current position, mid-flight aware.
 
-        On the kinetic path a flying node's topology position is
-        materialized lazily, so this consults the motion record; on the
-        fixed-step path the topology is always current.
+        A flying node's topology position is materialized lazily, so
+        this consults the motion record.
         """
-        if self._kinetic is not None:
-            return self._kinetic.true_position(node_id)
-        return self._topology.position(node_id)
+        return self._kinetic.true_position(node_id)
 
     # ------------------------------------------------------------------
     def _consult(self, node_id: int) -> None:
@@ -178,30 +147,14 @@ class MobilityController:
     def note_crash(self, node_id: int) -> None:
         """Failure hook: freeze a mid-flight node at its exact position.
 
-        Wired by the runtime's crash injector.  The fixed-step path
-        freezes lazily (its next step observes the crash flag and stops
-        at the last materialized position); the kinetic path pins the
-        true position at the crash instant.
+        Wired by the runtime's crash injector; the true position is
+        pinned at the crash instant.
         """
-        if self._kinetic is not None:
-            self._kinetic.note_crash(node_id)
+        self._kinetic.note_crash(node_id)
 
     def stats(self) -> Dict[str, object]:
-        """Mobility-plane counters (both paths report the same keys)."""
-        if self._kinetic is not None:
-            return self._kinetic.stats()
-        return {
-            "mode": "fixed_step",
-            "position_updates": self._fixed_updates,
-            "crossings_scheduled": 0,
-            "crossing_events": 0,
-            "horizon_events": 0,
-            "arrivals": self._fixed_arrivals,
-            "teleports": self._fixed_teleports,
-            "fixed_step_equivalent": self._fixed_updates,
-            "dead_steps_skipped": 0,
-            "max_batch": 1 if self._fixed_updates else 0,
-        }
+        """Mobility-plane counters."""
+        return self._kinetic.stats()
 
     def _begin_episode(
         self, node_id: int, episode: Episode, resume_model: bool = True
@@ -209,54 +162,14 @@ class MobilityController:
         if self._linklayer.is_crashed(node_id):
             return
         self._linklayer.set_moving(node_id, True)
-        if self._kinetic is not None:
-            arrived = self._kinetic.launch(
-                node_id,
-                episode.destination,
-                episode.speed,
-                partial(self._finish_episode, node_id, resume_model),
-            )
-            if arrived:
-                self._finish_episode(node_id, resume_model)
-            return
-        if episode.speed <= 0:
-            # Teleport: one position update while flagged moving.
-            diff = self._topology.set_position(node_id, episode.destination)
-            self._fixed_updates += 1
-            self._fixed_teleports += 1
-            if self._probes is not None:
-                self._probes.note_mobility_update("teleport", 1)
-            self._linklayer.apply_diff(diff)
-            self._finish_episode(node_id, resume_model)
-            return
-        self._step(node_id, episode, resume_model)
-
-    def _step(self, node_id: int, episode: Episode, resume_model: bool) -> None:
-        if self._linklayer.is_crashed(node_id):
-            # Crashed mid-flight: freeze in place, still flagged moving is
-            # wrong — clear the flag without emitting a stop signal storm.
-            self._linklayer.set_moving(node_id, False)
-            return
-        current = self._topology.position(node_id)
-        nxt = current.towards(episode.destination, self._step_length)
-        diff = self._topology.set_position(node_id, nxt)
-        self._fixed_updates += 1
-        if self._probes is not None:
-            self._probes.note_mobility_update("step", 1)
-        self._linklayer.apply_diff(diff)
-        if nxt == episode.destination:
-            self._fixed_arrivals += 1
-            self._finish_episode(node_id, resume_model)
-            return
-        step_time = self._step_length / episode.speed
-        self._sim.schedule(
-            step_time,
-            self._step,
+        arrived = self._kinetic.launch(
             node_id,
-            episode,
-            resume_model,
-            priority=EventPriority.TOPOLOGY,
+            episode.destination,
+            episode.speed,
+            partial(self._finish_episode, node_id, resume_model),
         )
+        if arrived:
+            self._finish_episode(node_id, resume_model)
 
     def _finish_episode(self, node_id: int, resume_model: bool) -> None:
         self._linklayer.set_moving(node_id, False)

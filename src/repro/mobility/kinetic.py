@@ -1,8 +1,7 @@
-"""Kinetic link prediction: event-driven mobility without dead steps.
+"""Kinetic link prediction: the mobility plane's only execution path.
 
-The fixed-step path in :mod:`repro.mobility.base` advances every moving
-node on a timer, calling ``topology.set_position`` once per node per
-``step_length`` of travel even when no link can possibly change — the
+Advancing every moving node on a timer would touch the topology once
+per node per hop of travel even when no link can possibly change — the
 dominant cost of sparse or slow mobile scenarios.  Motion episodes are
 piecewise linear, so link changes are *predictable*: for a pair of
 nodes with relative position ``P(t) = P0 + V·dt`` the squared distance
@@ -15,7 +14,7 @@ one scheduled *certificate* per candidate pair — the earliest root of
 that quadratic over the pieces of both trajectories (each node is
 linear until its arrival time, constant afterwards) — and touches the
 topology only at certificates, episode boundaries and coarse
-*horizon* refreshes.  Dead steps are skipped entirely.
+*horizon* refreshes.
 
 Certificate completeness
 ------------------------
@@ -133,7 +132,7 @@ class KineticEngine:
 
     Owned by :class:`repro.mobility.base.MobilityController`; one engine
     serves the whole network.  All events run at
-    :data:`EventPriority.TOPOLOGY` like the fixed-step path.
+    :data:`EventPriority.TOPOLOGY`.
     """
 
     def __init__(
@@ -141,15 +140,11 @@ class KineticEngine:
         sim: Simulator,
         topology: DynamicTopology,
         linklayer: LinkLayer,
-        step_length: float,
         probes=None,
     ) -> None:
         self._sim = sim
         self._topology = topology
         self._linklayer = linklayer
-        #: The fixed-step path's step length — used only to account for
-        #: the per-step updates this engine *didn't* execute.
-        self._step_length = step_length
         self._probes = probes
         self._motion: Dict[int, _Motion] = {}
         self._pair_events: Dict[Link, ScheduledEvent] = {}
@@ -173,7 +168,6 @@ class KineticEngine:
         self.horizon_events = 0
         self.arrivals = 0
         self.teleports = 0
-        self.fixed_step_equivalent = 0
         self.max_batch = 0
 
     # ------------------------------------------------------------------
@@ -199,14 +193,12 @@ class KineticEngine:
         self._gen[node_id] = self._gen.get(node_id, 0) + 1
         if speed <= 0 or dist == 0.0:
             self.teleports += 1
-            self.fixed_step_equivalent += 1
             self._apply(now, [node_id], {node_id: destination}, "teleport")
             # The jump invalidates every in-flight certificate computed
             # against the old stored position.
             for mover in sorted(self._motion):
                 self._certify(mover, node_id)
             return True
-        self.fixed_step_equivalent += max(1, math.ceil(dist / self._step_length))
         motion = _Motion(node_id, origin, destination, now, speed, arrived_cb)
         self._motion[node_id] = motion
         motion.arrival_event = self._sim.schedule_at(
@@ -237,17 +229,12 @@ class KineticEngine:
     def stats(self) -> Dict[str, object]:
         """Deterministic mobility-plane counters for reports/benchmarks."""
         return {
-            "mode": "kinetic",
             "position_updates": self.position_updates,
             "crossings_scheduled": self.crossings_scheduled,
             "crossing_events": self.crossing_events,
             "horizon_events": self.horizon_events,
             "arrivals": self.arrivals,
             "teleports": self.teleports,
-            "fixed_step_equivalent": self.fixed_step_equivalent,
-            "dead_steps_skipped": max(
-                0, self.fixed_step_equivalent - self.position_updates
-            ),
             "max_batch": self.max_batch,
         }
 

@@ -27,10 +27,11 @@ cell size equals the radio range: a node within range of position
 ``p`` must sit in one of the 9 cells surrounding ``p``'s cell, so
 ``add_node`` / ``set_position`` / ``remove_node`` examine only local
 candidates instead of every node (O(density) instead of O(n) per
-update).  The original full scan is kept behind ``brute_force=True``
-and the two paths are bit-identical — same links, same ``LinkDiff``
-ordering — which ``tests/test_topology_grid.py`` asserts over
-randomized workloads.
+update).  Candidates are visited in insertion-rank order, so the grid
+is bit-identical to an all-pairs scan — same links, same ``LinkDiff``
+ordering.  That scan is the tests' oracle
+(``tests/oracles/topology_scan.py``), and ``tests/test_topology_grid.py``
+checks the two against each other over randomized workloads.
 
 ``max_degree`` (the ``delta`` the link layer reports frequently) is
 tracked incrementally through a degree histogram rather than being
@@ -95,29 +96,23 @@ class DynamicTopology:
 
     Args:
         radio_range: link distance threshold (inclusive).
-        brute_force: serve updates with the original all-pairs scan
-            instead of the grid index.  Same results, O(n) per update;
-            exists for equivalence testing and benchmarking.
     """
 
-    def __init__(self, radio_range: float = 1.0, brute_force: bool = False) -> None:
+    def __init__(self, radio_range: float = 1.0) -> None:
         if radio_range <= 0:
             raise TopologyError(f"radio range must be positive, got {radio_range}")
         self.radio_range = radio_range
-        self.brute_force = brute_force
         # Position columns, indexed by node id; slots of removed nodes
         # go stale and membership lives in ``_rank`` (insertion-ordered,
         # maintained in lockstep with the old position dict's order).
         self._xs: array = array("d")
         self._ys: array = array("d")
         self._adjacency: Dict[int, Set[int]] = {}
-        # Spatial-hash grid (maintained even in brute-force mode so the
-        # flag stays flippable and maintenance stays O(1) per update).
         self._cell_size = radio_range * (1.0 + _CELL_SLACK)
         self._grid: Dict[Cell, Set[int]] = {}
         self._node_cell: Dict[int, Cell] = {}
-        # Insertion ranks reproduce the brute-force scan's dict
-        # iteration order, keeping LinkDiff ordering bit-identical.
+        # Insertion ranks fix the order candidates are visited in (and
+        # so LinkDiff ordering), independent of grid bucket layout.
         # Doubles as the membership map.
         self._rank: Dict[int, int] = {}
         self._rank_counter = itertools.count()
@@ -565,14 +560,11 @@ class DynamicTopology:
     ) -> List[int]:
         """Nodes that could gain or lose a link to ``node_id``.
 
-        Brute-force mode returns every other node; grid mode returns the
-        9 cells around ``position`` plus ``extra`` (current neighbors,
-        which may have fallen outside that window).  Either way the
-        result follows ``_rank`` insertion order, so both paths emit
-        LinkDiff entries in the same order.
+        The 9 cells around ``position`` plus ``extra`` (current
+        neighbors, which may have fallen outside that window), in
+        ``_rank`` insertion order — the order an all-pairs scan over
+        the membership map would visit them in.
         """
-        if self.brute_force:
-            return [other for other in self._rank if other != node_id]
         candidates: Set[int] = set(extra)
         grid = self._grid
         cx, cy = self._cell_of(position)

@@ -33,12 +33,11 @@ The probe catalogue (all instrument names live here, nowhere else):
 ``mobility.updates``            counter     position updates executed,
                                             keyed by reason (crossing /
                                             horizon / arrival / teleport /
-                                            freeze; fixed-step: step /
-                                            teleport)
+                                            freeze)
 ``mobility.crossings``          counter     link-crossing certificates
-                                            scheduled (kinetic path)
+                                            scheduled
 ``mobility.batch_size``         histogram   movers per batched position
-                                            update (kinetic path)
+                                            update
 ``explore.decisions``           counter     controlled choice-point
                                             decisions, keyed by kind
                                             (tie / delay / crash);

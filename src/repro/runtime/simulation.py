@@ -87,13 +87,6 @@ class ScenarioConfig:
     link_script: Optional[List[Sequence[Any]]] = None
     #: Per-node mobility model factory (node_id -> model or None).
     mobility_factory: Optional[Callable[[int], Optional[MobilityModel]]] = None
-    mobility_step: float = 0.25
-    #: Use the legacy fixed-interval step timer for movement instead of
-    #: kinetic link prediction.  Same destinations, same per-seed
-    #: determinism, identical link sets whenever the network is
-    #: quiescent; exists for equivalence testing and for scenarios that
-    #: want positions materialized every ``mobility_step`` of travel.
-    mobility_fixed_step: bool = False
     #: Crash plan: (time, node_id) pairs.
     crashes: List[Tuple[float, int]] = field(default_factory=list)
     trace: bool = False
@@ -483,10 +476,8 @@ class Simulation:
             self.topology,
             self.linklayer,
             self.rng,
-            step_length=config.mobility_step,
             trace=self.trace,
             probes=self.probes,
-            fixed_step=config.mobility_fixed_step,
         )
         if config.mobility_factory is not None:
             for node_id in local_ids:

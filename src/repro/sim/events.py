@@ -6,7 +6,7 @@ for example, that the safety monitor observes the state *after* all
 protocol handlers scheduled for that instant have run.
 
 :class:`ScheduledEvent` is the single hottest allocation in the library
-(one per message hop, timer and mobility step), so it is slotted and
+(one per message hop, timer and link crossing), so it is slotted and
 carries a precomputed ``(time, priority, seq)`` key — ordering
 comparisons reduce to one C-level tuple compare (or one key-attribute
 fetch in the ladder queue's bucket sorts) instead of attribute lookups
@@ -40,7 +40,7 @@ class EventPriority(enum.IntEnum):
     Lower values run first.
     """
 
-    #: Topology changes (LinkUp/LinkDown indications, mobility steps).
+    #: Topology changes (LinkUp/LinkDown indications, mobility events).
     TOPOLOGY = 0
     #: Ordinary protocol events: message deliveries, timers, app events.
     NORMAL = 10

@@ -27,6 +27,7 @@ from repro.explore import (
 )
 from repro.explore.monitors import build_monitors, default_monitor_specs
 from repro.explore.repro_file import REPRO_SCHEMA_VERSION
+from repro.explore.scenarios import build_scenario
 from repro.explore.schedule import BoundedDFSStrategy, build_strategy
 
 
@@ -201,6 +202,31 @@ def test_replay_reproduces_recorded_violation_exactly():
     assert result.violation.to_dict() == repro.violation
     again = replay(repro)
     assert again.report.to_json() == result.report.to_json()
+
+
+def test_controlled_runs_drive_the_kinetic_engine():
+    # Fuzzing must exercise the movement path every other run uses:
+    # link changes come from kinetic crossing events, not from steps.
+    entry = build_scenario("mobility-waypoint", "alg2", seed=0)
+    simulations = []
+    result = run_controlled(
+        entry["scenario"], entry["until"], RandomStrategy(seed=3),
+        on_simulation=simulations.append,
+    )
+    assert simulations[0].mobility.stats()["crossing_events"] > 0
+    updates = result.report.probes["mobility.updates"]["by_key"]
+    assert updates["crossing"] > 0 and "step" not in updates
+    again = run_controlled(
+        entry["scenario"], entry["until"], ReplaySchedule(result.decisions),
+        monitor_specs=result.monitor_specs,
+    )
+    assert again.decisions == result.decisions
+    # Only the strategy descriptor names who made the decisions.
+    original = result.report.to_dict()
+    original["exploration"]["strategy"] = {"kind": "replay"}
+    assert json.dumps(original, sort_keys=True) == json.dumps(
+        again.report.to_dict(), sort_keys=True
+    )
 
 
 # ----------------------------------------------------------------------

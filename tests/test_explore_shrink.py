@@ -9,7 +9,7 @@ monitor, and a replay of the shrunk file succeeds end to end.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.explore import replay, run_campaign, shrink_repro
+from repro.explore import ReproFile, replay, run_campaign, shrink_repro
 from repro.explore.runner import check_repro
 
 
@@ -56,6 +56,23 @@ def test_shrink_respects_the_replay_budget(violation_repro):
     # Whatever came out still fails: candidates are only kept when a
     # replay confirmed them.
     assert check_repro(shrunk) is not None
+
+
+def test_shrunk_mobility_repro_replays_from_file(tmp_path):
+    # The first alg1-noreturn violation of this campaign is on the
+    # mobility-waypoint family: a departure the kinetic engine timed.
+    campaign = run_campaign(
+        "alg1-noreturn", runs=12, seed=1, stop_on_first=True
+    )
+    repro = campaign.violations[0]
+    assert repro.scenario["mobility"]["kind"] == "waypoint"
+    shrunk, _ = shrink_repro(repro)
+    assert shrunk.size() < repro.size()
+    loaded = ReproFile.load(shrunk.save(tmp_path / "mobility.json"))
+    result = replay(loaded)  # raises on divergence
+    assert result.violation.to_dict() == shrunk.violation
+    assert result.violation.monitor == "return-path"
+    assert result.report.probes["mobility.updates"]["by_key"]["crossing"] > 0
 
 
 def test_replay_of_tampered_repro_diverges(violation_repro):

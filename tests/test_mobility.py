@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.fixed_step import FixedStepController
 from repro.errors import ConfigurationError
 from repro.mobility import (
     Episode,
@@ -32,7 +33,8 @@ class NullHandler:
         pass
 
 
-def build(nodes=3, spacing=1.0, step=0.25, fixed_step=False):
+def build(nodes=3, spacing=1.0, fixed_step=False):
+    """A small line; ``fixed_step=True`` moves it with the hop oracle."""
     sim = Simulator()
     topo = DynamicTopology(radio_range=1.2)
     link = LinkLayer(sim, topo)
@@ -44,10 +46,8 @@ def build(nodes=3, spacing=1.0, step=0.25, fixed_step=False):
     for i in range(nodes):
         topo.add_node(i, Point(i * spacing, 0.0))
         link.register(i, NullHandler())
-    controller = MobilityController(
-        sim, topo, link, RandomSource(7), step_length=step,
-        fixed_step=fixed_step,
-    )
+    cls = FixedStepController if fixed_step else MobilityController
+    controller = cls(sim, topo, link, RandomSource(7))
     return sim, topo, link, controller
 
 
@@ -110,7 +110,7 @@ def test_crashed_node_freezes_mid_flight(fixed_step):
 def test_crash_hook_freezes_at_exact_position(fixed_step):
     # The runtime wires CrashInjector -> controller.note_crash; the
     # kinetic engine then pins the exact position at the crash instant
-    # (the fixed-step path freezes at its last materialized step).
+    # (the hop oracle freezes at its last materialized step).
     sim, topo, link, controller = build(fixed_step=fixed_step)
     controller.move_node(0, Point(0.0, 10.0), speed=1.0)
 
@@ -216,8 +216,6 @@ def test_kinetic_link_events_fire_at_exact_crossing_times():
     assert events[1][0] == "down"
     assert events[1][1] == pytest.approx(5.0 + 1.2, abs=1e-9)
     stats = controller.stats()
-    assert stats["mode"] == "kinetic"
     assert stats["crossing_events"] == 2
-    # 10 units of travel: far fewer updates than the 40 fixed steps.
+    # 10 units of travel: far fewer updates than the oracle's 40 hops.
     assert stats["position_updates"] < 40
-    assert stats["dead_steps_skipped"] > 0

@@ -1,8 +1,9 @@
-"""Kinetic vs fixed-step mobility: equivalence, batching, cached views.
+"""Kinetic mobility against its hop oracle; batching, cached views.
 
-The two execution paths are *not* bit-identical mid-flight (the
-fixed-step path quantizes motion to step_length hops), so the contract
-tested here is the one both paths guarantee:
+The kinetic engine and the fixed-step oracle
+(``tests/oracles/fixed_step.py``) are *not* bit-identical mid-flight
+(the oracle quantizes motion to hops), so the contract tested here is
+the one both guarantee:
 
 * identical destinations and identical link sets whenever the network
   is quiescent (every node at rest) — and both equal the ground truth
@@ -10,7 +11,7 @@ tested here is the one both paths guarantee:
 * kinetic link events fire at the analytically exact crossing times;
 * unchanged safety verdicts and failure-locality verdicts on crash
   scenarios;
-* bit-identical RunReports across reruns *within* each path.
+* bit-identical RunReports across reruns *within* each.
 
 Plus unit coverage for ``DynamicTopology.set_positions`` (the batched
 update entry point) and the version-counter-backed cached views.
@@ -21,6 +22,7 @@ import random
 
 import pytest
 
+from oracles import fixed_step
 from repro.metrics.safety import SafetyViolation
 from repro.mobility import MobilityController, RandomWaypoint
 from repro.net.channel import ChannelLayer
@@ -44,7 +46,7 @@ class NullHandler:
         pass
 
 
-def build_stack(positions, radio=1.5, fixed_step=False, seed=0):
+def build_stack(positions, radio=1.5, hop_oracle=False, seed=0):
     sim = Simulator()
     topo = DynamicTopology(radio_range=radio)
     link = LinkLayer(sim, topo)
@@ -56,9 +58,8 @@ def build_stack(positions, radio=1.5, fixed_step=False, seed=0):
     for i, p in enumerate(positions):
         topo.add_node(i, p)
         link.register(i, NullHandler())
-    controller = MobilityController(
-        sim, topo, link, RandomSource(seed), fixed_step=fixed_step
-    )
+    cls = fixed_step.FixedStepController if hop_oracle else MobilityController
+    controller = cls(sim, topo, link, RandomSource(seed))
     return sim, topo, link, controller
 
 
@@ -256,11 +257,11 @@ def test_quiescent_link_sets_match_fixed_step_and_ground_truth(seed):
     positions = [
         Point(rnd.uniform(0, 9), rnd.uniform(0, 9)) for _ in range(24)
     ]
-    kin = build_stack(positions, radio=1.4, fixed_step=False, seed=seed)
-    fix = build_stack(positions, radio=1.4, fixed_step=True, seed=seed)
+    kin = build_stack(positions, radio=1.4, seed=seed)
+    fix = build_stack(positions, radio=1.4, hop_oracle=True, seed=seed)
     for round_no in range(12):
         # A burst of overlapping episodes...
-        # (distinct movers: the fixed-step path does not support
+        # (distinct movers: the hop oracle does not support
         # retargeting a node that is already mid-flight)
         for node in rnd.sample(range(24), rnd.randint(1, 5)):
             dest = Point(rnd.uniform(0, 9), rnd.uniform(0, 9))
@@ -279,12 +280,15 @@ def test_quiescent_link_sets_match_fixed_step_and_ground_truth(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_concurrent_waypoint_scenarios_agree_on_quiescent_snapshots(seed):
-    # Full Simulation stack, several concurrently moving nodes.  Both
-    # modes must stay safe (strict monitor raises on any violation) and
-    # agree with ground truth whenever sampled mid-run (the kinetic
-    # adjacency is maintained from true motion, so it always matches
-    # ground truth at its own positions).
+def test_concurrent_waypoint_scenarios_agree_on_quiescent_snapshots(
+    seed, monkeypatch
+):
+    # Full Simulation stack, several concurrently moving nodes.  The
+    # engine and the oracle must both stay safe (strict monitor raises
+    # on any violation), and the engine must agree with ground truth
+    # whenever sampled mid-run (the kinetic adjacency is maintained
+    # from true motion, so it always matches ground truth at its own
+    # positions).
     def factory(node_id):
         if node_id % 3 == 0:
             return RandomWaypoint(
@@ -294,15 +298,19 @@ def test_concurrent_waypoint_scenarios_agree_on_quiescent_snapshots(seed):
 
     results = {}
     for fixed in (False, True):
+        if fixed:
+            fixed_step.install(monkeypatch)
         config = ScenarioConfig(
             positions=line_positions(12, spacing=0.9),
             radio_range=1.0,
             algorithm="alg2",
             seed=seed,
             mobility_factory=factory,
-            mobility_fixed_step=fixed,
         )
         simulation = Simulation(config)
+        assert isinstance(
+            simulation.mobility, fixed_step.FixedStepController
+        ) is fixed
         checks = []
 
         def check(simulation=simulation, checks=checks):
@@ -322,7 +330,12 @@ def test_concurrent_waypoint_scenarios_agree_on_quiescent_snapshots(seed):
 
 
 @pytest.mark.parametrize("fixed", [False, True])
-def test_reports_are_bit_identical_across_reruns_within_each_path(fixed):
+def test_reports_are_bit_identical_across_reruns_within_each_path(
+    fixed, monkeypatch
+):
+    if fixed:
+        fixed_step.install(monkeypatch)
+
     def factory(node_id):
         if node_id in (1, 4):
             return RandomWaypoint(
@@ -337,7 +350,6 @@ def test_reports_are_bit_identical_across_reruns_within_each_path(fixed):
             algorithm="alg2",
             seed=13,
             mobility_factory=factory,
-            mobility_fixed_step=fixed,
             telemetry=True,
             crashes=[(40.0, 3)],
         )
@@ -348,7 +360,7 @@ def test_reports_are_bit_identical_across_reruns_within_each_path(fixed):
     assert first.diff(second) == {}
 
 
-def test_crash_scenario_verdicts_match_across_paths():
+def test_crash_scenario_verdicts_match_across_paths(monkeypatch):
     # Failure-locality verdict (the paper's headline property) must not
     # depend on the mobility execution path.
     def factory(node_id):
@@ -360,13 +372,14 @@ def test_crash_scenario_verdicts_match_across_paths():
 
     verdicts = {}
     for fixed in (False, True):
+        if fixed:
+            fixed_step.install(monkeypatch)
         config = ScenarioConfig(
             positions=line_positions(12, spacing=0.9),
             radio_range=1.0,
             algorithm="alg2",
             seed=3,
             mobility_factory=factory,
-            mobility_fixed_step=fixed,
             crashes=[(30.0, 5)],
         )
         result = Simulation(config).run(until=160.0)

@@ -3,16 +3,18 @@
 The spatial-hash index is a pure acceleration: for any sequence of
 add/move/remove operations it must produce the same links, the same
 neighbor sets and — bit for bit — the same ``LinkDiff`` lists (same
-entries, same order) as the original all-pairs scan.  These tests
-mirror randomized operation sequences into both implementations and
-compare after every step, across several radio ranges and with nodes
-placed exactly at the range boundary.
+entries, same order) as an all-pairs scan (``ScanTopology``, the
+oracle in ``tests/oracles/topology_scan.py``).  These tests mirror
+randomized operation sequences into both and compare after every
+step, across several radio ranges and with nodes placed exactly at
+the range boundary.
 """
 
 import random
 
 import pytest
 
+from oracles.topology_scan import ScanTopology
 from repro.errors import TopologyError
 from repro.net.geometry import Point
 from repro.net.topology import DynamicTopology
@@ -40,7 +42,7 @@ def test_random_churn_matches_brute_force(radio):
     """≥200 random add/move/remove ops agree step-by-step per range."""
     rng = random.Random(hash(("churn", radio)) & 0xFFFFFFFF)
     grid = DynamicTopology(radio_range=radio)
-    brute = DynamicTopology(radio_range=radio, brute_force=True)
+    brute = ScanTopology(radio_range=radio)
     arena = 6.0 * radio
     next_id = 0
     live = []
@@ -78,7 +80,7 @@ def test_random_churn_matches_brute_force(radio):
 def test_exact_range_boundary_is_a_link_in_both(radio):
     """Distance == radio_range is inclusive under both implementations."""
     grid = DynamicTopology(radio_range=radio)
-    brute = DynamicTopology(radio_range=radio, brute_force=True)
+    brute = ScanTopology(radio_range=radio)
     _mirror(grid, brute, "add_node", 0, Point(0.0, 0.0))
     # Axis-aligned at exactly the range, and a 3-4-5 triangle scaled so
     # the hypotenuse is exactly the range.
@@ -100,7 +102,7 @@ def test_exact_range_boundary_is_a_link_in_both(radio):
 def test_moves_across_many_cells_at_once():
     """A long jump relinks against a far-away cluster correctly."""
     grid = DynamicTopology(radio_range=1.0)
-    brute = DynamicTopology(radio_range=1.0, brute_force=True)
+    brute = ScanTopology(radio_range=1.0)
     for i in range(5):
         _mirror(grid, brute, "add_node", i, Point(0.2 * i, 0.0))
     for i in range(5, 10):
@@ -116,7 +118,7 @@ def test_moves_across_many_cells_at_once():
 def test_negative_coordinates_and_reinsertion():
     """Cells behave around the origin; removed ids can come back."""
     grid = DynamicTopology(radio_range=1.0)
-    brute = DynamicTopology(radio_range=1.0, brute_force=True)
+    brute = ScanTopology(radio_range=1.0)
     _mirror(grid, brute, "add_node", 0, Point(-0.5, -0.5))
     _mirror(grid, brute, "add_node", 1, Point(0.4, 0.3))
     _mirror(grid, brute, "add_node", 2, Point(-1.4, -0.6))
