@@ -48,7 +48,6 @@ from repro.core.messages import (
     UpdateColor,
 )
 from repro.core.states import NodeState
-from repro.net.messages import Message
 
 
 class Algorithm1(MessageDispatchMixin, LocalMutexAlgorithm):
@@ -243,9 +242,9 @@ class Algorithm1(MessageDispatchMixin, LocalMutexAlgorithm):
     # ------------------------------------------------------------------
     # Messages
     # ------------------------------------------------------------------
-    def on_message(self, src: int, message: Message) -> None:
-        # Unknown kinds are ignored (forward compatibility).
-        self.dispatch_message(src, message)
+    #: The dispatch table lookup is the upcall itself (one frame less
+    #: per delivery); unknown kinds are ignored (forward compatibility).
+    on_message = MessageDispatchMixin.dispatch_message
 
     @handles(DoorwayCross)
     def _on_doorway_cross(self, src: int, message: DoorwayCross) -> None:

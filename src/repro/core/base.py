@@ -13,7 +13,7 @@ with lightweight fakes and lets baselines share the same plumbing.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Protocol, Tuple
+from typing import TYPE_CHECKING, AbstractSet, FrozenSet, Iterable, Protocol, Tuple
 
 from repro.core.states import NodeState
 from repro.net.messages import Message
@@ -42,6 +42,11 @@ class NodeServices(Protocol):
 
     def neighbors(self) -> FrozenSet[int]:
         """Current neighbor set ``N`` (maintained by the link layer)."""
+        ...
+
+    def neighbor_view(self) -> AbstractSet[int]:
+        """``N`` as a live, read-only set: the same object for the
+        node's lifetime, updated in place as links come and go."""
         ...
 
     def sorted_neighbors(self) -> Tuple[int, ...]:

@@ -18,6 +18,19 @@ Mapping to the paper's listings (Algorithm 1 / Algorithm 6):
 ``release_high``       Lines 33-35 / 37-39
 ``grant_suspended``    Line 8 / Line 9
 =====================  ======================================
+
+The macros are set algebra, not scans.  The engine resolves three sets
+once, at construction: the node's live neighbor set ``N`` (the link
+layer's adjacency set, mutated in place as links come and go), the
+fork table's ``held`` and — when the host maintains one — the host's
+``low`` set of peers with priority over it.  Then ``all-forks`` is
+``held ⊇ N``, ``all-low-forks`` is ``held ⊇ low ∩ N``, and the two
+request lists are ``(low ∩ N) − held`` and ``N − low − held``, sorted.
+A host without a ``low`` set (Algorithm 1, whose priorities are colors
+that change on recoloring) gets ``low ∩ N`` from one comprehension over
+:meth:`ForkHost.is_low`.  ``tests/oracles/fork_scan.py`` keeps the
+per-neighbor scans these replaced, and ``tests/test_fork_predicates.py``
+checks both agree after every event.
 """
 
 from __future__ import annotations
@@ -30,7 +43,13 @@ from repro.core.messages import ForkGrant, ForkRequest
 
 
 class ForkHost(Protocol):
-    """What the fork engine needs from its algorithm."""
+    """What the fork engine needs from its algorithm.
+
+    Optionally also ``low``: the set of peers with priority over us,
+    kept in step by every priority write (Algorithm 2 routes each
+    ``higher[]`` write through one helper).  Without it the engine
+    classifies ``N`` peer by peer through :meth:`is_low`.
+    """
 
     node: NodeServices
     forks: ForkTable
@@ -62,10 +81,19 @@ class ForkHost(Protocol):
 class ForkProtocol:
     """Priority-based fork collection for one node."""
 
-    __slots__ = ("_host", "_requested", "_probes", "_requested_at")
+    __slots__ = (
+        "_host", "_nbrs", "_held", "_low",
+        "_requested", "_probes", "_requested_at",
+    )
 
     def __init__(self, host: ForkHost) -> None:
         self._host = host
+        # Live, read-only views, each one set object for the node's
+        # lifetime: N (mutated in place by the link layer), held, and
+        # the host's low set (None: classify through is_low).
+        self._nbrs = host.node.neighbor_view()
+        self._held = host.forks.held
+        self._low = getattr(host, "low", None)
         # Dedup of outstanding requests; purely an optimization (the
         # protocol tolerates duplicates) to keep message counts honest.
         self._requested: set = set()
@@ -78,14 +106,29 @@ class ForkProtocol:
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
-    def _neighbors(self):
-        return self._host.node.neighbors()
+    def low_neighbors(self) -> set:
+        """``low ∩ N``: the current neighbors with priority over us."""
+        low = self._low
+        if low is not None:
+            return low & self._nbrs
+        is_low = self._host.is_low
+        return {j for j in self._nbrs if is_low(j)}
 
     def all_forks(self) -> bool:
-        return self._host.forks.all_forks(self._neighbors())
+        return self._held.issuperset(self._nbrs)
 
     def all_low_forks(self) -> bool:
-        return self._host.forks.all_low_forks(self._neighbors(), self._host.is_low)
+        return self._held.issuperset(self.low_neighbors())
+
+    def missing(self, low=None) -> list:
+        """Lines 24-29's request list, ascending: the low neighbors
+        whose fork we lack or, holding every low fork, the high ones.
+        ``low`` is the caller's ``low_neighbors()``, computed once per
+        event."""
+        if low is None:
+            low = self.low_neighbors()
+        held = self._held
+        return sorted(low - held or self._nbrs - low - held)
 
     # ------------------------------------------------------------------
     # Collection entry point (SDf crossed / became hungry)
@@ -93,12 +136,7 @@ class ForkProtocol:
     def start_collection(self) -> None:
         """Lines 1-4: eat if possible, else request the missing tier."""
         self._requested.clear()
-        if self.all_forks():
-            self._host.enter_cs()
-        elif self.all_low_forks():
-            self.request_high_forks()
-        else:
-            self.request_low_forks()
+        self._progress()
 
     def recheck(self) -> None:
         """Re-evaluate progress after the neighbor set or priorities change.
@@ -109,32 +147,20 @@ class ForkProtocol:
         this after such events (the proofs of Lemmas 8-9 rely on the
         node proceeding once a blocking neighbor departs).
         """
-        if not self._host.collecting():
-            return
-        if self.all_forks():
+        if self._host.collecting():
+            self._progress()
+
+    def _progress(self) -> None:
+        """Eat if all forks are held, else request the missing tier."""
+        if self._held.issuperset(self._nbrs):
             self._host.enter_cs()
-        elif self.all_low_forks():
-            self.request_high_forks()
         else:
-            self.request_low_forks()
+            for peer in self.missing():
+                self._request(peer)
 
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
-    def request_low_forks(self) -> None:
-        """Lines 24-26: ask every low neighbor for the missing fork."""
-        host = self._host
-        for peer in host.forks.missing(self._neighbors(), host.is_low):
-            self._request(peer)
-
-    def request_high_forks(self) -> None:
-        """Lines 27-29: ask every high neighbor for the missing fork."""
-        host = self._host
-        for peer in host.forks.missing(
-            self._neighbors(), lambda j: not host.is_low(j)
-        ):
-            self._request(peer)
-
     def _request(self, peer: int) -> None:
         if peer in self._requested:
             return
@@ -187,12 +213,15 @@ class ForkProtocol:
             if flag:
                 self.send_fork(src)
             return
-        if self.all_forks():
+        held = self._held
+        if held.issuperset(self._nbrs):
             host.enter_cs()
-        if self.all_low_forks():
+        low = self.low_neighbors()
+        if held.issuperset(low):
             if flag:
                 host.forks.suspended.add(src)
-            self.request_high_forks()
+            for peer in self.missing(low):
+                self._request(peer)
         elif flag:
             self.send_fork(src)
 
@@ -219,7 +248,7 @@ class ForkProtocol:
         """Line 8 / Line 9: grant every suspended request."""
         host = self._host
         for peer in sorted(host.forks.suspended):
-            if host.forks.holds(peer) and peer in self._neighbors():
+            if host.forks.holds(peer) and peer in self._nbrs:
                 self.send_fork(peer)
         host.forks.suspended.clear()
 

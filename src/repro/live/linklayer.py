@@ -24,7 +24,7 @@ holds its own single-node view and only its own links.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.net.topology import link_key
@@ -65,6 +65,11 @@ class LiveLinkLayer:
 
     def neighbors(self, node_id: int) -> FrozenSet[int]:
         return frozenset(self._adjacency.get(node_id, ()))
+
+    def neighbor_view(self, node_id: int) -> AbstractSet[int]:
+        """``N`` as the live membership set — read only, one object
+        for the node's lifetime (link events mutate it in place)."""
+        return self._adjacency.setdefault(node_id, set())
 
     def sorted_neighbors(self, node_id: int) -> Tuple[int, ...]:
         return tuple(sorted(self._adjacency.get(node_id, ())))

@@ -25,7 +25,7 @@ messages in flight are counted as dropped when their event fires.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import AbstractSet, Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.net.messages import Message
@@ -133,7 +133,24 @@ class ChannelLayer:
         self._remote_send: Optional[
             Callable[[int, int, Message, float], None]
         ] = None
+        # Direct delivery (see bind_handlers); ``None`` routes every
+        # arrival through ``deliver``.
+        self._handlers: Optional[Dict[int, Any]] = None
+        self._crashed: AbstractSet[int] = frozenset()
         self.stats = ChannelStats()
+
+    def bind_handlers(
+        self, handlers: Dict[int, Any], crashed: AbstractSet[int]
+    ) -> None:
+        """Deliver straight to ``handlers[dst].on_message``.
+
+        The link layer passes its live handler registry and crashed set
+        (both mutated in place, never replaced).  An arrival at a
+        crashed node still goes through ``deliver``, which absorbs and
+        counts it; every other arrival skips that frame.
+        """
+        self._handlers = handlers
+        self._crashed = crashed
 
     def bind_remote(
         self,
@@ -255,7 +272,13 @@ class ChannelLayer:
         by_kind[kind] = by_kind.get(kind, 0) + 1
         if self._trace is not None:
             self._trace.record(self._sim._now, "msg.recv", dst, src=src, kind=kind)
-        self._deliver(src, dst, message)
+        handlers = self._handlers
+        if handlers is None or dst in self._crashed:
+            self._deliver(src, dst, message)
+            return
+        handler = handlers.get(dst)
+        if handler is not None:
+            handler.on_message(src, message)
 
     def receive_remote(self, src: int, dst: int, message: Message) -> None:
         """Deliver one cross-shard message at its (already reached)

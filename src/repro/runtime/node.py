@@ -136,6 +136,9 @@ class NodeHarness:
     def neighbors(self):
         return self._linklayer.neighbors(self.node_id)
 
+    def neighbor_view(self):
+        return self._linklayer.neighbor_view(self.node_id)
+
     def sorted_neighbors(self):
         return self._linklayer.sorted_neighbors(self.node_id)
 

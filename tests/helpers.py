@@ -43,10 +43,15 @@ class FakeNode:
         return self.sim.now
 
     def set_neighbors(self, neighbors: Iterable[int]) -> None:
-        self._neighbors = set(neighbors)
+        # In place: neighbor_view() hands out this very set.
+        self._neighbors.clear()
+        self._neighbors.update(neighbors)
 
     def neighbors(self):
         return frozenset(self._neighbors)
+
+    def neighbor_view(self):
+        return self._neighbors
 
     def sorted_neighbors(self):
         return tuple(sorted(self._neighbors))

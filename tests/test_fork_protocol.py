@@ -6,6 +6,7 @@ from repro.core.messages import ForkGrant, ForkRequest
 from repro.core.states import NodeState
 
 from helpers import FakeNode
+from oracles import fork_scan
 
 
 class Host:
@@ -175,12 +176,12 @@ def test_grant_suspended_clears_queue():
 
 def test_request_dedup():
     node, host, proto = build({1: 0, 2: 5}, my_color=3)
-    proto.request_low_forks()
-    proto.request_low_forks()
+    proto.recheck()
+    proto.recheck()
     requests = [d for d, m in node.sent if isinstance(m, ForkRequest)]
     assert requests == [1]
     proto.clear_requests()
-    proto.request_low_forks()
+    proto.recheck()
     requests = [d for d, m in node.sent if isinstance(m, ForkRequest)]
     assert requests == [1, 1]
 
@@ -206,9 +207,10 @@ def test_fork_table_macros():
     table.set_holds(2, False)
     assert table.all_forks(frozenset({1})) is True
     assert table.all_forks(frozenset({1, 2})) is False
-    assert table.all_low_forks(frozenset({1, 2}), lambda j: j == 1)
-    assert list(table.missing(frozenset({1, 2}), lambda j: True)) == [2]
+    assert fork_scan.all_low_forks(table, frozenset({1, 2}), lambda j: j == 1)
+    assert list(fork_scan.missing(table, frozenset({1, 2}), lambda j: True)) == [2]
+    assert table.held == {1}
     table.link_created(3, we_are_static=True)
-    assert table.holds(3)
+    assert table.holds(3) and table.held == {1, 3}
     table.link_destroyed(3)
-    assert not table.holds(3)
+    assert not table.holds(3) and table.held == {1}
