@@ -440,6 +440,16 @@ class DynamicTopology:
             self._frozen_neighbors[node_id] = cached
         return cached
 
+    def neighbor_view(self, node_id: int) -> AbstractSet[int]:
+        """The node's live adjacency set — read only, never copied.
+
+        link/unlink mutate this one set object in place from
+        :meth:`add_node` until :meth:`remove_node`, so a caller may
+        resolve it once and read it on every event.
+        """
+        self._require(node_id)
+        return self._adjacency[node_id]
+
     def sorted_neighbors(self, node_id: int) -> Tuple[int, ...]:
         """The current neighbors in ascending id order (cached).
 
