@@ -12,12 +12,26 @@ Complexities (Lemma 15 / Theorem 16): O(n) rounds and failure locality
 n — a crash anywhere in the recoloring flood can stall every
 participant — but colors land in [0, delta] and no knowledge of n or
 delta is needed.
+
+Edge sets are bitmasks.  One append-only, process-wide edge index maps
+each canonical ``(min, max)`` edge to a bit (``_BIT``) and back
+(``_EDGES``); an edge set is the ``int`` with those bits set, so a
+round's merge is ``graph |= msg.edges``, a C loop over machine words,
+and the mask a round sends is an immutable object every peer shares.
+The index is process-wide, not per procedure, because sessions of
+different procedure instances exchange masks in one process (the
+in-process shards).  Bit positions are private to the process:
+:class:`~repro.core.messages.GraphExchange` pickles its decoded edges
+and the receiver re-encodes them through its own index, and colors
+never depend on bit positions.  The index only grows: its size — and
+so every mask's width — is at most the number of distinct edges that
+entered a greedy session in this process, at most n(n-1)/2.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.coloring.session import (
     ColoringProcedure,
@@ -30,15 +44,43 @@ from repro.net.topology import link_key
 
 Edge = Tuple[int, int]
 
-_NO_EDGES: FrozenSet[Edge] = frozenset()
+#: The process-wide edge index: bit ``i`` of every mask is ``_EDGES[i]``,
+#: and ``_BIT`` is its inverse.  Append-only.
+_EDGES: List[Edge] = []
+_BIT: Dict[Edge, int] = {}
 
 
-# Concurrent participants end the flood with equal edge sets (Lemma 14),
-# so a recolouring wave asks for the same colouring once per node.  The
-# cache is small because each entry pins a whole edge set; callers must
-# not mutate the returned dict.
-@lru_cache(maxsize=8)
-def _color_map(edges: FrozenSet[Edge]) -> Dict[int, int]:
+def encode_edges(edges: Iterable[Edge]) -> int:
+    """The mask of canonical ``edges``, indexing edges not seen before."""
+    mask = 0
+    for edge in edges:
+        bit = _BIT.get(edge)
+        if bit is None:
+            bit = _BIT[edge] = len(_EDGES)
+            _EDGES.append(edge)
+        mask |= 1 << bit
+    return mask
+
+
+def decode_edges(mask: int) -> List[Edge]:
+    """The edges of ``mask``, in bit order."""
+    bits = bin(mask)[:1:-1]  # least significant bit first
+    edges = []
+    bit = bits.find("1")
+    while bit >= 0:
+        edges.append(_EDGES[bit])
+        bit = bits.find("1", bit + 1)
+    return edges
+
+
+def graph_exchange(
+    iteration: int, edges: Tuple[Edge, ...], finished: bool
+) -> GraphExchange:
+    """Rebuild an unpickled :class:`GraphExchange` in this process's index."""
+    return GraphExchange(iteration, encode_edges(edges), finished)
+
+
+def _greedy_colors(edges: Iterable[Edge]) -> Dict[int, int]:
     """The deterministic greedy colouring of every node in ``edges``."""
     adjacency: Dict[int, Set[int]] = {}
     for a, b in edges:
@@ -65,6 +107,14 @@ def _color_map(edges: FrozenSet[Edge]) -> Dict[int, int]:
     return colors
 
 
+# Concurrent participants end the flood with equal masks (Lemma 14), so
+# a recolouring wave asks for the same colouring once per node; only a
+# miss decodes the mask.  Callers must not mutate the returned dict.
+@lru_cache(maxsize=8)
+def _mask_colors(mask: int) -> Dict[int, int]:
+    return _greedy_colors(decode_edges(mask))
+
+
 def greedy_color_graph(edges: FrozenSet[Edge], node_id: int) -> int:
     """Deterministically greedy-color the graph; return node_id's color.
 
@@ -73,7 +123,7 @@ def greedy_color_graph(edges: FrozenSet[Edge], node_id: int) -> int:
     on the same edge set assigns the same colors.  A node absent from
     the graph is isolated and gets color 0.
     """
-    return _color_map(edges).get(node_id, 0)
+    return _greedy_colors(edges).get(node_id, 0)
 
 
 class GreedySession(ColoringSession):
@@ -83,39 +133,41 @@ class GreedySession(ColoringSession):
         self, node_id: int, peers: Set[int], send: SendFn, finish: FinishFn
     ) -> None:
         super().__init__(node_id, peers, send, finish)
-        self.graph: Set[Edge] = set()
-        # ``frozenset(graph)``, rebuilt only when a round added edges:
-        # the one object every peer of a round receives.
-        self._frozen = _NO_EDGES
+        #: G as a mask over the edge index (:func:`decode_edges` reads
+        #: it); replaced only when a round added edges, so it is the
+        #: one object every peer of that round receives.
+        self.graph = 0
 
     def _start(self) -> None:
         if not self.peers:
-            # Line 69: nobody is recoloring with us; decide immediately.
-            self._finish(greedy_color_graph(_NO_EDGES, self.node_id))
+            # Line 69: nobody is recoloring with us; alone in G, the
+            # greedy traversal gives us colour 0.
+            self._finish(0)
             return
-        self._send_round(GraphExchange(1, _NO_EDGES, False))
+        self._send_round(GraphExchange(1, 0, False))
 
     def _complete_round(self, inputs) -> None:
-        graph = self.graph
-        known = len(graph)
+        merged = self.graph
         finished_seen = False
         for _, msg in inputs:
-            graph.update(msg.edges)
+            merged |= msg.edges
             finished_seen = finished_seen or msg.finished
-        graph.update(link_key(self.node_id, peer) for peer in self.peers)
-        # The merge only ever adds edges, so equal size means no change.
-        changed = len(graph) != known
+        node = self.node_id
+        merged |= encode_edges([link_key(node, peer) for peer in self.peers])
+        # The merge only ever adds edges, so unequal means the union grew.
+        changed = merged != self.graph
         if changed:
-            self._frozen = frozenset(graph)
+            self.graph = merged
+        graph = self.graph
         iteration = self.rounds_executed + 1
         if changed and not finished_seen and self.peers:
-            self._send_round(GraphExchange(iteration, self._frozen, False))
+            self._send_round(GraphExchange(iteration, graph, False))
             return
         # Line 71: one last message with the finished flag on.
-        last = GraphExchange(iteration, self._frozen, True)
+        last = GraphExchange(iteration, graph, True)
         for peer in sorted(self.peers):
             self._send(peer, last)
-        self._finish(greedy_color_graph(self._frozen, self.node_id))
+        self._finish(_mask_colors(graph).get(self.node_id, 0))
 
 
 class GreedyColoring(ColoringProcedure):

@@ -8,7 +8,7 @@ newly arrived neighbor in Algorithm 3 Line 46.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from repro.net.messages import Message
 
@@ -97,14 +97,29 @@ class RecoloringRound(Message):
 class GraphExchange(RecoloringRound):
     """One greedy-coloring round: the sender's edge set G (Algorithm 4).
 
-    ``edges`` are canonical (min, max) node-id pairs.  ``finished`` is
-    the flag of Line 71; ``iteration`` pairs rounds between asynchronous
-    peers.
+    ``edges`` is a bitmask over the process-wide edge index of
+    :mod:`repro.core.coloring.greedy` (``encode_edges`` /
+    ``decode_edges``), whose bits stand for canonical (min, max)
+    node-id pairs.  ``finished`` is the flag of Line 71; ``iteration``
+    pairs rounds between asynchronous peers.
+
+    Bit positions mean nothing in another process, so a pickled
+    exchange (shard pipes, the live socket codec) carries the decoded
+    edge tuple and is re-encoded through the receiver's index.
     """
 
     iteration: int
-    edges: FrozenSet[Tuple[int, int]]
+    edges: int
     finished: bool = False
+
+    def __reduce__(self):
+        # Imported here: the greedy module imports this one.
+        from repro.core.coloring.greedy import decode_edges, graph_exchange
+
+        return (
+            graph_exchange,
+            (self.iteration, tuple(decode_edges(self.edges)), self.finished),
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coloring.greedy import GreedyColoring, greedy_color_graph
+from repro.core.coloring.greedy import (
+    GreedyColoring,
+    decode_edges,
+    greedy_color_graph,
+)
 from repro.core.coloring.linial import LinialColoring
 from repro.core.messages import GraphExchange, RecolorNack, TempColor
 from repro.errors import ConfigurationError
@@ -142,7 +146,8 @@ def test_greedy_sessions_two_neighbors_pick_distinct_colors():
     wire.deliver_all()
     assert 0 in wire.finished and 1 in wire.finished
     assert wire.finished[0] != wire.finished[1]
-    assert a.graph == b.graph == {(0, 1)}
+    assert a.graph == b.graph
+    assert decode_edges(a.graph) == [(0, 1)]
 
 
 def test_greedy_sessions_triangle_all_distinct():
@@ -215,10 +220,11 @@ def test_greedy_flood_lemma_14(graph_seed, order_seed):
     assert set(wire.finished) == set(wire.sessions)
     for a, b in edges:
         assert wire.finished[a] != wire.finished[b]
-        assert wire.sessions[a].graph == wire.sessions[b].graph == edges
-    # One immutable edge set per sender per round, shared by every peer
-    # (and by the finished=True message when the last round added
-    # nothing), never one copy per peer.
+        assert wire.sessions[a].graph == wire.sessions[b].graph
+        assert sorted(decode_edges(wire.sessions[a].graph)) == sorted(edges)
+    # One edge mask per sender per round, shared by every peer (and by
+    # the finished=True message when the last round added nothing),
+    # never one copy per peer.
     by_sender = {}
     for src, _, msg in wire.sent:
         if isinstance(msg, GraphExchange):
@@ -331,5 +337,5 @@ def test_session_abort_goes_inert():
     a.abort()
     assert not a.active
     # Late messages are ignored without error.
-    a.on_peer_message(1, GraphExchange(1, frozenset(), False))
+    a.on_peer_message(1, GraphExchange(1, 0, False))
     assert 0 not in wire.finished
