@@ -22,9 +22,6 @@ class PowerLawFit:
     coefficient: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.coefficient * (x ** self.exponent)
-
     def __str__(self) -> str:
         return (
             f"y = {self.coefficient:.3g} * x^{self.exponent:.2f} "
@@ -67,13 +64,3 @@ def fit_power_law(
         coefficient=math.exp(intercept),
         r_squared=r_squared,
     )
-
-
-def doubling_ratio(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Average growth factor of y per doubling of x.
-
-    2.0 means linear, 4.0 quadratic, ~1.0 constant.  Robust to small
-    sample counts where the regression fit is overconfident.
-    """
-    fit = fit_power_law(xs, ys)
-    return 2.0 ** fit.exponent

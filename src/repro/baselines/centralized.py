@@ -48,11 +48,6 @@ class OracleScheduler:
     def release(self, node_id: int) -> None:
         self._admit()
 
-    def withdraw(self, node_id: int) -> None:
-        """Drop a node from the queue (it crashed or was demoted)."""
-        if node_id in self._queue:
-            self._queue.remove(node_id)
-
     def topology_changed(self) -> None:
         self._admit()
 

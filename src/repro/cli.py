@@ -716,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--runs", type=int, default=20)
     fuzz_parser.add_argument("--seed", type=int, default=0)
     fuzz_parser.add_argument("--strategy", default="random",
-                             choices=["random", "pct", "dfs"])
+                             choices=["random", "pct"])
     fuzz_parser.add_argument("--workers", type=int, default=1,
                              help="process fan-out (random/pct only)")
     fuzz_parser.add_argument("--out", default="repros", metavar="DIR",

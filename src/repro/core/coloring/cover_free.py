@@ -142,12 +142,6 @@ class PolynomialFamily:
             )
         return min(available)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PolynomialFamily m={self.m} delta={self.delta} "
-            f"d={self.degree} q={self.q} range={self.range_size}>"
-        )
-
 
 @functools.lru_cache(maxsize=None)
 def reduction_schedule(id_space: int, delta: int) -> tuple:

@@ -91,11 +91,6 @@ class LinialColoring(ColoringProcedure):
         self.delta = delta
         self.schedule = reduction_schedule(id_space, delta)
 
-    @property
-    def rounds(self) -> int:
-        """Round count of every session — the measured log* n quantity."""
-        return len(self.schedule)
-
     def create_session(
         self, node_id: int, peers: Set[int], send: SendFn, finish: FinishFn
     ) -> LinialSession:

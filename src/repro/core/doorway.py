@@ -28,7 +28,6 @@ import enum
 from typing import Callable, Dict, FrozenSet, Iterable, Set
 
 from repro.core.base import NodeServices
-from repro.core.dispatch import MessageDispatchMixin, handles
 from repro.core.messages import DoorwayCross, DoorwayExit
 from repro.errors import ProtocolError
 
@@ -49,7 +48,7 @@ ALL_DOORWAYS = (RECOLOR_ASYNC, RECOLOR_SYNC, FORK_ASYNC, FORK_SYNC)
 SYNC_DOORWAYS = frozenset({RECOLOR_SYNC, FORK_SYNC})
 
 
-class DoorwaySet(MessageDispatchMixin):
+class DoorwaySet:
     """All doorway state of one node.
 
     Args:
@@ -129,11 +128,6 @@ class DoorwaySet(MessageDispatchMixin):
             }
         self._try_cross(doorway)
 
-    def abort_entry(self, doorway: str) -> None:
-        """Abandon a pending entry attempt (mobility restart)."""
-        self._waiting[doorway] = False
-        self._seen_outside[doorway].clear()
-
     def exit(self, doorway: str) -> None:
         """Run the exit code: broadcast and clear our position."""
         if not self._behind[doorway]:
@@ -179,18 +173,6 @@ class DoorwaySet(MessageDispatchMixin):
                 self._seen_outside[doorway].add(src)
             self._try_cross(doorway)
         self._retry_sync_entries()
-
-    @handles(DoorwayCross)
-    def _on_cross_message(self, src: int, message: DoorwayCross) -> None:
-        self.note_cross(src, message.doorway)
-
-    @handles(DoorwayExit)
-    def _on_exit_message(self, src: int, message: DoorwayExit) -> None:
-        self.note_exit(src, message.doorway)
-
-    def on_message(self, src: int, message) -> bool:
-        """Consume a doorway message; returns True if it was one."""
-        return self.dispatch_message(src, message)
 
     def on_link_down(self, peer: int) -> None:
         """Forget a departed neighbor; blocked entries may now complete."""

@@ -19,7 +19,7 @@ per-neighbor scans in ``tests/oracles/fork_scan.py`` decide.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Set
+from typing import Dict, Set
 
 
 class ForkTable:
@@ -61,10 +61,3 @@ class ForkTable:
         self._at.pop(peer, None)
         self.held.discard(peer)
         self.suspended.discard(peer)
-
-    # ------------------------------------------------------------------
-    # The all-forks macro (Section 5.2)
-    # ------------------------------------------------------------------
-    def all_forks(self, neighbors: AbstractSet[int]) -> bool:
-        """True iff we hold the fork of every current neighbor."""
-        return self.held.issuperset(neighbors)

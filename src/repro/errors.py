@@ -28,15 +28,6 @@ class ProtocolError(ReproError):
     """An algorithm reached a state forbidden by the paper's protocol."""
 
 
-class TraceTruncatedError(ReproError):
-    """An analysis needed trace records that a capacity bound evicted.
-
-    Raised instead of silently returning wrong intervals/latencies when
-    a capped :class:`repro.sim.trace.TraceLog` dropped records the
-    analysis depends on.
-    """
-
-
 class SafetyViolation(ReproError):
     """The local mutual exclusion invariant was violated.
 

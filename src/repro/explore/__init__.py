@@ -38,18 +38,15 @@ from repro.explore.repro_file import REPRO_SCHEMA_VERSION, ReproFile
 from repro.explore.runner import ExplorationResult, replay, run_controlled
 from repro.explore.scenarios import scenario_pool
 from repro.explore.schedule import (
-    BoundedDFSStrategy,
     ControlledScheduler,
     PCTStrategy,
     RandomStrategy,
     ReplaySchedule,
     build_strategy,
-    dfs_prefixes,
 )
 from repro.explore.shrink import shrink_repro
 
 __all__ = [
-    "BoundedDFSStrategy",
     "CampaignResult",
     "ControlledScheduler",
     "ExplorationResult",
@@ -64,7 +61,6 @@ __all__ = [
     "build_monitors",
     "build_strategy",
     "default_monitor_specs",
-    "dfs_prefixes",
     "replay",
     "run_campaign",
     "run_controlled",

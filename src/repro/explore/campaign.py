@@ -1,4 +1,4 @@
-"""Fuzz campaigns: many controlled runs, parallel and cached.
+"""Fuzz campaigns: many controlled runs, in parallel.
 
 A campaign pairs generated scenarios (:mod:`repro.explore.scenarios`)
 with per-run strategy seeds and executes them through
@@ -7,24 +7,10 @@ same ``ProcessPoolExecutor`` pattern the multi-seed harness uses —
 tasks are plain JSON dicts, the worker is module-level, and results
 are reassembled positionally so ``workers=N`` returns exactly what
 serial execution would.
-
-Caching reuses :class:`~repro.harness.cache.ResultCache` (float-only
-metric dicts): a *clean* outcome is cached under the SHA-256 of the
-canonical task JSON + library version, so re-running a green campaign
-is free.  Violating runs are never cached — a violation must always
-re-run so its repro file and decision trace are fresh.
-
-DFS campaigns (``strategy="dfs"``) are different in kind: they
-systematically enumerate tie-break prefixes of *one* scenario,
-expanding the frontier with the branching factors each run observed
-(:func:`~repro.explore.schedule.dfs_prefixes`).  They run serially —
-each run's prefix depends on earlier runs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -34,30 +20,14 @@ from repro.explore.monitors import default_monitor_specs
 from repro.explore.repro_file import ReproFile
 from repro.explore.runner import run_controlled
 from repro.explore.scenarios import scenario_pool
-from repro.explore.schedule import (
-    BoundedDFSStrategy,
-    build_strategy,
-    dfs_prefixes,
-)
-from repro.harness.cache import ResultCache
-
-
-def _task_key(task: Dict[str, Any]) -> str:
-    """Cache key: canonical task JSON + library version (stale-proof)."""
-    from repro._version import __version__
-
-    blob = json.dumps(
-        {"task": task, "version": __version__},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+from repro.explore.schedule import build_strategy
 
 
 def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one campaign task (module-level: pool workers pickle it).
 
     Returns a JSON-ready dict: always ``violated``/``steps``/
-    ``duration``; violating runs add the full repro-file dict.
+    ``family``; violating runs add the full repro-file dict.
     """
     strategy = build_strategy(task["strategy"])
     result = run_controlled(
@@ -67,7 +37,6 @@ def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
     out: Dict[str, Any] = {
         "violated": result.violated,
         "steps": result.steps,
-        "duration": result.report.duration,
         "family": task.get("family", "?"),
     }
     if result.violated:
@@ -82,7 +51,6 @@ class CampaignResult:
     algorithm: str
     strategy: str
     runs: int
-    cached_hits: int
     violations: List[ReproFile] = field(default_factory=list)
     #: Per-run summaries, in task order: family, violated, steps.
     outcomes: List[Dict[str, Any]] = field(default_factory=list)
@@ -90,25 +58,6 @@ class CampaignResult:
     @property
     def clean(self) -> bool:
         return not self.violations
-
-    def violated_monitors(self) -> List[str]:
-        """Distinct monitors that fired, in first-seen order."""
-        seen: List[str] = []
-        for repro in self.violations:
-            monitor = repro.violation.get("monitor")
-            if monitor not in seen:
-                seen.append(monitor)
-        return seen
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "algorithm": self.algorithm,
-            "strategy": self.strategy,
-            "runs": self.runs,
-            "cached_hits": self.cached_hits,
-            "violations": len(self.violations),
-            "violated_monitors": self.violated_monitors(),
-        }
 
 
 def _build_tasks(
@@ -134,7 +83,7 @@ def _build_tasks(
         else:
             raise ConfigurationError(
                 f"unknown campaign strategy {strategy!r} "
-                "(expected random, pct or dfs)"
+                "(expected random or pct)"
             )
         tasks.append(
             {
@@ -156,7 +105,6 @@ def run_campaign(
     seed: int = 0,
     strategy: str = "random",
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     pct_depth: int = 3,
     stop_on_first: bool = False,
 ) -> CampaignResult:
@@ -168,71 +116,33 @@ def run_campaign(
         seed: campaign seed; scenario pool and per-run strategy seeds
             (``seed * 1000 + k``) derive from it, so a campaign is
             reproducible from ``(algorithm, runs, seed, strategy)``.
-        strategy: ``random``, ``pct`` or ``dfs``.
-        workers: process fan-out for random/pct (DFS is serial).
-        cache: optional :class:`ResultCache`; clean outcomes are
-            cached, violations always re-execute.
+        strategy: ``random`` or ``pct``.
+        workers: process fan-out.
         stop_on_first: serially stop at the first violation (used by
             the CLI smoke mode; implies no parallelism).
     """
-    if strategy == "dfs":
-        return run_dfs_campaign(algorithm, max_runs=runs, seed=seed)
-
     tasks = _build_tasks(algorithm, runs, seed, strategy, pct_depth)
 
     outcomes: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    cached_hits = 0
-    pending: List[int] = []
-    for index, task in enumerate(tasks):
-        cached = cache.get(_task_key(task)) if cache is not None else None
-        if cached is not None and not cached.get("violated"):
-            cached_hits += 1
-            outcomes[index] = {
-                "violated": False,
-                "steps": int(cached.get("steps", 0)),
-                "duration": cached.get("duration", 0.0),
-                "family": task.get("family", "?"),
-                "cached": True,
-            }
-        else:
-            pending.append(index)
-
     if stop_on_first:
-        for index in pending:
-            outcome = _run_task(tasks[index])
-            outcomes[index] = outcome
-            if outcome["violated"]:
+        for index, task in enumerate(tasks):
+            outcomes[index] = _run_task(task)
+            if outcomes[index]["violated"]:
                 break
-    elif workers > 1 and len(pending) > 1:
+    elif workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            futures = [
-                (index, executor.submit(_run_task, tasks[index]))
-                for index in pending
-            ]
-            for index, future in futures:
-                outcomes[index] = future.result()
+            outcomes = list(executor.map(_run_task, tasks))
     else:
-        for index in pending:
-            outcomes[index] = _run_task(tasks[index])
+        outcomes = [_run_task(task) for task in tasks]
 
     violations: List[ReproFile] = []
     final: List[Dict[str, Any]] = []
-    for index, outcome in enumerate(outcomes):
+    for outcome in outcomes:
         if outcome is None:  # after stop_on_first
             continue
         repro_dict = outcome.pop("repro", None)
         if repro_dict is not None:
             violations.append(ReproFile.from_dict(repro_dict))
-        elif (cache is not None and not outcome.get("cached")
-              and not outcome["violated"]):
-            cache.put(
-                _task_key(tasks[index]),
-                {
-                    "violated": 0.0,
-                    "steps": float(outcome["steps"]),
-                    "duration": float(outcome["duration"]),
-                },
-            )
         final.append(
             {
                 "family": outcome.get("family", "?"),
@@ -245,61 +155,6 @@ def run_campaign(
         algorithm=algorithm,
         strategy=strategy,
         runs=len(final),
-        cached_hits=cached_hits,
         violations=violations,
         outcomes=final,
-    )
-
-
-def run_dfs_campaign(
-    algorithm: str,
-    max_runs: int = 50,
-    seed: int = 0,
-    scenario: Optional[Dict[str, Any]] = None,
-    until: Optional[float] = None,
-) -> CampaignResult:
-    """Bounded-DFS enumeration of tie-break orderings for one scenario.
-
-    Explores the prefix tree breadth-first up to ``max_runs`` runs:
-    each run follows its prefix then defaults to choice 0, and the
-    branching factors it records spawn the sibling prefixes.  Small
-    configurations only — the tree is exponential.
-    """
-    if scenario is None:
-        entry = scenario_pool(algorithm, count=1, seed=seed)[0]
-        scenario, until = entry["scenario"], entry["until"]
-    if until is None:
-        raise ConfigurationError("run_dfs_campaign needs until with scenario")
-    monitors = default_monitor_specs(scenario, until)
-
-    frontier: List[List[int]] = [[]]
-    violations: List[ReproFile] = []
-    outcomes: List[Dict[str, Any]] = []
-    executed = 0
-    while frontier and executed < max_runs:
-        prefix = frontier.pop(0)
-        strategy = BoundedDFSStrategy(prefix)
-        result = run_controlled(scenario, until, strategy,
-                                monitor_specs=monitors)
-        executed += 1
-        outcomes.append(
-            {
-                "family": "dfs",
-                "violated": result.violated,
-                "steps": result.steps,
-                "prefix": list(prefix),
-            }
-        )
-        if result.violated:
-            violations.append(result.to_repro())
-            continue
-        frontier.extend(dfs_prefixes(prefix, result.branching))
-
-    return CampaignResult(
-        algorithm=algorithm,
-        strategy="dfs",
-        runs=executed,
-        cached_hits=0,
-        violations=violations,
-        outcomes=outcomes,
     )

@@ -666,9 +666,6 @@ class MonitorSuite:
             monitor.attach(simulation)
         simulation.sim.add_listener(self._on_event)
 
-    def specs(self) -> List[Dict[str, Any]]:
-        return [monitor.spec() for monitor in self.monitors]
-
     def _on_link_event(self, kind: str, a: int, b: int) -> None:
         # Both endpoints, crashed ones included: their neighbor sets
         # changed even when their indications were skipped.

@@ -23,7 +23,7 @@ raised mid-event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -53,8 +53,6 @@ class ExplorationResult:
     violation: Optional[Violation]
     report: RunReport
     steps: int
-    #: Tie-group sizes by decision depth (BoundedDFSStrategy only).
-    branching: List[int] = field(default_factory=list)
 
     @property
     def violated(self) -> bool:
@@ -170,7 +168,6 @@ def run_controlled(
         violation=suite.violation,
         report=report,
         steps=simulation.sim.executed_events,
-        branching=list(getattr(strategy, "branching", [])),
     )
 
 

@@ -31,9 +31,6 @@ Strategies:
     change points, plus delay quantization so same-instant tie groups
     actually form.  Finds bugs that need one rare ordering held for a
     long window.
-:class:`BoundedDFSStrategy`
-    Systematic enumeration of tie-break permutations for small
-    configurations, driven by :func:`dfs_prefixes`.
 :class:`ReplaySchedule`
     Replays a recorded :class:`DecisionLog`, deviating to defaults
     once a queue is exhausted (which shrinking exploits).
@@ -66,9 +63,6 @@ class DecisionLog:
         for kind, _ in self.decisions:
             out[kind] = out.get(kind, 0) + 1
         return out
-
-    def __len__(self) -> int:
-        return len(self.decisions)
 
 
 class ControlledScheduler:
@@ -234,51 +228,6 @@ class PCTStrategy(ControlledScheduler):
         return base + self._rng.uniform(-5.0 * self._nu, 5.0 * self._nu)
 
 
-class BoundedDFSStrategy(ControlledScheduler):
-    """One path of a bounded depth-first enumeration of tie-breaks.
-
-    Delays are pinned to ``nu`` so broadcasts land at the same instant
-    and form large tie groups — the branching the DFS enumerates.  The
-    strategy follows ``prefix`` for its first ``len(prefix)`` tie
-    decisions, takes choice 0 afterwards, and records the branching
-    factor it saw at each depth so :func:`dfs_prefixes` can expand the
-    frontier.
-    """
-
-    kind = "dfs"
-
-    def __init__(self, prefix: Sequence[int] = ()) -> None:
-        super().__init__()
-        self.prefix = [int(c) for c in prefix]
-        self.branching: List[int] = []
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "prefix": list(self.prefix)}
-
-    def _tie_break(self, group: Sequence[Any]) -> int:
-        depth = len(self.branching)
-        self.branching.append(len(group))
-        if depth < len(self.prefix):
-            return min(self.prefix[depth], len(group) - 1)
-        return 0
-
-
-def dfs_prefixes(prefix: Sequence[int],
-                 branching: Sequence[int]) -> List[List[int]]:
-    """Child prefixes to explore after running ``prefix``.
-
-    ``branching`` is the group-size trace the run recorded.  The
-    children extend ``prefix`` by one decision, covering every
-    alternative at the first depth past the prefix (choice 0 is what
-    the parent run already took).
-    """
-    depth = len(prefix)
-    if depth >= len(branching) or branching[depth] <= 1:
-        return []
-    return [list(prefix) + [choice]
-            for choice in range(1, branching[depth])]
-
-
 class ReplaySchedule(ControlledScheduler):
     """Replays a recorded decision trace.
 
@@ -337,8 +286,6 @@ def build_strategy(descriptor: Dict[str, Any]) -> ControlledScheduler:
             depth=descriptor.get("depth", 3),
             expected_decisions=descriptor.get("expected_decisions", 500),
         )
-    if kind == "dfs":
-        return BoundedDFSStrategy(prefix=descriptor.get("prefix", ()))
     if kind == "replay":
         return ReplaySchedule(descriptor.get("decisions", ()))
     raise ConfigurationError(f"unknown strategy kind {kind!r}")

@@ -5,12 +5,10 @@ Each experiment function returns ``(headers, rows)`` suitable for
 at paper scale and the test suite asserts their qualitative shape at
 reduced scale.  EXPERIMENTS.md records the expected outcomes.
 
-Multi-seed replication (:func:`replicate`), parameter sweeps
-(:func:`sweep`) and the on-disk result cache (:class:`ResultCache`)
-live here too — see ``docs/performance.md``.
+Multi-seed replication (:func:`replicate`) lives here too — see
+``docs/performance.md``.
 """
 
-from repro.harness.cache import ResultCache, default_cache_dir, scenario_key
 from repro.harness.experiments import (
     compare_algorithms,
     crash_probe,
@@ -23,20 +21,16 @@ from repro.harness.experiments import (
 from repro.harness.multiseed import (
     DEFAULT_METRICS,
     Estimate,
-    SweepPoint,
     estimate,
     replicate,
-    sweep,
+    scenario_key,
 )
 
 __all__ = [
     "DEFAULT_METRICS",
     "Estimate",
-    "ResultCache",
-    "SweepPoint",
     "compare_algorithms",
     "crash_probe",
-    "default_cache_dir",
     "doorway_latency",
     "estimate",
     "fig6_crash_scenario",
@@ -45,5 +39,4 @@ __all__ = [
     "response_vs_n",
     "run_static",
     "scenario_key",
-    "sweep",
 ]

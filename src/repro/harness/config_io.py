@@ -9,8 +9,7 @@ behavior by name.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, TextIO
+from typing import Any, Dict
 
 from repro.errors import ConfigurationError
 from repro.mobility import GaussMarkov, RandomWalk, RandomWaypoint
@@ -177,14 +176,3 @@ def config_from_dict(data: Dict[str, Any]) -> ScenarioConfig:
         watchdog=data.get("watchdog"),
         watchdog_period=data.get("watchdog_period", 5.0),
     )
-
-
-def save_config(config: ScenarioConfig, stream: TextIO) -> None:
-    """Write a scenario as JSON."""
-    json.dump(config_to_dict(config), stream, indent=2, sort_keys=True)
-    stream.write("\n")
-
-
-def load_config(stream: TextIO) -> ScenarioConfig:
-    """Read a scenario from JSON."""
-    return config_from_dict(json.load(stream))

@@ -428,31 +428,15 @@ def response_vs_n(
     ns: Sequence[int],
     until: float = 400.0,
     seed: int = 5,
-    mobile_fraction: float = 0.0,
-    arena_scale: float = 1.0,
 ) -> List[Tuple[int, Summary]]:
     """Experiments E1/E6: response-time summary as n grows (line graphs)."""
     results: List[Tuple[int, Summary]] = []
     for n in ns:
-        mobility = None
-        if mobile_fraction > 0:
-            span = n * arena_scale
-
-            def mobility(i, _span=span, _n=n):
-                if i % max(1, int(1 / mobile_fraction)) == 0:
-                    return RandomWaypoint(
-                        _span, 2.0, speed_range=(0.5, 1.0),
-                        pause_range=(10.0, 30.0),
-                    )
-                return None
-
         config = ScenarioConfig(
             positions=line_positions(n, spacing=1.0),
             algorithm=algorithm,
             seed=seed,
             think_range=(0.5, 2.0),
-            mobility_factory=mobility,
-            delta_override=n - 1 if mobility else None,
         )
         result = Simulation(config).run(until=until)
         summary = summarize(result.response_times)

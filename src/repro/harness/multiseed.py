@@ -10,12 +10,10 @@ Scaling notes
 -------------
 
 Seeded runs are embarrassingly parallel and bit-deterministic, so
-:func:`replicate` and :func:`sweep` accept ``workers=N`` (a
-``ProcessPoolExecutor`` fan-out) and ``cache=`` (the on-disk store from
-:mod:`repro.harness.cache`).  Results are keyed by seed and assembled
-in input order, so the parallel path returns *exactly* the numbers the
-serial path would — scheduling order never leaks into the estimates —
-and cached seeds are skipped entirely on re-runs.
+:func:`replicate` accepts ``workers=N`` (a ``ProcessPoolExecutor``
+fan-out).  Results are assembled in seed order, so the parallel path
+returns *exactly* the numbers the serial path would — scheduling order
+never leaks into the estimates.
 
 With ``workers > 1`` the scenario config and every metric function
 cross a process boundary and must be picklable (the module-level
@@ -25,23 +23,17 @@ extractors in :data:`DEFAULT_METRICS` are; ad-hoc lambdas are not).
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import hashlib
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Optional, Sequence, Union
 
-from repro.harness.cache import ResultCache, resolve_cache, scenario_key
+from repro._version import __version__
+from repro.errors import ConfigurationError
+from repro.harness.config_io import config_to_dict
 from repro.runtime.simulation import ScenarioConfig, Simulation, SimulationResult
 
 #: Two-sided 95% Student-t critical values by degrees of freedom (1..30);
@@ -82,10 +74,6 @@ class Estimate:
     def high(self) -> float:
         return self.mean + self.half_width
 
-    def overlaps(self, other: "Estimate") -> bool:
-        """True when the two intervals intersect."""
-        return self.low <= other.high and other.low <= self.high
-
     def __str__(self) -> str:
         return f"{self.mean:.3f} ± {self.half_width:.3f} (n={self.samples})"
 
@@ -106,7 +94,46 @@ def estimate(values: Sequence[float]) -> Estimate:
 
 MetricFn = Callable[[SimulationResult], float]
 
-CacheArg = Union[bool, str, Path, ResultCache, None]
+
+def scenario_key(
+    config: ScenarioConfig,
+    until: float,
+    seed: int,
+    shards: int = 1,
+    max_speed: Optional[float] = None,
+) -> Optional[str]:
+    """Stable name for one seeded run, or None if the run has none.
+
+    SHA-256 of the declarative serialization of the scenario
+    (:func:`repro.harness.config_io.config_to_dict`), the run horizon,
+    the seed, the engine shape and the library version: any change to
+    any ``ScenarioConfig`` field changes it.  Scenarios that carry
+    behavior which does not serialize declaratively (a callable
+    algorithm entry or a mobility factory) have no key.
+
+    ``shards``/``max_speed`` name the execution engine: a multi-shard
+    run is deterministic per (scenario, shard count, speed bound) but
+    not event-order identical to the unsharded run, so sharded runs
+    never alias classic ones.
+    """
+    if config.mobility_factory is not None:
+        return None
+    try:
+        payload = config_to_dict(dataclasses.replace(config, seed=seed))
+    except ConfigurationError:
+        return None
+    blob = json.dumps(
+        {
+            "config": payload,
+            "until": until,
+            "version": __version__,
+            "shards": shards,
+            "max_speed": max_speed,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _report_name(
@@ -128,10 +155,10 @@ def _run_seed(
     until: float,
     seed: int,
     metrics: Dict[str, MetricFn],
-    report_dir: Optional[str] = None,
+    report_dir: Union[str, Path, None] = None,
     shards: int = 1,
     max_speed: Optional[float] = None,
-    metrics_dir: Optional[str] = None,
+    metrics_dir: Union[str, Path, None] = None,
 ) -> Dict[str, float]:
     """Execute one seeded run and extract its scalar metrics.
 
@@ -164,78 +191,6 @@ def _run_seed(
     return {name: fn(result) for name, fn in metrics.items()}
 
 
-def _collect_samples(
-    jobs: Sequence[Tuple[ScenarioConfig, float, int]],
-    metrics: Dict[str, MetricFn],
-    workers: int,
-    cache: Optional[ResultCache],
-    report_dir: Optional[str] = None,
-    shards: int = 1,
-    max_speed: Optional[float] = None,
-    metrics_dir: Optional[str] = None,
-) -> List[Dict[str, float]]:
-    """Metric dicts for each (config, until, seed) job, in job order.
-
-    Cache hits are served without running; misses run serially or on a
-    process pool.  Either way the output is positionally aligned with
-    ``jobs``, so callers see identical numbers regardless of ``workers``.
-    Per-seed reports (``report_dir``) are written only by runs that
-    actually execute — a cache hit skips the run *and* the report.
-    Keys encode ``shards``/``max_speed``, so sharded and classic runs of
-    the same scenario occupy distinct cache entries.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    results: Dict[int, Dict[str, float]] = {}
-    pending: List[Tuple[int, Optional[str], Optional[Dict[str, float]]]] = []
-    for idx, (config, until, seed) in enumerate(jobs):
-        key = (
-            scenario_key(config, until, seed, shards, max_speed)
-            if cache is not None
-            else None
-        )
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None and all(name in cached for name in metrics):
-            results[idx] = {name: cached[name] for name in metrics}
-        else:
-            pending.append((idx, key, cached))
-
-    # Keep the no-report call shape identical to the historical one so
-    # instrumented wrappers around _run_seed (tests, user tooling) only
-    # need the extra arguments when reports, shards or metrics dumps
-    # were requested.
-    if metrics_dir is not None:
-        extra: Tuple = (report_dir, shards, max_speed, metrics_dir)
-    elif shards != 1:
-        extra = (report_dir, shards, max_speed)
-    elif report_dir is not None:
-        extra = (report_dir,)
-    else:
-        extra = ()
-    if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (entry, pool.submit(
-                    _run_seed, *jobs[entry[0]], metrics, *extra
-                ))
-                for entry in pending
-            ]
-            computed = [(entry, future.result()) for entry, future in futures]
-    else:
-        computed = [
-            (entry, _run_seed(*jobs[entry[0]], metrics, *extra))
-            for entry in pending
-        ]
-
-    for (idx, key, cached), sample in computed:
-        results[idx] = sample
-        if cache is not None and key is not None:
-            merged = dict(cached or {})
-            merged.update(sample)
-            cache.put(key, merged)
-    return [results[idx] for idx in range(len(jobs))]
-
-
 def replicate(
     config: ScenarioConfig,
     until: float,
@@ -243,7 +198,6 @@ def replicate(
     metrics: Dict[str, MetricFn],
     *,
     workers: int = 1,
-    cache: CacheArg = None,
     report_dir: Union[str, Path, None] = None,
     shards: int = 1,
     max_speed: Optional[float] = None,
@@ -257,113 +211,34 @@ def replicate(
     Args:
         workers: processes to fan seeds across (1 = in-process serial).
             The estimates are identical either way.
-        cache: ``True`` for the default on-disk cache, a directory path,
-            a :class:`~repro.harness.cache.ResultCache`, or ``None``
-            (default) for no caching.  Cache keys encode the engine
-            shape (``shards``/``max_speed``), so sharded replications
-            cache independently of classic ones.
         report_dir: directory receiving one ``RunReport`` JSON per
-            *executed* seed, named by scenario key.  Cached seeds do not
-            re-run and therefore write no report; clear or bypass the
-            cache to materialize reports for every seed.
+            seed, named by :func:`scenario_key`.
         shards: spatial shards per run (1 = the classic engine).  The
             shards of one run are hosted in-process — ``workers`` is
             already the process-level fan-out here.
         max_speed: speed bound for sharded runs with mobility.
         metrics_dir: directory receiving one OpenMetrics ``.prom``
-            snapshot per *executed* seed (same naming and cache-skip
-            semantics as ``report_dir``).  Requires the scenario to
-            have ``telemetry=True`` for the snapshot to carry samples.
+            snapshot per seed (same naming as ``report_dir``).  Requires
+            the scenario to have ``telemetry=True`` for the snapshot to
+            carry samples.
     """
-    seed_list = list(seeds)
-    store = resolve_cache(cache)
-    samples = _collect_samples(
-        [(config, until, seed) for seed in seed_list], metrics, workers,
-        store, str(report_dir) if report_dir is not None else None,
-        shards, max_speed,
-        str(metrics_dir) if metrics_dir is not None else None,
-    )
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = [
+        (config, until, seed, metrics, report_dir, shards, max_speed,
+         metrics_dir)
+        for seed in seeds
+    ]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_seed, *job) for job in jobs]
+            samples = [future.result() for future in futures]
+    else:
+        samples = [_run_seed(*job) for job in jobs]
     return {
         name: estimate([sample[name] for sample in samples])
         for name in metrics
     }
-
-
-# Parameter sweeps ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of a parameter sweep, with its estimates."""
-
-    params: Mapping[str, object]
-    estimates: Dict[str, Estimate]
-
-
-def sweep(
-    config: ScenarioConfig,
-    until: float,
-    seeds: Sequence[int],
-    metrics: Dict[str, MetricFn],
-    grid: Mapping[str, Sequence[object]],
-    *,
-    workers: int = 1,
-    cache: CacheArg = None,
-    report_dir: Union[str, Path, None] = None,
-    shards: int = 1,
-    max_speed: Optional[float] = None,
-    metrics_dir: Union[str, Path, None] = None,
-) -> List[SweepPoint]:
-    """Replicate across the cartesian product of config-field overrides.
-
-    ``grid`` maps :class:`ScenarioConfig` field names to candidate
-    values; each combination is applied to the base config with
-    ``dataclasses.replace`` (build the scenario once, vary parameters
-    cheaply).  All (point, seed) runs are flattened into one job list,
-    so with ``workers > 1`` the pool stays saturated across the whole
-    sweep rather than draining per point.  Points come back in grid
-    order (first field varies slowest).
-
-    ``report_dir`` behaves as in :func:`replicate`: one ``RunReport``
-    JSON per executed (point, seed) run, named by scenario key so
-    different grid points never collide; cache hits write nothing.
-    ``metrics_dir`` is the OpenMetrics sibling of ``report_dir``.
-    ``shards``/``max_speed`` behave as in :func:`replicate` and are
-    part of every cache key, so sharded sweeps cache independently of
-    classic ones.
-    """
-    names = list(grid)
-    combos = list(itertools.product(*(grid[name] for name in names)))
-    seed_list = list(seeds)
-    configs = [
-        dataclasses.replace(config, **dict(zip(names, combo)))
-        for combo in combos
-    ]
-    jobs = [
-        (point_config, until, seed)
-        for point_config in configs
-        for seed in seed_list
-    ]
-    store = resolve_cache(cache)
-    samples = _collect_samples(
-        jobs, metrics, workers, store,
-        str(report_dir) if report_dir is not None else None,
-        shards, max_speed,
-        str(metrics_dir) if metrics_dir is not None else None,
-    )
-    points: List[SweepPoint] = []
-    for i, combo in enumerate(combos):
-        block = samples[i * len(seed_list): (i + 1) * len(seed_list)]
-        points.append(
-            SweepPoint(
-                params=dict(zip(names, combo)),
-                estimates={
-                    name: estimate([sample[name] for sample in block])
-                    for name in metrics
-                },
-            )
-        )
-    return points
 
 
 # Ready-made metric extractors ------------------------------------------------

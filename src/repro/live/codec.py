@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import Any, Iterator, List
+from typing import Any, List
 
 from repro.errors import ProtocolError
 
@@ -74,6 +74,3 @@ class FrameDecoder:
             del buffer[:_LENGTH_BYTES + length]
             frames.append(decode_body(body))
         return frames
-
-    def __iter__(self) -> Iterator[Any]:  # pragma: no cover - convenience
-        return iter(())

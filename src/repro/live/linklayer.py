@@ -24,7 +24,7 @@ holds its own single-node view and only its own links.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.net.topology import link_key
@@ -76,9 +76,6 @@ class LiveLinkLayer:
 
     def is_crashed(self, node_id: int) -> bool:
         return node_id in self._crashed
-
-    def live_nodes(self) -> Iterable[int]:
-        return [n for n in sorted(self._handlers) if n not in self._crashed]
 
     def incarnation(self, a: int, b: int) -> int:
         return self._incarnation.get(link_key(a, b), 0)

@@ -17,7 +17,7 @@ the protocol probes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import DynamicTopology
@@ -115,9 +115,3 @@ class LiveNodeSet:
             "cs_entries": self.metrics.total_cs_entries(),
             "crashed": len(self.metrics.crashed),
         }
-
-
-def build_live_probes(registry: Optional[MetricRegistry]) -> Optional[LiveProbes]:
-    if registry is None:
-        return None
-    return LiveProbes(registry)

@@ -132,11 +132,3 @@ class MetricsCollector:
             for node, since in self._hungry_since.items()
             if now - since > threshold
         )
-
-    def max_response_time(self) -> Optional[float]:
-        times = self.response_times()
-        return max(times) if times else None
-
-    def mean_response_time(self) -> Optional[float]:
-        times = self.response_times()
-        return sum(times) / len(times) if times else None

@@ -1,19 +1,12 @@
-"""Fairness metrics over critical-section allocations.
+"""Fairness of critical-section allocations.
 
 Starvation freedom says everyone *eventually* eats; fairness asks how
-evenly turns are distributed.  The examples and several benchmarks
-report Jain's index; this module centralizes it together with
-contention-normalized shares (a degree-3 node competing with three
-neighbors deserves fewer absolute turns than an isolated one, so raw
-entry counts alone mislead on irregular topologies).
+evenly turns are distributed.  The examples report Jain's index.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
-
-from repro.metrics.collector import MetricsCollector
-from repro.net.topology import DynamicTopology
+from typing import Sequence
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -32,69 +25,3 @@ def jain_index(values: Sequence[float]) -> float:
     if total == 0:
         return 1.0
     return total * total / (len(data) * sum(v * v for v in data))
-
-
-def entry_counts(
-    metrics: MetricsCollector, nodes: Sequence[int]
-) -> List[int]:
-    """CS entry counts for ``nodes`` (zero for nodes that never ate)."""
-    return [
-        metrics.counters[n].cs_entries if n in metrics.counters else 0
-        for n in nodes
-    ]
-
-
-def contention_weights(topology: DynamicTopology) -> Dict[int, float]:
-    """Ideal share weights: node i deserves ~1/(degree_i + 1) of time.
-
-    In a neighborhood of k+1 mutually exclusive nodes each can hold the
-    CS at most 1/(k+1) of the time; normalizing entries by this weight
-    compares nodes across different local contention levels.
-    """
-    return {
-        node: 1.0 / (topology.degree(node) + 1)
-        for node in topology.nodes()
-    }
-
-
-def weighted_fairness(
-    metrics: MetricsCollector, topology: DynamicTopology
-) -> float:
-    """Jain index of contention-normalized CS shares."""
-    weights = contention_weights(topology)
-    nodes = topology.nodes()
-    counts = entry_counts(metrics, nodes)
-    normalized = [
-        count / weights[node] if weights[node] > 0 else 0.0
-        for node, count in zip(nodes, counts)
-    ]
-    return jain_index(normalized)
-
-
-def starvation_free(
-    metrics: MetricsCollector,
-    nodes: Sequence[int],
-    now: float,
-    threshold: float,
-    exclude: Optional[Sequence[int]] = None,
-) -> bool:
-    """True iff no (non-excluded) node has been hungry past ``threshold``."""
-    excluded = set(exclude or ())
-    return not [
-        n for n in metrics.starving(now, threshold) if n not in excluded
-    ]
-
-
-def fairness_report(
-    metrics: MetricsCollector, topology: DynamicTopology
-) -> Mapping[str, float]:
-    """Bundle of fairness figures for result tables."""
-    nodes = topology.nodes()
-    counts = entry_counts(metrics, nodes)
-    report = {
-        "jain_raw": jain_index(counts),
-        "jain_weighted": weighted_fairness(metrics, topology),
-        "min_entries": float(min(counts)) if counts else 0.0,
-        "max_entries": float(max(counts)) if counts else 0.0,
-    }
-    return report

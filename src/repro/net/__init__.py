@@ -15,7 +15,7 @@ radio model over node positions.
 """
 
 from repro.net.channel import ChannelLayer
-from repro.net.geometry import Point, distance
+from repro.net.geometry import Point
 from repro.net.linklayer import LinkLayer
 from repro.net.messages import Message
 from repro.net.topology import DynamicTopology, LinkDiff
@@ -27,5 +27,4 @@ __all__ = [
     "LinkLayer",
     "Message",
     "Point",
-    "distance",
 ]

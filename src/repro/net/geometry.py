@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,33 +27,6 @@ class Point:
         frac = step / total
         return Point(self.x + (other.x - self.x) * frac,
                      self.y + (other.y - self.y) * frac)
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return a.distance_to(b)
-
-
-def segment_points(start: Point, end: Point, step: float) -> List[Point]:
-    """Waypoints from ``start`` to ``end`` every ``step`` units.
-
-    The end point is always included; the start point never is.  Used by
-    the mobility controller to advance a moving node in discrete hops so
-    that connectivity is re-evaluated along the whole path, not only at
-    the destination.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    points: List[Point] = []
-    current = start
-    while current != end:
-        current = current.towards(end, step)
-        points.append(current)
-    return points
 
 
 def grid_positions(count: int, spacing: float, columns: int = 0) -> List[Point]:
@@ -88,13 +61,3 @@ def random_positions(count: int, width: float, height: float, rng) -> List[Point
     """Uniformly random points in a ``width x height`` rectangle."""
     return [Point(rng.uniform(0, width), rng.uniform(0, height))
             for _ in range(count)]
-
-
-def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
-    """(min-corner, max-corner) of a non-empty point collection."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("bounding_box of empty point collection")
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return Point(min(xs), min(ys)), Point(max(xs), max(ys))

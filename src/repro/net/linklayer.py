@@ -17,7 +17,7 @@ broadcast primitive.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Optional, Protocol, Set
+from typing import AbstractSet, Dict, FrozenSet, Optional, Protocol, Set
 
 from repro.errors import TopologyError
 from repro.net.channel import ChannelLayer
@@ -76,10 +76,6 @@ class LinkLayer:
         """Register the protocol handler for a node."""
         self._handlers[node_id] = handler
 
-    @property
-    def topology(self) -> DynamicTopology:
-        return self._topology
-
     # ------------------------------------------------------------------
     # Queries offered to protocol code (the node's local view)
     # ------------------------------------------------------------------
@@ -107,10 +103,6 @@ class LinkLayer:
     def is_crashed(self, node_id: int) -> bool:
         """True once the node has crashed."""
         return node_id in self._crashed
-
-    def live_nodes(self) -> Iterable[int]:
-        """All registered, non-crashed node ids (sorted)."""
-        return [n for n in sorted(self._handlers) if n not in self._crashed]
 
     # ------------------------------------------------------------------
     # Mobility and failure hooks (driven by the runtime)

@@ -18,7 +18,7 @@ boundaries (shard pipes, the live socket codec) by ordinary pickling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,11 +40,4 @@ class Message:
         # which breaks super()'s subtype check for grandchildren.
         object.__init_subclass__(**kwargs)
         cls.kind = cls.__name__
-
-    def describe(self) -> str:
-        """Compact payload rendering for traces."""
-        parts = []
-        for f in fields(self):
-            parts.append(f"{f.name}={getattr(self, f.name)!r}")
-        return f"{self.kind}({', '.join(parts)})"
 

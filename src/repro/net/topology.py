@@ -25,7 +25,7 @@ indexed by degree.
 Membership and movement are served by a **spatial-hash grid** whose
 cell size equals the radio range: a node within range of position
 ``p`` must sit in one of the 9 cells surrounding ``p``'s cell, so
-``add_node`` / ``set_position`` / ``remove_node`` examine only local
+``add_node`` / ``set_position`` examine only local
 candidates instead of every node (O(density) instead of O(n) per
 update).  Candidates are visited in insertion-rank order, so the grid
 is bit-identical to an all-pairs scan — same links, same ``LinkDiff``
@@ -102,9 +102,9 @@ class DynamicTopology:
         if radio_range <= 0:
             raise TopologyError(f"radio range must be positive, got {radio_range}")
         self.radio_range = radio_range
-        # Position columns, indexed by node id; slots of removed nodes
-        # go stale and membership lives in ``_rank`` (insertion-ordered,
-        # maintained in lockstep with the old position dict's order).
+        # Position columns, indexed by node id; membership lives in
+        # ``_rank`` (insertion-ordered, maintained in lockstep with the
+        # old position dict's order).
         self._xs: array = array("d")
         self._ys: array = array("d")
         self._adjacency: Dict[int, Set[int]] = {}
@@ -265,32 +265,12 @@ class DynamicTopology:
             return self.set_position(node_id, position)
         return self.add_node(node_id, position)
 
-    def remove_node(self, node_id: int) -> LinkDiff:
-        """Remove a node; returns the links its departure destroyed."""
-        self._require(node_id)
-        self.version += 1
-        diff = LinkDiff()
-        for other in list(self._adjacency[node_id]):
-            self._unlink(node_id, other)
-            diff.removed.append(link_key(node_id, other))
-        self._count_degree(0, -1)
-        self._grid_discard(node_id)
-        self._sorted_neighbors.pop(node_id, None)
-        self._frozen_neighbors.pop(node_id, None)
-        del self._adjacency[node_id]
-        del self._rank[node_id]
-        # The position-array slot goes stale; membership is _rank.
-        return diff
-
     def nodes(self) -> List[int]:
         """All node ids, sorted (stable iteration order for determinism)."""
         return sorted(self._rank)
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._rank
-
-    def __len__(self) -> int:
-        return len(self._rank)
 
     # ------------------------------------------------------------------
     # Positions and movement
@@ -444,8 +424,8 @@ class DynamicTopology:
         """The node's live adjacency set — read only, never copied.
 
         link/unlink mutate this one set object in place from
-        :meth:`add_node` until :meth:`remove_node`, so a caller may
-        resolve it once and read it on every event.
+        :meth:`add_node` on, so a caller may resolve it once and read
+        it on every event.
         """
         self._require(node_id)
         return self._adjacency[node_id]
@@ -486,32 +466,9 @@ class DynamicTopology:
             self._links_version = self.version
         return self._links_result
 
-    def degree(self, node_id: int) -> int:
-        """Current degree of a node."""
-        self._require(node_id)
-        return len(self._adjacency[node_id])
-
     def max_degree(self) -> int:
         """delta — the maximum degree over all nodes (0 if empty)."""
         return self._max_degree
-
-    def graph_distance(self, source: int, target: int) -> Optional[int]:
-        """Hop distance between two nodes, or None if disconnected."""
-        self._require(source)
-        self._require(target)
-        if source == target:
-            return 0
-        seen = {source}
-        frontier = deque([(source, 0)])
-        while frontier:
-            node, dist = frontier.popleft()
-            for nbr in self._adjacency[node]:
-                if nbr == target:
-                    return dist + 1
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append((nbr, dist + 1))
-        return None
 
     def distances_from(self, source: int) -> Dict[int, int]:
         """Hop distances from ``source`` to every reachable node.
@@ -536,17 +493,6 @@ class DynamicTopology:
         self._bfs_key = key
         self._bfs_result = dist
         return dist
-
-    def m_neighborhood(self, node_id: int, m: int) -> Set[int]:
-        """All nodes within hop distance ``m`` of ``node_id`` (inclusive)."""
-        return {n for n, d in self.distances_from(node_id).items() if d <= m}
-
-    def is_connected(self) -> bool:
-        """True iff the communication graph is connected (or empty)."""
-        ids = self.nodes()
-        if len(ids) <= 1:
-            return True
-        return len(self.distances_from(ids[0])) == len(ids)
 
     def components(self) -> List[Set[int]]:
         """Connected components of the communication graph."""
@@ -619,13 +565,6 @@ class DynamicTopology:
         cell = self._cell_of(position)
         self._grid.setdefault(cell, set()).add(node_id)
         self._node_cell[node_id] = cell
-
-    def _grid_discard(self, node_id: int) -> None:
-        cell = self._node_cell.pop(node_id)
-        bucket = self._grid[cell]
-        bucket.discard(node_id)
-        if not bucket:
-            del self._grid[cell]
 
     def _grid_move(self, node_id: int, position: Point) -> bool:
         """Re-bucket a node; True iff its grid cell changed."""

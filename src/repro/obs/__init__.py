@@ -10,7 +10,6 @@ from repro.obs.openmetrics import (
     build_metrics_server,
     openmetrics_from_report,
     render_openmetrics,
-    render_registry,
 )
 from repro.obs.probes import ProtocolProbes, build_probes
 from repro.obs.profiler import EngineProfiler
@@ -49,5 +48,4 @@ __all__ = [
     "merge_snapshots",
     "openmetrics_from_report",
     "render_openmetrics",
-    "render_registry",
 ]

@@ -283,20 +283,6 @@ def render_openmetrics(
     return "\n".join(lines) + "\n"
 
 
-def render_registry(
-    registry: MetricRegistry,
-    *,
-    labels: Optional[Mapping[str, str]] = None,
-) -> str:
-    """Render a live registry, using its own instrument descriptions."""
-    help_texts = {
-        name: registry.get(name).description for name in registry.names()
-    }
-    return render_openmetrics(
-        registry.snapshot(), labels=labels, help_texts=help_texts
-    )
-
-
 def openmetrics_from_report(report) -> str:
     """Render a :class:`~repro.obs.report.RunReport`'s probe snapshot.
 

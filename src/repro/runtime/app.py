@@ -89,10 +89,6 @@ class HungerWorkload:
             seed(stream_seed("workload", harness.node_id))
             schedule(uniform(ilo, ihi), harness.become_hungry)
 
-    def entries(self, node_id: int) -> int:
-        """Completed critical sections for one node."""
-        return self._entries.get(node_id, 0)
-
     def _on_done_eating(self, harness: NodeHarness) -> None:
         count = self._entries.get(harness.node_id, 0) + 1
         self._entries[harness.node_id] = count

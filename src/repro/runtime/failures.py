@@ -88,14 +88,6 @@ class CrashInjector:
                 retimed, self._crash, planned.node_id
             )
 
-    def crashed_nodes(self) -> List[int]:
-        """Node ids crashed so far (in crash order)."""
-        return [
-            e.node_id
-            for e in self.crashes
-            if self._harnesses[e.node_id].crashed
-        ]
-
     def _crash(self, node_id: int) -> None:
         self._linklayer.crash(node_id)
         self._harnesses[node_id].crash()

@@ -275,9 +275,3 @@ class NodeHarness:
             self._eat_timer.cancel()
         if self._trace is not None:
             self._trace.record(self._sim.now, "node.crashed", self.node_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<NodeHarness {self.node_id} {self._state.value}"
-            f"{' CRASHED' if self.crashed else ''}>"
-        )

@@ -54,12 +54,6 @@ class TimeBounds:
         """Lower edge of the message-delay distribution."""
         return self.nu * self.min_delay_fraction
 
-    def draw_message_delay(self, rng) -> float:
-        """Draw one message delay in ``[min_message_delay, nu]``."""
-        if self.min_delay_fraction >= 1.0:
-            return self.nu
-        return rng.uniform(self.min_message_delay, self.nu)
-
     def draw_eating_time(self, rng) -> float:
         """Draw one eating duration in ``(0, tau]``.
 

@@ -110,16 +110,6 @@ class Simulator:
         """Number of events still scheduled and not cancelled (O(1))."""
         return self._queue.live
 
-    @property
-    def heap_high_water(self) -> int:
-        """Largest pending-set length ever reached (shells included)."""
-        return self._queue.high_water
-
-    @property
-    def compactions(self) -> int:
-        """How many times the pending set was compacted in place."""
-        return self._queue.compactions
-
     def stats(self) -> Dict[str, object]:
         """Engine counters as one JSON-ready dict (for run reports).
 
@@ -281,10 +271,6 @@ class Simulator:
         """Register a post-event observer (runs after every executed event)."""
         self._listeners.append(listener)
 
-    def remove_listener(self, listener: Callable[["Simulator"], None]) -> None:
-        """Unregister a previously added observer."""
-        self._listeners.remove(listener)
-
     def _note_cancelled(self) -> None:
         """Cancellation bookkeeping (called by ScheduledEvent.cancel)."""
         self._queue.note_cancelled()
@@ -412,9 +398,3 @@ class Simulator:
         for event in group:
             push(event)
         return chosen
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Simulator now={self._now:.6f} pending={self.pending_events} "
-            f"executed={self._executed_events}>"
-        )

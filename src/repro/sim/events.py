@@ -98,8 +98,3 @@ class ScheduledEvent:
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
         return self._key < other._key
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent t={self.time:.6f} {name} {state}>"

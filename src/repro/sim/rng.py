@@ -62,10 +62,3 @@ class RandomSource:
         materializing (and forever retaining) the memoized stream.
         """
         return _derive_seed(self.seed, tuple(name))
-
-    def fork(self, *name) -> "RandomSource":
-        """Derive an independent child :class:`RandomSource`."""
-        return RandomSource(_derive_seed(self.seed, ("fork",) + tuple(name)))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RandomSource seed={self.seed} streams={len(self._streams)}>"

@@ -31,11 +31,6 @@ class TraceRecord:
     node: Optional[int]
     detail: Dict[str, Any] = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        who = f"p{self.node}" if self.node is not None else "-"
-        info = " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
-        return f"[{self.time:10.4f}] {who:>6} {self.category:<24} {info}"
-
 
 class TraceLog:
     """An append-only, filterable event trace."""
@@ -44,15 +39,8 @@ class TraceLog:
         self.enabled = enabled
         self._capacity = capacity
         self._records: List[TraceRecord] = []
-        #: Records evicted by the capacity bound.  Analyses that need
-        #: the *whole* run (eating intervals, stage latencies) check
-        #: :attr:`truncated` and refuse to compute from a partial trace.
+        #: Records evicted by the capacity bound.
         self.dropped = 0
-
-    @property
-    def truncated(self) -> bool:
-        """True iff the capacity bound ever evicted records."""
-        return self.dropped > 0
 
     def record(
         self,
@@ -71,16 +59,8 @@ class TraceLog:
             del self._records[:evict]
             self.dropped += evict
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
-
-    def clear(self) -> None:
-        """Drop all records (and reset the truncation counter)."""
-        self._records.clear()
-        self.dropped = 0
 
     def select(
         self,
@@ -100,37 +80,12 @@ class TraceLog:
             result.append(rec)
         return result
 
-    def first(self, category: str, node: Optional[int] = None) -> Optional[TraceRecord]:
-        """First record in a category (optionally for one node), or None."""
-        matches = self.select(category=category, node=node)
-        return matches[0] if matches else None
-
-    def last(self, category: str, node: Optional[int] = None) -> Optional[TraceRecord]:
-        """Last record in a category (optionally for one node), or None."""
-        matches = self.select(category=category, node=node)
-        return matches[-1] if matches else None
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        """Human-readable rendering of the trace (for debugging)."""
-        records = self._records if limit is None else self._records[-limit:]
-        return "\n".join(str(rec) for rec in records)
-
-
-class _NullTraceLog(TraceLog):
-    """The shared disabled trace: never records, stays disabled."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def record(self, *args: Any, **detail: Any) -> None:
-        return
-
 
 #: Shared sentinel for "no tracing".  Components that expose a TraceLog
 #: attribute return this when built without one, so callers never need
 #: a None check just to *have* a log object; hot paths should instead
 #: normalize with :func:`live_trace` and skip record() calls entirely.
-NULL_TRACE = _NullTraceLog()
+NULL_TRACE = TraceLog(enabled=False)
 
 
 def live_trace(trace: Optional[TraceLog]) -> Optional[TraceLog]:

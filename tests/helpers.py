@@ -150,6 +150,25 @@ def assert_alg2_priority_graph_acyclic(sim: Simulation) -> None:
             dfs(node)
 
 
+def track_eaters(sim: Simulation) -> List[int]:
+    """Count the eating nodes after every event the engine executes.
+
+    Registers an engine listener and returns the list it appends to:
+    one count per executed event.  Exact where sampling a trace on a
+    time grid can miss a short overlap.
+    """
+    counts: List[int] = []
+    harnesses = sim.harnesses.values()
+
+    def count(_engine) -> None:
+        counts.append(
+            sum(1 for h in harnesses if h.state is NodeState.EATING)
+        )
+
+    sim.sim.add_listener(count)
+    return counts
+
+
 class Lemma4Checker:
     """Continuously checks color legality among nodes behind SDf.
 

@@ -35,22 +35,22 @@ def test_entry_with_all_neighbors_outside_crosses_immediately():
 
 def test_sync_entry_blocks_until_all_outside_simultaneously():
     node, ds, crossed = build()
-    ds.on_message(1, DoorwayCross(FORK_SYNC))
-    ds.on_message(2, DoorwayCross(FORK_SYNC))
+    ds.note_cross(1, FORK_SYNC)
+    ds.note_cross(2, FORK_SYNC)
     ds.start_entry(FORK_SYNC)
     assert crossed == []
-    ds.on_message(1, DoorwayExit(FORK_SYNC))
+    ds.note_exit(1, FORK_SYNC)
     assert crossed == []  # 2 still behind
-    ds.on_message(2, DoorwayExit(FORK_SYNC))
+    ds.note_exit(2, FORK_SYNC)
     assert crossed == [FORK_SYNC]
 
 
 def test_sync_entry_not_sticky():
     # Synchronous semantics: neighbors must be outside *simultaneously*.
     node, ds, crossed = build()
-    ds.on_message(1, DoorwayCross(FORK_SYNC))
+    ds.note_cross(1, FORK_SYNC)
     ds.start_entry(FORK_SYNC)
-    ds.on_message(1, DoorwayExit(FORK_SYNC))
+    ds.note_exit(1, FORK_SYNC)
     # 1 exits but immediately re-crosses before our check window closes:
     # our implementation re-evaluates on each update, so the exit above
     # already let us cross.  Build the stricter scenario: 2 behind too.
@@ -59,25 +59,25 @@ def test_sync_entry_not_sticky():
 
 def test_sync_reentry_waits_for_other_crosser():
     node, ds, crossed = build(neighbors=(1,))
-    ds.on_message(1, DoorwayCross(FORK_SYNC))
+    ds.note_cross(1, FORK_SYNC)
     ds.start_entry(FORK_SYNC)
     assert crossed == []
     # 1 exits then re-crosses: the pending entry fires on the exit.
-    ds.on_message(1, DoorwayExit(FORK_SYNC))
+    ds.note_exit(1, FORK_SYNC)
     assert crossed == [FORK_SYNC]
 
 
 def test_async_entry_is_sticky_per_neighbor():
     node, ds, crossed = build()
-    ds.on_message(1, DoorwayCross(FORK_ASYNC))
-    ds.on_message(2, DoorwayCross(FORK_ASYNC))
+    ds.note_cross(1, FORK_ASYNC)
+    ds.note_cross(2, FORK_ASYNC)
     ds.start_entry(FORK_ASYNC)
     assert crossed == []
     # Neighbor 1 exits (seen once) and re-crosses: stays satisfied.
-    ds.on_message(1, DoorwayExit(FORK_ASYNC))
-    ds.on_message(1, DoorwayCross(FORK_ASYNC))
+    ds.note_exit(1, FORK_ASYNC)
+    ds.note_cross(1, FORK_ASYNC)
     assert crossed == []
-    ds.on_message(2, DoorwayExit(FORK_ASYNC))
+    ds.note_exit(2, FORK_ASYNC)
     assert crossed == [FORK_ASYNC]  # both seen outside at least once
 
 
@@ -103,7 +103,7 @@ def test_exit_broadcasts_and_clears():
 
 def test_exit_all_covers_pending_and_behind():
     node, ds, crossed = build()
-    ds.on_message(1, DoorwayCross(FORK_SYNC))
+    ds.note_cross(1, FORK_SYNC)
     ds.start_entry(FORK_ASYNC)  # crosses immediately
     ds.start_entry(FORK_SYNC)  # blocked by 1
     assert ds.is_waiting(FORK_SYNC)
@@ -114,7 +114,7 @@ def test_exit_all_covers_pending_and_behind():
 
 def test_link_down_unblocks_entry():
     node, ds, crossed = build(neighbors=(1,))
-    ds.on_message(1, DoorwayCross(FORK_SYNC))
+    ds.note_cross(1, FORK_SYNC)
     ds.start_entry(FORK_SYNC)
     assert crossed == []
     node.set_neighbors(())
@@ -124,14 +124,14 @@ def test_link_down_unblocks_entry():
 
 def test_new_static_neighbor_counts_as_outside():
     node, ds, crossed = build(neighbors=(1,))
-    ds.on_message(1, DoorwayCross(FORK_ASYNC))
+    ds.note_cross(1, FORK_ASYNC)
     ds.start_entry(FORK_ASYNC)
     assert crossed == []
     # A new neighbor 5 arrives while we are static: it is outside and
     # must not block the pending async entry.
     node.set_neighbors((1, 5))
     ds.on_new_neighbor_while_static(5)
-    ds.on_message(1, DoorwayExit(FORK_ASYNC))
+    ds.note_exit(1, FORK_ASYNC)
     assert crossed == [FORK_ASYNC]
 
 
@@ -155,25 +155,25 @@ def test_doorway_guarantee_no_overtake():
     """Figure 1: i crossed before j started entering -> j waits for exit."""
     node_j, ds_j, crossed_j = build(neighbors=(9,))
     # j learns i (=9) crossed before j begins its entry.
-    ds_j.on_message(9, DoorwayCross(FORK_ASYNC))
+    ds_j.note_cross(9, FORK_ASYNC)
     ds_j.start_entry(FORK_ASYNC)
     assert crossed_j == []
-    ds_j.on_message(9, DoorwayExit(FORK_ASYNC))
+    ds_j.note_exit(9, FORK_ASYNC)
     assert crossed_j == [FORK_ASYNC]
 
 
-def test_abort_entry_cancels_wait():
+def test_exit_all_cancels_pending_entry():
     node, ds, crossed = build(neighbors=(1,))
-    ds.on_message(1, DoorwayCross(FORK_SYNC))
+    ds.note_cross(1, FORK_SYNC)
     ds.start_entry(FORK_SYNC)
-    ds.abort_entry(FORK_SYNC)
-    ds.on_message(1, DoorwayExit(FORK_SYNC))
+    ds.exit_all()
+    ds.note_exit(1, FORK_SYNC)
     assert crossed == []
 
 
 def test_peers_behind_lists_current_neighbors_only():
     node, ds, crossed = build(neighbors=(1, 2))
-    ds.on_message(1, DoorwayCross(FORK_SYNC))
-    ds.on_message(2, DoorwayCross(FORK_SYNC))
+    ds.note_cross(1, FORK_SYNC)
+    ds.note_cross(2, FORK_SYNC)
     node.set_neighbors((1,))
     assert ds.peers_behind(FORK_SYNC) == {1}

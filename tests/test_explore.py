@@ -2,7 +2,7 @@
 
 Covers the controlled schedulers and their decision traces, the repro
 file format, the controlled runner (probes, report section, replay
-bit-identity), monitor selection, the DFS frontier, and the ``explore``
+bit-identity), monitor selection, and the ``explore``
 CLI.  End-to-end ablation catching lives in
 ``test_explore_ablations.py``; shrinking in ``test_explore_shrink.py``.
 """
@@ -19,7 +19,6 @@ from repro.explore import (
     ReproFile,
     ReplaySchedule,
     RandomStrategy,
-    dfs_prefixes,
     replay,
     run_campaign,
     run_controlled,
@@ -28,7 +27,7 @@ from repro.explore import (
 from repro.explore.monitors import build_monitors, default_monitor_specs
 from repro.explore.repro_file import REPRO_SCHEMA_VERSION
 from repro.explore.scenarios import build_scenario
-from repro.explore.schedule import BoundedDFSStrategy, build_strategy
+from repro.explore.schedule import build_strategy
 
 
 def _line_scenario(algorithm="alg2", n=4, until=30.0):
@@ -95,28 +94,11 @@ def test_build_strategy_round_trips_descriptors():
     for descriptor in (
         {"kind": "random", "seed": 3},
         {"kind": "pct", "seed": 3, "depth": 2, "expected_decisions": 100},
-        {"kind": "dfs", "prefix": [1, 0, 2]},
     ):
         strategy = build_strategy(descriptor)
         assert strategy.describe() == descriptor
     with pytest.raises(ConfigurationError):
         build_strategy({"kind": "oracle"})
-
-
-def test_dfs_prefixes_expand_first_branch_past_prefix():
-    assert dfs_prefixes([], [3, 2]) == [[1], [2]]
-    assert dfs_prefixes([1], [3, 2]) == [[1, 1]]
-    assert dfs_prefixes([1, 0], [3, 2]) == []
-    assert dfs_prefixes([], [1, 4]) == []  # no alternative at depth 0
-
-
-def test_dfs_strategy_follows_prefix_then_zero():
-    strategy = BoundedDFSStrategy(prefix=[2, 1])
-    group = [object()] * 3
-    assert strategy.tie_break(group) == 2
-    assert strategy.tie_break(group) == 1
-    assert strategy.tie_break(group) == 0
-    assert strategy.branching == [3, 3, 3]
 
 
 # ----------------------------------------------------------------------

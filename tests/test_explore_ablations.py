@@ -27,6 +27,11 @@ SMOKE_RUNS = 12
 SMOKE_SEED = 1
 
 
+def _monitors(result):
+    """The monitors a campaign's violations came from."""
+    return {repro.violation.get("monitor") for repro in result.violations}
+
+
 # ----------------------------------------------------------------------
 # Tier-1 smoke
 # ----------------------------------------------------------------------
@@ -38,7 +43,7 @@ def test_smoke_campaign_catches_ablation(ablation):
         ablation, runs=SMOKE_RUNS, seed=SMOKE_SEED, stop_on_first=True
     )
     assert not result.clean, f"{ablation} escaped the campaign"
-    assert ABLATION_MONITORS[ablation] in result.violated_monitors()
+    assert ABLATION_MONITORS[ablation] in _monitors(result)
 
 
 @pytest.mark.parametrize("algorithm", CLEAN_ALGORITHMS)
@@ -74,7 +79,7 @@ def test_smoke_violations_carry_replayable_repros():
 def test_fuzz_ablation_caught_across_seeds(ablation, seed):
     result = run_campaign(ablation, runs=24, seed=seed, workers=2)
     assert not result.clean
-    assert ABLATION_MONITORS[ablation] in result.violated_monitors()
+    assert ABLATION_MONITORS[ablation] in _monitors(result)
 
 
 @pytest.mark.fuzz
@@ -93,4 +98,4 @@ def test_fuzz_clean_algorithms_survive_across_seeds(algorithm, seed):
 def test_fuzz_pct_strategy_also_catches(ablation):
     result = run_campaign(ablation, runs=24, seed=1, strategy="pct")
     assert not result.clean
-    assert ABLATION_MONITORS[ablation] in result.violated_monitors()
+    assert ABLATION_MONITORS[ablation] in _monitors(result)

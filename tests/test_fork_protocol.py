@@ -205,8 +205,8 @@ def test_fork_table_macros():
     table = ForkTable()
     table.set_holds(1, True)
     table.set_holds(2, False)
-    assert table.all_forks(frozenset({1})) is True
-    assert table.all_forks(frozenset({1, 2})) is False
+    assert fork_scan.all_forks(table, frozenset({1})) is True
+    assert fork_scan.all_forks(table, frozenset({1, 2})) is False
     assert fork_scan.all_low_forks(table, frozenset({1, 2}), lambda j: j == 1)
     assert list(fork_scan.missing(table, frozenset({1, 2}), lambda j: True)) == [2]
     assert table.held == {1}

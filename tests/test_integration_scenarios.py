@@ -12,7 +12,22 @@ from repro.mobility import RandomWaypoint, ScriptedMobility, ScriptedMove
 from repro.net.geometry import Point, grid_positions, line_positions, ring_positions
 from repro.runtime.simulation import ScenarioConfig, Simulation
 
-from helpers import assert_fork_uniqueness
+from helpers import assert_fork_uniqueness, track_eaters
+
+
+
+def test_local_mutex_allows_parallelism_in_real_run():
+    """Global mutex would cap concurrency at 1; local mutex must not."""
+    config = ScenarioConfig(
+        positions=line_positions(12, spacing=1.0),
+        algorithm="alg2",
+        seed=3,
+        think_range=(0.2, 1.0),
+    )
+    sim = Simulation(config)
+    eaters = track_eaters(sim)
+    sim.run(until=150.0)
+    assert max(eaters) >= 2, "local mutual exclusion should allow parallelism"
 
 
 def test_partitioned_network_progresses_independently():
@@ -27,7 +42,7 @@ def test_partitioned_network_progresses_independently():
     )
     sim = Simulation(config)
     result = sim.run(until=120.0)
-    assert not sim.topology.is_connected()
+    assert len(sim.topology.components()) == 2
     for node in range(8):
         assert result.metrics.counters[node].cs_entries >= 5
 

@@ -98,7 +98,7 @@ def test_lemma_21_linial_rounds_and_range():
     from repro.core.coloring.linial import LinialColoring
 
     proc = LinialColoring(id_space=10 ** 9, delta=8)
-    assert proc.rounds <= 6  # log* of 10^9 plus construction slack
+    assert len(proc.schedule) <= 6  # log* of 10^9 plus construction slack
     assert proc.max_color() <= 8 ** 3
 
 

@@ -422,6 +422,38 @@ def test_merge_rows_is_stable_and_strictly_increasing():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def test_serve_exposes_live_metrics_mid_run(tmp_path):
+    """``repro live serve``: a scrape during the run sees the live family,
+    and the recording it returns verifies clean."""
+    import socket
+    import threading
+    import time
+    import urllib.request
+
+    from helpers import parse_openmetrics
+    from repro.live import serve
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    result = {}
+    runner = threading.Thread(target=lambda: result.update(recording=serve(
+        "static-line", "alg2", port=port, duration=20.0, time_scale=0.05,
+    )))
+    runner.start()
+    families = {}
+    url = f"http://127.0.0.1:{port}/metrics"
+    while runner.is_alive() and "repro_live_events" not in families:
+        try:
+            with urllib.request.urlopen(url, timeout=2.0) as response:
+                families = parse_openmetrics(response.read().decode())
+        except OSError:
+            time.sleep(0.05)
+    runner.join(timeout=30.0)
+    assert "repro_live_events" in families
+    assert_clean(verify_recording(result["recording"]))
+
+
 def test_cli_version_flag():
     out = io.StringIO()
     assert cli_main(["--version"], out=out) == 0

@@ -1,4 +1,10 @@
-"""Tests for the multi-seed replication helpers."""
+"""Tests for the multi-seed replication helpers.
+
+Covers the confidence-interval arithmetic, the per-run key that names
+report files (stable, seed- and field-sensitive, engine-shape aware,
+absent for scenarios that do not serialize), and that ``replicate``'s
+parallel path reproduces the serial numbers exactly.
+"""
 
 import math
 
@@ -6,9 +12,9 @@ import pytest
 
 from repro.harness.multiseed import (
     DEFAULT_METRICS,
-    Estimate,
     estimate,
     replicate,
+    scenario_key,
     t_critical_95,
 )
 from repro.net.geometry import line_positions
@@ -38,14 +44,6 @@ def test_estimate_single_sample_has_infinite_width():
 def test_estimate_empty_rejected():
     with pytest.raises(ValueError):
         estimate([])
-
-
-def test_estimate_overlap():
-    a = Estimate(mean=1.0, half_width=0.5, samples=5)
-    b = Estimate(mean=1.8, half_width=0.4, samples=5)
-    c = Estimate(mean=3.0, half_width=0.2, samples=5)
-    assert a.overlaps(b)
-    assert not a.overlaps(c)
 
 
 def test_replicate_runs_all_seeds_and_aggregates():
@@ -93,23 +91,6 @@ def test_replicate_report_dir_writes_one_report_per_seed(tmp_path):
     assert seeds_seen == {1, 2, 3}
 
 
-def test_replicate_cache_hits_skip_report_writes(tmp_path):
-    config = ScenarioConfig(
-        positions=line_positions(4, spacing=1.0),
-        radio_range=1.1,
-        algorithm="alg2",
-    )
-    cache = tmp_path / "cache"
-    out = tmp_path / "reports"
-    # Prime the cache without reports...
-    replicate(config, until=40.0, seeds=(5, 6), metrics=DEFAULT_METRICS,
-              cache=cache)
-    # ...then a fully-cached re-run must not execute (and so not write).
-    replicate(config, until=40.0, seeds=(5, 6), metrics=DEFAULT_METRICS,
-              cache=cache, report_dir=out)
-    assert not out.exists() or not list(out.glob("*.json"))
-
-
 def test_replicate_metrics_dir_writes_openmetrics_per_seed(tmp_path):
     from helpers import parse_openmetrics
 
@@ -130,3 +111,98 @@ def test_replicate_metrics_dir_writes_openmetrics_per_seed(tmp_path):
     # Snapshot stems pair up with the report stems for the same seed.
     report_stems = {p.stem for p in (tmp_path / "reports").glob("*.json")}
     assert {p.stem for p in files} == report_stems
+
+
+def _config(**overrides):
+    base = dict(
+        positions=line_positions(4, spacing=1.0),
+        algorithm="alg2",
+        think_range=(0.5, 2.0),
+        max_entries=2,
+    )
+    base.update(overrides)
+    return ScenarioConfig(**base)
+
+
+def test_scenario_key_is_stable_and_seed_sensitive():
+    config = _config()
+    assert scenario_key(config, 30.0, 1) == scenario_key(config, 30.0, 1)
+    assert scenario_key(config, 30.0, 1) != scenario_key(config, 30.0, 2)
+    assert scenario_key(config, 30.0, 1) != scenario_key(config, 40.0, 1)
+
+
+def test_scenario_key_changes_when_config_fields_change():
+    config = _config()
+    variants = [
+        _config(radio_range=1.5),
+        _config(algorithm="chandy-misra"),
+        _config(think_range=(1.0, 3.0)),
+        _config(max_entries=3),
+        _config(crashes=[(5.0, 1)]),
+    ]
+    base_key = scenario_key(config, 30.0, 1)
+    for variant in variants:
+        assert scenario_key(variant, 30.0, 1) != base_key
+
+
+def test_scenario_key_encodes_engine_shape():
+    config = _config()
+    base = scenario_key(config, 30.0, 1)
+    assert scenario_key(config, 30.0, 1, shards=2) != base
+    assert scenario_key(config, 30.0, 1, max_speed=1.5) != base
+    assert (
+        scenario_key(config, 30.0, 1, shards=2)
+        != scenario_key(config, 30.0, 1, shards=4)
+    )
+    # The default engine shape is part of the same scheme, not a
+    # special case: explicit defaults reproduce the two-argument key.
+    assert scenario_key(config, 30.0, 1, shards=1, max_speed=None) == base
+
+
+def test_unserializable_scenarios_have_no_key():
+    assert scenario_key(_config(algorithm=lambda ctx: None), 30.0, 1) is None
+    assert (
+        scenario_key(_config(mobility_factory=lambda nid: None), 30.0, 1)
+        is None
+    )
+
+
+def test_sharded_replicate_names_reports_by_engine_shape(tmp_path):
+    config = _config()
+    metrics = {"throughput": DEFAULT_METRICS["throughput"]}
+    estimates = replicate(config, until=30.0, seeds=(1,), metrics=metrics,
+                          shards=2, report_dir=tmp_path)
+    assert estimates["throughput"].samples == 1
+    assert [p.stem for p in tmp_path.glob("*.json")] == [
+        scenario_key(config, 30.0, 1, shards=2)
+    ]
+
+
+def test_replicate_workers_matches_serial():
+    config = _config()
+    serial = replicate(config, until=30.0, seeds=(1, 2, 3),
+                       metrics=DEFAULT_METRICS)
+    parallel = replicate(config, until=30.0, seeds=(1, 2, 3),
+                         metrics=DEFAULT_METRICS, workers=2)
+    for name in DEFAULT_METRICS:
+        assert _estimates_equal(serial[name], parallel[name])
+
+
+def test_replicate_rejects_bad_workers():
+    with pytest.raises(ValueError):
+        replicate(_config(), until=10.0, seeds=(1,), metrics=DEFAULT_METRICS,
+                  workers=0)
+
+
+def _estimates_equal(a, b):
+    return (
+        _float_equal(a.mean, b.mean)
+        and _float_equal(a.half_width, b.half_width)
+        and a.samples == b.samples
+    )
+
+
+def _float_equal(x, y):
+    if math.isnan(x) and math.isnan(y):
+        return True
+    return x == y

@@ -128,7 +128,7 @@ def test_observers_fire_after_indications():
     assert events == [("down", 1, 2)]
 
 
-def test_live_nodes_excludes_crashed():
+def test_crash_marks_only_that_node():
     sim, topo, link, handlers = build()
     link.crash(1)
-    assert list(link.live_nodes()) == [0, 2]
+    assert [n for n in (0, 1, 2) if link.is_crashed(n)] == [1]

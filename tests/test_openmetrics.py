@@ -24,12 +24,19 @@ from repro.obs.openmetrics import (
     metric_name,
     openmetrics_from_report,
     render_openmetrics,
-    render_registry,
 )
 from repro.obs.registry import MetricRegistry, merge_snapshots
 from repro.runtime.simulation import ScenarioConfig, Simulation
 from repro.sim.clock import TimeBounds
 from repro.net.geometry import line_positions
+
+
+#: The descriptions ``_loaded_registry`` gives its instruments.
+HELP = {
+    "mutex.requests": "CS requests",
+    "mutex.queue_depth": "Forks held",
+    "mutex.response_time": "Hungry to eating",
+}
 
 
 def _loaded_registry() -> MetricRegistry:
@@ -99,7 +106,9 @@ def test_escape_label_value():
 
 
 def test_registry_round_trips_through_strict_parser():
-    families = parse_openmetrics(render_registry(_loaded_registry()))
+    families = parse_openmetrics(
+        render_openmetrics(_loaded_registry().snapshot(), help_texts=HELP)
+    )
     counter = families["repro_mutex_requests"]
     assert counter["type"] == "counter"
     assert counter["help"] == "CS requests"
@@ -141,24 +150,8 @@ def test_registry_round_trips_through_strict_parser():
 
 
 def test_empty_registry_renders_bare_eof():
-    assert render_registry(MetricRegistry()) == "# EOF\n"
+    assert render_openmetrics(MetricRegistry().snapshot()) == "# EOF\n"
     assert parse_openmetrics(render_openmetrics({})) == {}
-
-
-def test_snapshot_and_registry_renderings_agree():
-    registry = _loaded_registry()
-    live = parse_openmetrics(render_registry(registry))
-    from_snapshot = parse_openmetrics(
-        render_openmetrics(
-            registry.snapshot(),
-            help_texts={
-                "mutex.requests": "CS requests",
-                "mutex.queue_depth": "Forks held",
-                "mutex.response_time": "Hungry to eating",
-            },
-        )
-    )
-    assert live == from_snapshot
 
 
 def test_merged_snapshot_round_trips():

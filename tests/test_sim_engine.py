@@ -82,15 +82,19 @@ def test_crash_retime_skips_a_crash_that_already_fired():
     ))
     simulation.run(until=10.0)
     failures = simulation.failures
-    assert failures.crashed_nodes() == [1]
+
+    def crashed():
+        return sorted(n for n, h in simulation.harnesses.items() if h.crashed)
+
+    assert crashed() == [1]
     failures.apply_control(TenLater())
     assert [(c.time, c.node_id) for c in failures.crashes] == [
         (5.0, 1), (40.0, 3),
     ]
     simulation.run(until=35.0)
-    assert failures.crashed_nodes() == [1]
+    assert crashed() == [1]
     simulation.run(until=45.0)
-    assert failures.crashed_nodes() == [1, 3]
+    assert crashed() == [1, 3]
 
 
 def test_run_until_deadline_leaves_future_events_pending():
@@ -172,19 +176,6 @@ def test_listener_fires_after_each_event():
     assert seen == [1.0, 2.0]
 
 
-def test_listener_can_be_removed():
-    sim = Simulator()
-    seen = []
-    listener = lambda s: seen.append(s.now)  # noqa: E731
-    sim.add_listener(listener)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    sim.remove_listener(listener)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert seen == [1.0]
-
-
 def test_timer_restart_supersedes_previous_deadline():
     sim = Simulator()
     fired = []
@@ -220,20 +211,12 @@ def test_time_bounds_validation():
         TimeBounds(min_delay_fraction=0)
 
 
-def test_time_bounds_delay_draws_within_range():
+def test_time_bounds_eating_draws_within_range():
     bounds = TimeBounds(nu=2.0, tau=3.0, min_delay_fraction=0.5)
     rng = RandomSource(7).stream("t")
     for _ in range(200):
-        d = bounds.draw_message_delay(rng)
-        assert 1.0 <= d <= 2.0
         e = bounds.draw_eating_time(rng)
         assert 0 < e <= 3.0
-
-
-def test_time_bounds_deterministic_delay():
-    bounds = TimeBounds(nu=2.0, min_delay_fraction=1.0)
-    rng = RandomSource(7).stream("t")
-    assert bounds.draw_message_delay(rng) == 2.0
 
 
 def test_random_source_streams_are_independent_and_reproducible():
@@ -246,19 +229,6 @@ def test_random_source_streams_are_independent_and_reproducible():
     # Distinct names give distinct streams.
     e = RandomSource(42)
     assert e.stream("x", 1).random() != e.stream("x", 2).random()
-
-
-def test_random_source_fork_derives_new_seed():
-    root = RandomSource(5)
-    child1 = root.fork("child")
-    child2 = RandomSource(5).fork("child")
-    assert child1.seed == child2.seed
-    assert child1.seed != root.seed
-
-
-# ----------------------------------------------------------------------
-# Engine stats and profiling hooks
-# ----------------------------------------------------------------------
 
 
 def test_stats_snapshot_tracks_counters():
@@ -287,8 +257,7 @@ def test_mass_cancellation_triggers_compaction():
         handles = [sim.schedule_at(float(i), lambda: None) for i in range(200)]
         for handle in handles[:150]:
             handle.cancel()
-        assert sim.compactions >= 1
-        assert sim.stats()["scheduler"]["compactions"] == sim.compactions
+        assert sim.stats()["scheduler"]["compactions"] >= 1
         sim.run()
         assert sim.executed_events == 50
 

@@ -7,7 +7,8 @@ from repro.errors import ProtocolError
 from repro.net.geometry import Point, grid_positions, line_positions
 from repro.net.topology import DynamicTopology
 from repro.runtime.simulation import ScenarioConfig, Simulation
-from repro.analysis.timeline import concurrency_profile
+
+from helpers import track_eaters
 
 
 def build_topology(positions, radio=1.0):
@@ -51,15 +52,15 @@ def test_token_run_makes_progress_and_serializes():
         algorithm="token-mutex",
         seed=3,
         think_range=(0.2, 1.0),
-        trace=True,
     )
     sim = Simulation(config)
+    eaters = track_eaters(sim)
     result = sim.run(until=200.0)
     assert result.starved == []
     for node in range(9):
         assert result.metrics.counters[node].cs_entries >= 3
     # GLOBAL exclusion: never two simultaneous eaters, anywhere.
-    assert max(concurrency_profile(sim.trace, step=0.5)) <= 1
+    assert max(eaters) == 1
 
 
 def test_two_components_hold_two_tokens():
@@ -71,14 +72,14 @@ def test_two_components_hold_two_tokens():
         algorithm="token-mutex",
         seed=4,
         think_range=(0.1, 0.4),
-        trace=True,
     )
     sim = Simulation(config)
+    eaters = track_eaters(sim)
     result = sim.run(until=100.0)
     for node in range(6):
         assert result.metrics.counters[node].cs_entries >= 3
     # Separate components CAN eat concurrently (one token each).
-    assert max(concurrency_profile(sim.trace, step=0.5)) == 2
+    assert max(eaters) == 2
 
 
 def test_global_serialization_costs_throughput():

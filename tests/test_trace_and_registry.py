@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError
 from repro.net.geometry import line_positions
 from repro.net.topology import DynamicTopology
 from repro.runtime.registry import ALGORITHMS, BuildContext, resolve
-from repro.sim.trace import TraceLog, TraceRecord
+from repro.sim.trace import TraceLog
 
 
 # ----------------------------------------------------------------------
@@ -19,48 +19,25 @@ def test_trace_records_and_filters():
     log.record(1.0, "a", 1, x=1)
     log.record(2.0, "b", 1)
     log.record(3.0, "a", 2)
-    assert len(log) == 3
+    assert len(log.select()) == 3
     assert [r.time for r in log.select(category="a")] == [1.0, 3.0]
     assert [r.time for r in log.select(node=1)] == [1.0, 2.0]
     assert log.select(category="a", node=2)[0].time == 3.0
     assert log.select(predicate=lambda r: r.time > 1.5)[0].category == "b"
 
 
-def test_trace_first_and_last():
-    log = TraceLog()
-    assert log.first("x") is None and log.last("x") is None
-    log.record(1.0, "x", 1)
-    log.record(5.0, "x", 1)
-    assert log.first("x").time == 1.0
-    assert log.last("x").time == 5.0
-
-
 def test_trace_disabled_is_free():
     log = TraceLog(enabled=False)
     log.record(1.0, "a", 1)
-    assert len(log) == 0
+    assert log.select() == []
 
 
 def test_trace_capacity_drops_oldest():
     log = TraceLog(capacity=10)
     for i in range(25):
         log.record(float(i), "tick", 0)
-    assert len(log) <= 11
+    assert len(log.select()) <= 11
     assert log.select(category="tick")[-1].time == 24.0
-
-
-def test_trace_clear_and_dump():
-    log = TraceLog()
-    log.record(1.0, "a", 1, k="v")
-    text = log.dump()
-    assert "k=v" in text and "p1" in text
-    log.clear()
-    assert len(log) == 0
-
-
-def test_trace_record_str_without_node():
-    rec = TraceRecord(1.5, "net", None, {})
-    assert "net" in str(rec)
 
 
 # ----------------------------------------------------------------------
@@ -112,20 +89,17 @@ def test_oracle_scheduler_shared_within_context():
     assert a.scheduler is b.scheduler
 
 
-def test_trace_truncation_is_loud_not_silent():
+def test_trace_capacity_counts_evictions():
     log = TraceLog(capacity=10)
-    assert not log.truncated
     for i in range(25):
         log.record(float(i), "tick", 0)
-    assert log.truncated
+    assert log.dropped > 0
     # Every evicted record is accounted for: survivors + dropped = total.
-    assert len(log) + log.dropped == 25
-    log.clear()
-    assert not log.truncated and log.dropped == 0
+    assert len(log.select()) + log.dropped == 25
 
 
-def test_uncapped_trace_never_truncates():
+def test_uncapped_trace_never_drops():
     log = TraceLog()
     for i in range(1000):
         log.record(float(i), "tick", 0)
-    assert not log.truncated and log.dropped == 0
+    assert log.dropped == 0 and len(log.select()) == 1000
