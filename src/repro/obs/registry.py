@@ -80,11 +80,6 @@ class Counter(_Instrument):
             by_key = self.by_key
             by_key[key] = by_key.get(key, 0) + amount
 
-    def get(self, key: Optional[str] = None) -> int:
-        if key is None:
-            return self.value
-        return self.by_key.get(key, 0)
-
     def snapshot(self) -> Dict[str, object]:
         data: Dict[str, object] = {"kind": self.kind, "value": self.value}
         if self.by_key:
@@ -123,11 +118,6 @@ class Gauge(_Instrument):
     def dec(self, amount: int = 1, key: Optional[str] = None) -> None:
         current = self.value if key is None else self.by_key.get(key, 0)
         self.set(current - amount, key=key)
-
-    def get(self, key: Optional[str] = None) -> int:
-        if key is None:
-            return self.value
-        return self.by_key.get(key, 0)
 
     def snapshot(self) -> Dict[str, object]:
         data: Dict[str, object] = {
@@ -222,20 +212,6 @@ class Histogram(_Instrument):
             if cell is None:
                 cell = self._by_key[key] = _HistogramCell(len(self.bounds))
             cell.observe(value, index)
-
-    @property
-    def count(self) -> int:
-        return self._all.count
-
-    @property
-    def total(self) -> float:
-        return self._all.total
-
-    def mean(self, key: Optional[str] = None) -> Optional[float]:
-        cell = self._all if key is None else self._by_key.get(key)
-        if cell is None or not cell.count:
-            return None
-        return cell.total / cell.count
 
     def snapshot(self) -> Dict[str, object]:
         data: Dict[str, object] = {"kind": self.kind}

@@ -270,10 +270,10 @@ def test_peer_loss_surfaces_link_down_and_counts():
         assert 0 not in linklayer.neighbors(1)
         down_rows = [row for row in recorder.rows if row["k"] == "down"]
         assert down_rows and down_rows[0]["endpoint"] == 1
-        assert probes.link_down.get("liveness") == 1
+        assert probes.link_down.by_key.get("liveness") == 1
         # Losing an already-gone peer is a no-op, not a second event.
         transport._peer_lost(0, reason="liveness")
-        assert probes.link_down.get("liveness") == 2  # counted...
+        assert probes.link_down.by_key.get("liveness") == 2  # counted...
         assert len(down_rows) == 1  # ...but no duplicate link event
         for task in transport._tasks:
             task.cancel()

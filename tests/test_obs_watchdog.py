@@ -69,7 +69,7 @@ def test_periodic_ticks_and_registry_counter():
     _advance(sim, 30.0)
     dog.stop()
     assert [w.node for w in dog.warnings] == [2]
-    assert registry.counter("watchdog.warnings").get() == 1
+    assert registry.counter("watchdog.warnings").value == 1
     assert dog.warning_dicts()[0]["kind"] == "starvation"
 
 

@@ -284,7 +284,8 @@ ATTRIBUTION = "ROADMAP attribution item: `EngineProfiler` / `ScenarioConfig.prof
 INTERFACE = "interface: base-class default or an override of one"
 FAULT = "fault path: runs only on a peer loss, crash, violation or regression"
 MECHANICS = "data-structure mechanics for loads the claims do not reach"
-SEAM = "test seam: observes a component the claims run"
+SEAM = "test seam: drives or observes a component the claims run"
+ORACLE = "oracle seam: a test oracle in tests/oracles/ works through it"
 
 OWNERS: Dict[str, str] = {
     "repro/sim/sharded.py": SCALE,
@@ -296,7 +297,7 @@ OWNERS: Dict[str, str] = {
     "repro/runtime/simulation.py::Simulation._build.<locals>._to_outbox": SCALE,
     "repro/net/topology.py::DynamicTopology.upsert_node": SCALE,
     "repro/net/topology.py::DynamicTopology.add_node":
-        SCALE + " (`upsert_node`); the tests' topology oracle",
+        SCALE + " (`upsert_node`) and the tests' topology oracle",
     "repro/net/topology.py::DynamicTopology._grid_insert": SCALE + " (`add_node`)",
     "repro/obs/registry.py::merge_snapshots": SCALE,
     "repro/obs/registry.py::_copy_instrument": SCALE,
@@ -379,21 +380,20 @@ OWNERS: Dict[str, str] = {
     "repro/sim/schedqueue.py::LadderQueue.size":
         SEAM + " (the README's resident-shell bound)",
     "repro/sim/events.py::ScheduledEvent.__lt__":
-        SEAM + " (the heap oracle orders events by it)",
+        ORACLE + " (the heap queue orders events by it)",
     "repro/core/coloring/greedy.py::greedy_color_graph":
-        SEAM + " (the set-of-tuples greedy oracle colours through it)",
+        ORACLE + " (the set-of-tuples greedy session colours through it)",
     "repro/explore/monitors.py::InvariantMonitor.spec":
-        SEAM + " (the whole-network scan oracle is built from it)",
-    "repro/net/topology.py::DynamicTopology.links": SEAM,
-    "repro/obs/registry.py::Counter.get": SEAM,
-    "repro/obs/registry.py::Gauge.get": SEAM,
-    "repro/obs/registry.py::Histogram.count": SEAM,
-    "repro/obs/registry.py::Histogram.total": SEAM,
-    "repro/obs/registry.py::Histogram.mean": SEAM,
+        ORACLE + " (the whole-network scans are built from it)",
+    "repro/net/topology.py::DynamicTopology.links":
+        ORACLE + " (the grid and the all-pairs scan are compared through it)",
     "repro/obs/watchdog.py::StarvationWatchdog.stop": SEAM,
-    "repro/obs/watchdog.py::StarvationWatchdog.check_now": SEAM,
-    "repro/sim/timers.py::Timer.pending": SEAM,
-    "repro/sim/timers.py::Timer.deadline": SEAM,
+    "repro/obs/watchdog.py::StarvationWatchdog.check_now":
+        SEAM + " (one check without reaching into `_check`)",
+    "repro/sim/timers.py::Timer.pending":
+        SEAM + " (the runtime-contract test reads a `Timer` on both runtimes)",
+    "repro/sim/timers.py::Timer.deadline":
+        SEAM + " (the runtime-contract test reads a `Timer` on both runtimes)",
 }
 
 
