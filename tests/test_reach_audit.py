@@ -36,7 +36,7 @@ def never_called():
     return 3
 '''
 
-DRIVER = '''\
+SCRIPT = '''\
 import multiprocessing
 import sys
 
@@ -61,8 +61,8 @@ def test_recorder_sees_in_process_and_fork_child_calls(tmp_path):
     (toy / "toy.py").write_text(TOY)
     records = tmp_path / "records"
     records.mkdir()
-    driver = DRIVER.format(tools=str(TOOLS), toy=str(toy), records=str(records))
-    subprocess.run([sys.executable, "-c", driver], check=True, timeout=60)
+    script = SCRIPT.format(tools=str(TOOLS), toy=str(toy), records=str(records))
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60)
 
     defs = reach_audit.functions(str(toy))
     assert sorted(fn.qualname for fn in defs.values()) == [
