@@ -2,9 +2,8 @@
 
 Each example is executed as a subprocess (its own interpreter, exactly
 as a user would run it); we check the exit code and a couple of
-signature lines of its output.  Only the two fastest examples run here
-to keep the suite quick — the longer ones are exercised by the
-benchmark suite's equivalent experiments.
+signature lines of its output.  The failure-locality demo is the slow
+one and carries the ``slow`` marker.
 """
 
 import subprocess
@@ -39,6 +38,40 @@ def test_meeting_room_example():
     assert "takes the projector" in out
     assert "latecomer" in out
     assert "Recoloring runs per node" in out
+
+
+def table_rows(out: str, first):
+    """The cells of the table rows whose first cell is in ``first``."""
+    rows = []
+    for line in out.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if cells[0] in first:
+            rows.append(cells)
+    return rows
+
+
+def test_channel_arbitration_example():
+    # The one claim behind ``jain_index``: every node gets uplink slots.
+    out = run_example("channel_arbitration.py")
+    rows = table_rows(out, ("alg2", "alg1-linial", "alg1-greedy"))
+    assert [row[0] for row in rows] == ["alg2", "alg1-linial", "alg1-greedy"]
+    for _, slots, per_node, jain, *_, starved in rows:
+        assert int(per_node) > 0 and int(slots) > 0
+        assert 0.0 < float(jain) <= 1.0
+        assert starved == "-"
+
+
+def test_mobility_models_tour_example():
+    # The tour runs with the strict safety monitor on, so a violation
+    # would have failed the run; every regime must also make progress.
+    out = run_example("mobility_models_tour.py")
+    rows = table_rows(out, ("alg2", "alg1-greedy"))
+    assert [row[1] for row in rows] == [
+        "static", "waypoint", "gauss-markov", "group (team of 5)",
+        "gauss-markov",
+    ]
+    for row in rows:
+        assert int(row[2]) > 0 and row[-1] == "-"
 
 
 @pytest.mark.slow

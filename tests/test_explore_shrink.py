@@ -81,3 +81,17 @@ def test_replay_of_tampered_repro_diverges(violation_repro):
     tampered.violation["monitor"] = "exclusion"
     with pytest.raises(ConfigurationError):
         replay(tampered)
+
+
+def test_shrink_drops_crashes_the_violation_does_not_need(violation_repro):
+    # Two crashes planned after the violation cannot be what causes it:
+    # ddmin over the crash plan must remove both.
+    data = violation_repro.to_dict()
+    late = violation_repro.violation["time"]
+    data["scenario"]["crashes"] = [[late + 1.0, 0], [late + 2.0, 1]]
+    padded = ReproFile.from_dict(data)
+    assert check_repro(padded) is not None
+    shrunk, _ = shrink_repro(padded)
+    assert shrunk.scenario["crashes"] == []
+    assert shrunk.violation["monitor"] == violation_repro.violation["monitor"]
+    assert replay(shrunk).violation.to_dict() == shrunk.violation

@@ -91,6 +91,22 @@ def test_replicate_report_dir_writes_one_report_per_seed(tmp_path):
     assert seeds_seen == {1, 2, 3}
 
 
+def test_replicate_report_dir_leaves_the_estimates_alone(tmp_path):
+    # Writing per-seed reports observes the runs; it must not perturb them.
+    config = ScenarioConfig(
+        positions=line_positions(4, spacing=1.0),
+        radio_range=1.1,
+        algorithm="alg2",
+        telemetry=True,
+    )
+    plain = replicate(config, until=40.0, seeds=(1, 2), metrics=DEFAULT_METRICS)
+    written = replicate(config, until=40.0, seeds=(1, 2),
+                        metrics=DEFAULT_METRICS, report_dir=tmp_path / "out")
+    assert {name: (e.mean, e.half_width) for name, e in plain.items()} == {
+        name: (e.mean, e.half_width) for name, e in written.items()
+    }
+
+
 def test_replicate_metrics_dir_writes_openmetrics_per_seed(tmp_path):
     from helpers import parse_openmetrics
 

@@ -17,7 +17,7 @@ from oracles.heap_queue import heap_simulator
 from repro.explore.schedule import RandomStrategy
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
-from repro.sim.schedqueue import LadderQueue
+from repro.sim.schedqueue import _BOTTOM_LIMIT, LadderQueue
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +193,53 @@ def test_ladder_single_timestamp_bucket_goes_straight_to_bottom():
     while q.peek() is not None:
         order.append(q.take().seq)
     assert order == [300] + list(range(300))
+
+
+def _overfill_bottom(times):
+    """Load a bottom list past ``_BOTTOM_LIMIT`` after a top transfer.
+
+    The anchors spawn a two-bucket rung; extracting (and taking) its
+    first bucket moves the rung's cursor past [0, 500), so every later
+    push in that range falls through to the empty bottom list.
+    """
+    q = LadderQueue()
+    anchors = _shells([0.0, 1000.0])
+    for shell in anchors:
+        q.push(shell)
+    assert q.peek() is anchors[0]
+    q.take()
+    burst = _shells(times)
+    for seq, shell in enumerate(burst, start=10):
+        shell.seq = seq
+        shell._key = (shell.time, int(shell.priority), seq)
+        q.push(shell)
+    return q, anchors[1:] + burst
+
+
+def test_ladder_spills_an_overlong_bottom_into_a_rung():
+    rng = random.Random(3)
+    count = _BOTTOM_LIMIT + 200
+    q, shells = _overfill_bottom(
+        [rng.uniform(1.0, 499.0) for _ in range(count)]
+    )
+    # The push past the limit re-bucketed the bottom into a new rung.
+    assert len(q._bottom) < _BOTTOM_LIMIT
+    assert len(q._rungs) == 2
+    popped = []
+    while q.peek() is not None:
+        popped.append(q.take())
+    assert popped == sorted(shells, key=lambda e: e._key)
+
+
+def test_ladder_single_timestamp_bottom_stays_sorted_past_the_limit():
+    # One timestamp cannot be re-bucketed: the bottom keeps growing and
+    # pops in seq order.
+    q, shells = _overfill_bottom([250.0] * (_BOTTOM_LIMIT + 10))
+    assert len(q._bottom) == _BOTTOM_LIMIT + 10
+    popped = []
+    while q.peek() is not None:
+        popped.append(q.take())
+    assert popped == sorted(shells, key=lambda e: e._key)
 
 
 def test_ladder_sweep_recycles_cancelled_shells():
