@@ -718,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--strategy", default="random",
                              choices=["random", "pct"])
     fuzz_parser.add_argument("--workers", type=int, default=1,
-                             help="process fan-out (random/pct only)")
+                             help="process fan-out")
     fuzz_parser.add_argument("--out", default="repros", metavar="DIR",
                              help="directory for violation repro files")
     fuzz_parser.add_argument("--stop-on-first", action="store_true",

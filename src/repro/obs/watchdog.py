@@ -102,16 +102,7 @@ class StarvationWatchdog:
                 self.period, self._tick, priority=EventPriority.MONITOR
             )
 
-    def stop(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
     # ------------------------------------------------------------------
-    def check_now(self) -> List[StarvationWarning]:
-        """Run one check immediately; returns the new warnings."""
-        return self._check(self._sim.now)
-
     def _tick(self) -> None:
         self._check(self._sim.now)
         self._event = self._sim.schedule(

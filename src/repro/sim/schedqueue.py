@@ -138,11 +138,6 @@ class LadderQueue:
         self.rung_spills = 0
 
     @property
-    def size(self) -> int:
-        """Resident entries, cancelled shells included."""
-        return self._size
-
-    @property
     def live(self) -> int:
         """Pending (non-cancelled) entries, O(1)."""
         return self._size - self._cancelled

@@ -41,14 +41,6 @@ class Timer:
         """True if the timer is armed and has not yet fired."""
         return self._event is not None and self._event.pending
 
-    @property
-    def deadline(self) -> Optional[float]:
-        """Absolute fire time while armed, else None."""
-        if self.pending:
-            assert self._event is not None
-            return self._event.time
-        return None
-
     def start(self, delay: float) -> None:
         """Arm the timer; restarts (and supersedes) any pending deadline."""
         self.cancel()

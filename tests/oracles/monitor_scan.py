@@ -361,7 +361,7 @@ class ProgressScan(ScanMonitor):
         return False
 
     def _judge(self) -> Optional[Dict[str, Any]]:
-        for warning in self._watchdog.check_now():
+        for warning in self._watchdog._check(self.simulation.sim.now):
             if not self._exempt(warning.node):
                 return {
                     "node": warning.node,

@@ -299,7 +299,9 @@ def test_runtimes_satisfy_the_runtime_protocol():
         timer = Timer(runtime, lambda: fired.append(runtime.now))
 
         def read():
-            readings.append((timer.pending, timer.deadline))
+            readings.append(
+                (timer.pending, timer._event.time if timer.pending else None)
+            )
 
         read()
         timer.start(5.0)

@@ -31,19 +31,19 @@ def test_warns_once_per_hungry_interval():
     metrics.note_hungry(1, 0.0)
     _advance(sim, 50.0)
 
-    fresh = dog.check_now()
+    fresh = dog._check(sim.now)
     assert [w.node for w in fresh] == [1]
     assert fresh[0].hungry_since == 0.0
     assert fresh[0].duration == 50.0
     # The same interval never warns twice.
-    assert dog.check_now() == []
+    assert dog._check(sim.now) == []
 
     # A new hungry interval warns again.
     metrics.note_eat_start(1, 50.0)
     metrics.note_think(1, 51.0)
     metrics.note_hungry(1, 51.0)
     _advance(sim, 100.0)
-    again = dog.check_now()
+    again = dog._check(sim.now)
     assert [w.node for w in again] == [1]
     assert again[0].hungry_since == 51.0
     assert len(dog.warnings) == 2
@@ -55,7 +55,7 @@ def test_crashed_nodes_are_never_reported():
     metrics.note_hungry(1, 0.0)
     metrics.note_crash(1, 5.0)
     _advance(sim, 50.0)
-    assert dog.check_now() == []
+    assert dog._check(sim.now) == []
 
 
 def test_periodic_ticks_and_registry_counter():
@@ -67,7 +67,6 @@ def test_periodic_ticks_and_registry_counter():
     metrics.note_hungry(2, 0.0)
     dog.start()
     _advance(sim, 30.0)
-    dog.stop()
     assert [w.node for w in dog.warnings] == [2]
     assert registry.counter("watchdog.warnings").value == 1
     assert dog.warning_dicts()[0]["kind"] == "starvation"
@@ -80,7 +79,7 @@ def test_warning_to_dict_round_trips_through_json():
     dog = StarvationWatchdog(sim, metrics, threshold=1.0)
     metrics.note_hungry(3, 2.0)
     _advance(sim, 10.0)
-    dog.check_now()
+    dog._check(sim.now)
     (payload,) = dog.warning_dicts()
     assert json.loads(json.dumps(payload)) == payload
     assert payload["duration"] == payload["time"] - payload["hungry_since"]

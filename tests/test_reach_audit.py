@@ -11,6 +11,7 @@ The rest runs the naming, owner matching and rendering on toy trees,
 and checks the owner table and the committed report against ``src/``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -331,29 +332,60 @@ def test_render_summary_counts(report_toy):
     assert "- e2e ledger (`e2e`) reaches 1 functions." in report
 
 
-def test_render_marks_claims_that_did_not_run(report_toy):
+def test_render_counts_only_defs_per_claim(report_toy):
+    # Module bodies, lambdas and comprehensions are code objects too;
+    # a claim's count holds only the defs among its records.
     defs, reached = report_toy
-    del reached["paper"], reached["micro"]
+    reached["e2e"] |= {("toy.py", 8), ("other.py", 1)}
     report = reach_audit.render(defs, reached)
-    assert "paper benches (`paper`)" not in report
-    # Columns: e2e, cli, paper, examples, micro, tier1.
-    assert _rows(report)["tested"].startswith(
-        "| `toy.py:11` `tested` | 2 |  |  | ? |  | ? | ✓ |")
+    assert "- e2e ledger (`e2e`) reaches 1 functions." in report
+    assert "- The claims reach 1;" in report
+
+
+def _save_records(data, src, reached):
+    for name in reach_audit.CLAIMS:
+        (data / f"{name}.json").write_text(json.dumps(
+            {"src": src, "reached": sorted(reached.get(name, ()))}))
 
 
 def test_main_reuse_renders_saved_records_without_running_claims(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
-    (data / "e2e.json").write_text("[]")
+    defs = reach_audit.functions(str(reach_audit.SRC))
+    _, key = min((fn.qualname, key) for key, fn in defs.items())
+    _save_records(data, reach_audit.tree_digest(str(reach_audit.SRC)),
+                  {"e2e": [key]})
     out = tmp_path / "report.md"
-    assert reach_audit.main(["--claims", "e2e", "--data", str(data),
-                             "--reuse", "--out", str(out)]) == 0
+    assert reach_audit.main(["--data", str(data), "--reuse",
+                             "--out", str(out)]) == 0
     report = out.read_text()
-    defined = len(reach_audit.functions(str(reach_audit.SRC)))
-    assert f"- `src/` defines {defined} functions." in report
-    assert "- The claims reach 0;" in report
-    assert "- e2e ledger (`e2e`) reaches 0 functions." in report
-    assert sorted(os.listdir(data)) == ["e2e.json"]
+    assert f"- `src/` defines {len(defs)} functions." in report
+    assert "- The claims reach 1;" in report
+    assert "- e2e ledger (`e2e`) reaches 1 functions." in report
+    assert "- tier-1 (`tier1`) reaches 0 functions." in report
+    assert sorted(os.listdir(data)) == sorted(
+        f"{name}.json" for name in reach_audit.CLAIMS)
+
+
+def test_main_reuse_refuses_records_from_another_tree(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    _save_records(data, "0" * 64, {})
+    out = tmp_path / "report.md"
+    with pytest.raises(SystemExit, match="another src/ tree"):
+        reach_audit.main(["--data", str(data), "--reuse", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_tree_digest_follows_names_and_contents(tmp_path):
+    root = _tree(tmp_path, a="x = 1\n")
+    before = reach_audit.tree_digest(str(root))
+    assert reach_audit.tree_digest(str(root)) == before
+    (root / "a.py").write_text("\nx = 1\n")  # every line shifts by one
+    shifted = reach_audit.tree_digest(str(root))
+    assert shifted != before
+    (root / "a.py").rename(root / "b.py")
+    assert reach_audit.tree_digest(str(root)) not in (before, shifted)
 
 
 def test_committed_report_has_no_deletion_candidates():

@@ -252,12 +252,12 @@ def test_ladder_sweep_recycles_cancelled_shells():
         q.note_cancelled()
     assert q.compactions >= 1
     # The sweep dropped shells; draining drops those cancelled after it.
-    assert q.live == 50 < q.size < 200
+    assert q.live == 50 < q._size < 200
     drained = []
     while q.peek() is not None:
         drained.append(q.take())
     assert drained == sorted(shells[150:], key=lambda e: e._key)
-    assert q.size == 0 and q.live == 0
+    assert q._size == 0 and q.live == 0
 
 
 def test_ladder_equal_time_push_after_top_transfer():

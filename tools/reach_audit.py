@@ -9,7 +9,6 @@ tier-1 suite, under a stdlib recorder, and writes one report row per
 ``src/`` function that none of the four claims reaches::
 
     python3 tools/reach_audit.py                        # all claims -> docs/reachability.md
-    python3 tools/reach_audit.py --claims e2e examples --out /tmp/r.md
     python3 tools/reach_audit.py --data /tmp/reach --reuse   # re-render from saved records
 
 The recorder is ``sys.setprofile`` + ``threading.setprofile``, put into
@@ -25,13 +24,17 @@ are recorded too.  Two things it has to get right:
   timed call, so the benchmarks run with ``--benchmark-disable``.
 
 Records are keyed on (file, first line) and named through ``ast``:
-``co_qualname`` only exists from Python 3.11 on.
+``co_qualname`` only exists from Python 3.11 on.  Each claim's saved
+records carry a digest of the ``src/`` tree they were recorded from;
+``--reuse`` refuses records whose tree differs from the current one,
+since shifted line numbers would credit or blame the wrong functions.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import shutil
@@ -158,6 +161,15 @@ def functions(root: str) -> Dict[Key, Function]:
     return found
 
 
+def tree_digest(root: str) -> str:
+    """Digest of the names and contents of the ``.py`` files under ``root``."""
+    digest = hashlib.sha256()
+    for file in sorted(Path(root).rglob("*.py")):
+        digest.update(str(file.relative_to(root)).encode() + b"\0")
+        digest.update(file.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 # ----------------------------------------------------------------------
 # Claims
 # ----------------------------------------------------------------------
@@ -252,6 +264,7 @@ def run_claim(name: str, data_dir: str) -> Set[Key]:
     records = os.path.join(data_dir, name)
     shutil.rmtree(records, ignore_errors=True)
     os.makedirs(records)
+    src = tree_digest(str(SRC))
     with tempfile.TemporaryDirectory() as site, tempfile.TemporaryDirectory() as scratch:
         write_sitecustomize(site, records, str(SRC))
         env = dict(os.environ, PYTHONPATH=f"{site}:{SRC}", T=scratch,
@@ -266,8 +279,8 @@ def run_claim(name: str, data_dir: str) -> Set[Key]:
             sys.exit(f"claim {name!r} failed with exit {done.returncode}")
     reached = load(records, str(SRC))
     with open(os.path.join(data_dir, f"{name}.json"), "w") as stream:
-        json.dump(sorted(reached), stream)
-    print(f"{name}: {len(reached)} functions in "
+        json.dump({"src": src, "reached": sorted(reached)}, stream)
+    print(f"{name}: {len(reached)} code objects in "
           f"{time.perf_counter() - started:.0f} s", file=sys.stderr)
     return reached
 
@@ -284,7 +297,6 @@ ATTRIBUTION = "ROADMAP attribution item: `EngineProfiler` / `ScenarioConfig.prof
 INTERFACE = "interface: base-class default or an override of one"
 FAULT = "fault path: runs only on a peer loss, crash, violation or regression"
 MECHANICS = "data-structure mechanics for loads the claims do not reach"
-SEAM = "test seam: drives or observes a component the claims run"
 ORACLE = "oracle seam: a test oracle in tests/oracles/ works through it"
 
 OWNERS: Dict[str, str] = {
@@ -377,8 +389,6 @@ OWNERS: Dict[str, str] = {
     "repro/mobility/kinetic.py::KineticEngine._compact_examined": MECHANICS,
     "repro/sim/schedqueue.py::LadderQueue._spill_bottom": MECHANICS,
     "repro/sim/schedqueue.py::LadderQueue._sweep": MECHANICS,
-    "repro/sim/schedqueue.py::LadderQueue.size":
-        SEAM + " (the README's resident-shell bound)",
     "repro/sim/events.py::ScheduledEvent.__lt__":
         ORACLE + " (the heap queue orders events by it)",
     "repro/core/coloring/greedy.py::greedy_color_graph":
@@ -387,13 +397,7 @@ OWNERS: Dict[str, str] = {
         ORACLE + " (the whole-network scans are built from it)",
     "repro/net/topology.py::DynamicTopology.links":
         ORACLE + " (the grid and the all-pairs scan are compared through it)",
-    "repro/obs/watchdog.py::StarvationWatchdog.stop": SEAM,
-    "repro/obs/watchdog.py::StarvationWatchdog.check_now":
-        SEAM + " (one check without reaching into `_check`)",
-    "repro/sim/timers.py::Timer.pending":
-        SEAM + " (the runtime-contract test reads a `Timer` on both runtimes)",
-    "repro/sim/timers.py::Timer.deadline":
-        SEAM + " (the runtime-contract test reads a `Timer` on both runtimes)",
+    "repro/sim/timers.py::Timer.pending": INTERFACE + " (`TimerHandle.pending`)",
 }
 
 
@@ -413,7 +417,7 @@ def owner_of(fn: Function) -> Optional[str]:
 
 
 def render(defs: Dict[Key, Function], reached: Dict[str, Set[Key]]) -> str:
-    claimed = set().union(*(reached.get(c, set()) for c in CLAIMED))
+    claimed = set().union(*(reached[c] for c in CLAIMED))
     unreached = {k for k in defs if k not in claimed}
     # A def nested in an unreached def goes with it.
     rows = sorted(k for k in unreached if defs[k].parent not in unreached)
@@ -421,8 +425,8 @@ def render(defs: Dict[Key, Function], reached: Dict[str, Set[Key]]) -> str:
     def lines(keys):
         return sum(defs[k].last - defs[k].first + 1 for k in keys)
 
-    tier1 = reached.get("tier1", set())
-    micro = reached.get("micro", set())
+    tier1 = reached["tier1"]
+    micro = reached["micro"]
     tier1_only = [k for k in rows if k in tier1]
     nothing = [k for k in rows if k not in tier1 and k not in micro]
     kept = [k for k in rows if owner_of(defs[k])]
@@ -452,9 +456,8 @@ def render(defs: Dict[Key, Function], reached: Dict[str, Set[Key]]) -> str:
         "",
     ]
     for name in CLAIMS:
-        if name in reached:
-            out.append(f"- {CLAIMS[name][0]} (`{name}`) reaches "
-                       f"{len(reached[name])} functions.")
+        out.append(f"- {CLAIMS[name][0]} (`{name}`) reaches "
+                   f"{len(reached[name] & defs.keys())} functions.")
     columns = list(CLAIMS)
     out += [
         "",
@@ -463,8 +466,7 @@ def render(defs: Dict[Key, Function], reached: Dict[str, Set[Key]]) -> str:
     ]
     for key in rows:
         fn = defs[key]
-        marks = [("✓" if key in reached.get(c, ()) else "")
-                 if c in reached else "?" for c in columns]
+        marks = ["✓" if key in reached[c] else "" for c in columns]
         owner = owner_of(fn)
         verdict = f"kept: {owner}" if owner else "**delete**"
         out.append(
@@ -476,23 +478,27 @@ def render(defs: Dict[Key, Function], reached: Dict[str, Set[Key]]) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--claims", nargs="+", choices=list(CLAIMS),
-                        default=list(CLAIMS))
     parser.add_argument("--data", default=None, metavar="DIR",
                         help="keep the raw records here (default: a temp dir)")
     parser.add_argument("--reuse", action="store_true",
-                        help="re-render from records already in --data")
+                        help="re-render from the records already in --data "
+                             "(a claim with none is run)")
     parser.add_argument("--out", default=str(ROOT / "docs" / "reachability.md"))
     args = parser.parse_args(argv)
 
     data_dir = args.data or tempfile.mkdtemp(prefix="reach-")
     os.makedirs(data_dir, exist_ok=True)
+    src = tree_digest(str(SRC))
     reached: Dict[str, Set[Key]] = {}
-    for name in args.claims:
+    for name in CLAIMS:
         saved = os.path.join(data_dir, f"{name}.json")
         if args.reuse and os.path.exists(saved):
             with open(saved) as stream:
-                reached[name] = {tuple(k) for k in json.load(stream)}
+                record = json.load(stream)
+            if record["src"] != src:
+                sys.exit(f"{saved} was recorded from another src/ tree; "
+                         "run without --reuse")
+            reached[name] = {tuple(k) for k in record["reached"]}
         else:
             reached[name] = run_claim(name, data_dir)
     with open(args.out, "w") as stream:
