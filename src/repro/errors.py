@@ -45,3 +45,8 @@ class SafetyViolation(ReproError):
             f"local mutual exclusion violated at t={time:.6f}: "
             f"neighbors {node_a} and {node_b} are both eating"
         )
+
+    def __reduce__(self):
+        # ``args`` holds only the message; rebuild from the fields so
+        # the error survives a process boundary (worker pools, shards).
+        return type(self), (self.time, self.node_a, self.node_b)

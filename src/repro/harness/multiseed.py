@@ -99,22 +99,15 @@ def scenario_key(
     config: ScenarioConfig,
     until: float,
     seed: int,
-    shards: int = 1,
-    max_speed: Optional[float] = None,
 ) -> Optional[str]:
     """Stable name for one seeded run, or None if the run has none.
 
     SHA-256 of the declarative serialization of the scenario
     (:func:`repro.harness.config_io.config_to_dict`), the run horizon,
-    the seed, the engine shape and the library version: any change to
-    any ``ScenarioConfig`` field changes it.  Scenarios that carry
+    the seed and the library version: any change to any
+    ``ScenarioConfig`` field changes it.  Scenarios that carry
     behavior which does not serialize declaratively (a callable
     algorithm entry or a mobility factory) have no key.
-
-    ``shards``/``max_speed`` name the execution engine: a multi-shard
-    run is deterministic per (scenario, shard count, speed bound) but
-    not event-order identical to the unsharded run, so sharded runs
-    never alias classic ones.
     """
     if config.mobility_factory is not None:
         return None
@@ -127,8 +120,6 @@ def scenario_key(
             "config": payload,
             "until": until,
             "version": __version__,
-            "shards": shards,
-            "max_speed": max_speed,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -136,17 +127,11 @@ def scenario_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _report_name(
-    config: ScenarioConfig,
-    until: float,
-    seed: int,
-    shards: int = 1,
-    max_speed: Optional[float] = None,
-) -> str:
+def _report_name(config: ScenarioConfig, until: float, seed: int) -> str:
     """Filename stem for one per-seed report: the scenario key when the
     config serializes, else just the seed (collision-free within one
     replicate call, which runs a single scenario)."""
-    key = scenario_key(config, until, seed, shards, max_speed)
+    key = scenario_key(config, until, seed)
     return key if key is not None else f"seed{seed}"
 
 
@@ -156,8 +141,6 @@ def _run_seed(
     seed: int,
     metrics: Dict[str, MetricFn],
     report_dir: Union[str, Path, None] = None,
-    shards: int = 1,
-    max_speed: Optional[float] = None,
     metrics_dir: Union[str, Path, None] = None,
 ) -> Dict[str, float]:
     """Execute one seeded run and extract its scalar metrics.
@@ -166,20 +149,10 @@ def _run_seed(
     ``report_dir`` set, the run's full :class:`RunReport` is saved as
     ``<scenario_key>.json`` alongside the scalar extraction; with
     ``metrics_dir`` set, the probe snapshot is saved as
-    ``<scenario_key>.prom`` OpenMetrics text.  With ``shards > 1`` the
-    run goes through the sharded engine (shards hosted in-process: the
-    seed fan-out is already the process-level parallelism here).
+    ``<scenario_key>.prom`` OpenMetrics text.
     """
-    seeded = dataclasses.replace(config, seed=seed)
-    if shards > 1:
-        from repro.sim.sharded import ShardedEngine
-
-        result = ShardedEngine(
-            seeded, num_shards=shards, workers=1, max_speed=max_speed
-        ).run(until=until)
-    else:
-        result = Simulation(seeded).run(until=until)
-    stem = _report_name(config, until, seed, shards, max_speed)
+    result = Simulation(dataclasses.replace(config, seed=seed)).run(until=until)
+    stem = _report_name(config, until, seed)
     if report_dir is not None:
         directory = Path(report_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -199,8 +172,6 @@ def replicate(
     *,
     workers: int = 1,
     report_dir: Union[str, Path, None] = None,
-    shards: int = 1,
-    max_speed: Optional[float] = None,
     metrics_dir: Union[str, Path, None] = None,
 ) -> Dict[str, Estimate]:
     """Run a scenario under each seed; estimate each scalar metric.
@@ -213,10 +184,6 @@ def replicate(
             The estimates are identical either way.
         report_dir: directory receiving one ``RunReport`` JSON per
             seed, named by :func:`scenario_key`.
-        shards: spatial shards per run (1 = the classic engine).  The
-            shards of one run are hosted in-process — ``workers`` is
-            already the process-level fan-out here.
-        max_speed: speed bound for sharded runs with mobility.
         metrics_dir: directory receiving one OpenMetrics ``.prom``
             snapshot per seed (same naming as ``report_dir``).  Requires
             the scenario to have ``telemetry=True`` for the snapshot to
@@ -225,8 +192,7 @@ def replicate(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [
-        (config, until, seed, metrics, report_dir, shards, max_speed,
-         metrics_dir)
+        (config, until, seed, metrics, report_dir, metrics_dir)
         for seed in seeds
     ]
     if workers > 1 and len(jobs) > 1:

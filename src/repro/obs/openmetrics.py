@@ -21,11 +21,6 @@ underscores, e.g. ``fork.grant_latency`` → ``repro_fork_grant_latency``):
   last), ``_count`` and ``_sum``, plus sibling ``<name>_min`` /
   ``<name>_max`` gauge families for the streaming extrema.
 
-Sharded runs pass one snapshot per shard: the families are merged and
-every sample gains a ``shard="k"`` label, so a scrape-side
-``sum by (...)`` reconstructs the global view while the per-shard
-breakdown stays queryable.
-
 Validation is strict on the way out: metric and label names must match
 the OpenMetrics grammar after sanitization (a probe name that cannot
 be folded into a legal identifier raises ``ConfigurationError`` rather
@@ -242,19 +237,16 @@ def _render_extrema(
 
 
 def render_openmetrics(
-    probes: Optional[Mapping[str, Mapping[str, object]]] = None,
+    probes: Mapping[str, Mapping[str, object]],
     *,
-    shards: Optional[Mapping[str, Mapping[str, Mapping[str, object]]]] = None,
     labels: Optional[Mapping[str, str]] = None,
     help_texts: Optional[Mapping[str, str]] = None,
 ) -> str:
-    """Render snapshot dict(s) as one OpenMetrics text exposition.
+    """Render a snapshot dict as one OpenMetrics text exposition.
 
     Args:
-        probes: a ``MetricRegistry.snapshot()`` dict (single-registry
-            runs).  Ignored when ``shards`` is given.
-        shards: per-shard snapshots keyed by shard id; families merge
-            and every sample gains a ``shard="k"`` label.
+        probes: a ``MetricRegistry.snapshot()`` dict (a sharded run's
+            is the merge of its shards' snapshots).
         labels: static labels stamped on every sample (e.g. run id).
         help_texts: probe name → ``# HELP`` text; defaults to the
             :func:`help_catalogue` (unknown probes render without HELP).
@@ -263,19 +255,10 @@ def render_openmetrics(
         help_texts = help_catalogue()
     base_labels = dict(labels or {})
     families: Dict[str, _FamilyWriter] = {}
-    if shards is not None:
-        for shard_id in sorted(shards, key=str):
-            shard_labels = {**base_labels, "shard": str(shard_id)}
-            for name in sorted(shards[shard_id]):
-                _render_instrument(
-                    families, name, shards[shard_id][name],
-                    shard_labels, help_texts,
-                )
-    elif probes:
-        for name in sorted(probes):
-            _render_instrument(
-                families, name, probes[name], base_labels, help_texts
-            )
+    for name in sorted(probes):
+        _render_instrument(
+            families, name, probes[name], base_labels, help_texts
+        )
     lines: List[str] = []
     for name in sorted(families):
         lines.extend(families[name].lines())
@@ -284,18 +267,7 @@ def render_openmetrics(
 
 
 def openmetrics_from_report(report) -> str:
-    """Render a :class:`~repro.obs.report.RunReport`'s probe snapshot.
-
-    Profiled sharded reports carry the per-shard registry snapshots
-    under ``resources.shard_probes``; when present the shard-labeled
-    rendering is used, otherwise the merged ``probes`` section renders
-    unlabeled.
-    """
-    shard_probes = None
-    if report.resources is not None:
-        shard_probes = report.resources.get("shard_probes")
-    if shard_probes:
-        return render_openmetrics(shards=shard_probes)
+    """Render a :class:`~repro.obs.report.RunReport`'s probe snapshot."""
     return render_openmetrics(report.probes)
 
 

@@ -217,18 +217,11 @@ class SimulationResult:
     def openmetrics(self) -> str:
         """This run's probe snapshot in OpenMetrics text format.
 
-        Sharded runs (which stash per-shard registry snapshots under
-        ``resources["shard_probes"]``) render one family per metric
-        with a ``shard="k"`` label per sample; single-engine runs
-        render unlabeled samples.  Empty-registry runs (telemetry off)
-        still render a valid (sample-free) exposition ending in
-        ``# EOF``.
+        Empty-registry runs (telemetry off) still render a valid
+        (sample-free) exposition ending in ``# EOF``.
         """
         from repro.obs.openmetrics import render_openmetrics
 
-        shard_probes = (self.resources or {}).get("shard_probes")
-        if shard_probes:
-            return render_openmetrics(shards=shard_probes)
         return render_openmetrics(self.probes)
 
     # ------------------------------------------------------------------

@@ -22,9 +22,10 @@ barrier the coordinator
 Ownership is sticky — a node is simulated forever by the shard owning
 its initial position — so per-node RNG streams, workloads and crash
 injections never migrate and results are identical for any worker
-count.  ``num_shards=1`` bypasses all of this and delegates to a plain
-in-process :class:`Simulation`, making it bit-identical to the
-unsharded engine by construction.
+count.  Contiguous groups of shards run in forked worker processes,
+``min(num_shards, cpu_count)`` of them; the coordinator only routes
+barrier traffic.  One shard would be a plain :class:`Simulation`, so
+``num_shards`` must be at least 2.
 
 What multi-shard mode cannot host: algorithms built on global shared
 state (``oracle``, ``global-oracle``, ``token-mutex``), the shared-RNG
@@ -39,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import traceback
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -196,13 +198,16 @@ def _worker_main(conn, config, shard_ids, contexts, monitor_specs) -> None:
     """Child-process loop hosting a contiguous group of shards.
 
     Spawned via fork, so the (possibly unpicklable) config travels by
-    memory inheritance; only the barrier payloads cross the pipe.
+    memory inheritance; only the barrier payloads cross the pipe.  An
+    exception goes back as ``("error", exc)`` in place of a reply, and
+    the child then reads on until "stop": were it to exit at once, the
+    coordinator could find the pipe reset before it reads the error.
     """
-    hosts = {
-        shard_id: _ShardHost(config, contexts[shard_id], monitor_specs)
-        for shard_id in shard_ids
-    }
     try:
+        hosts = {
+            shard_id: _ShardHost(config, contexts[shard_id], monitor_specs)
+            for shard_id in shard_ids
+        }
         while True:
             message = conn.recv()
             tag = message[0]
@@ -231,48 +236,13 @@ def _worker_main(conn, config, shard_ids, contexts, monitor_specs) -> None:
                 )
             else:  # "stop"
                 break
+    except Exception as exc:
+        traceback.print_exc()
+        conn.send(("error", exc))
+        while conn.recv()[0] != "stop":
+            pass
     finally:
         conn.close()
-
-
-class _InProcessWorker:
-    """Hosts every shard in the coordinator process (workers=1).
-
-    Same send/recv surface as :class:`_PipeWorker`, so the barrier loop
-    is oblivious to where shards live; recv() performs the work.
-    """
-
-    def __init__(self, config, contexts, monitor_specs) -> None:
-        self._hosts = {
-            context.shard_id: _ShardHost(config, context, monitor_specs)
-            for context in contexts
-        }
-        self._pending = None
-
-    def send(self, message) -> None:
-        self._pending = message
-
-    def recv(self):
-        message, self._pending = self._pending, None
-        tag = message[0]
-        if tag == "advance":
-            _, horizon, inbound, ghost_updates = message
-            return {
-                shard_id: host.advance(
-                    horizon,
-                    inbound.get(shard_id, []),
-                    ghost_updates.get(shard_id, []),
-                )
-                for shard_id, host in self._hosts.items()
-            }
-        _, until, threshold = message
-        return {
-            "shards": {
-                shard_id: host.finish(until, threshold)
-                for shard_id, host in self._hosts.items()
-            },
-            "peak_rss_kb": peak_rss_kb(),
-        }
 
 
 class _PipeWorker:
@@ -294,6 +264,10 @@ class _PipeWorker:
         return self._conn.recv()
 
     def close(self) -> None:
+        try:
+            self._conn.send(("stop",))
+        except OSError:
+            pass  # the child is gone already
         self._conn.close()
         self._process.join(timeout=30)
         if self._process.is_alive():  # pragma: no cover - hang guard
@@ -306,12 +280,10 @@ class ShardedEngine:
 
     Args:
         config: the scenario, exactly as for :class:`Simulation`.
-        num_shards: stripes to split the arena into; 1 delegates to a
-            plain in-process simulation (bit-identical results).
-        workers: processes hosting the shards (each takes a contiguous
-            group).  Defaults to ``min(num_shards, cpu_count)``;
-            1 hosts every shard in this process.  Results are identical
-            for every worker count.
+        num_shards: stripes to split the arena into, at least 2.  The
+            shards run in ``min(num_shards, cpu_count)`` forked worker
+            processes, each hosting a contiguous group; results are
+            identical for every worker count.
         max_speed: upper bound on node speed, required whenever the
             scenario has mobility — it enters the lookahead and the
             ghost-halo width.
@@ -325,24 +297,26 @@ class ShardedEngine:
         self,
         config: ScenarioConfig,
         num_shards: int,
-        workers: Optional[int] = None,
         max_speed: Optional[float] = None,
         monitor_specs: Optional[List[Dict[str, Any]]] = None,
     ) -> None:
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1: {num_shards}")
+        if num_shards < 2:
+            raise ConfigurationError(
+                f"num_shards must be >= 2 (one shard is a plain "
+                f"Simulation): {num_shards}"
+            )
+        try:
+            self._fork = multiprocessing.get_context("fork")
+        except ValueError:
+            raise ConfigurationError(
+                "sharded runs fork their workers; this platform cannot fork"
+            ) from None
         self.num_shards = num_shards
         self.max_speed = max_speed
         self.monitor_specs = monitor_specs
         self.violations: List[Dict[str, Any]] = []
         self.windows = 0
-        self.lookahead: Optional[float] = None
-        if workers is None:
-            workers = min(num_shards, os.cpu_count() or 1)
-        self.workers = max(1, min(workers, num_shards))
-        if num_shards == 1:
-            self._config = config
-            return
+        self.workers = min(num_shards, os.cpu_count() or 1)
         self._config = self._validated_config(config)
         if config.mobility_factory is not None:
             if max_speed is None or max_speed <= 0:
@@ -426,15 +400,24 @@ class ShardedEngine:
             if starvation_threshold is not None
             else 0.2 * until
         )
-        if self.num_shards == 1:
-            return self._run_single(until, threshold)
         wall_started = perf_counter()
-        groups = self._shard_groups()
-        use_processes = self.workers > 1 and self._fork_context() is not None
-        if use_processes:
-            merged = self._run_multiprocess(until, threshold, groups)
-        else:
-            merged = self._run_inprocess(until, threshold)
+        workers: List[_PipeWorker] = []
+        try:
+            for group in self._shard_groups():
+                workers.append(
+                    _PipeWorker(
+                        self._fork,
+                        self._config,
+                        group,
+                        {s: self._contexts[s] for s in group},
+                        self.monitor_specs,
+                    )
+                )
+            payloads, rss = self._drive(workers, until, threshold)
+        finally:
+            for worker in workers:
+                worker.close()
+        merged = self._merge(payloads, rss, threshold)
         merged.resources["wall_time_s"] = perf_counter() - wall_started
         executed = merged.engine["executed_events"]
         wall = merged.resources["wall_time_s"]
@@ -443,68 +426,12 @@ class ShardedEngine:
         merged.resources["events_per_sec"] = merged.engine["events_per_sec"]
         return merged
 
-    def _run_single(self, until: float, threshold: float) -> SimulationResult:
-        simulation = Simulation(self._config)
-        suite = None
-        if self.monitor_specs:
-            from repro.explore.monitors import MonitorSuite, build_monitors
-
-            suite = MonitorSuite(build_monitors(self.monitor_specs))
-            suite.attach(simulation)
-        result = simulation.run(until=until, starvation_threshold=threshold)
-        if suite is not None:
-            suite.finalize()
-            if suite.violation is not None:
-                self.violations = [
-                    {"shard": 0, **suite.violation.to_dict()}
-                ]
-        return result
-
-    # ------------------------------------------------------------------
     def _shard_groups(self) -> List[List[int]]:
         """Contiguous shard blocks, one per worker."""
         n, w = self.num_shards, self.workers
         return [
             list(range(i * n // w, (i + 1) * n // w)) for i in range(w)
         ]
-
-    @staticmethod
-    def _fork_context():
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-Unix platforms
-            return None
-
-    def _run_inprocess(self, until: float, threshold: float) -> SimulationResult:
-        workers = [
-            _InProcessWorker(self._config, self._contexts, self.monitor_specs)
-        ]
-        payloads, rss = self._drive(workers, until, threshold)
-        return self._merge(payloads, rss, threshold)
-
-    def _run_multiprocess(
-        self, until: float, threshold: float, groups: List[List[int]]
-    ) -> SimulationResult:
-        context = self._fork_context()
-        workers: List[_PipeWorker] = []
-        try:
-            for group in groups:
-                workers.append(
-                    _PipeWorker(
-                        context,
-                        self._config,
-                        group,
-                        {s: self._contexts[s] for s in group},
-                        self.monitor_specs,
-                    )
-                )
-            payloads, rss = self._drive(workers, until, threshold)
-            for worker in workers:
-                worker.send(("stop",))
-            return self._merge(payloads, rss, threshold)
-        finally:
-            for worker in workers:
-                worker.close()
 
     # ------------------------------------------------------------------
     def _drive(
@@ -513,21 +440,16 @@ class ShardedEngine:
         until: float,
         threshold: float,
     ) -> Tuple[Dict[int, Dict[str, Any]], Optional[int]]:
-        """The barrier loop: windows of one lookahead until ``until``.
-
-        Every worker gets its "advance" before any reply is collected —
-        that send/recv split is where the parallelism comes from.
-        """
+        """The barrier loop: windows of one lookahead until ``until``."""
         lookahead = self.lookahead
         now = 0.0
         inbound: Dict[int, List] = {}
         ghost_updates: Dict[int, List] = {}
         while now < until and not self.violations:
             horizon = min(now + lookahead, until)
-            message = ("advance", horizon, inbound, ghost_updates)
-            for worker in workers:
-                worker.send(message)
-            replies = [worker.recv() for worker in workers]
+            replies = _exchange(
+                workers, ("advance", horizon, inbound, ghost_updates)
+            )
             self.windows += 1
             now = horizon
             mail: List[Tuple[int, int, Any, float]] = []
@@ -543,15 +465,11 @@ class ShardedEngine:
                         )
             inbound = self._route_mail(mail)
             ghost_updates = self._route_ghosts(movers)
-        final = ("finish", until, threshold)
-        for worker in workers:
-            worker.send(final)
-        finals = [worker.recv() for worker in workers]
         payloads: Dict[int, Dict[str, Any]] = {}
         rss_total: Optional[int] = None
-        for reply in finals:
+        for reply in _exchange(workers, ("finish", until, threshold)):
             payloads.update(reply["shards"])
-            worker_rss = reply.get("peak_rss_kb")
+            worker_rss = reply["peak_rss_kb"]
             if worker_rss is not None:
                 rss_total = (rss_total or 0) + worker_rss
         return payloads, rss_total
@@ -623,7 +541,7 @@ class ShardedEngine:
         """
         metrics = MetricsCollector()
         channel: Dict[str, Any] = {}
-        shard_probes: Dict[str, Dict[str, Any]] = {}
+        snapshots: List[Dict[str, Any]] = []
         messages_by_kind: Dict[str, int] = {}
         warnings: List[Dict[str, Any]] = []
         engine: Dict[str, Any] = {
@@ -659,7 +577,7 @@ class ShardedEngine:
             _sum_numeric_into(messages_by_kind, payload["messages_by_kind"])
             _sum_numeric_into(channel, payload["channel"])
             if payload["probes"]:
-                shard_probes[str(shard_id)] = payload["probes"]
+                snapshots.append(payload["probes"])
             warnings.extend(payload["watchdog_warnings"])
             shard_engine = payload["engine"]
             engine["executed_events"] += shard_engine["executed_events"]
@@ -698,15 +616,10 @@ class ShardedEngine:
         # Instrument-aware merge (min of mins, max of maxes, summed
         # counts with recomputed means) rather than blind numeric
         # summation, which would corrupt histogram extrema.
-        probes = merge_snapshots(
-            [shard_probes[k] for k in sorted(shard_probes, key=int)]
-        )
-        if rss_total is None:
-            rss_total = peak_rss_kb()
-        else:
-            coordinator_rss = peak_rss_kb()
-            if coordinator_rss is not None:
-                rss_total += coordinator_rss
+        probes = merge_snapshots(snapshots)
+        coordinator_rss = peak_rss_kb()
+        if rss_total is not None and coordinator_rss is not None:
+            rss_total += coordinator_rss
         return SimulationResult(
             config=self._config,
             duration=duration,
@@ -726,15 +639,25 @@ class ShardedEngine:
                 "events_per_sec": 0.0,
                 "peak_rss_kb": rss_total,
                 "workers": self.workers,
-                # Per-shard registry snapshots ride under resources so
-                # canonical (non-profile) reports stay bit-identical;
-                # the OpenMetrics exporter labels them shard="k".
-                **(
-                    {"shard_probes": shard_probes}
-                    if shard_probes else {}
-                ),
             },
         )
+
+
+def _exchange(workers: List[_PipeWorker], message: Tuple) -> List[Any]:
+    """Send ``message`` to every worker, then collect every reply.
+
+    Every worker gets the message before any reply is read — that
+    send/recv split is where the parallelism comes from.  A child's
+    exception is re-raised here as itself; the caller's ``close`` then
+    stops every worker.
+    """
+    for worker in workers:
+        worker.send(message)
+    replies = [worker.recv() for worker in workers]
+    for reply in replies:
+        if isinstance(reply, tuple):  # ("error", exc)
+            raise reply[1]
+    return replies
 
 
 def _sum_numeric_into(target: Dict[str, Any], source: Dict[str, Any]) -> None:
@@ -750,17 +673,3 @@ def _sum_numeric_into(target: Dict[str, Any], source: Dict[str, Any]) -> None:
             target.setdefault(key, value)
         else:
             target[key] = target.get(key, 0) + value
-
-
-def run_sharded(
-    config: ScenarioConfig,
-    until: float,
-    num_shards: int,
-    workers: Optional[int] = None,
-    max_speed: Optional[float] = None,
-) -> SimulationResult:
-    """Convenience: build and run a sharded scenario in one call."""
-    engine = ShardedEngine(
-        config, num_shards=num_shards, workers=workers, max_speed=max_speed
-    )
-    return engine.run(until=until)

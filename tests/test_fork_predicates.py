@@ -117,22 +117,28 @@ def test_fuzz_maintained_predicates_match_scans(algorithm, family, seed):
     _assert_differential(algorithm, family, seed)
 
 
-def test_neighbor_view_outlives_ghost_births_and_moves(monkeypatch):
+def test_neighbor_view_outlives_ghost_births_and_moves(monkeypatch, tmp_path):
     """The engine resolves ``N`` once; that set must stay the node's.
 
     A sharded mobile run is the hardest case: ghosts arrive through
     ``upsert_node`` and movers relink every window.  At the end every
     hosted node's engine still reads its topology's adjacency set.
+    The check runs in the forked workers: a failure comes back as the
+    child's ``AssertionError``, and each worker logs the nodes it
+    checked to a file.
     """
-    checked = []
+    log = tmp_path / "checked"
     finish = sharded._ShardHost.finish
 
     def checking_finish(host, until, threshold):
         simulation = host.simulation
         adjacency = simulation.topology._adjacency
+        checked = []
         for node_id, harness in simulation.harnesses.items():
             assert harness.algorithm.fork_proto._nbrs is adjacency[node_id]
             checked.append(node_id)
+        with open(log, "a") as stream:
+            stream.write("".join(f"{node_id}\n" for node_id in checked))
         return finish(host, until, threshold)
 
     monkeypatch.setattr(sharded._ShardHost, "finish", checking_finish)
@@ -150,9 +156,9 @@ def test_neighbor_view_outlives_ghost_births_and_moves(monkeypatch):
         delta_override=7,
     )
     sharded.ShardedEngine(
-        config, num_shards=2, workers=1, max_speed=1.2
+        config, num_shards=2, max_speed=1.2
     ).run(until=40.0)
-    assert sorted(checked) == list(range(8))
+    assert sorted(map(int, log.read_text().split())) == list(range(8))
 
 
 # ----------------------------------------------------------------------

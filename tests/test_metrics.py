@@ -1,5 +1,8 @@
 """Tests for metrics: collector, safety monitor, locality report."""
 
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.errors import SafetyViolation
@@ -76,6 +79,30 @@ def test_monitor_raises_on_neighbor_violation():
     harnesses[1].state = NodeState.EATING
     with pytest.raises(SafetyViolation):
         monitor.note_eating_start(1, time=5.0)
+
+
+def _violate_in_worker():
+    topo, harnesses, monitor = build_monitor()
+    harnesses[0].state = NodeState.EATING
+    harnesses[1].state = NodeState.EATING
+    monitor.note_eating_start(1, time=5.0)
+
+
+def test_safety_violation_pickles_with_its_fields():
+    error = pickle.loads(pickle.dumps(SafetyViolation(1.0, 2, 3)))
+    assert type(error) is SafetyViolation
+    assert (error.time, error.node_a, error.node_b) == (1.0, 2, 3)
+    assert str(error) == str(SafetyViolation(1.0, 2, 3))
+
+
+def test_safety_violation_in_a_process_pool_arrives_as_itself():
+    """What ``replicate(workers>1)`` sees when a seed's run violates
+    safety under the default ``strict_safety``."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(SafetyViolation) as raised:
+            pool.submit(_violate_in_worker).result()
+    assert (raised.value.node_a, raised.value.node_b) == (1, 0)
+    assert raised.value.time == 5.0
 
 
 def test_monitor_allows_distance_two_eaters():

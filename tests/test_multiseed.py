@@ -161,37 +161,12 @@ def test_scenario_key_changes_when_config_fields_change():
         assert scenario_key(variant, 30.0, 1) != base_key
 
 
-def test_scenario_key_encodes_engine_shape():
-    config = _config()
-    base = scenario_key(config, 30.0, 1)
-    assert scenario_key(config, 30.0, 1, shards=2) != base
-    assert scenario_key(config, 30.0, 1, max_speed=1.5) != base
-    assert (
-        scenario_key(config, 30.0, 1, shards=2)
-        != scenario_key(config, 30.0, 1, shards=4)
-    )
-    # The default engine shape is part of the same scheme, not a
-    # special case: explicit defaults reproduce the two-argument key.
-    assert scenario_key(config, 30.0, 1, shards=1, max_speed=None) == base
-
-
 def test_unserializable_scenarios_have_no_key():
     assert scenario_key(_config(algorithm=lambda ctx: None), 30.0, 1) is None
     assert (
         scenario_key(_config(mobility_factory=lambda nid: None), 30.0, 1)
         is None
     )
-
-
-def test_sharded_replicate_names_reports_by_engine_shape(tmp_path):
-    config = _config()
-    metrics = {"throughput": DEFAULT_METRICS["throughput"]}
-    estimates = replicate(config, until=30.0, seeds=(1,), metrics=metrics,
-                          shards=2, report_dir=tmp_path)
-    assert estimates["throughput"].samples == 1
-    assert [p.stem for p in tmp_path.glob("*.json")] == [
-        scenario_key(config, 30.0, 1, shards=2)
-    ]
 
 
 def test_replicate_workers_matches_serial():

@@ -166,22 +166,6 @@ def test_merged_snapshot_round_trips():
     assert families["repro_mutex_response_time_max"]["samples"][0][2] == 80.0
 
 
-def test_sharded_rendering_labels_every_sample():
-    shards = {
-        0: _loaded_registry().snapshot(),
-        1: _loaded_registry().snapshot(),
-    }
-    families = parse_openmetrics(render_openmetrics(shards=shards))
-    counter = families["repro_mutex_requests"]
-    shard_labels = {
-        dict(labels).get("shard") for _, labels, _ in counter["samples"]
-    }
-    assert shard_labels == {"0", "1"}
-    for family in families.values():
-        for _, labels, _ in family["samples"]:
-            assert dict(labels).get("shard") in {"0", "1"}
-
-
 def test_simulation_result_exports_openmetrics():
     result = Simulation(_config()).run(until=40.0)
     families = parse_openmetrics(result.openmetrics())
@@ -193,37 +177,6 @@ def test_simulation_result_exports_openmetrics():
 def test_report_export_matches_result_export():
     result = Simulation(_config()).run(until=40.0)
     assert openmetrics_from_report(result.report()) == result.openmetrics()
-
-
-def test_sharded_run_exports_shard_labeled_metrics():
-    from repro.sim.sharded import ShardedEngine
-
-    config = _config(positions=list(line_positions(12, spacing=1.0)))
-    result = ShardedEngine(config, num_shards=2, workers=1).run(until=40.0)
-    text = result.openmetrics()
-    families = parse_openmetrics(text)
-    labels = {
-        dict(sample_labels).get("shard")
-        for family in families.values()
-        for _, sample_labels, _ in family["samples"]
-    }
-    assert labels == {"0", "1"}
-    # The merged (unlabeled) view is still available from the probes.
-    merged = parse_openmetrics(render_openmetrics(result.probes))
-    assert merged
-
-
-def test_canonical_report_stays_free_of_shard_probes():
-    """Per-shard snapshots ride under resources, which canonical
-    (non-profile) reports omit — fixed-seed reports stay bit-identical
-    whether or not the exporter is in play."""
-    from repro.sim.sharded import ShardedEngine
-
-    config = _config(positions=list(line_positions(12, spacing=1.0)))
-    result = ShardedEngine(config, num_shards=2, workers=1).run(until=40.0)
-    assert "shard_probes" in (result.resources or {})
-    report = result.report()
-    assert report.resources is None
 
 
 # -- scrape endpoint ---------------------------------------------------------

@@ -17,7 +17,6 @@ from oracles.heap_queue import heap_simulator
 from repro.explore.scenarios import scenario_pool
 from repro.harness.config_io import config_from_dict
 from repro.runtime.simulation import Simulation
-from repro.sim.sharded import ShardedEngine
 
 
 def _pool_entry(algorithm, family):
@@ -59,18 +58,3 @@ def test_scenario_families_are_bit_identical(algorithm, family, monkeypatch):
     heap_discipline, heap = _report_json(config, until)
     assert (ladder_discipline, heap_discipline) == ("ladder", "heap")
     assert ladder == heap
-
-
-def test_single_shard_delegation_is_bit_identical(monkeypatch):
-    entry = _pool_entry("alg2", "static-line")
-    config = dataclasses.replace(
-        config_from_dict(entry["scenario"]), telemetry=False
-    )
-    reports = {}
-    for discipline in ("ladder", "heap"):
-        if discipline == "heap":
-            _use_heap_oracle(monkeypatch)
-        result = ShardedEngine(config, num_shards=1).run(until=entry["until"])
-        assert result.engine["scheduler"]["discipline"] == discipline
-        reports[discipline] = result.report().to_json()
-    assert reports["ladder"] == reports["heap"]
