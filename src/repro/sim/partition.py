@@ -40,10 +40,6 @@ class Partition:
     #: Ascending interior cut coordinates; ``len(cuts) + 1`` stripes.
     cuts: Tuple[float, ...]
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.cuts) + 1
-
     def coordinate(self, point: Point) -> float:
         """The point's coordinate along the partition axis."""
         return point.x if self.axis == 0 else point.y

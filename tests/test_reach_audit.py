@@ -223,13 +223,13 @@ def _fn(path, qualname, protocol=False):
 
 
 @pytest.mark.parametrize("path, qualname, owned", [
-    ("repro/sim/sharded.py", "ShardedSimulation.run", True),  # file scope
+    ("repro/obs/profiler.py", "EngineProfiler.run", True),  # file scope
     ("repro/explore/schedule.py", "PCTStrategy", True),  # the scope itself
     ("repro/explore/schedule.py", "PCTStrategy._tie_break", True),  # member
     ("repro/cli.py", "build_config.<locals>.mobility_factory", True),
     ("repro/explore/schedule.py", "PCTStrategyX.run", False),  # name prefix
     ("repro/explore/schedule.py", "RandomStrategy._tie_break", False),
-    ("repro/sim/shardedx.py", "run", False),  # file-name prefix
+    ("repro/obs/profilerx.py", "run", False),  # file-name prefix
 ])
 def test_owner_of_matches_whole_scopes_only(path, qualname, owned):
     assert (reach_audit.owner_of(_fn(path, qualname)) is not None) is owned
