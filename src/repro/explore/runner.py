@@ -88,8 +88,8 @@ def run_controlled(
     scenario.  The strategy must be fresh (strategies are stateful
     one-run objects).  ``on_simulation``, when given, is called with the
     fully wired :class:`~repro.runtime.simulation.Simulation` before the
-    run starts — the hook live-run verification uses to read the trace
-    log afterwards.
+    run starts — the hook live-run verification uses to hand every node
+    harness the effect sink it checks fidelity against.
     """
     # Local import: config_io imports runtime.simulation, which several
     # explore modules sit below in test fakes.

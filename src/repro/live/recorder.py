@@ -39,7 +39,7 @@ merged log satisfies the same invariants a bus-mode log does.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, Optional, TextIO
 
 from repro.errors import ConfigurationError
 from repro.sim.clock import TIME_EPSILON
@@ -61,19 +61,22 @@ FX_TAGS = {
 FX_CATEGORIES = {tag: category for category, tag in FX_TAGS.items()}
 
 
-class _TraceAdapter:
-    """The TraceLog face the node harness records effects through.
+class EffectTrace:
+    """The TraceLog face both runtimes record effects through.
 
-    Only the five :data:`FX_TAGS` categories are kept (attached to the
-    recorder's current row); everything else the protocols trace is
-    dropped — live runs are verified through replay, not through a
-    full trace.
+    One filter decides what an effect is: only the five
+    :data:`FX_TAGS` categories with a node pass, each handed on as
+    ``keep(time, tag, node)``; everything else the protocols trace is
+    dropped.  The live recorder keeps effects in its current row; the
+    in-sim replay (:func:`repro.live.replay.verify_recording`) keeps
+    the stream it compares against the recording — live runs are
+    verified through replay, not through a full trace.
     """
 
     enabled = True
 
-    def __init__(self, recorder: "LiveRecorder") -> None:
-        self._recorder = recorder
+    def __init__(self, keep: Callable[[float, str, int], None]) -> None:
+        self.keep = keep
 
     def record(
         self,
@@ -82,7 +85,9 @@ class _TraceAdapter:
         node: Optional[int] = None,
         **detail: Any,
     ) -> None:
-        self._recorder.note_fx(category, node)
+        tag = FX_TAGS.get(category)
+        if tag is not None and node is not None:
+            self.keep(time, tag, int(node))
 
 
 class LiveRecorder:
@@ -93,7 +98,7 @@ class LiveRecorder:
         #: are ``"origin:seq"`` so they stay unique after a merge.
         self.origin = int(origin)
         self.rows: List[Dict[str, Any]] = []
-        self.trace = _TraceAdapter(self)
+        self.trace = EffectTrace(self._note_fx)
         self._current: Optional[Dict[str, Any]] = None
         self._mid_seq = 0
 
@@ -125,12 +130,10 @@ class LiveRecorder:
             )
         return mid
 
-    def note_fx(self, category: str, node: Optional[int]) -> None:
-        tag = FX_TAGS.get(category)
+    def _note_fx(self, time: float, tag: str, node: int) -> None:
         row = self._current
-        if tag is None or row is None or node is None:
-            return
-        row.setdefault("fx", []).append([tag, int(node)])
+        if row is not None:
+            row.setdefault("fx", []).append([tag, node])
 
 
 # ----------------------------------------------------------------------

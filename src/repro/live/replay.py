@@ -32,10 +32,13 @@ clamp passes every recorded value through unchanged.
 :func:`verify_recording` runs that replay under the exploration
 subsystem's invariant monitors (exclusion, doorway-entry, priority
 antisymmetry, ... — progress excluded: a wall-clock run makes no
-virtual-time progress guarantees) and then checks *fidelity*: the sim
-trace's externally visible transitions must match the recording's
+virtual-time progress guarantees) and then checks *fidelity*: the
+replay's externally visible transitions must match the recording's
 ``fx`` stream one for one, to within float rounding (the sim computes
-``emit + delay`` where the recording stored the sum).
+``emit + delay`` where the recording stored the sum).  The replay runs
+with the trace log off: each node harness hands its transitions to the
+same :class:`~repro.live.recorder.EffectTrace` filter the live recorder
+uses, so one piece of code decides what an effect is in both runtimes.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.live.recorder import FX_CATEGORIES, SCHEMA
+from repro.live.recorder import FX_CATEGORIES, SCHEMA, EffectTrace
 
 #: Permitted stamp slack between a recorded effect and its replay.
 #: Rounding in ``emit + (settle - emit)`` is a few ulp (~1e-13 at these
@@ -160,8 +163,6 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
             str(node): times for node, times in hunger.items()
         },
         "crashes": crashes,
-        "trace": True,
-        "telemetry": True,
         "strict_safety": False,
     }
     if eating:
@@ -220,20 +221,24 @@ def verify_recording(recording: Dict[str, Any]) -> Dict[str, Any]:
     from repro.explore.schedule import ReplaySchedule
 
     derived = derive_replay(recording)
-    captured: Dict[str, Any] = {}
+    actual: List[Tuple[float, str, int]] = []
+    sink = EffectTrace(
+        lambda time, tag, node: actual.append(
+            (time, FX_CATEGORIES[tag], node)
+        )
+    )
+
+    def attach_sink(simulation) -> None:
+        for harness in simulation.harnesses.values():
+            harness.trace_effects(sink)
+
     result = run_controlled(
         derived.scenario,
         derived.until,
         ReplaySchedule(derived.decisions),
         monitor_specs=derived.monitor_specs,
-        on_simulation=lambda sim: captured.update(sim=sim),
+        on_simulation=attach_sink,
     )
-    watched = frozenset(FX_CATEGORIES.values())
-    actual = [
-        (record.time, record.category, record.node)
-        for record in captured["sim"].trace
-        if record.category in watched
-    ]
     divergence = _first_divergence(derived.expected, actual)
     return {
         "schema": recording["schema"],

@@ -188,6 +188,17 @@ class NodeHarness:
         """
         self._eat_script = [float(d) for d in durations]
 
+    def trace_effects(self, trace: TraceLog) -> None:
+        """Record this node's state transitions to ``trace`` instead.
+
+        Swaps only the hot-path handle behind the five transition
+        records (hungry, enter, exit, demote, crashed); the full log the
+        algorithm traces through stays as built.  A live-run replay uses
+        it to keep just the effect stream it checks, with the trace log
+        off.
+        """
+        self._trace = trace
+
     def demote_to_hungry(self) -> None:
         """Mobility preemption: eating -> hungry (Algorithm 3 Line 50)."""
         if self.dirty is not None:

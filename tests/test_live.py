@@ -11,6 +11,7 @@ ingestion fields, and the ``repro live`` / ``repro --version`` CLI.
 """
 
 import asyncio
+import copy
 import io
 import json
 import pickle
@@ -24,6 +25,7 @@ from repro.errors import ConfigurationError, ProtocolError, TopologyError
 from repro.harness.config_io import config_from_dict, config_to_dict
 from repro.live import (
     SCHEMA,
+    derive_replay,
     load_recording,
     merge_rows,
     run_bus_family,
@@ -34,6 +36,7 @@ from repro.live import (
 )
 from repro.live.bus import InProcessBus
 from repro.live.codec import FrameDecoder, decode_body, encode_frame
+from repro.live.recorder import FX_CATEGORIES, EffectTrace
 from repro.live.socket_transport import backoff_delays
 from repro.net.geometry import Point
 from repro.core.messages import (
@@ -68,10 +71,15 @@ def test_bus_static_line_replays_clean():
     assert_clean(verify_recording(recording))
 
 
-def test_bus_fig6_churn_and_crash_replays_clean():
-    # fig6: scripted link churn plus a crash, Algorithm 1.
-    recording = run_bus_family("fig6", "alg1-greedy", seed=0,
-                               time_scale=0.003)
+@pytest.fixture(scope="module")
+def fig6_recording():
+    # fig6: scripted link churn plus a crash, Algorithm 1.  Tests that
+    # tamper with it work on a deep copy.
+    return run_bus_family("fig6", "alg1-greedy", seed=0, time_scale=0.003)
+
+
+def test_bus_fig6_churn_and_crash_replays_clean(fig6_recording):
+    recording = fig6_recording
     kinds = {row["k"] for row in recording["rows"]}
     assert "crash" in kinds
     assert {"up", "down"} & kinds
@@ -86,6 +94,206 @@ def test_bus_recording_round_trips_through_json():
     save_recording(recording, stream)
     reloaded = load_recording(io.StringIO(stream.getvalue()))
     assert_clean(verify_recording(reloaded))
+
+
+# ----------------------------------------------------------------------
+# Fidelity must be able to fail: tampered recordings
+# ----------------------------------------------------------------------
+def _effects(recording):
+    """The recording's effect stream as (stamp, tag, node), row order."""
+    return [
+        (row["t"], tag, node)
+        for row in recording["rows"]
+        for tag, node in row.get("fx", ())
+    ]
+
+
+def _lone_hungry(recording):
+    """(row index, effect index) of a row whose only effect is a hunger.
+
+    A hunger effect feeds nothing the replay derives (the hunger
+    arrival comes from the row itself), so tampering with it changes
+    the expected stream and leaves the replay's input as it was.
+    """
+    index = 0
+    for position, row in enumerate(recording["rows"]):
+        fx = row.get("fx", ())
+        if row["k"] == "hungry" and [tag for tag, _ in fx] == ["hungry"]:
+            return position, index
+        index += len(fx)
+    raise AssertionError("recording has no lone hunger effect")
+
+
+def _tamper(recording, edit):
+    """Verify a deep copy of ``recording`` after ``edit(rows)``."""
+    tampered = copy.deepcopy(recording)
+    edit(tampered["rows"])
+    # Each tampering touches the expected stream only: the replay's
+    # scenario and decisions are derived exactly as from the original.
+    original, derived = derive_replay(recording), derive_replay(tampered)
+    assert derived.scenario == original.scenario
+    assert derived.decisions == original.decisions
+    return verify_recording(tampered)
+
+
+def _categorized(effect):
+    stamp, tag, node = effect
+    return [stamp, FX_CATEGORIES[tag], node]
+
+
+def _shift_lone_hunger(recording, shift):
+    """Move one hunger effect ``shift`` later, out of its own row.
+
+    A row's stamp is also the replay's input (the hunger arrival), so
+    the effect moves into a following row of its own, which the replay
+    reads nothing from but its effects.
+    """
+    position, index = _lone_hungry(recording)
+
+    def edit(rows):
+        row = rows[position]
+        fx = row.pop("fx")
+        rows.insert(position + 1, {"t": row["t"] + shift, "k": "timer",
+                                   "fx": fx})
+
+    return index, _tamper(recording, edit)
+
+
+def test_stamp_shift_inside_tolerance_verifies_clean(fig6_recording):
+    _, report = _shift_lone_hunger(fig6_recording, 5e-11)
+    assert_clean(report)
+
+
+def test_stamp_shift_beyond_tolerance_diverges(fig6_recording):
+    index, report = _shift_lone_hunger(fig6_recording, 1e-6)
+    assert report["clean"] is False
+    assert report["violation"] is None
+    fidelity = report["fidelity"]
+    count = len(_effects(fig6_recording))
+    assert fidelity["expected"] == fidelity["actual"] == count
+    stamp, tag, node = _effects(fig6_recording)[index]
+    assert report["fidelity"]["divergence"] == {
+        "index": index,
+        "expected": [stamp + 1e-6, FX_CATEGORIES[tag], node],
+        "actual": [stamp, FX_CATEGORIES[tag], node],
+    }
+
+
+def test_swapped_effect_tag_diverges(fig6_recording):
+    position, index = _lone_hungry(fig6_recording)
+
+    def edit(rows):
+        rows[position]["fx"][0][0] = "exit"
+
+    report = _tamper(fig6_recording, edit)
+    assert report["clean"] is False
+    fidelity = report["fidelity"]
+    count = len(_effects(fig6_recording))
+    assert fidelity["expected"] == fidelity["actual"] == count
+    stamp, _, node = _effects(fig6_recording)[index]
+    assert report["fidelity"]["divergence"] == {
+        "index": index,
+        "expected": [stamp, "cs.exit", node],
+        "actual": [stamp, "app.hungry", node],
+    }
+
+
+def test_dropped_effect_diverges(fig6_recording):
+    position, index = _lone_hungry(fig6_recording)
+
+    def edit(rows):
+        del rows[position]["fx"]
+
+    report = _tamper(fig6_recording, edit)
+    assert report["clean"] is False
+    effects = _effects(fig6_recording)
+    assert report["fidelity"]["expected"] == len(effects) - 1
+    assert report["fidelity"]["actual"] == len(effects)
+    assert report["fidelity"]["divergence"] == {
+        "index": index,
+        "expected": _categorized(effects[index + 1]),
+        "actual": _categorized(effects[index]),
+    }
+
+
+def test_extra_trailing_effect_diverges(fig6_recording):
+    last = fig6_recording["rows"][-1]
+
+    def edit(rows):
+        rows[-1].setdefault("fx", []).append(["hungry", 0])
+
+    report = _tamper(fig6_recording, edit)
+    assert report["clean"] is False
+    count = len(_effects(fig6_recording))
+    assert report["fidelity"]["expected"] == count + 1
+    assert report["fidelity"]["actual"] == count
+    assert report["fidelity"]["divergence"] == {
+        "index": count,
+        "expected": [last["t"], "app.hungry", 0],
+        "actual": None,
+    }
+
+
+def test_cli_live_verify_reports_a_tampered_file(fig6_recording, tmp_path):
+    # One call, two files: the clean one still verifies, the tampered
+    # one is reported at the effect that went missing, and the exit
+    # status says not every file was clean.
+    tampered = copy.deepcopy(fig6_recording)
+    position, index = _lone_hungry(tampered)
+    del tampered["rows"][position]["fx"]
+    paths = []
+    for name, recording in (("clean", fig6_recording),
+                            ("tampered", tampered)):
+        paths.append(tmp_path / f"{name}.json")
+        with open(paths[-1], "w") as stream:
+            save_recording(recording, stream)
+    out = io.StringIO()
+    assert cli_main(["live", "verify", *map(str, paths)], out=out) == 1
+    clean, diverged = out.getvalue().splitlines()
+    assert clean.startswith(f"{paths[0]}: clean")
+    assert diverged.startswith(
+        f"{paths[1]}: DIVERGED — replay left the recording at effect "
+        f"{index} "
+    )
+
+
+def test_verify_replays_with_the_trace_log_off(fig6_recording, monkeypatch):
+    # The replay keeps only the effect stream it checks: no trace log,
+    # no telemetry registry, and one shared sink on every harness
+    # holding exactly the effects fidelity compares.
+    import repro.explore.runner as runner
+
+    original = runner.run_controlled
+    seen = {}
+
+    def spy(*args, on_simulation, **kwargs):
+        def hook(simulation):
+            on_simulation(simulation)
+            sinks = {harness._trace for harness in
+                     simulation.harnesses.values()}
+            assert len(sinks) == 1
+            sink = sinks.pop()
+            assert isinstance(sink, EffectTrace)
+            keep = sink.keep
+            kept = seen.setdefault("kept", [])
+
+            def counted(time, tag, node):
+                kept.append((time, tag, node))
+                keep(time, tag, node)
+
+            sink.keep = counted
+            seen["sim"] = simulation
+
+        return original(*args, on_simulation=hook, **kwargs)
+
+    monkeypatch.setattr(runner, "run_controlled", spy)
+    report = verify_recording(fig6_recording)
+    assert_clean(report)
+    simulation = seen["sim"]
+    assert simulation.trace.enabled is False
+    assert list(simulation.trace) == []
+    assert simulation.registry is None
+    assert len(seen["kept"]) == report["fidelity"]["actual"]
 
 
 def _three_node_line_scenario():
