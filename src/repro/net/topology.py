@@ -47,7 +47,9 @@ repeatedly against an unchanged graph).
 ``set_positions`` applies a whole batch of same-instant moves in one
 grid pass and emits a single merged, deterministically ordered
 :class:`LinkDiff` — the entry point the kinetic mobility engine
-(:mod:`repro.mobility.kinetic`) uses for crossing/arrival updates.
+(:mod:`repro.mobility.kinetic`) uses for arrival, freeze and teleport
+updates.  A kinetic crossing moves no position: it sets its one pair's
+link through ``force_link``.
 """
 
 from __future__ import annotations
@@ -308,8 +310,8 @@ class DynamicTopology:
         kinetic engine's horizon refresh only combats grid staleness,
         every link toggle involving the mover being covered by a
         scheduled crossing certificate.  Adjacency is re-evaluated at
-        the node's next ``set_position(s)`` call (crossing, arrival,
-        freeze), so even a dropped grazing contact cannot outlive the
+        the node's next ``set_position(s)`` call (arrival, freeze,
+        teleport), so even a dropped grazing contact cannot outlive the
         flight.
 
         Returns True iff the node's grid *cell* changed — the signal
@@ -384,8 +386,10 @@ class DynamicTopology:
     def force_link(self, a: int, b: int, up: bool) -> LinkDiff:
         """Set one link's state directly, ignoring node positions.
 
-        Used by scripted link schedules (live-run replay): the recorded
-        churn is the ground truth, not the unit-disk geometry.  Returns
+        Used by scripted link schedules (live-run replay), where the
+        recorded churn is the ground truth, and by the kinetic engine's
+        crossing certificates, which judge the pair on true positions
+        that the stored ones lag mid-flight.  Returns
         the resulting :class:`LinkDiff` — empty when the link is already
         in the requested state.
         """

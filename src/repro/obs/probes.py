@@ -31,9 +31,9 @@ The probe catalogue (all instrument names live here, nowhere else):
                                             link_up)
 ``watchdog.warnings``           counter     starvation warnings emitted
 ``mobility.updates``            counter     position updates executed,
-                                            keyed by reason (crossing /
-                                            horizon / arrival / teleport /
-                                            freeze)
+                                            keyed by reason (horizon /
+                                            arrival / teleport / freeze);
+                                            a crossing moves no position
 ``mobility.crossings``          counter     link-crossing certificates
                                             scheduled
 ``mobility.batch_size``         histogram   movers per batched position

@@ -50,7 +50,6 @@ class FixedStepController(MobilityController):
             "horizon_events": 0,
             "arrivals": self._arrivals,
             "teleports": self._teleports,
-            "max_batch": 1 if self._updates else 0,
         }
 
     def _begin_episode(self, node_id: int, episode: Episode,

@@ -9,7 +9,14 @@ monitor, and a replay of the shrunk file succeeds end to end.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.explore import ReproFile, replay, run_campaign, shrink_repro
+from repro.explore import (
+    ReplaySchedule,
+    ReproFile,
+    replay,
+    run_campaign,
+    run_controlled,
+    shrink_repro,
+)
 from repro.explore.runner import check_repro
 
 
@@ -72,7 +79,12 @@ def test_shrunk_mobility_repro_replays_from_file(tmp_path):
     result = replay(loaded)  # raises on divergence
     assert result.violation.to_dict() == shrunk.violation
     assert result.violation.monitor == "return-path"
-    assert result.report.probes["mobility.updates"]["by_key"]["crossing"] > 0
+    simulations = []
+    run_controlled(
+        loaded.scenario, loaded.until, ReplaySchedule(loaded.decisions),
+        monitor_specs=loaded.monitors, on_simulation=simulations.append,
+    )
+    assert simulations[0].mobility.stats()["crossing_events"] > 0
 
 
 def test_replay_of_tampered_repro_diverges(violation_repro):
