@@ -22,9 +22,8 @@ Times the hot paths the simulation core was rebuilt around:
    topology updates (a deterministic counter comparison) and finish
    ≥2× faster on a quiet box (jitter-gated, like the telemetry guard),
    while both land on identical final positions and link sets;
-7. **Sharded engine** — plain ``Simulation`` vs 2 shards on 2 forked
-   workers at n=40k, each run in a fresh process (walls, peak RSS, the
-   median ratio); the >=1.5x bar is asserted only with >=3 CPUs;
+7. **Memory plane** — construction time at n=1k/10k/100k (O(n),
+   jitter-gated) and retained allocation blocks per executed event;
 8. **Invariant-monitor suite** — the full default monitor set on an
    alg2 crash scenario shaped like the ledger's crash workload costs
    at most 3x the plain run (jitter-gated), with a deterministic check
@@ -41,8 +40,6 @@ import json
 import math
 import os
 import random
-import subprocess
-import sys
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -748,116 +745,7 @@ def test_mobility_churn_kinetic_vs_fixed_step(report):
 
 
 # ---------------------------------------------------------------------------
-# 7. Sharded engine: plain vs 2 shards on 2 forked workers at n=40k
-# ---------------------------------------------------------------------------
-
-#: One whole run in a fresh interpreter, so each side's peak RSS is its
-#: own: ``plain`` is one ``Simulation``, ``sharded`` two shards on
-#: ``min(2, cpu_count)`` forked workers (RSS summed over the workers and
-#: the coordinator).  Prints one JSON line.
-_SCALE_RUN = """
-import json, sys, time
-from repro.net.geometry import grid_positions
-from repro.runtime.simulation import ScenarioConfig, Simulation, peak_rss_kb
-from repro.sim.sharded import ShardedEngine
-
-config = ScenarioConfig(
-    positions=grid_positions(40_000, spacing=1.0), radio_range=1.1,
-    algorithm="alg2", think_range=(4.0, 8.0), seed=1,
-)
-started = time.perf_counter()
-if sys.argv[1] == "plain":
-    result = Simulation(config).run(until=5.0)
-    rss = peak_rss_kb()
-else:
-    result = ShardedEngine(config, num_shards=2).run(until=5.0)
-    rss = result.resources["peak_rss_kb"]
-print(json.dumps({
-    "wall_seconds": round(time.perf_counter() - started, 3),
-    "peak_rss_kb": rss,
-    "events": result.engine["executed_events"],
-    "cs_entries": result.cs_entries,
-}))
-"""
-
-
-def _scale_run(side):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])
-    ))
-    done = subprocess.run(
-        [sys.executable, "-c", _SCALE_RUN, side],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-def test_sharded_vs_plain_40k(report):
-    """Plain vs 2 shards × 2 forked workers, n=40k grid, until=5.
-
-    Three interleaved pairs (alternating which side goes first), each
-    run in its own process.  Every repeat of a side must give the same
-    outcome.  The >=1.5x wall-clock bar is asserted only with >= 3 CPUs
-    (two workers plus the coordinator); below that the numbers are
-    recorded with a ``skipped_reason``.
-    """
-    cpus = os.cpu_count() or 1
-    runs = {"plain": [], "sharded": []}
-    for pair in range(3):
-        order = ("plain", "sharded") if pair % 2 == 0 else ("sharded", "plain")
-        for side in order:
-            runs[side].append(_scale_run(side))
-    for side, side_runs in runs.items():
-        outcomes = {(r["events"], r["cs_entries"]) for r in side_runs}
-        assert len(outcomes) == 1, f"{side} runs disagree: {outcomes}"
-        assert side_runs[0]["cs_entries"] > 0
-
-    def median(values):
-        return sorted(values)[len(values) // 2]
-
-    plain = [r["wall_seconds"] for r in runs["plain"]]
-    sharded = [r["wall_seconds"] for r in runs["sharded"]]
-    ratio = median(plain) / median(sharded)
-    entry = {
-        "n": 40_000,
-        "until": 5.0,
-        "num_shards": 2,
-        "cpus": cpus,
-        "workers": min(2, cpus),
-        "pairs": [list(pair) for pair in zip(plain, sharded)],
-        "speedup_median": round(ratio, 2),
-        **{
-            side: {
-                "wall_seconds_median": median(
-                    [r["wall_seconds"] for r in side_runs]
-                ),
-                "peak_rss_kb": max(r["peak_rss_kb"] or 0 for r in side_runs),
-                "events": side_runs[0]["events"],
-                "cs_entries": side_runs[0]["cs_entries"],
-            }
-            for side, side_runs in runs.items()
-        },
-    }
-    report(
-        f"sharded n=40000: plain {plain} s, 2 shards {sharded} s, "
-        f"median speedup {ratio:.2f}x ({cpus} CPUs)"
-    )
-    if cpus < 3:
-        entry["skipped_reason"] = (
-            f"cpu_count {cpus} < 3: two workers and the coordinator "
-            "share the CPUs; the ratio is recorded, not asserted"
-        )
-    _record("sharded_scaling", entry)
-    if cpus >= 3:
-        assert ratio >= 1.5, (
-            f"2 shards on 2 workers should beat plain by >=1.5x at "
-            f"n=40000, got {ratio:.2f}x"
-        )
-
-
-# ---------------------------------------------------------------------------
-# 8. Memory plane: slotted state, lazy RNG streams, O(n) bootstrap
+# 7. Memory plane: slotted state, lazy RNG streams, O(n) bootstrap
 # ---------------------------------------------------------------------------
 
 

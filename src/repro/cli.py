@@ -178,19 +178,7 @@ def cmd_algorithms(args, out) -> int:
 
 def cmd_run(args, out) -> int:
     config = build_config(args)
-    shards = getattr(args, "shards", 1)
-    if shards > 1:
-        from repro.sim.sharded import ShardedEngine
-
-        engine = ShardedEngine(
-            config,
-            num_shards=shards,
-            # build_config's waypoint movers draw speeds from (0.5, 1.2).
-            max_speed=1.2 if args.movers > 0 else None,
-        )
-        result = engine.run(until=args.until)
-    else:
-        result = Simulation(config).run(until=args.until)
+    result = Simulation(config).run(until=args.until)
     out.write(render_table(
         ["metric", "value"],
         summarize_result(result),
@@ -670,10 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--watchdog", type=float, default=None, metavar="THRESHOLD",
         help="warn when a node stays hungry longer than this (virtual time)",
-    )
-    run_parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="spatial shards for the parallel engine (1 = classic engine)",
     )
 
     compare_parser = sub.add_parser("compare", help="compare protocols")

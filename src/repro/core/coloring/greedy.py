@@ -18,9 +18,9 @@ each canonical ``(min, max)`` edge to a bit (``_BIT``) and back
 (``_EDGES``); an edge set is the ``int`` with those bits set, so a
 round's merge is ``graph |= msg.edges``, a C loop over machine words,
 and the mask a round sends is an immutable object every peer shares.
-The index is process-wide, not per procedure, because sessions of
-different procedure instances exchange masks in one process (the
-in-process shards).  Bit positions are private to the process:
+The index is process-wide, not per procedure, because the sessions of
+every node in a simulation exchange masks in one process.  Bit
+positions are private to the process:
 :class:`~repro.core.messages.GraphExchange` pickles its decoded edges
 and the receiver re-encodes them through its own index, and colors
 never depend on bit positions.  The index only grows: its size — and

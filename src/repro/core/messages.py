@@ -104,7 +104,7 @@ class GraphExchange(RecoloringRound):
     pairs rounds between asynchronous peers.
 
     Bit positions mean nothing in another process, so a pickled
-    exchange (shard pipes, the live socket codec) carries the decoded
+    exchange (the live/ socket codec) carries the decoded
     edge tuple and is re-encoded through the receiver's index.
     """
 

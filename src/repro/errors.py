@@ -48,5 +48,5 @@ class SafetyViolation(ReproError):
 
     def __reduce__(self):
         # ``args`` holds only the message; rebuild from the fields so
-        # the error survives a process boundary (worker pools, shards).
+        # the error survives a process boundary (replicate's worker pool).
         return type(self), (self.time, self.node_a, self.node_b)

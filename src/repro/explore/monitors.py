@@ -12,7 +12,7 @@ Checks are event-scoped.  An event changes the protocol state only of
 the nodes whose code it ran, plus both endpoints of any link it formed
 or broke; the suite collects those nodes in a *dirty set* (filled by
 the :class:`~repro.runtime.node.NodeHarness` entry points and a
-link-layer observer) and hands each monitor the hosted ones, ascending.
+link-layer observer) and hands them to each monitor, ascending.
 Since the run stops at the first violation, every invariant held
 everywhere before the event, so a new violation must touch a dirty
 node: each monitor does O(degree) work per dirty node and still
@@ -113,7 +113,7 @@ class InvariantMonitor:
         self.simulation = simulation
 
     def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
-        """Post-event check of the dirty hosted ``nodes`` (ascending);
+        """Post-event check of the dirty ``nodes`` (ascending);
         violation details or None."""
         return None
 
@@ -123,12 +123,7 @@ class InvariantMonitor:
 
 
 class ExclusionMonitor(InvariantMonitor):
-    """No two current neighbors eat at the same time.
-
-    Only links with both endpoints hosted count, here and in the other
-    pair monitors: in a sharded run the far end of a boundary link may
-    be a ghost, whose own shard judges it.
-    """
+    """No two current neighbors eat at the same time."""
 
     name = "exclusion"
 
@@ -140,8 +135,7 @@ class ExclusionMonitor(InvariantMonitor):
             if harness.state is not NodeState.EATING:
                 continue
             for b in harness.neighbors():
-                other = harnesses.get(b)
-                if other is not None and other.state is NodeState.EATING:
+                if harnesses[b].state is NodeState.EATING:
                     found = _lower(found, a, b)
         return None if found is None else {"link": list(found)}
 
@@ -162,10 +156,7 @@ class ForkUniquenessMonitor(InvariantMonitor):
             for b in harness.neighbors():
                 if not forks.holds(b):
                     continue
-                other = harnesses.get(b)
-                if other is None:
-                    continue
-                other_forks = getattr(other.algorithm, "forks", None)
+                other_forks = getattr(harnesses[b].algorithm, "forks", None)
                 if other_forks is not None and other_forks.holds(a):
                     found = _lower(found, a, b)
         return None if found is None else {"link": list(found)}
@@ -365,9 +356,7 @@ class PriorityMonitor(InvariantMonitor):
                 for b in (out[a] | into[a]) - neighbors:
                     self._unlink(a, b)
             for b in neighbors:
-                other = harnesses.get(b)
-                other_higher = (getattr(other.algorithm, "higher", None)
-                                if other is not None else None)
+                other_higher = getattr(harnesses[b].algorithm, "higher", None)
                 if other_higher is None:
                     continue
                 mine, theirs = higher.get(b), other_higher.get(a)
@@ -543,11 +532,10 @@ class StalePriorityMonitor(InvariantMonitor):
             if higher is None or harness.crashed:
                 continue
             for peer in harness.neighbors():
-                other = harnesses.get(peer)
+                other = harnesses[peer]
                 pair = (node_id, peer)
                 if (
-                    other is not None
-                    and not other.crashed
+                    not other.crashed
                     and other.state is NodeState.THINKING
                     and higher.get(peer) is True
                     and pair not in obligations
@@ -673,9 +661,8 @@ class MonitorSuite:
         self._dirty.add(b)
 
     def _take_dirty(self) -> List[int]:
-        """The hosted dirty nodes, ascending; empties the dirty set."""
-        harnesses = self._simulation.harnesses
-        nodes = sorted(node for node in self._dirty if node in harnesses)
+        """The dirty nodes, ascending; empties the dirty set."""
+        nodes = sorted(self._dirty)
         self._dirty.clear()
         return nodes
 

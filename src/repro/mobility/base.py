@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.mobility.kinetic import KineticEngine
@@ -101,28 +101,23 @@ class MobilityController:
     # Direct episode execution (used by scripted scenarios and tests)
     # ------------------------------------------------------------------
     def move_node(self, node_id: int, destination: Point, speed: float) -> None:
-        """Start moving a node right now (outside any model schedule)."""
+        """Start moving a node right now (outside any model schedule).
+
+        Speed 0 relocates it instantly (still flagged as a move).
+        """
         self._begin_episode(node_id, Episode(0.0, destination, speed),
                             resume_model=False)
 
-    def teleport(self, node_id: int, destination: Point) -> None:
-        """Relocate a node instantaneously (still flagged as a move)."""
-        self.move_node(node_id, destination, speed=0.0)
-
     # ------------------------------------------------------------------
-    # Introspection (used by the sharded engine's barrier exchange)
+    # Introspection
     # ------------------------------------------------------------------
-    def attached_nodes(self) -> List[int]:
-        """Nodes with a mobility model, sorted."""
-        return sorted(self._models)
-
     def position_now(self, node_id: int) -> Point:
         """The node's true current position, mid-flight aware.
 
         A flying node's topology position is materialized lazily, so
         this consults the motion record.
         """
-        return self._kinetic.true_position(node_id)
+        return self._kinetic._true_position(node_id, self._sim.now)
 
     # ------------------------------------------------------------------
     def _consult(self, node_id: int) -> None:

@@ -68,7 +68,7 @@ its successor without solving again.
 
 Stored positions of *other* mid-flight nodes are stale whenever a
 position is applied (arrival, freeze, teleport), so those pairs are
-excluded from link evaluation (``set_positions(..., deferred=...)``):
+excluded from link evaluation (``set_position(..., deferred=...)``):
 each such pair has its own certificate, computed from true
 trajectories.  Adjacency is thus maintained from exact motion, never
 from stale snapshots: at every instant the link graph is the unit-disk
@@ -321,7 +321,7 @@ class KineticEngine:
         # job is keeping the grid fresh for discovery.
         self.position_updates += 1
         if self._probes is not None:
-            self._probes.note_mobility_update("horizon", 1)
+            self._probes.note_mobility_update("horizon")
         if self._topology.reposition(node_id, motion.position_at(now)):
             # The discovery window shifted by at least one cell (no
             # other event moves a flying node's cell): scan it.  An
@@ -376,12 +376,12 @@ class KineticEngine:
         Pairs with another mid-flight node are skipped (their stored
         positions are stale; each such pair has its own certificate).
         """
-        diff = self._topology.set_positions(
-            [(node_id, position)], deferred=self._motion.keys()
+        diff = self._topology.set_position(
+            node_id, position, deferred=self._motion.keys()
         )
         self.position_updates += 1
         if self._probes is not None:
-            self._probes.note_mobility_update(reason, 1)
+            self._probes.note_mobility_update(reason)
         self._linklayer.apply_diff(diff)
 
     def _freeze(self, node_id: int, position: Point) -> None:
@@ -511,17 +511,6 @@ class KineticEngine:
                 pairs.discard(pair)
                 if not pairs:
                     del self._pairs_of[n]
-
-    def true_position(self, node_id: int, t: Optional[float] = None) -> Point:
-        """Exact position at time ``t`` (default: now), mid-flight aware.
-
-        The sharded engine's barrier exchange reports *true* mover
-        positions, not the lazily materialized topology positions, so
-        ghost mirrors on other shards track the continuum trajectory.
-        """
-        return self._true_position(
-            node_id, self._sim.now if t is None else t
-        )
 
     # ------------------------------------------------------------------
     # Crossing math

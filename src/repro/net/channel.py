@@ -125,14 +125,6 @@ class ChannelLayer:
         #: delivery order well-defined.  ``None`` (the default) costs
         #: one attribute test per send.
         self.delay_source: Optional[Callable[[int, int, Message], float]] = None
-        # Sharded mode: destinations hosted on another shard, plus the
-        # callback that forwards a finalized transmission to the mailbox
-        # plane.  ``None`` (unsharded) costs one ``is not None`` test
-        # per send.
-        self._remote_nodes = None
-        self._remote_send: Optional[
-            Callable[[int, int, Message, float], None]
-        ] = None
         # Direct delivery (see bind_handlers); ``None`` routes every
         # arrival through ``deliver``.
         self._handlers: Optional[Dict[int, Any]] = None
@@ -151,22 +143,6 @@ class ChannelLayer:
         """
         self._handlers = handlers
         self._crashed = crashed
-
-    def bind_remote(
-        self,
-        remote_nodes,
-        forward: Callable[[int, int, Message, float], None],
-    ) -> None:
-        """Route sends addressed to ``remote_nodes`` through ``forward``.
-
-        The sharded engine passes the shard's ghost-node set (live — new
-        ghosts become routable as they appear) and its outbox append.
-        The local send half (delay draw, FIFO clamp, stats, trace) runs
-        exactly as for a local message; only delivery happens remotely,
-        via :meth:`receive_remote` on the owning shard.
-        """
-        self._remote_nodes = remote_nodes
-        self._remote_send = forward
 
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, message: Message) -> None:
@@ -206,10 +182,6 @@ class ChannelLayer:
         sent_by_kind[kind] = sent_by_kind.get(kind, 0) + 1
         if self._trace is not None:
             self._trace.record(now, "msg.send", src, dst=dst, kind=kind)
-        remote = self._remote_nodes
-        if remote is not None and dst in remote:
-            self._remote_send(src, dst, message, arrival)
-            return
         sim.schedule_at(
             arrival, self._arrive, src, dst, message,
             self._incarnation.get(key if src < dst else (dst, src), 0),
@@ -279,17 +251,3 @@ class ChannelLayer:
         handler = handlers.get(dst)
         if handler is not None:
             handler.on_message(src, message)
-
-    def receive_remote(self, src: int, dst: int, message: Message) -> None:
-        """Deliver one cross-shard message at its (already reached)
-        arrival time.
-
-        The sending shard ran the full send half; this is the delivery
-        half, scheduled through ``Simulator.ingest`` on the owning
-        shard.  The message is judged under the link's current
-        incarnation, so only link existence decides: a link that died
-        and re-formed across the barrier is a fresh link whose
-        existence test already decides correctly.
-        """
-        current = self._incarnation.get(link_key(src, dst), 0)
-        self._arrive(src, dst, message, current)

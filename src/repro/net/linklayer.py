@@ -89,7 +89,7 @@ class LinkLayer:
 
     def neighbor_view(self, node_id: int) -> AbstractSet[int]:
         """``N`` as the topology's live adjacency set — read only, one
-        object for the node's lifetime (hosted nodes are never removed)."""
+        object for the node's lifetime (nodes are never removed)."""
         return self._topology.neighbor_view(node_id)
 
     def sorted_neighbors(self, node_id: int):

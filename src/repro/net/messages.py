@@ -13,7 +13,7 @@ slots=True)``; the slots keep per-message memory flat and attribute
 access cheap on the delivery path.  (Plain ``@dataclass(frozen=True)``
 subclasses still work — test fixtures use them — they just carry a
 ``__dict__``.)  Messages are compared by value and cross process
-boundaries (shard pipes, the live socket codec) by ordinary pickling.
+boundaries (the live socket codec) by ordinary pickling.
 """
 
 from __future__ import annotations

@@ -44,12 +44,11 @@ three caches: the per-node ``neighbors()`` frozenset, the presorted
 ``distances_from`` (the failure-locality metric issues the same source
 repeatedly against an unchanged graph).
 
-``set_positions`` applies a whole batch of same-instant moves in one
-grid pass and emits a single merged, deterministically ordered
-:class:`LinkDiff` — the entry point the kinetic mobility engine
-(:mod:`repro.mobility.kinetic`) uses for arrival, freeze and teleport
-updates.  A kinetic crossing moves no position: it sets its one pair's
-link through ``force_link``.
+The kinetic mobility engine (:mod:`repro.mobility.kinetic`) moves one
+node per arrival, freeze or teleport through ``set_position``, naming
+its other mid-flight nodes as ``deferred`` so their stale stored
+positions are never judged.  A kinetic crossing moves no position: it
+sets its one pair's link through ``force_link``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,9 @@ from array import array
 from collections import deque
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Container, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.errors import TopologyError
 from repro.net.geometry import Point
@@ -256,17 +257,6 @@ class DynamicTopology:
         self._degree_counts = counts
         self._max_degree = len(counts) - 1 if counts else 0
 
-    def upsert_node(self, node_id: int, position: Point) -> LinkDiff:
-        """Add the node if absent, else move it to ``position``.
-
-        Ghost/halo ingestion in the sharded engine: the same barrier
-        update stream carries both first appearances and refreshes of
-        boundary-adjacent remote nodes.
-        """
-        if node_id in self._rank:
-            return self.set_position(node_id, position)
-        return self.add_node(node_id, position)
-
     def nodes(self) -> List[int]:
         """All node ids, sorted (stable iteration order for determinism)."""
         return sorted(self._rank)
@@ -282,8 +272,21 @@ class DynamicTopology:
         self._require(node_id)
         return Point(self._xs[node_id], self._ys[node_id])
 
-    def set_position(self, node_id: int, position: Point) -> LinkDiff:
-        """Move a node and return the induced link changes."""
+    def set_position(
+        self,
+        node_id: int,
+        position: Point,
+        deferred: Container[int] = (),
+    ) -> LinkDiff:
+        """Move a node and return the induced link changes.
+
+        Pairs with a node in ``deferred`` are not evaluated.  The
+        kinetic mobility engine passes its other mid-flight nodes here:
+        their *stored* positions are stale between repositioning
+        events, and every crossing involving them is already covered by
+        that pair's own scheduled certificate — skipping them avoids
+        spurious toggles.
+        """
         self._require(node_id)
         self._store_position(node_id, position)
         self._grid_move(node_id, position)
@@ -294,6 +297,8 @@ class DynamicTopology:
         px, py = position.x, position.y
         hypot = math.hypot
         for other in self._scan_candidates(node_id, position, extra=current):
+            if other in deferred:
+                continue
             in_range = hypot(px - xs[other], py - ys[other]) <= radio
             if in_range and other not in current:
                 self._link(node_id, other)
@@ -310,7 +315,7 @@ class DynamicTopology:
         kinetic engine's horizon refresh only combats grid staleness,
         every link toggle involving the mover being covered by a
         scheduled crossing certificate.  Adjacency is re-evaluated at
-        the node's next ``set_position(s)`` call (arrival, freeze,
+        the node's next ``set_position`` call (arrival, freeze,
         teleport), so even a dropped grazing contact cannot outlive the
         flight.
 
@@ -320,68 +325,6 @@ class DynamicTopology:
         self._require(node_id)
         self._store_position(node_id, position)
         return self._grid_move(node_id, position)
-
-    def set_positions(
-        self,
-        batch: Iterable[Tuple[int, Point]],
-        deferred: Iterable[int] = (),
-    ) -> LinkDiff:
-        """Apply same-instant moves in one grid pass; one merged diff.
-
-        All stored positions (and grid cells) are updated first, then
-        each mover's candidate window is evaluated in batch order, so a
-        pair of movers is judged on both *final* positions exactly once.
-        Diff entries follow batch order and, within a mover, the same
-        insertion-rank order ``set_position`` uses — a singleton batch
-        is bit-identical to ``set_position``.
-
-        ``deferred`` names nodes whose pair evaluations are skipped
-        (unless they are in the batch themselves).  The kinetic mobility
-        engine passes its other mid-flight nodes here: their *stored*
-        positions are stale between repositioning events, and every
-        crossing involving them is already covered by that pair's own
-        scheduled certificate — skipping them avoids spurious toggles.
-        """
-        moves = list(batch)
-        diff = LinkDiff()
-        if not moves:
-            return diff
-        moved: Set[int] = set()
-        for node_id, _ in moves:
-            self._require(node_id)
-            if node_id in moved:
-                raise TopologyError(
-                    f"node {node_id} appears twice in one position batch"
-                )
-            moved.add(node_id)
-        for node_id, position in moves:
-            self._store_position(node_id, position)
-            self._grid_move(node_id, position)
-        if not isinstance(deferred, AbstractSet):
-            deferred = set(deferred)
-        seen_pairs: Set[Link] = set()
-        radio = self.radio_range
-        xs, ys = self._xs, self._ys
-        hypot = math.hypot
-        for node_id, position in moves:
-            current = self._adjacency[node_id]
-            px, py = position.x, position.y
-            for other in self._scan_candidates(node_id, position, extra=current):
-                if other in deferred and other not in moved:
-                    continue
-                if other in moved:
-                    pair = link_key(node_id, other)
-                    if pair in seen_pairs:
-                        continue
-                    seen_pairs.add(pair)
-                in_range = hypot(px - xs[other], py - ys[other]) <= radio
-                if in_range and other not in current:
-                    self._link(node_id, other)
-                    diff.added.append(link_key(node_id, other))
-                elif not in_range and other in current:
-                    self._unlink(node_id, other)
-                    diff.removed.append(link_key(node_id, other))
-        return diff
 
     def force_link(self, a: int, b: int, up: bool) -> LinkDiff:
         """Set one link's state directly, ignoring node positions.

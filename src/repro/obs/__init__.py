@@ -21,7 +21,6 @@ from repro.obs.registry import (
     Histogram,
     MetricRegistry,
     live_registry,
-    merge_snapshots,
 )
 from repro.obs.report import SCHEMA_VERSION, RunReport
 from repro.obs.watchdog import StarvationWarning, StarvationWatchdog
@@ -45,7 +44,6 @@ __all__ = [
     "check_latest",
     "live_registry",
     "load_history",
-    "merge_snapshots",
     "openmetrics_from_report",
     "render_openmetrics",
 ]

@@ -245,8 +245,7 @@ def render_openmetrics(
     """Render a snapshot dict as one OpenMetrics text exposition.
 
     Args:
-        probes: a ``MetricRegistry.snapshot()`` dict (a sharded run's
-            is the merge of its shards' snapshots).
+        probes: a ``MetricRegistry.snapshot()`` dict.
         labels: static labels stamped on every sample (e.g. run id).
         help_texts: probe name → ``# HELP`` text; defaults to the
             :func:`help_catalogue` (unknown probes render without HELP).

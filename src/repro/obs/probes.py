@@ -36,8 +36,6 @@ The probe catalogue (all instrument names live here, nowhere else):
                                             a crossing moves no position
 ``mobility.crossings``          counter     link-crossing certificates
                                             scheduled
-``mobility.batch_size``         histogram   movers per batched position
-                                            update
 ``explore.decisions``           counter     controlled choice-point
                                             decisions, keyed by kind
                                             (tie / delay / crash);
@@ -93,7 +91,6 @@ class ProtocolProbes:
         "alg2_switches",
         "mobility_updates",
         "mobility_crossings",
-        "mobility_batch_size",
     )
 
     def __init__(self, registry: MetricRegistry) -> None:
@@ -142,9 +139,6 @@ class ProtocolProbes:
         )
         self.mobility_crossings = registry.counter(
             "mobility.crossings", "link-crossing certificates scheduled"
-        )
-        self.mobility_batch_size = registry.histogram(
-            "mobility.batch_size", "movers per batched position update"
         )
 
     # ------------------------------------------------------------------
@@ -198,9 +192,8 @@ class ProtocolProbes:
     # ------------------------------------------------------------------
     # Mobility plane
     # ------------------------------------------------------------------
-    def note_mobility_update(self, reason: str, batch_size: int) -> None:
-        self.mobility_updates.inc(batch_size, key=reason)
-        self.mobility_batch_size.observe(float(batch_size))
+    def note_mobility_update(self, reason: str) -> None:
+        self.mobility_updates.inc(key=reason)
 
     def note_mobility_crossing(self) -> None:
         self.mobility_crossings.inc()

@@ -27,15 +27,14 @@ simulation, so a fixed-seed run produces a bit-identical
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
 #: Default histogram bucket upper bounds, in virtual time units.  A
 #: 1-2.5-5 decade ladder wide enough for both sub-delay latencies
 #: (fork grants arrive within one ``nu``) and whole-run durations;
-#: ``+Inf`` is implicit.  Chosen once and shared by every shard so
-#: cumulative bucket counts merge by plain addition.
+#: ``+Inf`` is implicit.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
@@ -179,8 +178,7 @@ class Histogram(_Instrument):
     Tracks count/total/min/max/mean plus per-bucket counts over a fixed
     bound ladder (:data:`DEFAULT_BUCKETS` unless overridden at
     creation).  Snapshots expose the buckets *cumulatively* — the form
-    OpenMetrics histograms use and the form that merges across shards
-    by plain addition.
+    OpenMetrics histograms use.
     """
 
     kind = "histogram"
@@ -314,90 +312,3 @@ def live_registry(registry: Optional[MetricRegistry]) -> Optional[MetricRegistry
     if registry is None or not registry.enabled:
         return None
     return registry
-
-
-# ----------------------------------------------------------------------
-# Cross-registry snapshot merging (sharded runs)
-# ----------------------------------------------------------------------
-
-
-def merge_snapshots(
-    snapshots: Iterable[Mapping[str, Mapping[str, object]]],
-) -> Dict[str, Dict[str, object]]:
-    """Merge per-shard ``MetricRegistry.snapshot()`` dicts into one.
-
-    The shards of a run own disjoint node sets, so extensive quantities
-    add: counter values, gauge levels, histogram counts/totals and
-    cumulative bucket counts all sum.  Histogram ``min``/``max`` take
-    the min/max across shards and ``mean`` is recomputed from the
-    merged total/count.  Gauge ``high_water`` sums too — per-shard
-    peaks need not coincide in time, so the sum is an upper bound on
-    the true network-wide high water (and exact when levels only grow).
-    """
-    merged: Dict[str, Dict[str, object]] = {}
-    for snapshot in snapshots:
-        for name, data in snapshot.items():
-            into = merged.get(name)
-            if into is None:
-                merged[name] = _copy_instrument(data)
-            else:
-                _merge_instrument(into, data)
-    for data in merged.values():
-        _refresh_means(data)
-    return {name: merged[name] for name in sorted(merged)}
-
-
-def _copy_instrument(data: Mapping[str, object]) -> Dict[str, object]:
-    return {
-        key: (
-            {k: _copy_instrument(v) if isinstance(v, Mapping) else v
-             for k, v in value.items()}
-            if isinstance(value, Mapping)
-            else value
-        )
-        for key, value in data.items()
-    }
-
-
-def _merge_instrument(
-    into: Dict[str, object], data: Mapping[str, object]
-) -> None:
-    for key, value in data.items():
-        if isinstance(value, Mapping):
-            sub = into.setdefault(key, {})
-            if isinstance(sub, dict):
-                _merge_instrument(sub, value)
-            continue
-        if key == "kind":
-            if into.get("kind") != value:
-                raise ConfigurationError(
-                    f"cannot merge snapshots: instrument kinds differ "
-                    f"({into.get('kind')!r} vs {value!r})"
-                )
-            continue
-        current = into.get(key)
-        if key == "min":
-            if value is not None and (current is None or value < current):
-                into[key] = value
-        elif key == "max":
-            if value is not None and (current is None or value > current):
-                into[key] = value
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            into.setdefault(key, value)
-        elif current is None:
-            into[key] = value
-        else:
-            into[key] = current + value
-
-
-def _refresh_means(data: Dict[str, object]) -> None:
-    """Recompute derived fields the additive merge cannot sum."""
-    if data.get("kind") == "histogram":
-        count = data.get("count")
-        if isinstance(count, (int, float)) and count:
-            data["mean"] = data["total"] / count
-        by_key = data.get("by_key")
-        if isinstance(by_key, dict):
-            for cell in by_key.values():
-                if isinstance(cell, dict) and cell.get("count"):
-                    cell["mean"] = cell["total"] / cell["count"]

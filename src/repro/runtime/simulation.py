@@ -35,7 +35,6 @@ from repro.runtime.node import NodeHarness
 from repro.runtime.registry import BuildContext, resolve
 from repro.sim.clock import TimeBounds
 from repro.sim.engine import Simulator
-from repro.sim.partition import ShardContext
 from repro.sim.rng import RandomSource
 from repro.sim.trace import TraceLog
 
@@ -186,10 +185,10 @@ class SimulationResult:
             }
         # Wall-clock throughput keys are non-deterministic, and the
         # scheduler ops counters describe the queue's data structure
-        # (they differ under the tests' heap oracle and between shard
-        # counts), not the run; the report's engine block keeps only
-        # the virtual-time counters.  Queue behaviour is surfaced via
-        # the ``engine.sched_ops`` probe when telemetry is on.
+        # (they differ under the tests' heap oracle), not the run; the
+        # report's engine block keeps only the virtual-time counters.
+        # Queue behaviour is surfaced via the ``engine.sched_ops`` probe
+        # when telemetry is on.
         engine = dict(self.engine)
         engine.pop("wall_time_s", None)
         engine.pop("events_per_sec", None)
@@ -271,21 +270,12 @@ class SimulationResult:
 class Simulation:
     """A fully wired simulation instance.
 
-    With a :class:`~repro.sim.partition.ShardContext` the instance hosts
-    one spatial shard of a larger run: the topology holds the shard's
-    owned nodes plus ghost mirrors of boundary-adjacent remote nodes,
-    while harnesses, workload, mobility models and crash injections
-    exist only for owned nodes.  Sends addressed to a ghost are diverted
-    into the shard outbox for the coordinating engine to route.  Every
-    per-node RNG substream is keyed by node id alone, so an owned node
-    behaves identically regardless of which shard hosts it.
+    Every node of ``config.positions`` is in the topology and has a
+    harness, a workload attachment and (if the factory gives it one) a
+    mobility model.  Per-node RNG substreams are keyed by node id.
     """
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        shard: Optional[ShardContext] = None,
-    ) -> None:
+    def __init__(self, config: ScenarioConfig) -> None:
         # City-scale construction allocates a handful of container
         # objects per node, essentially all of which stay live, so
         # cyclic-GC passes during the build scan an ever-growing live
@@ -296,40 +286,30 @@ class Simulation:
         if was_enabled:
             gc.disable()
         try:
-            self._build(config, shard)
+            self._build(config)
         finally:
             if was_enabled:
                 gc.enable()
 
-    def _build(
-        self,
-        config: ScenarioConfig,
-        shard: Optional[ShardContext],
-    ) -> None:
+    def _build(self, config: ScenarioConfig) -> None:
         self.config = config
-        self.shard = shard
         self.sim = Simulator()
         # Already-recorded scheduler ops, per counter key: run() records
         # only the delta into the live registry so repeated run() calls
-        # (paused runs, sharded windows) never double-count.
+        # (paused runs) never double-count.
         self._sched_ops_recorded: Dict[str, int] = {}
         self.rng = RandomSource(config.seed)
         self.trace = TraceLog(enabled=config.trace)
         self.bounds = config.bounds
 
-        if shard is None:
-            local_ids: List[int] = list(range(len(config.positions)))
-            member_ids = local_ids
-        else:
-            local_ids = sorted(shard.local_nodes)
-            member_ids = sorted(shard.local_nodes | shard.ghost_nodes)
+        node_ids = range(len(config.positions))
 
         # --- network substrate -------------------------------------
         self.topology = DynamicTopology(radio_range=config.radio_range)
         # Bulk insertion: O(n + links) instead of a per-arrival link
         # scan; nobody consumes construction-time LinkDiffs.
         self.topology.add_nodes(
-            (node_id, config.positions[node_id]) for node_id in member_ids
+            (node_id, config.positions[node_id]) for node_id in node_ids
         )
         self.linklayer = LinkLayer(self.sim, self.topology, trace=self.trace)
         self.channel = ChannelLayer(
@@ -341,14 +321,6 @@ class Simulation:
             trace=self.trace,
         )
         self.linklayer.bind_channel(self.channel)
-        if shard is not None:
-            outbox = shard.outbox
-
-            def _to_outbox(src: int, dst: int, message: object,
-                           arrival: float) -> None:
-                outbox.append((src, dst, message, arrival))
-
-            self.channel.bind_remote(shard.ghost_nodes, _to_outbox)
 
         # --- metrics & monitors -------------------------------------
         self.metrics = MetricsCollector()
@@ -394,7 +366,7 @@ class Simulation:
             factory = config.algorithm(self.context)
         else:
             factory = resolve(config.algorithm, self.context)
-        for node_id in local_ids:
+        for node_id in node_ids:
             harness = NodeHarness(
                 node_id,
                 self.sim,
@@ -418,18 +390,11 @@ class Simulation:
         # Each node bootstraps all of its own link endpoints in one
         # bulk call over its ascending neighbor list — the same
         # per-peer insertion order the old interleaved per-link walk
-        # produced, at half the iteration cost.  In shard mode a link
-        # may reach a ghost endpoint, which has no harness here; its
-        # owning shard bootstraps the same link from its side, and
-        # every bootstrap_peer implementation decides initial ownership
-        # from the two node ids alone, so both sides agree without
-        # talking.
+        # produced, at half the iteration cost.
         harnesses = self.harnesses
         sorted_neighbors = self.topology.sorted_neighbors
         for a in self.topology.nodes():
-            harness_a = harnesses.get(a)
-            if harness_a is not None:
-                harness_a.algorithm.bootstrap_peers(sorted_neighbors(a))
+            harnesses[a].algorithm.bootstrap_peers(sorted_neighbors(a))
 
         # --- workload ------------------------------------------------
         if config.scripted_hunger is not None:
@@ -473,7 +438,7 @@ class Simulation:
             probes=self.probes,
         )
         if config.mobility_factory is not None:
-            for node_id in local_ids:
+            for node_id in node_ids:
                 model = config.mobility_factory(node_id)
                 if model is not None:
                     self.mobility.attach(node_id, model)
@@ -487,18 +452,7 @@ class Simulation:
             metrics=self.metrics,
             mobility=self.mobility,
         )
-        crash_plan = config.crashes
-        if shard is not None:
-            # A remote node's crash plays out on its owning shard; the
-            # ghost here just stops emitting (frozen position, absorbed
-            # messages), which is exactly what a silent crash looks like
-            # from the outside.
-            crash_plan = [
-                (time, node_id)
-                for time, node_id in crash_plan
-                if node_id in shard.local_nodes
-            ]
-        self.failures.schedule_all(crash_plan)
+        self.failures.schedule_all(config.crashes)
 
     # ------------------------------------------------------------------
     def algorithm_of(self, node_id: int):
@@ -543,8 +497,6 @@ class Simulation:
             else 0.2 * until
         )
         locality: Optional[Dict[str, Any]] = None
-        # Keyed on the *scheduled* crashes, not the config plan: a shard
-        # whose local slice of the plan is empty has no crash to locate.
         if self.failures.crashes:
             locality = self.locality_report().to_dict()
         engine_stats = self.sim.stats()

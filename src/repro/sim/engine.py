@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import EventPriority, ScheduledEvent
@@ -73,11 +73,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._executed_events = 0
-        # Standing cap on how far run() may advance, independent of the
-        # per-call ``until``.  The sharded engine sets this to the next
-        # barrier time so a shard can never execute past what a
-        # neighbouring shard could still send it.
-        self._safe_horizon: Optional[float] = None
         self._wall_time_s = 0.0
         self._listeners: List[Callable[["Simulator"], None]] = []
         # Optional wall-clock profiler (see repro.obs.profiler).  The
@@ -217,41 +212,6 @@ class Simulator:
             )
         self._choice_controller = controller
 
-    def set_safe_horizon(self, time: Optional[float]) -> None:
-        """Cap how far :meth:`run` may advance, across run calls.
-
-        Conservative parallel simulation: the horizon is the latest time
-        this engine is *guaranteed* to have received every external
-        event for, so the hot loop treats it as an implicit ``until``
-        (whichever is earlier wins).  ``None`` clears the cap.
-        """
-        if self._running:
-            raise SimulationError("cannot move the safe horizon while running")
-        if time is not None and time < self._now:
-            raise SimulationError(
-                f"safe horizon {time} is behind the clock ({self._now})"
-            )
-        self._safe_horizon = time
-
-    def ingest(
-        self,
-        batch: List[Tuple[float, Callable[..., None], Tuple[Any, ...]]],
-    ) -> int:
-        """Mailbox ingress: schedule externally produced events.
-
-        ``batch`` holds ``(time, callback, args)`` triples, pre-sorted by
-        the caller into the deterministic cross-shard order; each is
-        scheduled at ``max(time, now)`` so a timestamp that landed exactly
-        on the barrier cannot raise.  Returns the number ingested.
-        """
-        if self._running:
-            raise SimulationError("cannot ingest events while running")
-        now = self._now
-        schedule_at = self.schedule_at
-        for time, callback, args in batch:
-            schedule_at(time if time > now else now, callback, *args)
-        return len(batch)
-
     def defer_startup(self, hook: Callable[[], None]) -> None:
         """Run ``hook()`` once, immediately before the next :meth:`run`.
 
@@ -304,9 +264,6 @@ class Simulator:
             hooks, self._startup_hooks = self._startup_hooks, []
             for hook in hooks:
                 hook()
-        horizon = self._safe_horizon
-        if horizon is not None and (until is None or horizon < until):
-            until = horizon
         self._running = True
         self._stopped = False
         wall_started = perf_counter()

@@ -68,7 +68,7 @@ class FixedStepController(MobilityController):
         diff = self._topology.set_position(node_id, position)
         self._updates += 1
         if self._probes is not None:
-            self._probes.note_mobility_update(reason, 1)
+            self._probes.note_mobility_update(reason)
         self._linklayer.apply_diff(diff)
 
     def _step(self, node_id: int, episode: Episode,

@@ -24,8 +24,7 @@ from repro.obs.watchdog import StarvationWatchdog
 class LinkPairs:
     """The ``(a, b, harness_a, harness_b)`` walk of the pair monitors.
 
-    Only links with both endpoint harnesses hosted here are listed,
-    rebuilt once per topology ``version`` (afresh on every call for a
+    Rebuilt once per topology ``version`` (afresh on every call for a
     topology without one).
     """
 
@@ -38,11 +37,10 @@ class LinkPairs:
         topology = self._simulation.topology
         version = getattr(topology, "version", None)
         if version is None or version != self._version:
-            get = self._simulation.harnesses.get
-            candidates = ((a, b, get(a), get(b)) for a, b in topology.links())
+            harnesses = self._simulation.harnesses
             self._pairs = [
-                pair for pair in candidates
-                if pair[2] is not None and pair[3] is not None
+                (a, b, harnesses[a], harnesses[b])
+                for a, b in topology.links()
             ]
             self._version = version
         return self._pairs
@@ -311,10 +309,9 @@ class StalePriorityScan(ScanMonitor):
             if higher is None or harness.crashed:
                 continue
             for peer in harness.neighbors():
-                other = harnesses.get(peer)
+                other = harnesses[peer]
                 if (
-                    other is not None
-                    and not other.crashed
+                    not other.crashed
                     and other.state is NodeState.THINKING
                     and higher.get(peer) is True
                 ):

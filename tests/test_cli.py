@@ -121,6 +121,21 @@ def test_run_report_round_trips(tmp_path):
     assert RunReport.from_json(report.to_json()).to_dict() == report.to_dict()
 
 
+def test_run_with_movers_moves_nodes_kinetically(tmp_path):
+    from repro.obs.report import RunReport
+
+    path = tmp_path / "run.json"
+    code, output = run_cli(
+        "run", "--topology", "grid:16", "--until", "60",
+        "--algorithm", "alg2", "--movers", "4", "--report", str(path),
+    )
+    assert code == 0
+    assert "cs entries" in output
+    probes = RunReport.load(path).probes
+    assert probes["mobility.updates"]["by_key"]["arrival"] > 0
+    assert probes["mobility.crossings"]["value"] > 0
+
+
 def test_run_watchdog_prints_warnings(tmp_path):
     code, output = run_cli(
         "run", "--topology", "line:8", "--until", "300", "--seed", "0",

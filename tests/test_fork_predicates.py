@@ -28,10 +28,6 @@ from repro.core.states import NodeState
 from repro.explore import runner
 from repro.explore.scenarios import build_scenario
 from repro.explore.schedule import RandomStrategy
-from repro.mobility.waypoint import RandomWaypoint
-from repro.net.geometry import line_positions
-from repro.runtime.simulation import ScenarioConfig
-from repro.sim import sharded
 
 from helpers import FakeNode
 from oracles import fork_scan
@@ -117,31 +113,16 @@ def test_fuzz_maintained_predicates_match_scans(algorithm, family, seed):
     _assert_differential(algorithm, family, seed)
 
 
-def test_neighbor_view_outlives_ghost_births_and_moves(monkeypatch, tmp_path):
+def test_neighbor_view_outlives_moves():
     """The engine resolves ``N`` once; that set must stay the node's.
 
-    A sharded mobile run is the hardest case: ghosts arrive through
-    ``upsert_node`` and movers relink every window.  At the end every
-    hosted node's engine still reads its topology's adjacency set.
-    The check runs in the forked workers: a failure comes back as the
-    child's ``AssertionError``, and each worker logs the nodes it
-    checked to a file.
+    Movers relink all run long.  After every event each node's engine
+    still reads its topology's own adjacency set, not a copy that the
+    differential above would find equal only while nothing moves.
     """
-    log = tmp_path / "checked"
-    finish = sharded._ShardHost.finish
-
-    def checking_finish(host, until, threshold):
-        simulation = host.simulation
-        adjacency = simulation.topology._adjacency
-        checked = []
-        for node_id, harness in simulation.harnesses.items():
-            assert harness.algorithm.fork_proto._nbrs is adjacency[node_id]
-            checked.append(node_id)
-        with open(log, "a") as stream:
-            stream.write("".join(f"{node_id}\n" for node_id in checked))
-        return finish(host, until, threshold)
-
-    monkeypatch.setattr(sharded._ShardHost, "finish", checking_finish)
+    from repro.mobility import RandomWaypoint
+    from repro.net.geometry import line_positions
+    from repro.runtime.simulation import ScenarioConfig, Simulation
 
     def mobility(node_id):
         if node_id < 3:
@@ -150,15 +131,23 @@ def test_neighbor_view_outlives_ghost_births_and_moves(monkeypatch, tmp_path):
             )
         return None
 
-    config = ScenarioConfig(
+    simulation = Simulation(ScenarioConfig(
         positions=line_positions(8, spacing=1.0), radio_range=1.1,
         algorithm="alg2", seed=3, mobility_factory=mobility,
         delta_override=7,
-    )
-    sharded.ShardedEngine(
-        config, num_shards=2, max_speed=1.2
-    ).run(until=40.0)
-    assert sorted(map(int, log.read_text().split())) == list(range(8))
+    ))
+    adjacency = simulation.topology._adjacency
+    checked = []
+
+    def on_event(engine):
+        for node_id, harness in simulation.harnesses.items():
+            assert harness.algorithm.fork_proto._nbrs is adjacency[node_id]
+        checked.append(engine.executed_events)
+
+    simulation.sim.add_listener(on_event)
+    simulation.run(until=40.0)
+    assert simulation.mobility.stats()["crossing_events"] > 0
+    assert len(checked) > 100
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,7 @@ keeps the set-of-tuples session it replaced.  Three properties:
   (three seeds in tier-1, seeds 3-29 under ``pytest -m fuzz``);
 * cross-process — bit positions are private to a process, so an
   exchange pickles its decoded edges: a live-codec frame decodes to the
-  same edges in a process whose index holds them in another order, and
-  a two-shard mobile run gives the same report on two forked workers
-  as on one forked worker;
+  same edges in a process whose index holds them in another order;
 * index guard — after a 196-node mobile run the index holds exactly
   the edges that entered a greedy session, and a re-run with the index
   pre-populated in reverse order gives a byte-identical report.
@@ -50,8 +48,6 @@ from repro.mobility import RandomWaypoint
 from repro.net.geometry import Point, line_positions
 from repro.net.topology import link_key
 from repro.runtime.simulation import ScenarioConfig, Simulation
-from repro.sim import sharded
-from repro.sim.sharded import ShardedEngine
 
 from oracles.greedy_sets import SetGreedySession
 from test_coloring import _flood
@@ -263,37 +259,6 @@ def test_codec_frame_decodes_through_the_receivers_index():
     iteration, finished, edges = json.loads(received.stdout)
     assert (iteration, finished) == (4, True)
     assert [tuple(edge) for edge in edges] == sorted(sent)
-
-
-def test_two_forked_shard_workers_match_one_process(fresh_index, monkeypatch):
-    """Each forked worker starts from the same empty index and then
-    numbers its own sessions' edges in its own order, so a raw mask
-    crossing the pipe would decode to other edges.  With one worker
-    hosting both shards, every mask returns to the process that
-    numbered it.  The engine runs one worker per CPU, so the test pins
-    the CPU count to 2, then 1."""
-
-    def factory(node_id):
-        if node_id < 4:
-            return RandomWaypoint(
-                12.0, 2.0, speed_range=(0.4, 1.2), pause_range=(1.0, 4.0)
-            )
-        return None
-
-    reports = []
-    for cpus in (2, 1):
-        monkeypatch.setattr(sharded.os, "cpu_count", lambda: cpus)
-        config = ScenarioConfig(
-            positions=line_positions(12, spacing=1.0), radio_range=1.1,
-            algorithm="alg1-greedy", seed=3, mobility_factory=factory,
-            delta_override=7,
-        )
-        engine = ShardedEngine(config, num_shards=2, max_speed=1.2)
-        assert engine.workers == cpus
-        reports.append(engine.run(until=60.0).report().to_json())
-    assert reports[0] == reports[1]
-    data = json.loads(reports[0])
-    assert data["channel"]["sent_by_kind"]["GraphExchange"] > 0
 
 
 # ----------------------------------------------------------------------

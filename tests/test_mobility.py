@@ -90,7 +90,7 @@ def test_moving_flag_set_during_episode():
 @pytest.mark.parametrize("fixed_step", [False, True])
 def test_teleport_flips_topology_instantly(fixed_step):
     sim, topo, link, controller = build(fixed_step=fixed_step)
-    controller.teleport(2, Point(0.0, 0.5))
+    controller.move_node(2, Point(0.0, 0.5), speed=0.0)
     sim.run()
     assert topo.has_link(0, 2)
     assert not link.is_moving(2)

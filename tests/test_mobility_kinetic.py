@@ -1,4 +1,4 @@
-"""Kinetic mobility against its hop oracle; batching, cached views.
+"""Kinetic mobility against its hop oracle; deferred pairs, cached views.
 
 The kinetic engine and the fixed-step oracle
 (``tests/oracles/fixed_step.py``) are *not* bit-identical mid-flight
@@ -15,8 +15,8 @@ the one both guarantee:
   scenarios;
 * bit-identical RunReports across reruns *within* each.
 
-Plus unit coverage for ``DynamicTopology.set_positions`` (the batched
-update entry point) and the version-counter-backed cached views.
+Plus unit coverage for ``DynamicTopology.set_position``'s deferred
+pairs and the version-counter-backed cached views.
 """
 
 import math
@@ -132,83 +132,88 @@ def watch_ground_truth(sim, topo, mobility, until, every=0.25):
 
 
 # ----------------------------------------------------------------------
-# set_positions: the batched update entry point
+# set_position: deferred pairs
 # ----------------------------------------------------------------------
 
 
-def test_set_positions_singleton_is_bit_identical_to_set_position():
-    rnd = random.Random(11)
-    single = DynamicTopology(radio_range=1.3)
-    batched = DynamicTopology(radio_range=1.3)
-    for i in range(25):
-        p = Point(rnd.uniform(0, 6), rnd.uniform(0, 6))
-        single.add_node(i, p)
-        batched.add_node(i, p)
-    for _ in range(200):
-        node = rnd.randrange(25)
-        dest = Point(rnd.uniform(0, 6), rnd.uniform(0, 6))
-        a = single.set_position(node, dest)
-        b = batched.set_positions([(node, dest)])
-        assert a.added == b.added and a.removed == b.removed
-    assert single.links() == batched.links()
-
-
-def test_set_positions_batch_matches_sequential_final_state():
-    rnd = random.Random(23)
-    seq = DynamicTopology(radio_range=1.2)
-    bat = DynamicTopology(radio_range=1.2)
-    for i in range(30):
-        p = Point(rnd.uniform(0, 7), rnd.uniform(0, 7))
-        seq.add_node(i, p)
-        bat.add_node(i, p)
-    for _ in range(60):
-        movers = rnd.sample(range(30), rnd.randint(1, 6))
-        moves = [
-            (m, Point(rnd.uniform(0, 7), rnd.uniform(0, 7))) for m in movers
-        ]
-        before = set(seq.links())
-        for node, dest in moves:
-            seq.set_position(node, dest)
-        after = set(seq.links())
-        diff = bat.set_positions(moves)
-        # One merged diff, equal to the *net* effect of the sequential
-        # application.  Transient toggles through intermediate states
-        # (a pair linking against a stale position, then unlinking once
-        # the second mover lands) cancel out: every pair is judged once
-        # on final positions, so the diff is exactly after-vs-before.
-        assert set(diff.added) == after - before
-        assert set(diff.removed) == before - after
-        assert len(diff.added) == len(set(diff.added))
-        assert len(diff.removed) == len(set(diff.removed))
-        assert seq.links() == bat.links()
-    assert ground_truth_links(bat) == set(bat.links())
-
-
-def test_set_positions_rejects_duplicate_mover():
-    topo = DynamicTopology(radio_range=1.0)
-    topo.add_node(0, Point(0, 0))
-    from repro.errors import TopologyError
-
-    with pytest.raises(TopologyError):
-        topo.set_positions([(0, Point(1, 0)), (0, Point(2, 0))])
-
-
-def test_set_positions_skips_deferred_pairs():
+def test_set_position_skips_deferred_pairs():
     topo = DynamicTopology(radio_range=1.0)
     topo.add_node(0, Point(0, 0))
     topo.add_node(1, Point(5, 0))  # stale stored position of a mover
     topo.add_node(2, Point(0.5, 0))
     # Move node 0 right next to node 1's stored position: the deferred
     # pair (0, 1) must not toggle, the live pair (0, 2) must.
-    diff = topo.set_positions([(0, Point(4.9, 0))], deferred=[1])
-    assert (0, 1) not in diff.added
-    assert (0, 2) in diff.removed
+    diff = topo.set_position(0, Point(4.9, 0), deferred={1})
+    assert diff.added == [] and diff.removed == [(0, 2)]
     assert not topo.has_link(0, 1)
-    # Batch members are never deferred, even if listed.
-    diff = topo.set_positions(
-        [(0, Point(4.8, 0)), (1, Point(4.0, 0))], deferred=[1]
-    )
-    assert (0, 1) in diff.added
+    # Not deferred, the same pair is judged on the stored positions.
+    diff = topo.set_position(0, Point(4.8, 0))
+    assert diff.added == [(0, 1)] and diff.removed == []
+
+
+def test_set_position_keeps_a_deferred_link_up():
+    topo = DynamicTopology(radio_range=1.0)
+    topo.add_node(0, Point(0, 0))
+    topo.add_node(1, Point(0.5, 0))  # stale stored position of a mover
+    topo.add_node(2, Point(-0.5, 0))
+    # Node 0 leaves both stored positions behind: only the live pair
+    # (0, 2) goes down; the deferred link stays for its certificate.
+    diff = topo.set_position(0, Point(-3.0, 0), deferred={1})
+    assert diff.added == [] and diff.removed == [(0, 2)]
+    assert topo.has_link(0, 1)
+
+
+# Each caller of the kinetic engine's ``_apply`` stores node 0 at
+# (-0.9, 0) at t = 0.4.  Node 1 left (0, 0) at t = 0 at unit speed, so
+# its stored position is still (0, 0) — 0.9 away, in range — while it
+# truly sits at (0.4, 0), 1.3 away.  The pair is deferred to its
+# crossing certificate and must never link.
+
+
+def _teleport_next_to_a_mover(ctl):
+    ctl.move_node(0, Point(-0.9, 0), speed=0.0)
+
+
+def _crash_next_to_a_mover(ctl):
+    ctl._linklayer.crash(0)
+    ctl.note_crash(0)
+
+
+def _retarget_next_to_a_mover(ctl):
+    ctl.move_node(0, Point(-5.0, 0), speed=1.0)
+
+
+APPLY_CALLERS = {
+    # (node 0's flight from t = 0, or None; what happens at t = 0.4)
+    "teleport": (None, _teleport_next_to_a_mover),
+    "arrival": (Point(-0.9, 0), None),
+    "crash-freeze": (Point(-0.9, -5), _crash_next_to_a_mover),
+    "retarget-freeze": (Point(-0.9, -5), _retarget_next_to_a_mover),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(APPLY_CALLERS))
+def test_apply_defers_pairs_with_other_movers(caller):
+    flight, at_t = APPLY_CALLERS[caller]
+    start = Point(-5.0, 5.0) if flight is None else Point(-0.9, 5.0)
+    sim, topo, link, ctl = build_stack([start, Point(0, 0)], radio=1.0)
+    events = []
+    link.observers.append(lambda kind, a, b: events.append((kind, sim.now)))
+    ctl.move_node(1, Point(20, 0), speed=1.0)
+    if flight is not None:
+        ctl.move_node(0, flight, speed=12.5)  # at (-0.9, 0) at t = 0.4
+    if at_t is not None:
+        sim.schedule_at(0.4, at_t, ctl)
+    seen = []
+    sim.schedule_at(0.4, lambda: seen.append(
+        (topo.position(0), topo.position(1), topo.has_link(0, 1))
+    ), priority=EventPriority.MONITOR)
+    sim.run(until=5.0)
+    position, stale, linked = seen[0]
+    assert position.distance_to(Point(-0.9, 0)) < 1e-9
+    assert stale == Point(0, 0)
+    assert not linked
+    assert events == []
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +287,7 @@ def test_teleport_into_a_movers_path_is_not_missed():
     events = []
     link.observers.append(lambda kind, a, b: events.append((kind, sim.now)))
     ctl.move_node(0, Point(20, 0), speed=1.0)
-    sim.schedule(5.0, lambda: ctl.teleport(1, Point(10, 0)))
+    sim.schedule(5.0, lambda: ctl.move_node(1, Point(10, 0), speed=0.0))
     sim.run(until=40.0)
     kinds = [k for k, _ in events]
     assert "up" in kinds  # mover reached the teleported node

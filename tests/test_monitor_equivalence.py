@@ -39,7 +39,6 @@ from repro.explore.schedule import RandomStrategy
 from repro.net.geometry import Point
 from repro.net.messages import Message
 from repro.runtime.simulation import ScenarioConfig, Simulation
-from repro.sim.sharded import ShardedEngine
 
 ALGORITHMS = [
     "alg2", "alg1-greedy", "alg1-linial",
@@ -167,50 +166,26 @@ def test_ablation_first_violation_is_the_full_scans(algorithm):
     assert fired, f"no scenario exposed {algorithm}"
 
 
-@pytest.mark.parametrize("algorithm", ["alg2", "alg2-nonotify"])
-def test_sharded_per_shard_suites_match_full_scan(
-    monkeypatch, tmp_path, algorithm
-):
-    """Two spatial shards, one lockstep suite each, ghosts included.
-
-    The suites run in the forked workers, so a scoped/full-scan
-    mismatch reaches this process as the child's ``AssertionError``;
-    each suite logs the events it judged to a file, so this process
-    sees that both were built in the workers and ran.
-    """
-    log = tmp_path / "events"
-
-    class LoggingLockstep(Lockstep):
-        def finalize(self):
-            super().finalize()
-            with open(log, "a") as stream:
-                stream.write(f"{self.events}\n")
-
-    monkeypatch.setattr(monitors_module, "MonitorSuite", LoggingLockstep)
-    n, until = 8, 60.0
-    config = ScenarioConfig(
-        positions=[Point(float(i), 0.0) for i in range(n)],
-        radio_range=1.1,
-        algorithm=algorithm,
-        seed=1,
-        # Only even nodes get hungry: a thinking neighbor keeps its
-        # standing priority unless notified (the alg2-nonotify trap).
-        scripted_hunger={
-            node: [round(1.0 + 0.7 * node + 5.0 * k, 3) for k in range(11)]
-            for node in range(0, n, 2)
-        },
-        strict_safety=False,
-    )
-    scenario = {"algorithm": algorithm}
-    engine = ShardedEngine(
-        config, num_shards=2,
-        monitor_specs=default_monitor_specs(scenario, until),
-    )
-    engine.run(until=until)
-    events = [int(line) for line in log.read_text().split()]
-    assert len(events) == 2 and all(n > 0 for n in events)
-    fired = {v["monitor"] for v in engine.violations}
-    assert fired == (set() if algorithm == "alg2" else {"stale-priority"})
+@pytest.mark.parametrize("algorithm,family", [
+    (algorithm, family)
+    for algorithm in ALGORITHMS
+    for family in _families(algorithm)
+])
+def test_every_topology_node_has_a_harness(algorithm, family):
+    """The monitors index ``harnesses`` by any link endpoint, so every
+    topology node needs a harness, from attach to the end of the run."""
+    for seed in range(3):
+        entry = build_scenario(family, algorithm, seed)
+        built = []
+        runner.run_controlled(
+            entry["scenario"], entry["until"], RandomStrategy(seed=seed),
+            on_simulation=built.append,
+        )
+        (simulation,) = built
+        assert sorted(simulation.harnesses) == simulation.topology.nodes()
+        assert simulation.topology.nodes() == list(
+            range(len(entry["scenario"]["positions"]))
+        )
 
 
 def test_every_state_changing_harness_entry_marks_its_node():

@@ -1,6 +1,12 @@
 """Tests for protocol probes: wiring, instruments, end-to-end population."""
 
-from repro.net.geometry import line_positions
+import re
+from pathlib import Path
+
+import repro
+from repro.mobility import RandomWaypoint
+from repro.net.geometry import grid_positions, line_positions
+from repro.obs import probes as probes_module
 from repro.obs.probes import ProtocolProbes, build_probes
 from repro.obs.registry import NULL_REGISTRY, MetricRegistry
 from repro.runtime.simulation import ScenarioConfig, Simulation
@@ -46,6 +52,49 @@ def test_probe_methods_update_the_right_instruments():
     assert snap["recolor.session_duration"]["mean"] == 8.0
     assert snap["alg2.notifications"]["value"] == 1
     assert snap["alg2.switches"]["by_key"] == {"exit_cs": 2, "notified": 1}
+
+
+def test_catalogue_lists_every_instrument_with_its_kind():
+    rows = dict(re.findall(
+        r"^``([a-z0-9_.]+)``\s+(counter|gauge|histogram)\b",
+        probes_module.__doc__, re.MULTILINE,
+    ))
+    snapshot = ProtocolProbes(MetricRegistry()).registry.snapshot()
+    assert {name: snap["kind"] for name, snap in snapshot.items()} == {
+        name: rows.get(name) for name in snapshot
+    }
+    # The other rows are recorded outside ProtocolProbes; each must
+    # still be a live instrument name somewhere in the package.
+    source = "".join(
+        path.read_text() for path in Path(repro.__file__).parent.rglob("*.py")
+        if path.name != "probes.py"
+    )
+    for name in sorted(set(rows) - set(snapshot)):
+        assert f'"{name}"' in source, name
+
+
+def test_mobility_update_reasons_match_the_engine_counters():
+    config = ScenarioConfig(
+        positions=grid_positions(16, spacing=1.0), radio_range=1.1,
+        algorithm="alg2", seed=2, telemetry=True, delta_override=15,
+        mobility_factory=lambda node_id: RandomWaypoint(
+            4.0, 4.0, speed_range=(0.5, 1.2), pause_range=(0.5, 2.0)
+        ) if node_id < 4 else None,
+        crashes=[(12.3, 0), (17.9, 1)],
+    )
+    sim = Simulation(config)
+    result = sim.run(until=60.0)
+    updates = result.probes["mobility.updates"]["by_key"]
+    stats = sim.mobility.stats()
+    assert sum(updates.values()) == stats["position_updates"]
+    assert updates.get("arrival", 0) == stats["arrivals"] > 0
+    assert updates.get("horizon", 0) == stats["horizon_events"] > 0
+    assert updates.get("teleport", 0) == stats["teleports"]
+    assert updates["freeze"] >= 1  # a crash caught a mover mid-flight
+    assert set(updates) <= {"arrival", "horizon", "teleport", "freeze"}
+    assert result.probes["mobility.crossings"]["value"] == (
+        stats["crossings_scheduled"]
+    )
 
 
 def _run(algorithm, telemetry=True, until=120.0, n=6):

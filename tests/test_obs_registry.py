@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.registry import (
     NULL_REGISTRY,
-    merge_snapshots,
     Counter,
     Gauge,
     Histogram,
@@ -200,65 +199,3 @@ def test_registry_histogram_accepts_buckets_once():
     assert h.bounds == (1.0, 2.0)
     with pytest.raises(ConfigurationError):
         r.counter("rt")
-
-
-def _loaded(scale=1.0):
-    r = MetricRegistry()
-    c = r.counter("msgs", "Messages")
-    c.inc(3)
-    c.inc(2, key="req")
-    g = r.gauge("depth", "Depth")
-    g.set(4 * scale)
-    g.set(1 * scale)
-    h = r.histogram("rt", "Response", buckets=(1.0, 10.0))
-    h.observe(0.5 * scale)
-    h.observe(5.0 * scale)
-    return r.snapshot()
-
-
-def test_merge_snapshots_sums_counters_and_buckets():
-    merged = merge_snapshots([_loaded(), _loaded()])
-    assert merged["msgs"]["value"] == 10
-    assert merged["msgs"]["by_key"]["req"] == 4
-    assert merged["rt"]["count"] == 4
-    assert merged["rt"]["total"] == pytest.approx(11.0)
-    assert merged["rt"]["mean"] == pytest.approx(2.75)
-    assert merged["rt"]["buckets"] == {"1": 2, "10": 4, "+Inf": 4}
-
-
-def test_merge_snapshots_keeps_extrema_honest():
-    # min of mins and max of maxes — NOT sums, which a naive numeric
-    # merge would produce.
-    merged = merge_snapshots([_loaded(scale=1.0), _loaded(scale=10.0)])
-    assert merged["rt"]["min"] == 0.5
-    assert merged["rt"]["max"] == 50.0
-    assert merged["depth"]["high_water"] == 44.0  # gauge peaks do sum
-
-
-def test_merge_snapshots_disjoint_instruments_union():
-    a = MetricRegistry()
-    a.counter("only.a").inc()
-    b = MetricRegistry()
-    b.counter("only.b").inc(5)
-    merged = merge_snapshots([a.snapshot(), b.snapshot()])
-    assert merged["only.a"]["value"] == 1
-    assert merged["only.b"]["value"] == 5
-
-
-def test_merge_snapshots_rejects_kind_conflicts():
-    a = MetricRegistry()
-    a.counter("x").inc()
-    b = MetricRegistry()
-    b.gauge("x").set(1)
-    with pytest.raises(ConfigurationError):
-        merge_snapshots([a.snapshot(), b.snapshot()])
-
-
-def test_merge_snapshots_identity_cases():
-    assert merge_snapshots([]) == {}
-    single = _loaded()
-    merged = merge_snapshots([single])
-    assert merged == single
-    assert merged is not single  # deep copy: caller mutation is safe
-    merged["msgs"]["value"] = 999
-    assert single["msgs"]["value"] == 5

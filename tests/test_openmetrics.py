@@ -25,7 +25,7 @@ from repro.obs.openmetrics import (
     openmetrics_from_report,
     render_openmetrics,
 )
-from repro.obs.registry import MetricRegistry, merge_snapshots
+from repro.obs.registry import MetricRegistry
 from repro.runtime.simulation import ScenarioConfig, Simulation
 from repro.sim.clock import TimeBounds
 from repro.net.geometry import line_positions
@@ -152,18 +152,6 @@ def test_registry_round_trips_through_strict_parser():
 def test_empty_registry_renders_bare_eof():
     assert render_openmetrics(MetricRegistry().snapshot()) == "# EOF\n"
     assert parse_openmetrics(render_openmetrics({})) == {}
-
-
-def test_merged_snapshot_round_trips():
-    merged = merge_snapshots(
-        [_loaded_registry().snapshot(), _loaded_registry().snapshot()]
-    )
-    families = parse_openmetrics(render_openmetrics(merged))
-    counter = families["repro_mutex_requests"]
-    assert ("repro_mutex_requests_total", (), 4.0) in counter["samples"]
-    # min/max survive the merge instead of being summed.
-    assert families["repro_mutex_response_time_min"]["samples"][0][2] == 0.004
-    assert families["repro_mutex_response_time_max"]["samples"][0][2] == 80.0
 
 
 def test_simulation_result_exports_openmetrics():

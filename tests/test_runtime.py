@@ -1,12 +1,14 @@
 """Tests for the runtime: harness transitions, workloads, crashes."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.base import LocalMutexAlgorithm
 from repro.core.states import NodeState, check_transition
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.geometry import line_positions
-from repro.runtime.simulation import ScenarioConfig, Simulation
+from repro.runtime.simulation import ScenarioConfig, Simulation, peak_rss_kb
 
 
 class GreedyEater(LocalMutexAlgorithm):
@@ -130,3 +132,46 @@ def test_locality_report_requires_crash_plan():
     sim.run(until=10.0)
     with pytest.raises(ConfigurationError):
         sim.locality_report()
+
+
+# ----------------------------------------------------------------------
+# Wall-clock resources stay out of the deterministic report
+# ----------------------------------------------------------------------
+
+
+def _line_config(n=8):
+    return ScenarioConfig(
+        positions=line_positions(n, spacing=1.0),
+        radio_range=1.1,
+        algorithm="alg2",
+        seed=3,
+    )
+
+
+def test_peak_rss_reported_on_linux():
+    rss = peak_rss_kb()
+    assert rss is None or rss > 0
+
+
+def test_resources_in_report_only_when_profiling():
+    plain = Simulation(_line_config()).run(until=20.0)
+    assert plain.resources["wall_time_s"] >= 0.0
+    assert plain.resources["events_per_sec"] >= 0.0
+    assert plain.report().resources is None
+
+    profiled = Simulation(
+        dataclasses.replace(_line_config(), profile=True)
+    ).run(until=20.0)
+    report = profiled.report()
+    assert report.resources is not None
+    assert set(report.resources) >= {
+        "wall_time_s", "events_per_sec", "peak_rss_kb",
+    }
+
+
+def test_wall_rates_do_not_leak_into_report_engine_block():
+    result = Simulation(_line_config()).run(until=20.0)
+    assert "wall_time_s" in result.engine
+    report = result.report()
+    assert "wall_time_s" not in report.engine
+    assert "events_per_sec" not in report.engine

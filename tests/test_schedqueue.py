@@ -3,8 +3,7 @@
 The ladder scheduler is only allowed to exist because it is
 bit-identical to the binary heap (tests/oracles/heap_queue.py).  These
 tests drive both through randomized schedules (cancellations, retimes,
-same-instant tie groups under a ControlledScheduler, safe-horizon
-truncation) and require the *exact* execution sequence to match, then
+same-instant tie groups under a ControlledScheduler) and require the *exact* execution sequence to match, then
 poke the ladder's own mechanics (rung spills, bottom spill, sweep)
 directly.
 """
@@ -105,31 +104,6 @@ def test_tie_groups_match_under_a_controller(seed):
         assert all(entry[0] != "monitor" for entry in log[:50])
         logs.append(log)
     assert logs[0] == logs[1]
-
-
-def test_safe_horizon_and_ingest_match():
-    logs = []
-    for make in (Simulator, heap_simulator):
-        sim = make()
-        log = []
-        for i in range(50):
-            sim.schedule_at(float(i), log.append, i)
-        for i in range(20):
-            sim.schedule(10.0 + i, log.append, ("t", i))
-        sim.set_safe_horizon(12.0)
-        sim.run(until=100.0)
-        assert sim.now == 12.0
-        # Barrier window advances: ingest external events, move horizon.
-        sim.ingest([(11.0, log.append, (("ingested", i),)) for i in range(3)])
-        sim.set_safe_horizon(40.0)
-        sim.run(until=100.0)
-        assert sim.now == 40.0
-        sim.set_safe_horizon(None)
-        sim.run(until=100.0)
-        logs.append(log)
-    assert logs[0] == logs[1]
-    assert logs[0][-1] == 49  # plain event at t=49.0 outlives the timers
-    assert len(logs[0]) == 73
 
 
 # ----------------------------------------------------------------------

@@ -318,3 +318,13 @@ def test_profiler_cannot_change_mid_run():
 
     sim.schedule_at(1.0, meddle)
     sim.run()
+
+
+def test_simulator_stats_include_wall_rates():
+    sim = Simulator()
+    sim.schedule_at(1.0, lambda: None)
+    sim.run(until=2.0)
+    stats = sim.stats()
+    assert stats["executed_events"] == 1
+    assert stats["wall_time_s"] > 0.0
+    assert stats["events_per_sec"] > 0.0

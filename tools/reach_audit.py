@@ -16,8 +16,8 @@ every Python process of a claim by a generated ``sitecustomize`` on
 ``PYTHONPATH``, so e2e children, CLI subprocesses and fork children
 are recorded too.  Two things it has to get right:
 
-* A fork child (socket node processes, fuzz worker pools, sharded pipe
-  workers) leaves through ``os._exit``, so an ``atexit`` dump never
+* A fork child (socket node processes, fuzz worker pools) leaves
+  through ``os._exit``, so an ``atexit`` dump never
   runs.  Each function is written through to the record file the
   first time it is called.
 * pytest-benchmark's fixture calls ``sys.setprofile(None)`` around every
@@ -189,10 +189,7 @@ python -m repro bench check --report-only
 python -m repro run --topology line:8 --until 300 --seed 0 --algorithm alg2 \
     --crash 30:4 --watchdog 25 --report $T/r.json --metrics $T/m.prom
 python -m repro report $T/r.json
-# a smoke run of the sharded path; ROADMAP's >= 1.5x re-check decides
-# whether the engine stays
-python -m repro run --topology grid:400 --algorithm alg2 --until 60 --movers 4 \
-    --shards 2 --report $T/sharded_report.json
+python -m repro run --topology grid:400 --algorithm alg2 --until 60 --movers 4
 python -m repro metrics export $T/r.json
 for algorithm in alg2 alg1-greedy alg1-linial; do
     python -m repro explore fuzz --algorithm $algorithm --runs 20 --seed 0 \
@@ -315,9 +312,9 @@ ORACLE = "oracle seam: a test oracle in tests/oracles/ works through it"
 
 OWNERS: Dict[str, str] = {
     "repro/core/messages.py::GraphExchange.__reduce__":
-        "sharded workers and live/ sockets: masks never cross a process raw",
+        "live/ sockets: masks never cross a process raw",
     "repro/core/coloring/greedy.py::graph_exchange":
-        "sharded workers and live/ sockets (`GraphExchange.__reduce__`)",
+        "live/ sockets (`GraphExchange.__reduce__`)",
     "repro/obs/profiler.py": ATTRIBUTION,
     "repro/sim/engine.py::Simulator.attach_profiler": ATTRIBUTION,
     "repro/sim/engine.py::Simulator.detach_profiler": ATTRIBUTION,
@@ -391,6 +388,14 @@ OWNERS: Dict[str, str] = {
         ORACLE + " (the whole-network scans are built from it)",
     "repro/net/topology.py::DynamicTopology.links":
         ORACLE + " (the grid and the all-pairs scan are compared through it)",
+    "repro/net/topology.py::DynamicTopology.add_node":
+        ORACLE + " (the grid and the all-pairs scan grow one arrival at a time through it)",
+    "repro/net/topology.py::DynamicTopology._grid_insert":
+        ORACLE + " (the grid side of `add_node`)",
+    "repro/mobility/base.py::MobilityController.move_node":
+        ORACLE + " (the kinetic engine and the fixed-step walk are driven through it)",
+    "repro/mobility/base.py::MobilityController.position_now":
+        ORACLE + " (the fixed-step walk inherits it; the link-graph ground truth reads it)",
     "repro/sim/timers.py::Timer.pending": INTERFACE + " (`TimerHandle.pending`)",
 }
 
