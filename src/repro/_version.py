@@ -7,4 +7,4 @@ without cycles.  ``pyproject.toml`` reads it via setuptools' dynamic
 ``repro.__version__``.
 """
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"

@@ -13,8 +13,10 @@ two transports:
 
 Node code cannot tell the difference: :class:`WallClockRuntime`
 satisfies the same :class:`~repro.runtime.interface.Runtime` protocol
-the simulator does, and :class:`~repro.live.linklayer.LiveLinkLayer`
-mirrors the simulated link layer's observable contract.
+the simulator does, and the link layer is the simulator's own
+:class:`~repro.net.linklayer.LinkLayer`, bound to the live channel
+:class:`~repro.live.linklayer.LiveLinkLayer` instead of the simulated
+one.
 
 Every run records a schema-versioned event log
 (:mod:`repro.live.recorder`); :mod:`repro.live.replay` projects that

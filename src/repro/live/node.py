@@ -1,13 +1,13 @@
 """Shared node assembly for the live runtimes.
 
-Both live transports build their nodes here, the same way
+Both live transports build their nodes here, the way
 :class:`repro.runtime.simulation.Simulation` does: a full
 :class:`~repro.net.topology.DynamicTopology` from the scenario
-positions (the coloring/registry build step needs the global graph even
-when the process will only host one node), the registry's
-:func:`~repro.runtime.registry.resolve`, and an *unmodified*
-:class:`~repro.runtime.node.NodeHarness` per hosted node.  The
-algorithm classes are exactly the registered ones — no live subclasses.
+positions, the simulator's own :class:`~repro.net.linklayer.LinkLayer`
+over it bound to a :class:`~repro.live.linklayer.LiveLinkLayer`
+channel, and the harnesses of the hosted nodes from
+:func:`~repro.runtime.simulation.assemble_nodes` — the registry's
+algorithm classes, unmodified, with no live subclasses.
 
 Also home of the ``live.*`` probe family: operational counters for the
 live planes (deliveries, drops, liveness link-downs, reconnect
@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
+from repro.live.linklayer import LiveLinkLayer
 from repro.metrics.collector import MetricsCollector
+from repro.net.linklayer import LinkLayer
 from repro.net.topology import DynamicTopology
 from repro.obs.registry import MetricRegistry
 from repro.runtime.node import NodeHarness
-from repro.runtime.registry import BuildContext, resolve
-from repro.runtime.simulation import ScenarioConfig
+from repro.runtime.simulation import ScenarioConfig, assemble_nodes
 from repro.sim.rng import RandomSource
 
 
@@ -56,59 +57,45 @@ class LiveProbes:
 
 
 class LiveNodeSet:
-    """The harnesses (and shared collaborators) one process hosts."""
+    """The link layer and harnesses one process hosts."""
 
     def __init__(
         self,
         config: ScenarioConfig,
         runtime,
-        linklayer,
-        trace,
+        recorder,
+        send_transport,
         hosted: Iterable[int],
         probes=None,
+        live_probes=None,
     ) -> None:
         self.config = config
         self.metrics = MetricsCollector()
         self.topology = DynamicTopology(radio_range=config.radio_range)
         self.topology.add_nodes(enumerate(config.positions))
-        n = len(config.positions)
-        delta = config.delta_override or max(1, self.topology.max_degree())
-        context = BuildContext(
-            topology=self.topology,
-            n=n,
-            delta=delta,
-            initial_colors=config.initial_colors,
-            rng=RandomSource(config.seed).stream("coloring"),
+        self.linklayer = LinkLayer(runtime, self.topology)
+        self.channel = LiveLinkLayer(
+            runtime,
+            recorder,
+            send_transport,
+            self.topology,
+            self.linklayer.deliver,
+            probes=live_probes,
         )
-        if callable(config.algorithm):
-            factory = config.algorithm(context)
-        else:
-            factory = resolve(config.algorithm, context)
-        # One RandomSource per process: substream seeds derive from the
-        # (name, node) key alone, so a node's streams are identical no
-        # matter which process hosts it.
-        rng_source = RandomSource(config.seed)
-        self.harnesses: Dict[int, NodeHarness] = {}
-        for node_id in sorted(hosted):
-            harness = NodeHarness(
-                node_id,
-                runtime,
-                linklayer,
-                config.bounds,
-                trace,
-                eat_rng=None,
-                metrics=self.metrics,
-                safety=None,
-                probes=probes,
-                rng_source=rng_source,
-            )
-            harness.bind(factory(harness))
-            self.harnesses[node_id] = harness
-            linklayer.register(node_id, harness)
-        for node_id, harness in self.harnesses.items():
-            harness.algorithm.bootstrap_peers(
-                self.topology.sorted_neighbors(node_id)
-            )
+        self.linklayer.bind_channel(self.channel)
+        # Substream seeds derive from the (name, node) key alone, so a
+        # node's streams are identical no matter which process hosts it.
+        self.harnesses: Dict[int, NodeHarness] = assemble_nodes(
+            config,
+            runtime,
+            self.linklayer,
+            self.topology,
+            hosted,
+            recorder.trace,
+            RandomSource(config.seed),
+            self.metrics,
+            probes,
+        )
 
     def metrics_summary(self) -> Dict[str, int]:
         return {

@@ -26,7 +26,6 @@ from repro.core.states import NodeState
 from repro.errors import ConfigurationError
 from repro.harness.config_io import config_from_dict
 from repro.live.bus import InProcessBus
-from repro.live.linklayer import LiveLinkLayer, adjacency_from_positions
 from repro.live.node import LiveNodeSet, LiveProbes
 from repro.live.recorder import LiveRecorder, make_recording
 from repro.live.runtime import WallClockRuntime
@@ -105,21 +104,17 @@ def run_bus(
         live_probes = LiveProbes(registry)
         protocol_probes = build_probes(registry)
 
-        adjacency = adjacency_from_positions(
-            config.positions, config.radio_range
-        )
-        bus = InProcessBus(loop, lambda *args: linklayer.dispatch(*args))
-        linklayer = LiveLinkLayer(
-            runtime, recorder, bus.send, adjacency, probes=live_probes
-        )
+        bus = InProcessBus(loop, lambda *args: nodes.channel.dispatch(*args))
         nodes = LiveNodeSet(
             config,
             runtime,
-            linklayer,
-            recorder.trace,
+            recorder,
+            bus.send,
             hosted=range(len(config.positions)),
             probes=protocol_probes,
+            live_probes=live_probes,
         )
+        linklayer = nodes.linklayer
 
         runtime.start()
 

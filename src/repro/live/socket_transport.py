@@ -86,9 +86,11 @@ class SocketTransport:
         self.hb_interval = hb_interval
         self.liveness_timeout = liveness_timeout
         self.reconnect_attempts = reconnect_attempts
-        #: Wired after construction (link layer and transport reference
-        #: each other).
+        #: Wired after construction (the link layer's channel and the
+        #: transport reference each other): the link layer the liveness
+        #: feed drives, and the live channel's ``dispatch``.
         self.linklayer = None
+        self.dispatch = None
         self._writers: Dict[int, asyncio.StreamWriter] = {}
         self._last_heard: Dict[int, float] = {}
         self._said_bye: Set[int] = set()
@@ -205,7 +207,7 @@ class SocketTransport:
             if not self.runtime.started:
                 return
             self.runtime.observe_remote_stamp(float(frame["s"]))
-            self.linklayer.dispatch(
+            self.dispatch(
                 int(frame["src"]), int(frame["dst"]), frame["p"],
                 frame["m"], int(frame["i"]),
             )
@@ -339,7 +341,6 @@ def _node_main(
     conn,
 ) -> None:
     from repro.harness.config_io import config_from_dict
-    from repro.live.linklayer import LiveLinkLayer, adjacency_from_positions
     from repro.live.node import LiveNodeSet, LiveProbes
     from repro.live.recorder import LiveRecorder
     from repro.live.runtime import WallClockRuntime
@@ -355,25 +356,17 @@ def _node_main(
     live_probes = LiveProbes(registry)
     protocol_probes = build_probes(registry)
 
-    full = adjacency_from_positions(config.positions, config.radio_range)
-    neighbors = sorted(full[node_id])
-    # This process's membership view: its own links only.
-    adjacency = {node_id: set(neighbors)}
-    for peer in neighbors:
-        adjacency[peer] = {node_id}
-
-    transport = SocketTransport(
-        loop, runtime, node_id, neighbors, probes=live_probes,
-        hb_interval=hb_interval, liveness_timeout=liveness_timeout,
-    )
-    linklayer = LiveLinkLayer(
-        runtime, recorder, transport.send, adjacency, probes=live_probes
-    )
-    transport.linklayer = linklayer
     nodes = LiveNodeSet(
-        config, runtime, linklayer, recorder.trace,
-        hosted=[node_id], probes=protocol_probes,
+        config, runtime, recorder, lambda *args: transport.send(*args),
+        hosted=[node_id], probes=protocol_probes, live_probes=live_probes,
     )
+    transport = SocketTransport(
+        loop, runtime, node_id, nodes.topology.sorted_neighbors(node_id),
+        probes=live_probes, hb_interval=hb_interval,
+        liveness_timeout=liveness_timeout,
+    )
+    transport.linklayer = nodes.linklayer
+    transport.dispatch = nodes.channel.dispatch
     harness = nodes.harnesses[node_id]
 
     port = loop.run_until_complete(transport.start_server())
@@ -408,7 +401,7 @@ def _node_main(
         runtime.execute("crash", {"n": node_id}, _crash)
 
     def _crash() -> None:
-        linklayer.crash(node_id)
+        nodes.linklayer.crash(node_id)
         harness.crash()
 
     for t, victim in config.crashes:

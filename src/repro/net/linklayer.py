@@ -13,18 +13,32 @@ Responsibilities, exactly as the paper assumes of its "lower level":
 The link layer is also the single place protocol code sends messages
 through, so it can refuse sends from crashed nodes and offer a local
 broadcast primitive.
+
+One contract serves both runtimes.  The simulator binds a
+:class:`~repro.net.channel.ChannelLayer` on its event engine; the live
+runtimes bind :class:`~repro.live.linklayer.LiveLinkLayer`, which hands
+messages to a real transport.  ``sim`` may be any
+:class:`~repro.runtime.interface.Runtime`: the link layer only reads
+its ``now`` for trace stamps.  Link changes that arrive as events
+rather than from geometry (a live topology feed, a live peer loss, the
+replay of a recorded ``link_script``) all go through
+:meth:`LinkLayer.apply_link_event`.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Optional, Protocol, Set
+from typing import (
+    TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Optional, Protocol, Set,
+)
 
 from repro.errors import TopologyError
 from repro.net.channel import ChannelLayer
 from repro.net.messages import Message
 from repro.net.topology import DynamicTopology, LinkDiff
-from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog, live_trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.interface import Runtime
 
 
 class NodeHandler(Protocol):
@@ -42,7 +56,7 @@ class LinkLayer:
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: Runtime,
         topology: DynamicTopology,
         trace: Optional[TraceLog] = None,
     ) -> None:
@@ -66,8 +80,11 @@ class LinkLayer:
     def bind_channel(self, channel: ChannelLayer) -> None:
         """Attach the channel layer (whose deliver callback is us).
 
-        The channel calls registered handlers directly; :meth:`deliver`
-        stays the path for messages to crashed nodes.
+        ``channel`` is a :class:`~repro.net.channel.ChannelLayer` or a
+        :class:`~repro.live.linklayer.LiveLinkLayer`: both offer
+        ``bind_handlers``, ``send``, ``broadcast`` and ``link_down``.
+        The simulated channel calls registered handlers directly;
+        :meth:`deliver` stays the path for messages to crashed nodes.
         """
         self._channel = channel
         channel.bind_handlers(self._handlers, self._crashed)
@@ -123,6 +140,26 @@ class LinkLayer:
         self._moving.discard(node_id)
         if self._trace is not None:
             self._trace.record(self._sim.now, "crash", node_id)
+
+    def apply_link_event(self, op: str, a: int, b: int, mover: int) -> None:
+        """Force one link ``"up"`` or ``"down"`` and deliver its indications.
+
+        ``mover`` (when >= 0) is marked moving for the duration of the
+        event, so the static/moving roles come out as the recorded
+        execution saw them; role state is restored afterwards.  A link
+        already in the requested state changes nothing: no indication,
+        no incarnation bump.
+        """
+        restore = mover >= 0 and not self.is_moving(mover)
+        if restore:
+            self.set_moving(mover, True)
+        try:
+            diff = self._topology.force_link(a, b, op == "up")
+            if not diff.empty:
+                self.apply_diff(diff)
+        finally:
+            if restore:
+                self.set_moving(mover, False)
 
     def apply_diff(self, diff: LinkDiff) -> None:
         """Turn one topology diff into LinkUp/LinkDown indications.
@@ -180,8 +217,8 @@ class LinkLayer:
         )
 
     def deliver(self, src: int, dst: int, message: Message) -> None:
-        """Channel-layer delivery callback (crashed destinations and
-        channels without bound handlers)."""
+        """Channel-layer delivery callback (crashed destinations, and
+        every delivery of the live channel)."""
         if dst in self._crashed:
             self.messages_to_crashed += 1
             return

@@ -13,7 +13,9 @@ import gc
 import statistics
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
@@ -267,6 +269,63 @@ class SimulationResult:
         }
 
 
+def assemble_nodes(
+    config: ScenarioConfig,
+    runtime,
+    linklayer: LinkLayer,
+    topology: DynamicTopology,
+    hosted: Iterable[int],
+    trace,
+    rng_source: RandomSource,
+    metrics: MetricsCollector,
+    probes,
+    safety: Optional[SafetyMonitor] = None,
+) -> Dict[int, NodeHarness]:
+    """Build, bind and register the harness of every hosted node.
+
+    The node assembly of both runtimes.  The algorithm factory is
+    resolved against the whole scenario ``topology`` (colorings need
+    the global graph even when a process hosts one node) with the
+    ``coloring`` substream of ``rng_source``.  Each hosted node then
+    gets an unmodified :class:`NodeHarness` registered with
+    ``linklayer``, and bootstraps its initial per-link protocol state
+    (forks, priorities, colors) in one bulk call over its ascending
+    neighbor list.
+    """
+    context = BuildContext(
+        topology=topology,
+        n=len(config.positions),
+        delta=config.delta_override or max(1, topology.max_degree()),
+        initial_colors=config.initial_colors,
+        rng=rng_source.stream("coloring"),
+    )
+    if callable(config.algorithm):
+        factory = config.algorithm(context)
+    else:
+        factory = resolve(config.algorithm, context)
+    harnesses: Dict[int, NodeHarness] = {}
+    for node_id in sorted(hosted):
+        harness = NodeHarness(
+            node_id,
+            runtime,
+            linklayer,
+            config.bounds,
+            trace,
+            eat_rng=None,
+            metrics=metrics,
+            safety=safety,
+            probes=probes,
+            rng_source=rng_source,
+        )
+        harness.bind(factory(harness))
+        harnesses[node_id] = harness
+        linklayer.register(node_id, harness)
+    sorted_neighbors = topology.sorted_neighbors
+    for node_id, harness in harnesses.items():
+        harness.algorithm.bootstrap_peers(sorted_neighbors(node_id))
+    return harnesses
+
+
 class Simulation:
     """A fully wired simulation instance.
 
@@ -353,48 +412,25 @@ class Simulation:
         )
 
         # --- nodes and algorithms -----------------------------------
-        n = len(config.positions)
-        delta = config.delta_override or max(1, self.topology.max_degree())
-        self.context = BuildContext(
-            topology=self.topology,
-            n=n,
-            delta=delta,
-            initial_colors=config.initial_colors,
-            rng=self.rng.stream("coloring"),
-        )
-        if callable(config.algorithm):
-            factory = config.algorithm(self.context)
-        else:
-            factory = resolve(config.algorithm, self.context)
-        for node_id in node_ids:
-            harness = NodeHarness(
-                node_id,
+        self.harnesses.update(
+            assemble_nodes(
+                config,
                 self.sim,
                 self.linklayer,
-                self.bounds,
+                self.topology,
+                node_ids,
                 self.trace,
-                eat_rng=None,
-                metrics=self.metrics,
+                self.rng,
+                self.metrics,
+                self.probes,
                 safety=self.safety,
-                probes=self.probes,
-                rng_source=self.rng,
             )
-            harness.bind(factory(harness))
-            if config.scripted_eating is not None:
+        )
+        if config.scripted_eating is not None:
+            for node_id, harness in self.harnesses.items():
                 durations = config.scripted_eating.get(node_id)
                 if durations:
                     harness.script_eating(durations)
-            self.harnesses[node_id] = harness
-            self.linklayer.register(node_id, harness)
-        # Initial per-link protocol state (forks, priorities, colors).
-        # Each node bootstraps all of its own link endpoints in one
-        # bulk call over its ascending neighbor list — the same
-        # per-peer insertion order the old interleaved per-link walk
-        # produced, at half the iteration cost.
-        harnesses = self.harnesses
-        sorted_neighbors = self.topology.sorted_neighbors
-        for a in self.topology.nodes():
-            harnesses[a].algorithm.bootstrap_peers(sorted_neighbors(a))
 
         # --- workload ------------------------------------------------
         if config.scripted_hunger is not None:
@@ -421,7 +457,7 @@ class Simulation:
             time, op, a, b, mover = row
             self.sim.schedule_at(
                 float(time),
-                self._apply_scripted_link,
+                self.linklayer.apply_link_event,
                 str(op),
                 int(a),
                 int(b),
@@ -458,26 +494,6 @@ class Simulation:
     def algorithm_of(self, node_id: int):
         """The algorithm instance running on one node."""
         return self.harnesses[node_id].algorithm
-
-    def _apply_scripted_link(
-        self, op: str, a: int, b: int, mover: int
-    ) -> None:
-        """Force one scripted link change and deliver its indications.
-
-        ``mover`` (when >= 0) is marked moving for the duration of the
-        event so the link layer assigns the same static/moving roles the
-        recorded execution saw; role state is restored afterwards.
-        """
-        restore = mover >= 0 and not self.linklayer.is_moving(mover)
-        if restore:
-            self.linklayer.set_moving(mover, True)
-        try:
-            diff = self.topology.force_link(a, b, op == "up")
-            if not diff.empty:
-                self.linklayer.apply_diff(diff)
-        finally:
-            if restore:
-                self.linklayer.set_moving(mover, False)
 
     def run(
         self,

@@ -439,6 +439,7 @@ def test_peer_loss_surfaces_link_down_and_counts():
     from repro.live.recorder import LiveRecorder
     from repro.live.runtime import WallClockRuntime
     from repro.live.socket_transport import SocketTransport
+    from repro.net.linklayer import LinkLayer
     from repro.obs.registry import MetricRegistry
 
     class StubWriter:
@@ -459,10 +460,14 @@ def test_peer_loss_surfaces_link_down_and_counts():
         registry = MetricRegistry()
         probes = LiveProbes(registry)
         transport = SocketTransport(loop, runtime, 1, [0], probes=probes)
-        linklayer = LiveLinkLayer(
-            runtime, recorder, transport.send, {0: {1}, 1: {0}},
+        topology = DynamicTopology(radio_range=1.0)
+        topology.add_nodes([(0, Point(0.0, 0.0)), (1, Point(1.0, 0.0))])
+        linklayer = LinkLayer(runtime, topology)
+        channel = LiveLinkLayer(
+            runtime, recorder, transport.send, topology, linklayer.deliver,
             probes=probes,
         )
+        linklayer.bind_channel(channel)
         transport.linklayer = linklayer
         transport.remember_ports({})
         handler = StubHandler()

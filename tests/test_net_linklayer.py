@@ -51,14 +51,6 @@ def build(nodes=3, spacing=1.0, radio=1.5):
     return sim, topo, link, handlers
 
 
-def test_link_down_indications_to_both_endpoints():
-    sim, topo, link, handlers = build()
-    diff = topo.set_position(2, Point(50, 50))
-    link.apply_diff(diff)
-    assert handlers[1].link_downs == [2]
-    assert handlers[2].link_downs == [1]
-
-
 def test_link_up_roles_static_vs_moving():
     sim, topo, link, handlers = build()
     link.set_moving(2, True)
@@ -78,28 +70,6 @@ def test_link_up_between_two_movers_breaks_tie_by_id():
     # Lower id (0) plays the static role.
     assert handlers[0].link_ups == [(1, False)]
     assert handlers[1].link_ups == [(0, True)]
-
-
-def test_crashed_node_gets_no_indications_or_messages():
-    sim, topo, link, handlers = build()
-    link.crash(1)
-    assert link.is_crashed(1)
-    link.send(0, 1, Probe("x"))
-    sim.run()
-    assert handlers[1].messages == []
-    assert link.messages_to_crashed == 1
-    diff = topo.set_position(2, Point(1.2, 0.5))
-    link.apply_diff(diff)
-    assert all(peer != 1 or False for peer, _ in handlers[1].link_ups)
-
-
-def test_crashed_node_sends_nothing():
-    sim, topo, link, handlers = build()
-    link.crash(0)
-    link.send(0, 1, Probe("x"))
-    link.broadcast(0, Probe("y"))
-    sim.run()
-    assert handlers[1].messages == []
 
 
 def test_broadcast_goes_to_current_neighbors_only():

@@ -342,14 +342,6 @@ OWNERS: Dict[str, str] = {
     "repro/mobility/static.py::StaticMobility.next_episode": INTERFACE,
     "repro/obs/registry.py::_Instrument.snapshot": INTERFACE,
     "repro/live/runtime.py::LiveTimerHandle": INTERFACE + " (`TimerHandle`)",
-    "repro/live/linklayer.py::LiveLinkLayer.is_crashed":
-        INTERFACE + " (the link-layer contract the mobility plane reads)",
-    "repro/live/linklayer.py::LiveLinkLayer._indicate_up":
-        "live link-up indication: recordings with scripted link ups",
-    "repro/runtime/simulation.py::Simulation._apply_scripted_link":
-        "replay of scripted link changes with a mover",
-    "repro/net/linklayer.py::LinkLayer.is_moving":
-        "replay of scripted link changes with a mover (`_apply_scripted_link`)",
     "repro/obs/openmetrics.py::build_metrics_server.<locals>._MetricsHandler.log_message":
         INTERFACE + " (`http.server` request logging)",
     "repro/cli.py::build_config.<locals>.mobility_factory": "README CLI: `run --movers`",
