@@ -58,7 +58,6 @@ from repro.net.linklayer import LinkLayer
 from repro.net.geometry import Point, grid_positions, line_positions
 from repro.net.messages import Message
 from repro.net.topology import DynamicTopology
-from repro.obs.profiler import EngineProfiler
 from repro.runtime.simulation import (
     ScenarioConfig,
     Simulation,
@@ -340,13 +339,11 @@ class Flood(Message):
     round_index: int = 0
 
 
-def _run_flood(n: int, bursts: int, rounds: int, profile: bool = False):
+def _run_flood(n: int, bursts: int, rounds: int):
     """Broadcast flood: every node sends ``bursts`` messages to every
     neighbor in each round.  Returns (wall seconds, delivered count,
     heap high-water, directed link count)."""
     sim = Simulator()
-    if profile:
-        sim.attach_profiler(EngineProfiler())
     topo = DynamicTopology(radio_range=1.1)
     for node, pos in enumerate(grid_positions(n, spacing=1.0)):
         topo.add_node(node, pos)
@@ -456,11 +453,9 @@ def _calibrate_events_per_second(n_events: int = 100_000) -> float:
 def test_telemetry_overhead(report):
     """Instrumented-vs-off cost of the run telemetry layer.
 
-    Two workloads: the alg2 line (probes + metric registry on the
-    protocol paths) and the broadcast flood with an attached
-    :class:`EngineProfiler` (the only telemetry that touches the raw
-    message plane).  Both instrumented runs must reproduce the
-    uninstrumented protocol numbers exactly.
+    The alg2 line with probes + metric registry on the protocol paths
+    must reproduce the uninstrumented protocol numbers exactly.  The
+    uninstrumented broadcast flood is timed alongside.
     """
     n, until = 48, 400.0
     off_time, off_events, off_entries = _time_alg2_line(False, n, until)
@@ -475,13 +470,7 @@ def test_telemetry_overhead(report):
         (_run_flood(flood_n, bursts, rounds) for _ in range(3)),
         key=lambda r: r[0],
     )
-    profiled = min(
-        (_run_flood(flood_n, bursts, rounds, profile=True)
-         for _ in range(3)),
-        key=lambda r: r[0],
-    )
-    assert profiled[1] == plain[1] > 0
-    flood_overhead = profiled[0] / plain[0] - 1 if plain[0] else 0.0
+    assert plain[1] > 0
 
     _record("telemetry", {
         "alg2_line_nodes": n,
@@ -492,13 +481,10 @@ def test_telemetry_overhead(report):
         "alg2_line_overhead": round(alg2_overhead, 4),
         "flood_messages": plain[1],
         "flood_off_seconds": round(plain[0], 6),
-        "flood_profiled_seconds": round(profiled[0], 6),
-        "flood_profile_overhead": round(flood_overhead, 4),
     })
     report(
         f"telemetry: alg2 line n={n} off {off_time:.4f}s, on {on_time:.4f}s "
-        f"({alg2_overhead:+.1%}); flood profile overhead "
-        f"{flood_overhead:+.1%}"
+        f"({alg2_overhead:+.1%}); flood {plain[0]:.4f}s"
     )
     # Loose sanity bounds — the real zero-cost-when-off contract is the
     # baseline guard below; instrumented runs just must not blow up.
@@ -506,7 +492,6 @@ def test_telemetry_overhead(report):
         f"telemetry-on alg2 run {on_time:.4f}s vs off {off_time:.4f}s: "
         "probe overhead should stay well under 2x"
     )
-    assert profiled[0] < plain[0] * 3.0
 
 
 def _attr_values(obj):
@@ -529,7 +514,7 @@ def test_telemetry_off_is_structurally_free():
     """The deterministic half of the zero-cost-when-off guard.
 
     With telemetry disabled no instrumentation object may exist anywhere
-    on a hot path — every probe/registry/profiler handle must be
+    on a hot path — every probe/registry handle must be
     ``None`` — so the *only* residual cost is one ``is not None``
     pointer test per site.  This is the check that cannot flake on a
     noisy box; the wall-clock comparison below is advisory on top.
@@ -541,7 +526,6 @@ def test_telemetry_off_is_structurally_free():
     ))
     assert sim.registry is None
     assert sim.probes is None
-    assert sim.sim.profiler is None
     for harness in sim.harnesses.values():
         assert harness.probes is None
         algorithm = harness.algorithm
@@ -826,19 +810,15 @@ def test_memory_plane(report):
         "construction_seconds_1k": round(construct_small, 6),
         "construction_seconds_10k": round(construct_mid, 6),
         "construction_seconds_100k": round(construct_large, 6),
-        "events_per_sec_1k": round(
-            small_result.resources["events_per_sec"]
-        ),
-        "events_per_sec_100k": round(
-            large_result.resources["events_per_sec"]
-        ),
+        "events_per_sec_1k": round(small_result.engine["events_per_sec"]),
+        "events_per_sec_100k": round(large_result.engine["events_per_sec"]),
         "calibration_jitter": round(jitter, 4),
     })
     report(
         f"memory plane: build n={n_small} {construct_small:.3f}s, "
         f"n={n_large} {construct_large:.3f}s; "
-        f"{small_result.resources['events_per_sec']:,.0f} ev/s small, "
-        f"{large_result.resources['events_per_sec']:,.0f} ev/s large; "
+        f"{small_result.engine['events_per_sec']:,.0f} ev/s small, "
+        f"{large_result.engine['events_per_sec']:,.0f} ev/s large; "
         f"retained allocs/event {allocs:.2f} (jitter {jitter:.1%})"
     )
     # Deterministic guard: a warm run must not retain more than a

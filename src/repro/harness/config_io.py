@@ -63,16 +63,12 @@ def config_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
             "min_delay_fraction": config.bounds.min_delay_fraction,
         },
         "think_range": list(config.think_range),
-        "initial_delay_range": list(config.initial_delay_range),
-        "max_entries": config.max_entries,
         "crashes": [[t, n] for t, n in config.crashes],
         "trace": config.trace,
         "strict_safety": config.strict_safety,
         "delta_override": config.delta_override,
         "telemetry": config.telemetry,
-        "profile": config.profile,
         "watchdog": config.watchdog,
-        "watchdog_period": config.watchdog_period,
     }
     if config.scripted_hunger is not None:
         data["scripted_hunger"] = {
@@ -140,8 +136,6 @@ def config_from_dict(data: Dict[str, Any]) -> ScenarioConfig:
             min_delay_fraction=bounds_data.get("min_delay_fraction", 0.5),
         ),
         think_range=tuple(data.get("think_range", (1.0, 5.0))),
-        initial_delay_range=tuple(data.get("initial_delay_range", (0.0, 1.0))),
-        max_entries=data.get("max_entries"),
         scripted_hunger=(
             {int(node): list(times) for node, times in scripted.items()}
             if scripted is not None
@@ -172,7 +166,5 @@ def config_from_dict(data: Dict[str, Any]) -> ScenarioConfig:
         ),
         delta_override=data.get("delta_override"),
         telemetry=data.get("telemetry", False),
-        profile=data.get("profile", False),
         watchdog=data.get("watchdog"),
-        watchdog_period=data.get("watchdog_period", 5.0),
     )

@@ -1,11 +1,10 @@
 """In-process message bus: many nodes, one asyncio loop.
 
 The simplest real transport: a send enqueues the delivery on the loop
-with ``call_soon`` (or ``call_later`` when a fixed latency is
-configured).  The loop's ready queue is FIFO and every timer with the
-same latency preserves submission order, so deliveries happen in global
-send order — which in particular preserves FIFO per directed link, the
-one ordering property the protocols assume of a channel.
+with ``call_soon``.  The loop's ready queue is FIFO, so deliveries
+happen in global send order — which in particular preserves FIFO per
+directed link, the one ordering property the protocols assume of a
+channel.
 
 Each queued delivery carries the link incarnation observed at send
 time; the link layer re-checks it at dispatch so churn between send
@@ -26,23 +25,13 @@ class InProcessBus:
         self,
         loop: asyncio.AbstractEventLoop,
         dispatch: Callable[[int, int, Any, str, int], None],
-        latency_wall: float = 0.0,
     ) -> None:
         self.loop = loop
         self._dispatch = dispatch
-        self._latency = max(0.0, float(latency_wall))
-        self.sent = 0
 
     def send(
         self, src: int, dst: int, message: Any, mid: str, incarnation: int
     ) -> None:
-        self.sent += 1
-        if self._latency > 0.0:
-            self.loop.call_later(
-                self._latency, self._dispatch, src, dst, message, mid,
-                incarnation,
-            )
-        else:
-            self.loop.call_soon(
-                self._dispatch, src, dst, message, mid, incarnation
-            )
+        self.loop.call_soon(
+            self._dispatch, src, dst, message, mid, incarnation
+        )

@@ -33,6 +33,7 @@ from repro.net.geometry import Point
 from repro.net.topology import DynamicTopology
 from repro.obs.probes import build_probes
 from repro.obs.registry import MetricRegistry
+from repro.runtime.app import INITIAL_DELAY_RANGE
 
 
 def scripted_link_feed(
@@ -153,7 +154,7 @@ def run_bus(
                 harness.on_done_eating = (
                     lambda h, r=rng: arm(h, r, r.uniform(*config.think_range))
                 )
-                arm(harness, rng, rng.uniform(*config.initial_delay_range))
+                arm(harness, rng, rng.uniform(*INITIAL_DELAY_RANGE))
 
         # --- failures -------------------------------------------------
         def do_crash(node_id: int) -> None:

@@ -35,7 +35,7 @@ import random
 import time
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.live.codec import FrameDecoder, encode_frame
 from repro.net.topology import link_key
 
@@ -392,7 +392,7 @@ def _node_main(
             harness.become_hungry,
         )
 
-    for t in (config.scripted_hunger or {}).get(node_id, ()):
+    for t in config.scripted_hunger.get(node_id, ()):
         if t < until:
             loop.call_at(runtime.wall_at(t), fire_hungry)
 
@@ -436,9 +436,17 @@ def run_socket(
     """Run one scenario as one process per node over localhost TCP.
 
     Returns a merged, schema-versioned recording (runtime ``socket``)
-    ready for :func:`repro.live.replay.verify_recording`.
+    ready for :func:`repro.live.replay.verify_recording`.  Each node
+    process replays its own ``scripted_hunger`` times and runs no
+    stochastic workload, so the scenario must carry them.
     """
     from repro.live.recorder import make_recording, merge_rows
+
+    if scenario.get("scripted_hunger") is None:
+        raise ConfigurationError(
+            "socket runs need scripted_hunger: a node process runs no "
+            "stochastic workload, so without it no node ever gets hungry"
+        )
 
     n = len(scenario["positions"])
     ctx = multiprocessing.get_context("fork")

@@ -1,4 +1,4 @@
-"""Run telemetry: metric registry, protocol probes, reports, profiling.
+"""Run telemetry: metric registry, protocol probes, reports, watchdog.
 
 The observability layer every later perf/robustness PR reads its
 numbers from.  See ``docs/observability.md`` for the registry idiom,
@@ -12,7 +12,6 @@ from repro.obs.openmetrics import (
     render_openmetrics,
 )
 from repro.obs.probes import ProtocolProbes, build_probes
-from repro.obs.profiler import EngineProfiler
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -28,7 +27,6 @@ from repro.obs.watchdog import StarvationWarning, StarvationWatchdog
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "EngineProfiler",
     "Gauge",
     "Histogram",
     "MetricRegistry",

@@ -7,9 +7,7 @@ statistics, the probe-metric snapshot, starvation and failure-locality
 results, and watchdog warnings.  It round-trips through JSON
 (``to_json``/``from_json``), and fixed-seed runs produce bit-identical
 reports — everything in it derives from virtual time and deterministic
-counters, never wall-clock (the optional engine profile, which *is*
-wall-clock, rides in a separate ``profile`` field that fixed-seed
-comparisons ignore by being absent unless profiling was enabled).
+counters, never wall-clock.
 
 ``diff`` flattens two reports and returns the leaves that changed,
 which is how the CLI's ``report`` subcommand and the regression
@@ -29,7 +27,7 @@ from repro.errors import ConfigurationError
 
 #: Bump on any breaking change to the report layout.  Loaders accept
 #: only this major version; the golden-file test pins it.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -66,12 +64,6 @@ class RunReport:
     locality: Optional[Dict[str, Any]] = None
     #: Structured starvation-watchdog warnings (empty when off/silent).
     warnings: List[Dict[str, Any]] = field(default_factory=list)
-    #: Wall-clock engine profile; only present when profiling was on.
-    profile: Optional[Dict[str, Any]] = None
-    #: Host-resource footprint (wall_time_s, events_per_sec,
-    #: peak_rss_kb); populated, like ``profile``, only when profiling
-    #: was on — fixed-seed report comparisons see None.
-    resources: Optional[Dict[str, Any]] = None
     #: Exploration summary (strategy, decision counts, violation) when
     #: the run was driven by :mod:`repro.explore`; ``None`` otherwise.
     exploration: Optional[Dict[str, Any]] = None

@@ -28,6 +28,9 @@ from repro.sim.events import EventPriority
 
 logger = logging.getLogger("repro.obs.watchdog")
 
+#: Sampling period in virtual time; the first check runs one period in.
+PERIOD = 5.0
+
 
 @dataclass(frozen=True)
 class StarvationWarning:
@@ -62,7 +65,6 @@ class StarvationWatchdog:
             because :meth:`MetricsCollector.note_crash` clears them.
         threshold: hungry duration (virtual time) that counts as
             starving.
-        period: sampling period; the first check runs one period in.
         registry: optional metric registry — a live one gains a
             ``watchdog.warnings`` counter.
     """
@@ -72,17 +74,13 @@ class StarvationWatchdog:
         sim: Simulator,
         metrics: MetricsCollector,
         threshold: float,
-        period: float = 5.0,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
         if threshold <= 0:
             raise ValueError(f"starvation threshold must be > 0: {threshold}")
-        if period <= 0:
-            raise ValueError(f"watchdog period must be > 0: {period}")
         self._sim = sim
         self._metrics = metrics
         self.threshold = threshold
-        self.period = period
         self.warnings: List[StarvationWarning] = []
         live = live_registry(registry)
         self._counter = (
@@ -99,14 +97,14 @@ class StarvationWatchdog:
         """Schedule the first check (idempotent)."""
         if self._event is None or self._event.cancelled:
             self._event = self._sim.schedule(
-                self.period, self._tick, priority=EventPriority.MONITOR
+                PERIOD, self._tick, priority=EventPriority.MONITOR
             )
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
         self._check(self._sim.now)
         self._event = self._sim.schedule(
-            self.period, self._tick, priority=EventPriority.MONITOR
+            PERIOD, self._tick, priority=EventPriority.MONITOR
         )
 
     def _check(self, now: float) -> List[StarvationWarning]:

@@ -4,8 +4,7 @@ The paper leaves hungry arrivals to an unspecified application; the
 harness provides two:
 
 * :class:`HungerWorkload` — stochastic think times (the standard
-  benchmark workload), optionally saturating (think time zero), with an
-  optional cap on critical-section entries per node;
+  benchmark workload), optionally saturating (think time zero);
 * :class:`ScriptedHunger` — exact hungry times per node, for scenario
   reproductions and tests.
 """
@@ -13,11 +12,15 @@ harness provides two:
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runtime.node import NodeHarness
 from repro.sim.engine import Simulator
+
+#: Window (virtual time) from which every node's first hunger is drawn,
+#: in the simulator and on the live bus alike.
+INITIAL_DELAY_RANGE: Tuple[float, float] = (0.0, 1.0)
 
 
 class HungerWorkload:
@@ -40,23 +43,13 @@ class HungerWorkload:
         sim: Simulator,
         rng_source,
         think_range: Tuple[float, float] = (1.0, 5.0),
-        initial_delay_range: Tuple[float, float] = (0.0, 1.0),
-        max_entries: Optional[int] = None,
     ) -> None:
         lo, hi = think_range
         if not 0 <= lo <= hi:
             raise ConfigurationError(f"bad think range {think_range}")
-        ilo, ihi = initial_delay_range
-        if not 0 <= ilo <= ihi:
-            raise ConfigurationError(
-                f"bad initial delay range {initial_delay_range}"
-            )
         self._sim = sim
         self._rng_source = rng_source
         self.think_range = (lo, hi)
-        self.initial_delay_range = (ilo, ihi)
-        self.max_entries = max_entries
-        self._entries: Dict[int, int] = {}
         # Reusable scratch RNG for attach-time draws (re-seeded per
         # node); the memoized per-node substream appears lazily in
         # _on_done_eating.
@@ -81,7 +74,7 @@ class HungerWorkload:
         scratch = self._scratch
         seed = scratch.seed
         uniform = scratch.uniform
-        ilo, ihi = self.initial_delay_range
+        ilo, ihi = INITIAL_DELAY_RANGE
         stream_seed = self._rng_source.stream_seed
         schedule = self._sim.schedule
         for harness in nodes:
@@ -90,10 +83,6 @@ class HungerWorkload:
             schedule(uniform(ilo, ihi), harness.become_hungry)
 
     def _on_done_eating(self, harness: NodeHarness) -> None:
-        count = self._entries.get(harness.node_id, 0) + 1
-        self._entries[harness.node_id] = count
-        if self.max_entries is not None and count >= self.max_entries:
-            return
         source = self._rng_source
         fresh = not source.has_stream("workload", harness.node_id)
         rng = source.stream("workload", harness.node_id)

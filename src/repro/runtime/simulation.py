@@ -27,7 +27,6 @@ from repro.net.geometry import Point
 from repro.net.linklayer import LinkLayer
 from repro.net.topology import DynamicTopology
 from repro.obs.probes import build_probes
-from repro.obs.profiler import EngineProfiler
 from repro.obs.registry import MetricRegistry
 from repro.obs.report import RunReport
 from repro.obs.watchdog import StarvationWatchdog
@@ -73,8 +72,6 @@ class ScenarioConfig:
     bounds: TimeBounds = field(default_factory=TimeBounds)
     # Workload (stochastic unless a script is given).
     think_range: Tuple[float, float] = (1.0, 5.0)
-    initial_delay_range: Tuple[float, float] = (0.0, 1.0)
-    max_entries: Optional[int] = None
     scripted_hunger: Optional[Dict[int, List[float]]] = None
     #: Per-node eating durations, consumed in CS-entry order (replay of
     #: recorded live runs).  Nodes not listed — and entries past the end
@@ -100,15 +97,10 @@ class ScenarioConfig:
     #: Build the metric registry + protocol probes for this run.  Off by
     #: default: the protocol hot paths then hold None and pay nothing.
     telemetry: bool = False
-    #: Attach the wall-clock engine profiler (the run report gains a
-    #: non-deterministic ``profile`` block).
-    profile: bool = False
     #: Starvation-watchdog threshold in virtual time (None = watchdog
     #: off).  A node hungry longer than this triggers one structured
     #: warning per hungry interval.
     watchdog: Optional[float] = None
-    #: How often the watchdog samples, in virtual time.
-    watchdog_period: float = 5.0
 
     def __post_init__(self) -> None:
         if not self.positions:
@@ -146,12 +138,6 @@ class SimulationResult:
     watchdog_warnings: List[Dict[str, Any]] = field(default_factory=list)
     #: Failure-locality summary when the scenario had a crash plan.
     locality: Optional[Dict[str, Any]] = None
-    #: Wall-clock engine profile when ``config.profile`` was set.
-    profile: Optional[Dict[str, Any]] = None
-    #: Host-resource footprint: wall_time_s, events_per_sec, peak_rss_kb
-    #: (always collected; surfaced in the report only under
-    #: ``config.profile`` because it is non-deterministic).
-    resources: Optional[Dict[str, Any]] = None
 
     @property
     def response_times(self) -> List[float]:
@@ -165,9 +151,8 @@ class SimulationResult:
     def report(self) -> RunReport:
         """This run as a schema-versioned, JSON-ready :class:`RunReport`.
 
-        Everything except the optional ``profile`` block derives from
-        virtual time and deterministic counters, so fixed-seed runs
-        yield bit-identical reports.
+        Everything in it derives from virtual time and deterministic
+        counters, so fixed-seed runs yield bit-identical reports.
         """
         # Local import: config_io imports this module for ScenarioConfig.
         from repro.harness.config_io import config_to_dict
@@ -195,7 +180,6 @@ class SimulationResult:
         engine.pop("wall_time_s", None)
         engine.pop("events_per_sec", None)
         engine.pop("scheduler", None)
-        profiling = getattr(self.config, "profile", False)
         return RunReport(
             config=config_dict,
             duration=self.duration,
@@ -207,12 +191,6 @@ class SimulationResult:
             starved=list(self.starved),
             locality=self.locality,
             warnings=list(self.watchdog_warnings),
-            profile=self.profile,
-            resources=(
-                dict(self.resources)
-                if profiling and self.resources is not None
-                else None
-            ),
         )
 
     def openmetrics(self) -> str:
@@ -395,14 +373,9 @@ class Simulation:
                 self.sim,
                 self.metrics,
                 threshold=config.watchdog,
-                period=config.watchdog_period,
                 registry=self.registry,
             )
             self.watchdog.start()
-        self.profiler: Optional[EngineProfiler] = None
-        if config.profile:
-            self.profiler = EngineProfiler()
-            self.sim.attach_profiler(self.profiler)
         self.harnesses: Dict[int, NodeHarness] = {}
         self.safety = SafetyMonitor(
             self.topology, self.harnesses, strict=config.strict_safety
@@ -442,8 +415,6 @@ class Simulation:
                 self.sim,
                 self.rng,
                 think_range=config.think_range,
-                initial_delay_range=config.initial_delay_range,
-                max_entries=config.max_entries,
             )
             # Bulk attach defers the per-node RNG seeding to the first
             # engine run; the draws themselves are bit-identical.
@@ -518,15 +489,6 @@ class Simulation:
         engine_stats = self.sim.stats()
         if self.registry is not None:
             self._record_sched_ops(engine_stats["scheduler"])
-        resources = {
-            "wall_time_s": engine_stats["wall_time_s"],
-            "events_per_sec": engine_stats["events_per_sec"],
-            "peak_rss_kb": peak_rss_kb(),
-            # Operational view of the scheduler queue; lives here (and
-            # in the sched_ops probe) rather than in the report's engine
-            # block (see SimulationResult.report).
-            "scheduler": dict(engine_stats["scheduler"]),
-        }
         return SimulationResult(
             config=self.config,
             duration=self.sim.now,
@@ -546,10 +508,6 @@ class Simulation:
                 else []
             ),
             locality=locality,
-            profile=(
-                self.profiler.summary() if self.profiler is not None else None
-            ),
-            resources=resources,
         )
 
     def _record_sched_ops(self, sched: Dict[str, Any]) -> None:

@@ -34,11 +34,6 @@ Design notes
   O(1), and when shells outnumber live events the pending set is swept
   in place, bounding both memory and pop-side skip work.  Listener
   dispatch is skipped entirely when no listeners are registered.
-* **Profiling.**  :meth:`attach_profiler` installs an optional
-  wall-clock profiler (per-callback-category totals, events/sec
-  samples — see :mod:`repro.obs.profiler`).  The handle is hoisted
-  once per :meth:`run` call, so the unprofiled hot loop pays a single
-  ``is None`` test per event.
 * **Controlled tie-breaks.**  Events sharing a ``(time, priority)``
   pair normally run in insertion order — an arbitrary but fixed
   serialization of logically concurrent work.  A *choice controller*
@@ -75,13 +70,9 @@ class Simulator:
         self._executed_events = 0
         self._wall_time_s = 0.0
         self._listeners: List[Callable[["Simulator"], None]] = []
-        # Optional wall-clock profiler (see repro.obs.profiler).  The
-        # run loop hoists this once, so the unprofiled cost is one
-        # ``is None`` test per executed event.
-        self._profiler = None
-        # Optional tie-break controller (see repro.explore.schedule);
-        # hoisted the same way, so uncontrolled runs pay one ``is None``
-        # test per event.
+        # Optional tie-break controller (see repro.explore.schedule).
+        # The run loop hoists this once, so uncontrolled runs pay one
+        # ``is None`` test per event.
         self._choice_controller = None
         # One-shot hooks fired at the top of the next run() call (see
         # defer_startup).
@@ -171,27 +162,6 @@ class Simulator:
         self._queue.push(event)
         return event
 
-    def attach_profiler(self, profiler) -> None:
-        """Attach a wall-clock profiler (``repro.obs.EngineProfiler``).
-
-        Must be called outside :meth:`run`; the hot loop snapshots the
-        handle once per run call.
-        """
-        if self._running:
-            raise SimulationError("cannot attach a profiler while running")
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        """Remove the attached profiler (if any)."""
-        if self._running:
-            raise SimulationError("cannot detach a profiler while running")
-        self._profiler = None
-
-    @property
-    def profiler(self):
-        """The attached profiler, or ``None``."""
-        return self._profiler
-
     def set_choice_controller(self, controller) -> None:
         """Install a same-instant tie-break controller.
 
@@ -204,7 +174,7 @@ class Simulator:
         the tie group and no authority over anything else.
 
         Must be called outside :meth:`run` (the hot loop snapshots the
-        handle once per run call, like the profiler).
+        handle once per run call).
         """
         if self._running:
             raise SimulationError(
@@ -271,7 +241,6 @@ class Simulator:
         queue = self._queue
         peek = queue.peek
         take = queue.take
-        profiler = self._profiler
         controller = self._choice_controller
         until_f = math.inf if until is None else until
         listeners = tuple(self._listeners)
@@ -300,14 +269,7 @@ class Simulator:
                 # from inside its own callback must stay a no-op and must
                 # not disturb the lazy-cancellation count.
                 event.cancelled = True
-                if profiler is None:
-                    event.callback(*event.args)
-                else:
-                    started = perf_counter()
-                    event.callback(*event.args)
-                    profiler.note(
-                        event.callback, perf_counter() - started, self._now
-                    )
+                event.callback(*event.args)
                 self._executed_events += 1
                 executed_this_call += 1
                 if listeners:

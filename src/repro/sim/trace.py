@@ -35,12 +35,9 @@ class TraceRecord:
 class TraceLog:
     """An append-only, filterable event trace."""
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._capacity = capacity
         self._records: List[TraceRecord] = []
-        #: Records evicted by the capacity bound.
-        self.dropped = 0
 
     def record(
         self,
@@ -53,11 +50,6 @@ class TraceLog:
         if not self.enabled:
             return
         self._records.append(TraceRecord(time, category, node, detail))
-        if self._capacity is not None and len(self._records) > self._capacity:
-            # Drop the oldest half in one slice to amortize the cost.
-            evict = len(self._records) // 2
-            del self._records[:evict]
-            self.dropped += evict
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)

@@ -324,6 +324,15 @@ def test_socket_three_node_line_replays_clean():
     assert_clean(verify_recording(recording))
 
 
+def test_socket_run_refuses_a_scenario_without_scripted_hunger():
+    # A node process replays only scripted hunger; a stochastic scenario
+    # would run on sockets with no node ever hungry.
+    scenario = _three_node_line_scenario()
+    del scenario["scripted_hunger"]
+    with pytest.raises(ConfigurationError, match="scripted_hunger"):
+        run_socket(scenario, until=30.0, time_scale=0.01)
+
+
 def test_load_recording_rejects_unknown_schema():
     bad = io.StringIO(json.dumps({"schema": "nope/9", "rows": []}))
     with pytest.raises(ConfigurationError):
@@ -374,7 +383,7 @@ def test_bus_preserves_per_link_fifo_under_concurrent_senders():
             for src, dst, mid in order:
                 submitted.setdefault((src, dst), []).append(mid)
             assert got == submitted
-            assert bus.sent == len(sends)
+            assert len(delivered) == len(sends)
         finally:
             loop.close()
 

@@ -134,7 +134,6 @@ def _config(**overrides):
         positions=line_positions(4, spacing=1.0),
         algorithm="alg2",
         think_range=(0.5, 2.0),
-        max_entries=2,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -153,7 +152,7 @@ def test_scenario_key_changes_when_config_fields_change():
         _config(radio_range=1.5),
         _config(algorithm="chandy-misra"),
         _config(think_range=(1.0, 3.0)),
-        _config(max_entries=3),
+        _config(delta_override=3),
         _config(crashes=[(5.0, 1)]),
     ]
     base_key = scenario_key(config, 30.0, 1)

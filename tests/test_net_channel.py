@@ -303,8 +303,7 @@ def _scripted():
 
     simulation = Simulation(ScenarioConfig(
         positions=[Point(0.0, 0.0), Point(0.5, 0.0)],
-        algorithm="alg2", bounds=SLOW, think_range=(50.0, 60.0),
-        initial_delay_range=(50.0, 60.0),
+        algorithm="alg2", bounds=SLOW, scripted_hunger={},
         link_script=[[0.5, "down", 0, 1, -1], [1.0, "up", 0, 1, -1]],
     ))
     return simulation.sim, simulation.topology, simulation.channel

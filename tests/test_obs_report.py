@@ -97,6 +97,15 @@ def test_from_dict_rejects_other_schema_versions():
         RunReport.from_dict({})
 
 
+def test_from_dict_rejects_a_version_1_report():
+    # Version 1 carried the wall-clock ``profile`` / ``resources``
+    # blocks; loading one must name the version, not just fail.
+    old = dict(_small_report().to_dict(), schema_version=1,
+               profile=None, resources=None)
+    with pytest.raises(ConfigurationError, match="schema version 1"):
+        RunReport.from_dict(old)
+
+
 def test_from_dict_rejects_unknown_fields():
     data = RunReport().to_dict()
     data["surprise"] = 1

@@ -5,7 +5,7 @@ import pytest
 from repro.metrics.collector import MetricsCollector
 from repro.net.geometry import line_positions
 from repro.obs.registry import MetricRegistry
-from repro.obs.watchdog import StarvationWatchdog
+from repro.obs.watchdog import PERIOD, StarvationWatchdog
 from repro.runtime.simulation import ScenarioConfig, Simulation
 from repro.sim.engine import Simulator
 
@@ -17,12 +17,10 @@ def _advance(sim, until):
     sim.run(until=until)
 
 
-def test_threshold_and_period_must_be_positive():
+def test_threshold_must_be_positive():
     sim, metrics = Simulator(), MetricsCollector()
     with pytest.raises(ValueError):
         StarvationWatchdog(sim, metrics, threshold=0.0)
-    with pytest.raises(ValueError):
-        StarvationWatchdog(sim, metrics, threshold=5.0, period=-1.0)
 
 
 def test_warns_once_per_hungry_interval():
@@ -61,13 +59,13 @@ def test_crashed_nodes_are_never_reported():
 def test_periodic_ticks_and_registry_counter():
     sim, metrics = Simulator(), MetricsCollector()
     registry = MetricRegistry()
-    dog = StarvationWatchdog(
-        sim, metrics, threshold=10.0, period=5.0, registry=registry
-    )
+    dog = StarvationWatchdog(sim, metrics, threshold=10.0, registry=registry)
     metrics.note_hungry(2, 0.0)
     dog.start()
     _advance(sim, 30.0)
-    assert [w.node for w in dog.warnings] == [2]
+    # Checks run every PERIOD; the first one strictly past the
+    # threshold warns.
+    assert [(w.node, w.time) for w in dog.warnings] == [(2, 3 * PERIOD)]
     assert registry.counter("watchdog.warnings").value == 1
     assert dog.warning_dicts()[0]["kind"] == "starvation"
 

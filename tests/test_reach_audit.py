@@ -223,15 +223,16 @@ def _fn(path, qualname, protocol=False):
 
 
 @pytest.mark.parametrize("path, qualname, owned", [
-    ("repro/obs/profiler.py", "EngineProfiler.run", True),  # file scope
+    ("repro/obs/toy.py", "Toy.run", True),  # file scope
     ("repro/explore/schedule.py", "PCTStrategy", True),  # the scope itself
     ("repro/explore/schedule.py", "PCTStrategy._tie_break", True),  # member
     ("repro/cli.py", "build_config.<locals>.mobility_factory", True),
     ("repro/explore/schedule.py", "PCTStrategyX.run", False),  # name prefix
     ("repro/explore/schedule.py", "RandomStrategy._tie_break", False),
-    ("repro/obs/profilerx.py", "run", False),  # file-name prefix
+    ("repro/obs/toyx.py", "run", False),  # file-name prefix
 ])
-def test_owner_of_matches_whole_scopes_only(path, qualname, owned):
+def test_owner_of_matches_whole_scopes_only(monkeypatch, path, qualname, owned):
+    monkeypatch.setitem(reach_audit.OWNERS, "repro/obs/toy.py", "a whole file")
     assert (reach_audit.owner_of(_fn(path, qualname)) is not None) is owned
 
 
@@ -250,6 +251,48 @@ def test_every_owner_names_a_function_in_src():
                    for name in names)
     ]
     assert unmatched == []
+
+
+# ----------------------------------------------------------------------
+# Claims
+# ----------------------------------------------------------------------
+
+WORKFLOW_TOY = """\
+      - name: Plain step
+        run: python -m repro algorithms
+      - name: First heredoc
+        run: |
+          PYTHONPATH=src:tests python - <<'EOF'
+          import json
+          if True:
+              print(json.dumps({"a": 1}))
+          EOF
+      - name: Shell heredoc
+        run: |
+          cat <<'EOF'
+          not python
+          EOF
+      - name: Second heredoc
+        run: |
+          PYTHONPATH=src python - <<'EOF'
+          print("two")
+          EOF
+"""
+
+
+def test_ci_python_steps_extracts_dedented_heredoc_bodies():
+    assert reach_audit.ci_python_steps(WORKFLOW_TOY) == [
+        'import json\nif True:\n    print(json.dumps({"a": 1}))\n',
+        'print("two")\n',
+    ]
+
+
+def test_cli_claim_runs_every_python_step_of_ci():
+    # The socket crash path runs only in one of these steps.
+    steps = reach_audit.ci_python_steps(reach_audit.CI.read_text())
+    assert any('"crashes"' in body and "run_socket" in body for body in steps)
+    claim = reach_audit.claim_script("cli")
+    assert all(body in claim for body in steps)
 
 
 # ----------------------------------------------------------------------

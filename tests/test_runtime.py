@@ -1,14 +1,14 @@
 """Tests for the runtime: harness transitions, workloads, crashes."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.base import LocalMutexAlgorithm
 from repro.core.states import NodeState, check_transition
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.geometry import line_positions
+from repro.runtime.app import INITIAL_DELAY_RANGE
 from repro.runtime.simulation import ScenarioConfig, Simulation, peak_rss_kb
+from repro.sim.rng import RandomSource
 
 
 class GreedyEater(LocalMutexAlgorithm):
@@ -59,10 +59,26 @@ def test_harness_cycles_states_and_counts():
     assert all(rt >= 0 for rt in result.response_times)
 
 
-def test_max_entries_caps_workload():
-    sim = single_node_sim(max_entries=3)
-    result = sim.run(until=200.0)
-    assert result.metrics.counters[0].cs_entries == 3
+def test_first_hunger_is_the_first_draw_of_the_node_workload_stream():
+    # The simulator and the live bus both draw a node's first hunger as
+    # the first uniform draw of its ("workload", node) substream over
+    # INITIAL_DELAY_RANGE; think times are >= 1, so by t = 1 every node
+    # has been hungry exactly once.
+    config = ScenarioConfig(
+        positions=line_positions(5, spacing=1.0),
+        radio_range=1.1,
+        algorithm="alg2",
+        seed=11,
+    )
+    simulation = Simulation(config)
+    result = simulation.run(until=INITIAL_DELAY_RANGE[1])
+    first = dict(simulation.metrics.hungry_nodes())
+    first.update((s.node, s.hungry_at) for s in result.metrics.samples)
+    source = RandomSource(config.seed)
+    assert first == {
+        node: source.stream("workload", node).uniform(*INITIAL_DELAY_RANGE)
+        for node in range(5)
+    }
 
 
 def test_scripted_hunger_runs_at_exact_times():
@@ -151,22 +167,6 @@ def _line_config(n=8):
 def test_peak_rss_reported_on_linux():
     rss = peak_rss_kb()
     assert rss is None or rss > 0
-
-
-def test_resources_in_report_only_when_profiling():
-    plain = Simulation(_line_config()).run(until=20.0)
-    assert plain.resources["wall_time_s"] >= 0.0
-    assert plain.resources["events_per_sec"] >= 0.0
-    assert plain.report().resources is None
-
-    profiled = Simulation(
-        dataclasses.replace(_line_config(), profile=True)
-    ).run(until=20.0)
-    report = profiled.report()
-    assert report.resources is not None
-    assert set(report.resources) >= {
-        "wall_time_s", "events_per_sec", "peak_rss_kb",
-    }
 
 
 def test_wall_rates_do_not_leak_into_report_engine_block():

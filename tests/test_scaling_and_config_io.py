@@ -1,5 +1,6 @@
 """Tests for power-law fitting and scenario serialization."""
 
+import dataclasses
 import json
 
 import pytest
@@ -61,7 +62,7 @@ def sample_config():
         seed=9,
         bounds=TimeBounds(nu=0.5, tau=2.0, min_delay_fraction=1.0),
         think_range=(0.5, 1.5),
-        max_entries=7,
+        watchdog=12.0,
         crashes=[(10.0, 2)],
         initial_colors={0: 0, 1: 1, 2: 0, 3: 1},
         scripted_hunger={0: [1.0, 5.0]},
@@ -77,11 +78,25 @@ def test_round_trip_preserves_fields():
     assert rebuilt.seed == config.seed
     assert rebuilt.bounds == config.bounds
     assert rebuilt.think_range == config.think_range
-    assert rebuilt.max_entries == config.max_entries
+    assert rebuilt.watchdog == config.watchdog
     assert rebuilt.crashes == config.crashes
     assert rebuilt.initial_colors == config.initial_colors
     assert rebuilt.scripted_hunger == config.scripted_hunger
     assert rebuilt.delta_override == config.delta_override
+
+
+def test_config_to_dict_serializes_every_declarative_field():
+    # scenario_key hashes config_to_dict, so a field it leaves out would
+    # let two different scenarios share a cache key.
+    config = ScenarioConfig(
+        positions=line_positions(3, spacing=1.0),
+        scripted_hunger={0: [1.0]},
+        scripted_eating={0: [0.5]},
+        link_script=[[2.0, "down", 0, 1, -1]],
+        initial_colors={0: 0, 1: 1, 2: 0},
+    )
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert set(config_to_dict(config)) == fields - {"mobility_factory"}
 
 
 def test_round_trip_through_json():

@@ -280,45 +280,6 @@ def test_timer_restart_churn_is_bounded():
     assert sim.pending_events == 0
 
 
-def test_profiler_attach_detach_and_categories():
-    from repro.obs.profiler import EngineProfiler
-
-    sim = Simulator()
-    profiler = EngineProfiler(sample_every=2)
-    sim.attach_profiler(profiler)
-    assert sim.profiler is profiler
-
-    def tick():
-        pass
-
-    for i in range(6):
-        sim.schedule_at(float(i), tick)
-    sim.run()
-    assert profiler.events == 6
-    summary = profiler.summary()
-    (category,) = summary["by_category"].keys()
-    assert category.endswith("tick")
-    assert summary["by_category"][category]["events"] == 6
-    assert summary["events_per_second"] > 0
-    assert profiler.top_categories() == [category]
-    sim.detach_profiler()
-    assert sim.profiler is None
-
-
-def test_profiler_cannot_change_mid_run():
-    from repro.obs.profiler import EngineProfiler
-
-    sim = Simulator()
-
-    def meddle():
-        with pytest.raises(SimulationError):
-            sim.attach_profiler(EngineProfiler())
-        with pytest.raises(SimulationError):
-            sim.detach_profiler()
-
-    sim.schedule_at(1.0, meddle)
-    sim.run()
-
 
 def test_simulator_stats_include_wall_rates():
     sim = Simulator()

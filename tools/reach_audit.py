@@ -42,6 +42,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -176,21 +177,59 @@ def tree_digest(root: str) -> str:
 
 # Each claim is one bash script run from the repo root with ``$T`` a
 # scratch directory and ``$PORT`` a free localhost port.  The CLI claim
-# mirrors ci.yml step by step, then runs the commands the docs show
-# with their output files moved into ``$T``.
+# mirrors ci.yml: its commands, writing into ``$T/ci`` under CI's own
+# file names, then the bodies of its ``python - <<'EOF'`` steps, read
+# from ci.yml and run in ``$T/ci`` as CI runs them in its workspace.
+# Then it runs the commands the docs show, writing into ``$T``.
 PYTEST = "python -m pytest -q -p no:cacheprovider"
+CI = ROOT / ".github" / "workflows" / "ci.yml"
+
+
+def ci_python_steps(text: str) -> List[str]:
+    """The bodies of a workflow's ``python - <<'EOF'`` steps, dedented."""
+    bodies: List[str] = []
+    body: Optional[List[str]] = None
+    for line in text.splitlines():
+        if body is None:
+            if line.rstrip().endswith("python - <<'EOF'"):
+                body = []
+        elif line.strip() == "EOF":
+            bodies.append(textwrap.dedent("\n".join(body)) + "\n")
+            body = None
+        else:
+            body.append(line)
+    return bodies
+
+
+#: The line of the ``cli`` claim that :func:`claim_script` replaces with
+#: ci.yml's python steps (read when a claim runs, not at import: every
+#: recorded process imports this module).
+CI_STEPS = "# ci.yml python steps\n"
+
+
+def claim_script(name: str) -> str:
+    """One claim's bash script, with ci.yml's python steps in place."""
+    # CI runs them with PYTHONPATH=src, plus tests/ for its helpers.
+    steps = "".join(
+        f"(cd $T/ci && PYTHONPATH=$PYTHONPATH:{ROOT / 'tests'} "
+        f"python - <<'EOF'\n{body}EOF\n)\n"
+        for body in ci_python_steps(CI.read_text())
+    )
+    return CLAIMS[name][1].replace(CI_STEPS, steps)
+
 
 CLAIMS: Dict[str, Tuple[str, str]] = {
     "e2e": ("e2e ledger", "python3 benchmarks/e2e/run.py --smoke"),
     "cli": ("CI / docs CLI", r"""
 # ci.yml
+mkdir -p $T/ci/live-logs
 python -m repro bench history --last 5
 python -m repro bench check --report-only
 python -m repro run --topology line:8 --until 300 --seed 0 --algorithm alg2 \
-    --crash 30:4 --watchdog 25 --report $T/r.json --metrics $T/m.prom
-python -m repro report $T/r.json
+    --crash 30:4 --watchdog 25 --report $T/ci/sample_run_report.json \
+    --metrics $T/ci/sample_run_metrics.prom
+python -m repro report $T/ci/sample_run_report.json
 python -m repro run --topology grid:400 --algorithm alg2 --until 60 --movers 4
-python -m repro metrics export $T/r.json
 for algorithm in alg2 alg1-greedy alg1-linial; do
     python -m repro explore fuzz --algorithm $algorithm --runs 20 --seed 0 \
         --workers 2 --shrink --out $T/clean
@@ -202,33 +241,14 @@ for algorithm in alg2-nonotify alg1-noreturn alg1-nodoorway; do
     fi
 done
 python -m repro live run --runtime bus --family fig6 --algorithm alg1-greedy \
-    --seed 0 --out $T/bus.json
-python - <<EOF
-from repro.live import run_socket, save_recording
-recording = run_socket(
-    {"positions": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], "radio_range": 1.2,
-     "algorithm": "alg2", "seed": 0,
-     "bounds": {"nu": 1.0, "tau": 1.0, "min_delay_fraction": 0.5},
-     "scripted_hunger": {"0": [1.0, 8.0, 16.0], "1": [1.5, 9.0, 17.0],
-                         "2": [2.0, 10.0, 18.0]}},
-    until=30.0, time_scale=0.02,
-)
-with open("$T/socket.json", "w") as stream:
-    save_recording(recording, stream)
-EOF
+    --seed 0 --out $T/ci/live-logs/bus-fig6.json
 python -m repro live serve --port $PORT --duration 2 --out $T/serve.json
-python -m repro live verify $T/bus.json $T/socket.json $T/serve.json
-python - <<EOF
-import json
-with open("$T/bus.json") as stream:
-    recording = json.load(stream)
-row = next(row for row in recording["rows"]
-           if [tag for tag, _ in row.get("fx", ())] == ["hungry"])
-del row["fx"]
-with open("$T/tampered.json", "w") as stream:
-    json.dump(recording, stream)
-EOF
-if python -m repro live verify $T/tampered.json; then exit 1; fi
+# ci.yml python steps
+python -m repro live verify $T/ci/live-logs/bus-fig6.json \
+    $T/ci/live-logs/socket-line.json $T/serve.json
+if python -m repro live verify $T/ci/live-logs/bus-fig6-tampered.json; then
+    exit 1
+fi
 # README.md
 python -m repro algorithms
 python -m repro run --topology grid:25 --algorithm alg2 --until 300 --movers 4
@@ -239,8 +259,8 @@ python -m repro live run --runtime socket --family static-line --algorithm alg2 
 # docs/observability.md
 python -m repro run --topology line:8 --report $T/out.json
 python -m repro compare --topology line:8 --report $T/cmp.json
-if python -m repro report $T/r.json $T/out.json; then exit 1; fi
-python -m repro metrics serve $T/r.json --port $PORT --once &
+if python -m repro report $T/ci/sample_run_report.json $T/out.json; then exit 1; fi
+python -m repro metrics serve $T/ci/sample_run_report.json --port $PORT --once &
 python - <<EOF
 import time, urllib.request
 for _ in range(100):
@@ -284,7 +304,7 @@ def run_claim(name: str, data_dir: str) -> Set[Key]:
         env.pop("REPRO_WRITE_BENCH", None)
         started = time.perf_counter()
         done = subprocess.run(
-            ["bash", "-euo", "pipefail", "-c", CLAIMS[name][1]],
+            ["bash", "-euo", "pipefail", "-c", claim_script(name)],
             cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
         )
         if done.returncode != 0:
@@ -304,7 +324,6 @@ def run_claim(name: str, data_dir: str) -> Set[Key]:
 # What keeps a function that no claim reaches: a file, a class or a
 # function, written "path" or "path::qualname" (which covers what is
 # nested in it).  Everything unmatched is a deletion candidate.
-ATTRIBUTION = "ROADMAP attribution item: `EngineProfiler` / `ScenarioConfig.profile`"
 INTERFACE = "interface: base-class default or an override of one"
 FAULT = "fault path: runs only on a peer loss, crash, violation or regression"
 MECHANICS = "data-structure mechanics for loads the claims do not reach"
@@ -315,10 +334,6 @@ OWNERS: Dict[str, str] = {
         "live/ sockets: masks never cross a process raw",
     "repro/core/coloring/greedy.py::graph_exchange":
         "live/ sockets (`GraphExchange.__reduce__`)",
-    "repro/obs/profiler.py": ATTRIBUTION,
-    "repro/sim/engine.py::Simulator.attach_profiler": ATTRIBUTION,
-    "repro/sim/engine.py::Simulator.detach_profiler": ATTRIBUTION,
-    "repro/sim/engine.py::Simulator.profiler": ATTRIBUTION,
     "repro/explore/schedule.py::PCTStrategy": "ROADMAP Table 1 item (PCT campaigns)",
     "repro/core/ablations.py::Algorithm1SelfOrganizing":
         "DESIGN.md Chapter 7 extension (`alg1-selforg`, README algorithm list)",
@@ -354,8 +369,6 @@ OWNERS: Dict[str, str] = {
     "repro/live/socket_transport.py::SocketTransport._peer_lost": FAULT,
     "repro/live/socket_transport.py::SocketTransport._reconnect": FAULT,
     "repro/live/socket_transport.py::SocketTransport._link_restored": FAULT,
-    "repro/live/socket_transport.py::_node_main.<locals>.fire_crash": FAULT,
-    "repro/live/socket_transport.py::_node_main.<locals>._crash": FAULT,
     "repro/live/node.py::LiveProbes.note_link_down": FAULT,
     "repro/live/node.py::LiveProbes.note_reconnect": FAULT,
     "repro/live/linklayer.py::_noop": FAULT + " (the live drop record)",
