@@ -9,6 +9,7 @@ behavior by name.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Dict
 
 from repro.errors import ConfigurationError
@@ -44,6 +45,14 @@ _MOBILITY_KINDS = {
         alpha=p.get("alpha", 0.75),
     ),
 }
+
+
+#: The keys a serialized scenario may hold: every ScenarioConfig field,
+#: with the declarative ``mobility`` block in place of the factory.
+_KEYS = frozenset(
+    {f.name for f in fields(ScenarioConfig)} - {"mobility_factory"}
+    | {"mobility"}
+)
 
 
 def config_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
@@ -97,8 +106,14 @@ def config_from_dict(data: Dict[str, Any]) -> ScenarioConfig:
 
     A ``mobility`` block of the form
     ``{"kind": "waypoint", "nodes": [0, 3], "params": {...}}`` attaches
-    the named model to the listed nodes.
+    the named model to the listed nodes.  A key that names no field
+    (a misspelling, a removed knob) is an error, not silently dropped.
     """
+    unknown = sorted(set(data) - _KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown scenario keys {unknown}; known: {sorted(_KEYS)}"
+        )
     try:
         positions = [Point(float(x), float(y)) for x, y in data["positions"]]
     except (KeyError, TypeError, ValueError) as exc:

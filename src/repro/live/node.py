@@ -17,13 +17,15 @@ the protocol probes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Any, Dict, Iterable, Sequence
 
 from repro.live.linklayer import LiveLinkLayer
 from repro.metrics.collector import MetricsCollector
 from repro.net.linklayer import LinkLayer
 from repro.net.topology import DynamicTopology
 from repro.obs.registry import MetricRegistry
+from repro.runtime.app import HungerWorkload, schedule_link_rows
+from repro.runtime.failures import CrashInjector
 from repro.runtime.node import NodeHarness
 from repro.runtime.simulation import ScenarioConfig, assemble_nodes
 from repro.sim.rng import RandomSource
@@ -70,6 +72,9 @@ class LiveNodeSet:
         live_probes=None,
     ) -> None:
         self.config = config
+        self.runtime = runtime
+        runtime.probes = live_probes
+        self.rng = RandomSource(config.seed)
         self.metrics = MetricsCollector()
         self.topology = DynamicTopology(radio_range=config.radio_range)
         self.topology.add_nodes(enumerate(config.positions))
@@ -92,9 +97,29 @@ class LiveNodeSet:
             self.topology,
             hosted,
             recorder.trace,
-            RandomSource(config.seed),
+            self.rng,
             self.metrics,
             probes,
+        )
+
+    def drive(self, link_rows: Iterable[Sequence[Any]] = ()) -> None:
+        """Schedule the hosted nodes' hunger and crashes, and the
+        scenario's ``link_script`` followed by ``link_rows``, with the
+        simulator's own scenario-event code (:mod:`repro.runtime.app`)."""
+        config = self.config
+        at = self.runtime.at
+        HungerWorkload(
+            self.runtime, at, self.rng, config.think_range,
+            config.scripted_hunger,
+        ).attach_all(self.harnesses.values())
+        CrashInjector(
+            self.runtime, at, self.linklayer, self.harnesses,
+            metrics=self.metrics,
+        ).schedule_all(
+            [(t, node) for t, node in config.crashes if node in self.harnesses]
+        )
+        schedule_link_rows(
+            at, self.linklayer, [*(config.link_script or ()), *link_rows]
         )
 
     def metrics_summary(self) -> Dict[str, int]:

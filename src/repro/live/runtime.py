@@ -30,8 +30,10 @@ across processes with skewed clocks.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Optional
+import math
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.core.states import NodeState
 from repro.errors import SimulationError
 from repro.sim.clock import TIME_EPSILON
 from repro.sim.events import EventPriority
@@ -79,6 +81,10 @@ class WallClockRuntime:
         self._last = 0.0
         self._current: Optional[float] = None
         self._stopped = False
+        self._until = math.inf
+        #: The ``live.*`` probes scenario events are counted in; wired by
+        #: :class:`~repro.live.node.LiveNodeSet`.
+        self.probes = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -125,6 +131,15 @@ class WallClockRuntime:
         fire; they become no-ops)."""
         self._stopped = True
 
+    def run(self, until: float) -> float:
+        """Run the loop up to virtual ``until``, then stop; returns the
+        end stamp (the later of the wall reading and the last stamp)."""
+        self._until = until
+        self.loop.call_at(self.wall_at(until), self.loop.stop)
+        self.loop.run_forever()
+        self.stop()
+        return max(self.wall_virtual(), self._last)
+
     # ------------------------------------------------------------------
     # Execution dispatch (the recording boundary)
     # ------------------------------------------------------------------
@@ -152,6 +167,27 @@ class WallClockRuntime:
             if recorder is not None:
                 recorder.end()
             self._current = None
+
+    def at(
+        self, time: float, kind: str, fn: Callable[..., None], *args: Any
+    ) -> asyncio.TimerHandle:
+        """The live scenario-event hook (:mod:`repro.runtime.app`): run
+        ``fn(*args)`` at virtual ``time`` as one recorded ``kind`` row,
+        its fields built at fire time.  Events at or past the stop time
+        of :meth:`run` never run."""
+        return self.loop.call_at(
+            self.wall_at(time), self._fire, time, kind, fn, args
+        )
+
+    def _fire(
+        self, time: float, kind: str, fn: Callable[..., None],
+        args: Tuple[Any, ...],
+    ) -> None:
+        if time >= self._until:
+            return
+        if self.probes is not None:
+            self.probes.inc_event(kind)
+        self.execute(kind, _row_fields(kind, args), fn, *args)
 
     # ------------------------------------------------------------------
     # Runtime protocol (what Timer and node code call)
@@ -182,3 +218,26 @@ class WallClockRuntime:
         handle = LiveTimerHandle(raw, deadline)
         holder["handle"] = handle
         return handle
+
+
+def _row_fields(kind: str, args: Tuple[Any, ...]) -> Dict[str, Any]:
+    """The recorded fields of one scenario event, from its call args.
+
+    ``hungry`` (args: the harness) records whether the poke was
+    effective — the node was up and thinking — ``crash`` (args: the
+    node) the node, ``up`` / ``down`` (args: op, a, b, mover) the link,
+    and ``up`` also its moving endpoint.
+    """
+    if kind == "hungry":
+        harness = args[0]
+        return {
+            "n": harness.node_id,
+            "eff": not harness.crashed
+            and harness.state is NodeState.THINKING,
+        }
+    if kind == "crash":
+        return {"n": args[0]}
+    _, a, b, mover = args
+    if kind == "up":
+        return {"a": a, "b": b, "mover": mover}
+    return {"a": a, "b": b}

@@ -3,9 +3,11 @@
 :func:`run_bus` takes the same scenario JSON dicts the exploration
 campaigns use (:mod:`repro.explore.scenarios`), builds the unmodified
 node stack over a :class:`~repro.live.bus.InProcessBus`, drives the
-scenario's workload/crash/link scripts from wall-clock timers, and
-returns a schema-versioned recording that
-:func:`repro.live.replay.verify_recording` can check in-sim.
+scenario's hunger, crash plan and link rows (its ``link_script`` plus
+the mobility block's teleports) on wall-clock timers through the
+simulator's own scenario-event code, and returns a schema-versioned
+recording that :func:`repro.live.replay.verify_recording` can check
+in-sim.
 
 ``time_scale`` is wall seconds per virtual unit: 0.005 compresses a
 virtual-80 scenario into ~0.4 s of wall time, 1.0 runs it in real
@@ -22,7 +24,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.states import NodeState
 from repro.errors import ConfigurationError
 from repro.harness.config_io import config_from_dict
 from repro.live.bus import InProcessBus
@@ -33,7 +34,6 @@ from repro.net.geometry import Point
 from repro.net.topology import DynamicTopology
 from repro.obs.probes import build_probes
 from repro.obs.registry import MetricRegistry
-from repro.runtime.app import INITIAL_DELAY_RANGE
 
 
 def scripted_link_feed(
@@ -91,20 +91,12 @@ def run_bus(
 ) -> Dict[str, Any]:
     """Run one scenario on the in-process bus; returns the recording."""
     config = config_from_dict(scenario)
-    if config.mobility_factory is not None:
-        # The factory was only built to validate the block; the live
-        # feed below drives churn directly.
-        config.mobility_factory = None
-
     loop = asyncio.new_event_loop()
     try:
         recorder = LiveRecorder()
         runtime = WallClockRuntime(loop, time_scale, recorder)
         if registry is None:
             registry = MetricRegistry()
-        live_probes = LiveProbes(registry)
-        protocol_probes = build_probes(registry)
-
         bus = InProcessBus(loop, lambda *args: nodes.channel.dispatch(*args))
         nodes = LiveNodeSet(
             config,
@@ -112,83 +104,12 @@ def run_bus(
             recorder,
             bus.send,
             hosted=range(len(config.positions)),
-            probes=protocol_probes,
-            live_probes=live_probes,
+            live_probes=LiveProbes(registry),
+            probes=build_probes(registry),
         )
-        linklayer = nodes.linklayer
-
         runtime.start()
-
-        # --- workload -------------------------------------------------
-        def fire_hungry(harness) -> None:
-            effective = (
-                not harness.crashed
-                and harness.state is NodeState.THINKING
-            )
-            live_probes.inc_event("hungry")
-            runtime.execute(
-                "hungry",
-                {"n": harness.node_id, "eff": bool(effective)},
-                harness.become_hungry,
-            )
-
-        if config.scripted_hunger is not None:
-            for node_id, times in config.scripted_hunger.items():
-                harness = nodes.harnesses[node_id]
-                for t in times:
-                    if t < until:
-                        loop.call_at(runtime.wall_at(t), fire_hungry, harness)
-        else:
-            # Stochastic service workload: think, get hungry, repeat.
-            from repro.sim.rng import RandomSource
-
-            workload_rng = RandomSource(config.seed)
-
-            def arm(harness, rng, delay: float) -> None:
-                t = runtime.now + delay
-                if t < until:
-                    loop.call_at(runtime.wall_at(t), fire_hungry, harness)
-
-            for node_id, harness in nodes.harnesses.items():
-                rng = workload_rng.stream("workload", node_id)
-                harness.on_done_eating = (
-                    lambda h, r=rng: arm(h, r, r.uniform(*config.think_range))
-                )
-                arm(harness, rng, rng.uniform(*INITIAL_DELAY_RANGE))
-
-        # --- failures -------------------------------------------------
-        def do_crash(node_id: int) -> None:
-            linklayer.crash(node_id)
-            nodes.harnesses[node_id].crash()
-            nodes.metrics.note_crash(node_id, runtime.now)
-
-        def fire_crash(node_id: int) -> None:
-            live_probes.inc_event("crash")
-            runtime.execute("crash", {"n": node_id}, do_crash, node_id)
-
-        for t, node_id in config.crashes:
-            if t < until:
-                loop.call_at(runtime.wall_at(t), fire_crash, node_id)
-
-        # --- topology feed --------------------------------------------
-        def fire_link(op: str, a: int, b: int, mover: int) -> None:
-            fields: Dict[str, Any] = {"a": a, "b": b}
-            if op == "up":
-                fields["mover"] = mover
-            live_probes.inc_event(op)
-            runtime.execute(
-                op, fields, linklayer.apply_link_event, op, a, b, mover
-            )
-
-        for t, op, a, b, mover in scripted_link_feed(scenario):
-            if t < until:
-                loop.call_at(runtime.wall_at(t), fire_link, op, a, b, mover)
-
-        # --- run ------------------------------------------------------
-        loop.call_at(runtime.wall_at(until), loop.stop)
-        loop.run_forever()
-        runtime.stop()
-        t_end = max(runtime.wall_virtual(), runtime.last_stamp)
+        nodes.drive(scripted_link_feed(scenario))
+        t_end = runtime.run(until)
     finally:
         loop.close()
 

@@ -367,7 +367,6 @@ def _node_main(
     )
     transport.linklayer = nodes.linklayer
     transport.dispatch = nodes.channel.dispatch
-    harness = nodes.harnesses[node_id]
 
     port = loop.run_until_complete(transport.start_server())
     conn.send(("port", node_id, port))
@@ -380,39 +379,9 @@ def _node_main(
     assert tag == "go"
     runtime.start(loop.time() + (t0_epoch - time.time()))
 
-    from repro.core.states import NodeState
-
-    def fire_hungry() -> None:
-        effective = (
-            not harness.crashed and harness.state is NodeState.THINKING
-        )
-        live_probes.inc_event("hungry")
-        runtime.execute(
-            "hungry", {"n": node_id, "eff": bool(effective)},
-            harness.become_hungry,
-        )
-
-    for t in config.scripted_hunger.get(node_id, ()):
-        if t < until:
-            loop.call_at(runtime.wall_at(t), fire_hungry)
-
-    def fire_crash() -> None:
-        live_probes.inc_event("crash")
-        runtime.execute("crash", {"n": node_id}, _crash)
-
-    def _crash() -> None:
-        nodes.linklayer.crash(node_id)
-        harness.crash()
-
-    for t, victim in config.crashes:
-        if victim == node_id and t < until:
-            loop.call_at(runtime.wall_at(t), fire_crash)
-
+    nodes.drive()
     transport.start_heartbeats()
-    loop.call_at(runtime.wall_at(until), loop.stop)
-    loop.run_forever()
-    runtime.stop()
-    t_end = max(runtime.wall_virtual(), runtime.last_stamp)
+    t_end = runtime.run(until)
     loop.run_until_complete(transport.close())
     loop.close()
     conn.send((
@@ -437,16 +406,20 @@ def run_socket(
 
     Returns a merged, schema-versioned recording (runtime ``socket``)
     ready for :func:`repro.live.replay.verify_recording`.  Each node
-    process replays its own ``scripted_hunger`` times and runs no
-    stochastic workload, so the scenario must carry them.
+    process drives its own node's share of the scenario — scripted or
+    stochastic hunger, its crashes — through the simulator's
+    scenario-event code.  The links are the static unit-disk graph:
+    a scenario with a ``mobility`` block or a ``link_script`` is
+    refused.
     """
     from repro.live.recorder import make_recording, merge_rows
 
-    if scenario.get("scripted_hunger") is None:
-        raise ConfigurationError(
-            "socket runs need scripted_hunger: a node process runs no "
-            "stochastic workload, so without it no node ever gets hungry"
-        )
+    for churn in ("mobility", "link_script"):
+        if scenario.get(churn):
+            raise ConfigurationError(
+                f"socket runs need a static scenario; this one has "
+                f"{churn!r} churn (scripted churn is bus-mode only)"
+            )
 
     n = len(scenario["positions"])
     ctx = multiprocessing.get_context("fork")
@@ -517,11 +490,6 @@ def run_socket_family(
     from repro.explore.scenarios import build_scenario
 
     row = build_scenario(family, algorithm, seed)
-    if row["scenario"].get("mobility"):
-        raise ReproError(
-            "socket runs need a static scenario (scripted churn is "
-            "bus-mode only); pick a static family"
-        )
     return run_socket(
         row["scenario"], row["until"], time_scale=time_scale,
         extra={"family": row["family"], "algorithm": algorithm, "seed": seed},

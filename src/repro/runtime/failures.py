@@ -9,12 +9,10 @@ discussion of Pike et al. in Chapter 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.net.linklayer import LinkLayer
 from repro.runtime.node import NodeHarness
-from repro.sim.engine import Simulator
-from repro.sim.events import ScheduledEvent
 
 
 @dataclass(frozen=True)
@@ -26,24 +24,28 @@ class CrashEvent:
 
 
 class CrashInjector:
-    """Schedules silent crashes against the link layer and harnesses."""
+    """Schedules silent crashes against the link layer and harnesses,
+    as ``crash`` events through the scenario-event hook ``at`` (see
+    :mod:`repro.runtime.app`); ``runtime`` supplies the clock."""
 
     def __init__(
         self,
-        sim: Simulator,
+        runtime,
+        at: Callable[..., Any],
         linklayer: LinkLayer,
         harnesses: Dict[int, NodeHarness],
         metrics=None,
         mobility=None,
     ) -> None:
-        self._sim = sim
+        self._runtime = runtime
+        self._at = at
         self._linklayer = linklayer
         self._harnesses = harnesses
         self._metrics = metrics
         self._mobility = mobility
         self.crashes: List[CrashEvent] = []
-        #: Engine handles, aligned with :attr:`crashes` (retimeable).
-        self._events: List[ScheduledEvent] = []
+        #: Hook handles, aligned with :attr:`crashes` (retimeable).
+        self._events: List[Any] = []
 
     def schedule(self, time: float, node_id: int) -> None:
         """Crash ``node_id`` at the given virtual time."""
@@ -51,9 +53,7 @@ class CrashInjector:
         self.crashes.append(event)
         # The handle is kept: apply_control retimes a pending crash by
         # cancelling it and scheduling a new one.
-        self._events.append(
-            self._sim.schedule_at(time, self._crash, node_id)
-        )
+        self._events.append(self._at(time, "crash", self._crash, node_id))
 
     def schedule_all(self, plan: List[Tuple[float, int]]) -> None:
         """Schedule a whole crash plan of (time, node_id) pairs."""
@@ -72,7 +72,7 @@ class CrashInjector:
         are clamped to "not before now" — a controller cannot schedule
         into the past.
         """
-        now = self._sim.now
+        now = self._runtime.now
         for index, handle in enumerate(self._events):
             if not handle.pending:
                 continue
@@ -84,8 +84,8 @@ class CrashInjector:
                 continue
             handle.cancel()
             self.crashes[index] = CrashEvent(retimed, planned.node_id)
-            self._events[index] = self._sim.schedule_at(
-                retimed, self._crash, planned.node_id
+            self._events[index] = self._at(
+                retimed, "crash", self._crash, planned.node_id
             )
 
     def _crash(self, node_id: int) -> None:
@@ -97,4 +97,4 @@ class CrashInjector:
             # neighbors observe any resulting link changes).
             self._mobility.note_crash(node_id)
         if self._metrics is not None:
-            self._metrics.note_crash(node_id, self._sim.now)
+            self._metrics.note_crash(node_id, self._runtime.now)

@@ -30,7 +30,7 @@ from repro.obs.probes import build_probes
 from repro.obs.registry import MetricRegistry
 from repro.obs.report import RunReport
 from repro.obs.watchdog import StarvationWatchdog
-from repro.runtime.app import HungerWorkload, ScriptedHunger
+from repro.runtime.app import HungerWorkload, schedule_link_rows, sim_hook
 from repro.runtime.failures import CrashInjector
 from repro.runtime.node import NodeHarness
 from repro.runtime.registry import BuildContext, resolve
@@ -405,35 +405,19 @@ class Simulation:
                 if durations:
                     harness.script_eating(durations)
 
-        # --- workload ------------------------------------------------
-        if config.scripted_hunger is not None:
-            self.workload = ScriptedHunger(self.sim, config.scripted_hunger)
-            for harness in self.harnesses.values():
-                self.workload.attach(harness)
+        # --- scenario events ----------------------------------------
+        # Stochastic attach (per-node RNG seeding dominates city-scale
+        # construction) runs at engine start, drawing what eager would.
+        at = sim_hook(self.sim)
+        harnesses = list(self.harnesses.values())
+        self.workload = HungerWorkload(
+            self.sim, at, self.rng, config.think_range, config.scripted_hunger
+        )
+        if config.scripted_hunger is None:
+            self.sim.defer_startup(lambda: self.workload.attach_all(harnesses))
         else:
-            self.workload = HungerWorkload(
-                self.sim,
-                self.rng,
-                think_range=config.think_range,
-            )
-            # Bulk attach defers the per-node RNG seeding to the first
-            # engine run; the draws themselves are bit-identical.
-            self.workload.attach_all(self.harnesses.values())
-
-        # --- scripted link churn ------------------------------------
-        # Recorded (live-run) churn replays verbatim: each row becomes
-        # one engine event that forces the link state and emits the
-        # same up/down indications the recording's nodes saw.
-        for row in config.link_script or ():
-            time, op, a, b, mover = row
-            self.sim.schedule_at(
-                float(time),
-                self.linklayer.apply_link_event,
-                str(op),
-                int(a),
-                int(b),
-                int(mover),
-            )
+            self.workload.attach_all(harnesses)
+        schedule_link_rows(at, self.linklayer, config.link_script or ())
 
         # --- mobility --------------------------------------------------
         self.mobility = MobilityController(
@@ -454,6 +438,7 @@ class Simulation:
         # --- failures --------------------------------------------------
         self.failures = CrashInjector(
             self.sim,
+            at,
             self.linklayer,
             self.harnesses,
             metrics=self.metrics,

@@ -28,6 +28,7 @@ from repro.live import (
     derive_replay,
     load_recording,
     merge_rows,
+    run_bus,
     run_bus_family,
     run_socket,
     save_recording,
@@ -324,13 +325,43 @@ def test_socket_three_node_line_replays_clean():
     assert_clean(verify_recording(recording))
 
 
-def test_socket_run_refuses_a_scenario_without_scripted_hunger():
-    # A node process replays only scripted hunger; a stochastic scenario
-    # would run on sockets with no node ever hungry.
+def test_socket_run_with_stochastic_hunger_replays_clean():
+    # Each node process draws its own node's think times from the
+    # simulator's workload substream; the replay sees only the rows.
     scenario = _three_node_line_scenario()
     del scenario["scripted_hunger"]
-    with pytest.raises(ConfigurationError, match="scripted_hunger"):
+    recording = run_socket(
+        scenario, until=20.0, time_scale=0.01, start_grace=0.3,
+    )
+    hungry = {row["n"] for row in recording["rows"] if row["k"] == "hungry"}
+    assert hungry == {0, 1, 2}
+    assert_clean(verify_recording(recording))
+
+
+@pytest.mark.parametrize("churn, value", [
+    ("mobility", {"kind": "scripted", "nodes": [2],
+                  "params": {"moves": [[5.0, 9.0, 9.0, 0.0]]}}),
+    ("link_script", [[5.0, "down", 0, 1, -1]]),
+])
+def test_socket_run_refuses_a_scenario_with_churn(churn, value):
+    # A node process runs the static unit-disk graph; scripted churn
+    # would be dropped without a word.
+    scenario = _three_node_line_scenario()
+    scenario[churn] = value
+    with pytest.raises(ConfigurationError, match=churn):
         run_socket(scenario, until=30.0, time_scale=0.01)
+
+
+def test_bus_runs_a_scenario_link_script():
+    scenario = _three_node_line_scenario()
+    scenario["link_script"] = [
+        [4.0, "down", 1, 2, -1], [12.0, "up", 1, 2, 2],
+    ]
+    recording = run_bus(scenario, 20.0, time_scale=0.003)
+    links = [(row["k"], row["a"], row["b"], row.get("mover"))
+             for row in recording["rows"] if row["k"] in ("up", "down")]
+    assert links == [("down", 1, 2, None), ("up", 1, 2, 2)]
+    assert_clean(verify_recording(recording))
 
 
 def test_load_recording_rejects_unknown_schema():

@@ -226,7 +226,7 @@ def _fn(path, qualname, protocol=False):
     ("repro/obs/toy.py", "Toy.run", True),  # file scope
     ("repro/explore/schedule.py", "PCTStrategy", True),  # the scope itself
     ("repro/explore/schedule.py", "PCTStrategy._tie_break", True),  # member
-    ("repro/cli.py", "build_config.<locals>.mobility_factory", True),
+    ("repro/explore/shrink.py", "shrink_repro.<locals>.test_crashes", True),
     ("repro/explore/schedule.py", "PCTStrategyX.run", False),  # name prefix
     ("repro/explore/schedule.py", "RandomStrategy._tie_break", False),
     ("repro/obs/toyx.py", "run", False),  # file-name prefix
@@ -325,7 +325,8 @@ REPORT_TOY = (
 
 @pytest.fixture
 def report_toy(tmp_path, monkeypatch):
-    monkeypatch.setitem(reach_audit.OWNERS, "toy.py::owned", "the toy owner")
+    monkeypatch.setattr(reach_audit, "OWNERS",
+                        {"toy.py::owned": "the toy owner"})
     root = _tree(tmp_path, toy=REPORT_TOY)
     defs = reach_audit.functions(str(root))
     keys = {fn.qualname: key for key, fn in defs.items()}
@@ -385,13 +386,38 @@ def test_render_counts_only_defs_per_claim(report_toy):
     assert "- The claims reach 1;" in report
 
 
+def test_render_fails_on_an_owner_of_no_unreached_row(report_toy, monkeypatch):
+    # An owner whose function a claim reaches keeps nothing; so does one
+    # that names no function at all.
+    defs, reached = report_toy
+    monkeypatch.setitem(reach_audit.OWNERS, "toy.py::claimed", "stale")
+    monkeypatch.setitem(reach_audit.OWNERS, "toy.py::gone", "stale too")
+    with pytest.raises(SystemExit) as raised:
+        reach_audit.render(defs, reached)
+    assert str(raised.value) == (
+        "OWNERS entries that keep no unreached function: "
+        "['toy.py::claimed', 'toy.py::gone']"
+    )
+    # An owner of a nested def of an unreached def keeps nothing either:
+    # the row is the def around it.
+    monkeypatch.setattr(reach_audit, "OWNERS",
+                        {"toy.py::outer.<locals>.inner": "folded"})
+    with pytest.raises(SystemExit, match="inner"):
+        reach_audit.render(defs, reached)
+
+
 def _save_records(data, src, reached):
     for name in reach_audit.CLAIMS:
         (data / f"{name}.json").write_text(json.dumps(
             {"src": src, "reached": sorted(reached.get(name, ()))}))
 
 
-def test_main_reuse_renders_saved_records_without_running_claims(tmp_path):
+def test_main_reuse_renders_saved_records_without_running_claims(
+    tmp_path, monkeypatch
+):
+    # With one function reached, the real owners' nested scopes fold
+    # into unreached parents and would keep nothing.
+    monkeypatch.setattr(reach_audit, "OWNERS", {})
     data = tmp_path / "data"
     data.mkdir()
     defs = reach_audit.functions(str(reach_audit.SRC))

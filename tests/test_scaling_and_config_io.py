@@ -155,3 +155,13 @@ def test_callable_algorithm_does_not_serialize():
 def test_bad_positions_rejected():
     with pytest.raises(ConfigurationError):
         config_from_dict({"positions": "nope"})
+
+
+def test_unknown_keys_are_named_and_rejected():
+    # A removed knob or a misspelling must not load as if it were absent.
+    with pytest.raises(ConfigurationError) as raised:
+        config_from_dict(
+            {"positions": [[0, 0]], "max_entries": 3, "profil": True}
+        )
+    assert "['max_entries', 'profil']" in str(raised.value)
+
