@@ -1,6 +1,7 @@
 """Core-pipeline performance benchmarks.
 
-Times the hot paths the simulation core was rebuilt around:
+Times the layers that carry a sizeable share of some end-to-end
+workload's wall in the ``benchmarks/e2e`` ledger:
 
 1. **Topology churn** — grid-indexed `set_position` vs the all-pairs
    scan oracle (``tests/oracles/topology_scan.py``) at n=1000, best of
@@ -8,23 +9,16 @@ Times the hot paths the simulation core was rebuilt around:
    links);
 2. **Raw event throughput** — the Simulator hot loop, including a
    cancellation-heavy workload that exercises heap compaction;
-3. **Multi-seed replicate** — serial vs ``workers=4``, asserting the
-   parallel estimates are bit-identical to the serial ones;
-4. **Message plane** — broadcast-flood delivery throughput of the
+3. **Message plane** — broadcast-flood delivery throughput of the
    channel (one engine event per message);
-5. **Telemetry** — instrumented-vs-off overhead for the flood and an
-   alg2-line protocol workload, plus the zero-cost-when-off guard
-   against the committed baseline (normalized by a fresh event-loop
-   calibration so cross-machine comparisons stay meaningful);
-6. **Mobility plane** — kinetic link prediction vs the fixed-step
+4. **Mobility plane** — kinetic link prediction vs the fixed-step
    oracle (``tests/oracles/fixed_step.py``) at n=1000 with every node
    mid-flight concurrently: the kinetic engine must execute ≥3× fewer
    topology updates (a deterministic counter comparison) and finish
-   ≥2× faster on a quiet box (jitter-gated, like the telemetry guard),
-   while both land on identical final positions and link sets;
-7. **Memory plane** — construction time at n=1k/10k/100k (O(n),
-   jitter-gated) and retained allocation blocks per executed event;
-8. **Invariant-monitor suite** — the full default monitor set on an
+   ≥2× faster on a quiet box (gated on the spread of a same-session
+   event-loop calibration), while both land on identical final
+   positions and link sets;
+5. **Invariant-monitor suite** — the full default monitor set on an
    alg2 crash scenario shaped like the ledger's crash workload costs
    at most 3x the plain run (jitter-gated), with a deterministic check
    count.
@@ -35,13 +29,11 @@ at the repo root so later PRs have a perf trajectory to defend; without
 the env var no file is touched.
 """
 
-import gc
 import json
 import math
 import os
 import random
 import time
-import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,12 +42,11 @@ import pytest
 from oracles.fixed_step import FixedStepController
 from oracles.topology_scan import ScanTopology
 from repro._version import __version__
-from repro.harness.multiseed import DEFAULT_METRICS, replicate
 from repro.obs.bench_history import HISTORY_NAME, append_record, git_commit
 from repro.mobility import MobilityController
 from repro.net.channel import ChannelLayer
 from repro.net.linklayer import LinkLayer
-from repro.net.geometry import Point, grid_positions, line_positions
+from repro.net.geometry import Point, grid_positions
 from repro.net.messages import Message
 from repro.net.topology import DynamicTopology
 from repro.runtime.simulation import (
@@ -99,18 +90,11 @@ def _bench_sink():
     """Collect per-test measurements; emit BENCH files only on opt-in.
 
     On ``REPRO_WRITE_BENCH=1`` the run overwrites the ``BENCH_core.json``
-    snapshot (the legacy at-a-glance view) *and* appends one stamped
-    record to ``BENCH_history.jsonl`` (the append-only trajectory
-    ``repro bench check`` compares against).
+    snapshot (the at-a-glance view) *and* appends one stamped record
+    to ``BENCH_history.jsonl`` (the append-only trajectory).
     """
     yield
     if os.environ.get(_WRITE_ENV) and _RESULTS:
-        # Sections created via setdefault() bypass _record(); give them
-        # the same provenance stamps before anything is written.
-        for entry in _RESULTS.values():
-            entry.setdefault("peak_rss_kb", peak_rss_kb())
-            entry.setdefault("git_commit", _GIT_COMMIT)
-            entry.setdefault("version", __version__)
         root = Path(__file__).resolve().parent.parent
         path = root / "BENCH_core.json"
         path.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
@@ -121,6 +105,21 @@ def _timed(fn):
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def _calibrate_events_per_second(n_events: int = 100_000) -> float:
+    """Throughput of the bare event loop on *this* box.  The spread of
+    calls around a timed section is its noise level: the wall-clock
+    bars below skip themselves when it exceeds 5 %."""
+    sim = Simulator()
+
+    def noop():
+        pass
+
+    for i in range(n_events):
+        sim.schedule_at(float(i % 997), noop)
+    run_time = _timed(sim.run)
+    return n_events / run_time if run_time else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -254,83 +253,7 @@ def test_cancellation_heavy_throughput(report):
 
 
 # ---------------------------------------------------------------------------
-# 3. Parallel multi-seed replicate
-# ---------------------------------------------------------------------------
-
-
-def test_replicate_parallel_matches_serial(report):
-    config = ScenarioConfig(
-        positions=grid_positions(64, spacing=1.0),
-        radio_range=1.1,
-        algorithm="alg2",
-        think_range=(0.5, 2.0),
-    )
-    seeds = (1, 2, 3, 4)
-    until = 400.0
-    workers = 4
-    cpus = os.cpu_count() or 1
-
-    serial_time = [0.0]
-    parallel_time = [0.0]
-    results = {}
-
-    def run_serial():
-        results["serial"] = replicate(
-            config, until=until, seeds=seeds, metrics=DEFAULT_METRICS
-        )
-
-    def run_parallel():
-        results["parallel"] = replicate(
-            config, until=until, seeds=seeds, metrics=DEFAULT_METRICS,
-            workers=workers,
-        )
-
-    serial_time[0] = _timed(run_serial)
-    parallel_time[0] = _timed(run_parallel)
-
-    for name in DEFAULT_METRICS:
-        s, p = results["serial"][name], results["parallel"][name]
-        assert s.samples == p.samples
-        assert _same_float(s.mean, p.mean), name
-        assert _same_float(s.half_width, p.half_width), name
-
-    entry = {
-        "cpus": cpus,
-        "nodes": len(config.positions),
-        "seeds": len(seeds),
-        "until": until,
-        "serial_seconds": round(serial_time[0], 6),
-    }
-    if cpus < workers:
-        # A pool of 4 on fewer than 4 CPUs measures contention, not
-        # speedup; recording the 0.8x "slowdown" would poison the perf
-        # trajectory.  The bit-identical comparison above still ran.
-        # The parallel4_* keys are *omitted* (not null): readers treat
-        # a missing key and a skipped measurement identically, and a
-        # null would otherwise leak into min/round arithmetic.
-        entry["skipped_reason"] = (
-            f"cpu_count {cpus} < workers {workers}: parallel timing "
-            "not meaningful on this box"
-        )
-        report(
-            f"replicate x{len(seeds)} seeds: serial {serial_time[0]:.3f}s, "
-            f"parallel timing skipped ({cpus} CPU)"
-        )
-    else:
-        speedup = (
-            serial_time[0] / parallel_time[0] if parallel_time[0] else math.inf
-        )
-        entry["parallel4_seconds"] = round(parallel_time[0], 6)
-        entry["parallel4_speedup"] = round(speedup, 2)
-        report(
-            f"replicate x{len(seeds)} seeds: serial {serial_time[0]:.3f}s, "
-            f"workers={workers} {parallel_time[0]:.3f}s ({speedup:.1f}x)"
-        )
-    _record("replicate", entry)
-
-
-# ---------------------------------------------------------------------------
-# 4. Message plane: broadcast-flood delivery throughput
+# 3. Message plane: broadcast-flood delivery throughput
 # ---------------------------------------------------------------------------
 
 
@@ -404,185 +327,7 @@ def test_message_plane_flood_throughput(report):
 
 
 # ---------------------------------------------------------------------------
-# 5. Telemetry: instrumented-vs-off overhead, zero-cost-when-off guard
-# ---------------------------------------------------------------------------
-
-
-def _time_alg2_line(telemetry: bool, n: int, until: float, repeats: int = 3):
-    """Best-of-``repeats`` wall time for an alg2 line scenario.
-
-    Returns (seconds, executed events, cs entries); the protocol numbers
-    must be identical across telemetry settings — instrumentation only
-    observes, it never schedules.
-    """
-    best = math.inf
-    events = cs_entries = None
-    for _ in range(repeats):
-        sim = Simulation(ScenarioConfig(
-            positions=line_positions(n, spacing=1.0),
-            radio_range=1.1,
-            algorithm="alg2",
-            think_range=(0.5, 2.0),
-            telemetry=telemetry,
-        ))
-        elapsed = _timed(lambda: sim.run(until=until))
-        stats = sim.sim.stats()
-        result_entries = sim.metrics.total_cs_entries()
-        if events is not None:
-            assert stats["executed_events"] == events
-            assert result_entries == cs_entries
-        events, cs_entries = stats["executed_events"], result_entries
-        best = min(best, elapsed)
-    return best, events, cs_entries
-
-
-def _calibrate_events_per_second(n_events: int = 100_000) -> float:
-    """Throughput of the bare event loop on *this* box, used to turn the
-    committed baseline's numbers into machine-relative expectations."""
-    sim = Simulator()
-
-    def noop():
-        pass
-
-    for i in range(n_events):
-        sim.schedule_at(float(i % 997), noop)
-    run_time = _timed(sim.run)
-    return n_events / run_time if run_time else math.inf
-
-
-def test_telemetry_overhead(report):
-    """Instrumented-vs-off cost of the run telemetry layer.
-
-    The alg2 line with probes + metric registry on the protocol paths
-    must reproduce the uninstrumented protocol numbers exactly.
-    """
-    n, until = 48, 400.0
-    off_time, off_events, off_entries = _time_alg2_line(False, n, until)
-    on_time, on_events, on_entries = _time_alg2_line(True, n, until)
-    assert on_events == off_events
-    assert on_entries == off_entries
-    alg2_overhead = on_time / off_time - 1 if off_time else 0.0
-
-    _record("telemetry", {
-        "alg2_line_nodes": n,
-        "alg2_line_until": until,
-        "alg2_line_events": off_events,
-        "alg2_line_off_seconds": round(off_time, 6),
-        "alg2_line_on_seconds": round(on_time, 6),
-        "alg2_line_overhead": round(alg2_overhead, 4),
-    })
-    report(
-        f"telemetry: alg2 line n={n} off {off_time:.4f}s, on {on_time:.4f}s "
-        f"({alg2_overhead:+.1%})"
-    )
-    # Loose sanity bounds — the real zero-cost-when-off contract is the
-    # baseline guard below; instrumented runs just must not blow up.
-    assert on_time < off_time * 2.0, (
-        f"telemetry-on alg2 run {on_time:.4f}s vs off {off_time:.4f}s: "
-        "probe overhead should stay well under 2x"
-    )
-
-
-def _attr_values(obj):
-    """Attribute values of ``obj``, covering both ``__dict__`` and the
-    ``__slots__`` laid down anywhere in its MRO (the memory-plane slots
-    sweep removed ``__dict__`` from the hot per-node objects)."""
-    seen = set()
-    for cls in type(obj).__mro__:
-        for slot in getattr(cls, "__slots__", ()):
-            if slot not in seen:
-                seen.add(slot)
-                try:
-                    yield getattr(obj, slot)
-                except AttributeError:
-                    pass
-    yield from getattr(obj, "__dict__", {}).values()
-
-
-def test_telemetry_off_is_structurally_free():
-    """The deterministic half of the zero-cost-when-off guard.
-
-    With telemetry disabled no instrumentation object may exist anywhere
-    on a hot path — every probe/registry handle must be
-    ``None`` — so the *only* residual cost is one ``is not None``
-    pointer test per site.  This is the check that cannot flake on a
-    noisy box; the wall-clock comparison below is advisory on top.
-    """
-    sim = Simulation(ScenarioConfig(
-        positions=line_positions(6, spacing=1.0),
-        radio_range=1.1,
-        algorithm="alg2",
-    ))
-    assert sim.registry is None
-    assert sim.probes is None
-    for harness in sim.harnesses.values():
-        assert harness.probes is None
-        algorithm = harness.algorithm
-        assert getattr(algorithm, "_probes", None) is None
-        # Sub-components picked their handle up from the harness too.
-        for attr in _attr_values(algorithm):
-            if hasattr(attr, "_probes"):
-                assert attr._probes is None, type(attr).__name__
-
-
-def test_telemetry_off_matches_baseline(report):
-    """Wall-clock half of the guard: telemetry-off flood throughput must
-    stay within 3% of the committed ``BENCH_core.json`` baseline after
-    normalizing for machine speed (bare event-loop throughput measured
-    in the same session vs at baseline time).
-
-    Wall-clock ratios are only meaningful when the box is quiet, so the
-    calibration runs three times around the workload; if its spread
-    exceeds 5% the comparison is recorded but skipped rather than
-    allowed to flake.  The structural guard above always runs.
-    """
-    path = Path(__file__).resolve().parent.parent / "BENCH_core.json"
-    if not path.exists():
-        pytest.skip("no BENCH_core.json baseline committed")
-    baseline = json.loads(path.read_text())
-    base_events = baseline.get("event_throughput", {}).get("events_per_second")
-    base_flood = baseline.get("message_plane", {}).get("msgs_per_second")
-    if not base_events or not base_flood:
-        pytest.skip("baseline lacks event_throughput/message_plane sections")
-
-    calibrations = [_calibrate_events_per_second()]
-    flood = min(
-        (_run_flood(n=1000, bursts=25, rounds=2)
-         for _ in range(3)),
-        key=lambda r: r[0],
-    )
-    calibrations.append(_calibrate_events_per_second())
-    calibrations.append(_calibrate_events_per_second())
-    jitter = max(calibrations) / min(calibrations) - 1.0
-    machine = max(calibrations) / base_events
-
-    throughput = flood[1] / flood[0] if flood[0] else math.inf
-    normalized = throughput / machine
-    _record("telemetry_guard", {
-        "machine_factor": round(machine, 4),
-        "calibration_jitter": round(jitter, 4),
-        "msgs_per_second": round(throughput),
-        "normalized_msgs_per_second": round(normalized),
-        "baseline_msgs_per_second": base_flood,
-    })
-    report(
-        f"telemetry-off guard: flood {throughput:,.0f} msg/s, normalized "
-        f"{normalized:,.0f} vs baseline {base_flood:,.0f} "
-        f"(machine {machine:.2f}, jitter {jitter:.1%})"
-    )
-    if jitter > 0.05:
-        pytest.skip(
-            f"calibration jitter {jitter:.1%} > 5%: box too noisy for a "
-            "3% wall-clock bound (numbers recorded above)"
-        )
-    assert normalized >= 0.97 * base_flood, (
-        f"telemetry-off flood regressed: {normalized:,.0f} msg/s "
-        f"(normalized) < 97% of baseline {base_flood:,.0f}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# 6. Mobility plane: kinetic link prediction vs the fixed-step oracle
+# 4. Mobility plane: kinetic link prediction vs the fixed-step oracle
 # ---------------------------------------------------------------------------
 
 
@@ -649,7 +394,7 @@ def test_mobility_churn_kinetic_vs_fixed_step(report):
     update-count comparison is deterministic (both count every
     ``set_position(s)``/reposition they execute), so it asserts
     unconditionally; the wall-clock speedup is gated on event-loop
-    calibration jitter exactly like the telemetry baseline guard.
+    calibration jitter.
     Equivalence — identical final positions and link sets — asserts
     unconditionally too: it is what makes the speedup a free lunch.
     """
@@ -718,124 +463,7 @@ def test_mobility_churn_kinetic_vs_fixed_step(report):
 
 
 # ---------------------------------------------------------------------------
-# 7. Memory plane: slotted state, lazy RNG streams, O(n) bootstrap
-# ---------------------------------------------------------------------------
-
-
-def _memory_plane_config(n):
-    return ScenarioConfig(
-        positions=grid_positions(n, spacing=1.0),
-        radio_range=1.1,
-        algorithm="alg2",
-        think_range=(0.5, 2.0),
-        seed=3,
-    )
-
-
-def _live_blocks(snapshot):
-    return sum(stat.count for stat in snapshot.statistics("filename"))
-
-
-def _retained_allocs_per_event(n=1000, warmup=40.0, horizon=120.0):
-    """Still-live allocation blocks per executed event over a warm
-    steady-state window (tracemalloc tracks blocks allocated *during*
-    the window that survive it — per-event garbage cancels out, so this
-    is the per-event footprint the run keeps, not transient churn)."""
-    sim = Simulation(_memory_plane_config(n))
-    sim.run(until=warmup)
-    events_before = sim.sim.executed_events
-    gc.collect()
-    tracemalloc.start()
-    baseline = _live_blocks(tracemalloc.take_snapshot())
-    sim.run(until=horizon)
-    gc.collect()
-    retained = _live_blocks(tracemalloc.take_snapshot()) - baseline
-    tracemalloc.stop()
-    events = sim.sim.executed_events - events_before
-    return (retained / events if events else 0.0), events
-
-
-def test_memory_plane(report):
-    """Slotted state + lazy RNG streams + O(n) bootstrap.
-
-    Records construction wall time and steady-state throughput at
-    n=1000 and n=100k, plus retained allocations per event.
-    Construction must be O(n): the scaling
-    assertion compares n=10k to n=100k (10x the nodes, allowed at most
-    25x the time — sub-1k runs are dominated by fixed setup cost and
-    would make the ratio meaningless), which the per-stream-eager
-    pre-PR7 bootstrap failed by an order of magnitude.  Wall-clock
-    bounds are jitter-gated like the other guards; the allocation
-    numbers are deterministic and assert unconditionally.
-    """
-    n_small, n_mid, n_large = 1000, 10_000, 100_000
-    calibrations = [_calibrate_events_per_second()]
-
-    allocs, window_events = _retained_allocs_per_event()
-
-    built = {}
-
-    def build_small():
-        built["small"] = Simulation(_memory_plane_config(n_small))
-
-    def build_mid():
-        built["mid"] = Simulation(_memory_plane_config(n_mid))
-
-    def build_large():
-        built["large"] = Simulation(_memory_plane_config(n_large))
-
-    construct_small = _timed(build_small)
-    small_result = built["small"].run(until=60.0)
-    construct_mid = _timed(build_mid)
-    del built["mid"]
-    construct_large = _timed(build_large)
-    large_result = built["large"].run(until=2.0)
-    calibrations.append(_calibrate_events_per_second())
-    jitter = max(calibrations) / min(calibrations) - 1.0
-
-    _record("memory_plane", {
-        "allocs_per_event": round(allocs, 4),
-        "allocs_window_events": window_events,
-        "construction_seconds_1k": round(construct_small, 6),
-        "construction_seconds_10k": round(construct_mid, 6),
-        "construction_seconds_100k": round(construct_large, 6),
-        "events_per_sec_1k": round(small_result.engine["events_per_sec"]),
-        "events_per_sec_100k": round(large_result.engine["events_per_sec"]),
-        "calibration_jitter": round(jitter, 4),
-    })
-    report(
-        f"memory plane: build n={n_small} {construct_small:.3f}s, "
-        f"n={n_large} {construct_large:.3f}s; "
-        f"{small_result.engine['events_per_sec']:,.0f} ev/s small, "
-        f"{large_result.engine['events_per_sec']:,.0f} ev/s large; "
-        f"retained allocs/event {allocs:.2f} (jitter {jitter:.1%})"
-    )
-    # Deterministic guard: a warm run must not retain more than a
-    # handful of blocks per event (metrics samples and trace-free
-    # bookkeeping only) — fired events must become garbage.
-    assert allocs < 8.0, (
-        f"steady state retains {allocs:.2f} blocks/event; "
-        "fired events and delivered messages should not be kept alive"
-    )
-    if jitter > 0.05:
-        pytest.skip(
-            f"calibration jitter {jitter:.1%} > 5%: box too noisy for "
-            "construction wall-clock bounds (numbers recorded above)"
-        )
-    assert construct_large <= 25 * max(construct_mid, 1e-2), (
-        f"n=100k construction {construct_large:.2f}s vs n=10k "
-        f"{construct_mid:.3f}s: bootstrap should scale O(n)"
-    )
-
-
-def _same_float(x, y):
-    if math.isnan(x) and math.isnan(y):
-        return True
-    return x == y
-
-
-# ---------------------------------------------------------------------------
-# 8. Invariant-monitor suite: event-scoped checks against a plain run
+# 5. Invariant-monitor suite: event-scoped checks against a plain run
 # ---------------------------------------------------------------------------
 
 

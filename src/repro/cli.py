@@ -12,7 +12,7 @@ Nine subcommands::
     python -m repro metrics ...           # OpenMetrics export / scrape
                                           #   endpoint (export | serve)
     python -m repro bench ...             # append-only bench history
-                                          #   (append | history | check)
+                                          #   (history | check)
     python -m repro live ...              # real-transport runtimes
                                           #   (run | serve | verify)
 
@@ -39,8 +39,9 @@ saves one JSON object keyed by algorithm name.  ``run --metrics
 out.prom`` additionally writes the probe snapshot as OpenMetrics text;
 ``metrics serve report.json`` turns a saved report into a Prometheus
 scrape endpoint; ``bench check`` exits 1 when the newest
-``BENCH_history.jsonl`` record regressed past the calibrated-jitter
-tolerance.
+``e2e_ledger`` record of ``BENCH_history.jsonl`` shows a change median
+worse than its parent median by more than the bound ``BENCHMARK.json``
+declares for that metric.
 """
 
 from __future__ import annotations
@@ -398,29 +399,10 @@ def cmd_metrics_serve(args, out) -> int:
 
 def cmd_bench(args, out) -> int:
     handlers = {
-        "append": cmd_bench_append,
         "history": cmd_bench_history,
         "check": cmd_bench_check,
     }
     return handlers[args.bench_command](args, out)
-
-
-def cmd_bench_append(args, out) -> int:
-    from repro.obs.bench_history import append_record
-
-    sections = json.loads(Path(args.bench).read_text())
-    if not isinstance(sections, dict):
-        raise ConfigurationError(
-            f"{args.bench}: bench snapshot must be a JSON object"
-        )
-    record = append_record(args.history, sections)
-    out.write(
-        f"appended {len(record['sections'])} section(s) at "
-        f"{record['timestamp']} "
-        f"(commit {record['git_commit'] or 'unknown'}, "
-        f"version {record['version']}) to {args.history}\n"
-    )
-    return 0
 
 
 def cmd_bench_history(args, out) -> int:
@@ -449,28 +431,34 @@ def cmd_bench_history(args, out) -> int:
 
 
 def cmd_bench_check(args, out) -> int:
-    from repro.obs.bench_history import check_latest, load_history
+    from repro.obs.bench_history import (
+        check_latest, load_benchmark, load_history,
+    )
 
-    records = load_history(args.history)
-    if len(records) < 2:
-        out.write(
-            f"{len(records)} record(s) in {args.history}: "
-            "nothing to compare against yet\n"
-        )
+    result = check_latest(
+        load_history(args.history), load_benchmark(args.history)
+    )
+    if result.record is None:
+        out.write(f"no e2e_ledger record in {args.history}: nothing to check\n")
         return 0
-    result = check_latest(records, floor=args.floor, window=args.window)
+    record = result.record
     out.write(
-        f"checked {result.checked} metric(s) against a trailing median of "
-        f"{result.baseline_records} record(s), tolerance "
-        f"{result.tolerance:.1%} (jitter {result.jitter:.1%}, floor "
-        f"{args.floor:.1%})\n"
+        f"checked {result.checked} metric(s) of the e2e_ledger record "
+        f"{record.get('version', '-')} "
+        f"({(record.get('git_commit') or '-')[:12]}, "
+        f"{record.get('timestamp', '-')}): change median against parent "
+        "median, bounds from BENCHMARK.json\n"
     )
     if result.clean:
         out.write("no regressions\n")
         return 0
     for regression in result.regressions:
         out.write(f"REGRESSION {regression.describe()}\n")
-    out.write(f"{len(result.regressions)} regression(s) detected\n")
+    for leaf in result.missing:
+        out.write(f"MISSING {leaf}: declared in BENCHMARK.json, "
+                  "absent from the record\n")
+    out.write(f"{len(result.regressions)} regression(s), "
+              f"{len(result.missing)} missing metric(s)\n")
     return 0 if args.report_only else 1
 
 
@@ -757,13 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench_parser.add_subparsers(
         dest="bench_command", required=True
     )
-    append_parser = bench_sub.add_parser(
-        "append", help="append a BENCH_core.json snapshot to the history"
-    )
-    append_parser.add_argument("--bench", default="BENCH_core.json",
-                               metavar="BENCH.json")
-    append_parser.add_argument("--history", default="BENCH_history.jsonl",
-                               metavar="HISTORY.jsonl")
     history_parser = bench_sub.add_parser(
         "history", help="list the recorded bench runs"
     )
@@ -772,15 +753,12 @@ def build_parser() -> argparse.ArgumentParser:
     history_parser.add_argument("--last", type=int, default=0,
                                 help="only show the last N records")
     check_parser = bench_sub.add_parser(
-        "check", help="compare the newest record to the trailing median "
+        "check", help="judge the newest e2e_ledger record by the bounds "
+                      "of the BENCHMARK.json beside the history "
                       "(exit 1 on regression)"
     )
     check_parser.add_argument("--history", default="BENCH_history.jsonl",
                               metavar="HISTORY.jsonl")
-    check_parser.add_argument("--floor", type=float, default=0.05,
-                              help="minimum drift fraction that flags")
-    check_parser.add_argument("--window", type=int, default=5,
-                              help="trailing records forming the baseline")
     check_parser.add_argument("--report-only", action="store_true",
                               help="report regressions but exit 0")
 

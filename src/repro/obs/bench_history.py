@@ -1,35 +1,22 @@
-"""Append-only benchmark history with cross-commit regression detection.
+"""Append-only benchmark history and the regression check on it.
 
 ``BENCH_core.json`` is a *snapshot* — each perf-bench run overwrites
-it, so the repo only ever records the latest measurement and a
-regression shows up (if at all) as a suspicious diff in review.  This
-module turns the same measurements into a *trajectory*:
+it, so the repo only ever records the latest measurement.  This module
+keeps the trajectory:
 
 * :func:`append_record` appends one JSON line to ``BENCH_history.jsonl``
-  — the full bench sections stamped with the library version, the git
+  — the bench sections stamped with the library version, the git
   commit, a UTC timestamp and the process peak RSS.  Append-only means
   the file is an audit log: nothing rewrites history.
-* :func:`check_latest` compares the newest record against a
-  **trailing-median baseline** (the per-metric median of the preceding
-  ``window`` records, robust to a single hot or cold run) and flags
-  every tracked metric that drifted beyond
-  ``max(calibrated jitter, floor)`` in its bad direction.
-
-The jitter bound reuses the calibration machinery the wall-clock bench
-guards already trust: every bench section that timed anything recorded
-a ``calibration_jitter`` (spread of same-session bare event-loop
-calibrations), and the largest jitter observed in the latest record is
-the noise level below which a wall-clock delta means nothing on that
-box.  Deterministic metrics (counters, ratios of counters) still get
-the floor, so a real 2x regression is flagged even when the box was
-noisy.
-
-Which leaves are tracked is a *suffix contract*, not a hand-kept list:
-``*_seconds`` and ``peak_rss_kb`` must not grow, ``*_per_second`` /
-``*speedup*`` / ``*_ratio`` must not shrink, and everything else
-(counts, parameters, jitters) is context, not a metric.  New bench
-sections therefore join the regression net just by following the
-existing naming convention.
+* :func:`check_latest` judges the newest record that holds an
+  ``e2e_ledger`` section by the one rule ``BENCHMARK.json`` declares:
+  for every workload x end-to-end metric, the ``change`` median must
+  not be worse than the ``parent`` median by more than the metric's
+  ``bound``.  Both medians come from interleaved runs of one session
+  on one host; a number from another session or host is not a
+  baseline, so no record is compared against an earlier record.
+  Micro-bench sections are recorded for their trajectory and judged
+  by their own asserts, not here.
 """
 
 from __future__ import annotations
@@ -43,27 +30,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro._version import __version__
 from repro.errors import ConfigurationError
-from repro.obs.report import _flatten
 
 #: Default history file name, at the repo root next to BENCH_core.json.
 HISTORY_NAME = "BENCH_history.jsonl"
 
-#: Default drift floor: deltas under 5% never flag, jitter can only
-#: widen the band.
-DEFAULT_FLOOR = 0.05
-
-#: Trailing-median window (records, newest first) forming the baseline.
-DEFAULT_WINDOW = 5
-
-#: Peak-RSS leaves get a wider floor: ``ru_maxrss`` is a session high
-#: water shaped by test order and allocator behavior, not a clean
-#: per-section measurement.
-RSS_FLOOR = 0.25
-
-_HIGHER_BETTER_SUFFIXES = ("_per_second", "_per_sec", "_ratio")
-_HIGHER_BETTER_TOKENS = ("speedup",)
-_LOWER_BETTER_SUFFIXES = ("_seconds",)
-_RSS_LEAF = "peak_rss_kb"
+#: The benchmark declaration ``bench check`` reads, next to the history.
+BENCHMARK_NAME = "BENCHMARK.json"
 
 
 def git_commit(cwd: Union[str, Path, None] = None) -> Optional[str]:
@@ -82,11 +54,6 @@ def git_commit(cwd: Union[str, Path, None] = None) -> Optional[str]:
         return None
     commit = output.stdout.strip()
     return commit or None
-
-
-def utc_timestamp() -> str:
-    """Current UTC time in ISO-8601 (the record stamp)."""
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def append_record(
@@ -114,7 +81,10 @@ def append_record(
             commit if commit is not None
             else git_commit(Path(history_path).resolve().parent)
         ),
-        "timestamp": timestamp if timestamp is not None else utc_timestamp(),
+        "timestamp": (
+            timestamp if timestamp is not None
+            else datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        ),
         "peak_rss_kb": peak_rss_kb,
         "sections": dict(sections),
     }
@@ -159,157 +129,102 @@ def load_history(history_path: Union[str, Path]) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 
 
-def metric_direction(path: str) -> Optional[str]:
-    """``"higher"`` / ``"lower"`` for tracked leaves, ``None`` otherwise.
+def load_benchmark(history_path: Union[str, Path]) -> Dict[str, Any]:
+    """The ``BENCHMARK.json`` next to ``history_path``.
 
-    The leaf (last dotted component, index brackets stripped) decides:
-    throughputs, speedups and ratios must not shrink; wall-clock
-    seconds and peak RSS must not grow.  ``calibration_jitter`` and
-    ``machine_factor`` are measurement context and never tracked.
+    It declares the workloads and, per end-to-end metric, the direction
+    that is ``better`` and the ``bound`` a change may worsen it by.
     """
-    leaf = path.rsplit(".", 1)[-1]
-    leaf = leaf.split("[", 1)[0]
-    if leaf in ("calibration_jitter", "machine_factor"):
-        return None
-    if leaf == _RSS_LEAF:
-        return "lower"
-    if leaf.endswith(_LOWER_BETTER_SUFFIXES):
-        return "lower"
-    if leaf.endswith(_HIGHER_BETTER_SUFFIXES):
-        return "higher"
-    if any(token in leaf for token in _HIGHER_BETTER_TOKENS):
-        return "higher"
-    return None
-
-
-def calibrated_jitter(record: Mapping[str, Any]) -> float:
-    """Largest ``calibration_jitter`` leaf in one record (0.0 if none)."""
-    jitter = 0.0
-    for path, value in _flatten(dict(record.get("sections", {}))).items():
-        if path.rsplit(".", 1)[-1].split("[", 1)[0] != "calibration_jitter":
-            continue
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            jitter = max(jitter, float(value))
-    return jitter
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
+    path = Path(history_path).resolve().parent / BENCHMARK_NAME
+    if not path.exists():
+        raise ConfigurationError(
+            f"{path}: no benchmark declaration next to {history_path}"
+        )
+    return json.loads(path.read_text())
 
 
 @dataclass(frozen=True)
 class Regression:
-    """One tracked metric that drifted past its tolerance."""
+    """One declared metric whose change median is worse than its bound."""
 
+    workload: str
     metric: str
-    direction: str
+    better: str
     value: float
-    baseline: float
-    #: value/baseline — > 1 means grew, < 1 means shrank.
-    ratio: float
-    tolerance: float
-    baseline_samples: int
+    parent: float
+    bound: float
 
     def describe(self) -> str:
-        verb = "grew" if self.direction == "lower" else "fell"
+        verb = "grew" if self.better == "lower" else "fell"
         return (
-            f"{self.metric}: {verb} {abs(self.ratio - 1):.1%} "
-            f"({self.baseline:g} -> {self.value:g}, tolerance "
-            f"{self.tolerance:.1%} over {self.baseline_samples} run(s))"
+            f"{self.workload} {self.metric}: {verb} "
+            f"{abs(self.value / self.parent - 1):.1%} "
+            f"({self.parent:g} -> {self.value:g}, bound {self.bound:.1%})"
         )
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of comparing the latest record to its trailing baseline."""
+    """Outcome of judging the newest ``e2e_ledger`` record."""
 
     regressions: List[Regression]
+    #: ``workload.metric`` leaves the benchmark declares but the
+    #: record lacks.
+    missing: List[str]
     checked: int
-    tolerance: float
-    jitter: float
-    baseline_records: int
+    #: The judged record, or ``None`` when no record holds a ledger.
+    record: Optional[Mapping[str, Any]]
 
     @property
     def clean(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.missing
+
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def check_latest(
-    history: Sequence[Mapping[str, Any]],
-    *,
-    floor: float = DEFAULT_FLOOR,
-    window: int = DEFAULT_WINDOW,
+    history: Sequence[Mapping[str, Any]], benchmark: Mapping[str, Any]
 ) -> CheckResult:
-    """Compare the newest record against the trailing-median baseline.
+    """Judge the newest record holding an ``e2e_ledger`` section.
 
-    A tracked metric regresses when it moved beyond
-    ``max(floor, calibrated jitter)`` (``max(floor, jitter, RSS_FLOOR)``
-    for peak-RSS leaves) in its bad direction relative to the
-    per-metric median of up to ``window`` preceding records.  Metrics
-    absent from every baseline record (new benches) are skipped —
-    they start their own trend.
+    For every workload x ``end_to_end`` metric of ``benchmark``, the
+    record's ``change`` median regresses when it is worse than its
+    ``parent`` median (same session, interleaved pairs) by more than
+    the metric's ``bound`` in the direction it is ``better``.
     """
-    if len(history) < 2:
-        return CheckResult(
-            regressions=[], checked=0,
-            tolerance=floor, jitter=0.0, baseline_records=0,
-        )
-    latest = history[-1]
-    baseline_records = list(history[-(window + 1):-1])
-    jitter = calibrated_jitter(latest)
-    tolerance = max(floor, jitter)
-    latest_leaves = _flatten(dict(latest.get("sections", {})))
-    baseline_leaves = [
-        _flatten(dict(record.get("sections", {})))
-        for record in baseline_records
-    ]
+    ledger_records = [r for r in history if "e2e_ledger" in r["sections"]]
+    if not ledger_records:
+        return CheckResult(regressions=[], missing=[], checked=0, record=None)
+    record = ledger_records[-1]
+    ledger = record["sections"]["e2e_ledger"]
     regressions: List[Regression] = []
+    missing: List[str] = []
     checked = 0
-    for path in sorted(latest_leaves):
-        direction = metric_direction(path)
-        if direction is None:
-            continue
-        value = latest_leaves[path]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        samples = [
-            leaves[path]
-            for leaves in baseline_leaves
-            if isinstance(leaves.get(path), (int, float))
-            and not isinstance(leaves.get(path), bool)
-        ]
-        if not samples:
-            continue
-        checked += 1
-        baseline = _median([float(s) for s in samples])
-        if baseline == 0:
-            continue
-        bound = tolerance
-        if path.rsplit(".", 1)[-1].split("[", 1)[0] == _RSS_LEAF:
-            bound = max(bound, RSS_FLOOR)
-        ratio = value / baseline
-        bad = (
-            ratio > 1 + bound if direction == "lower"
-            else ratio < 1 - bound
-        )
-        if bad:
-            regressions.append(Regression(
-                metric=path,
-                direction=direction,
-                value=float(value),
-                baseline=baseline,
-                ratio=ratio,
-                tolerance=bound,
-                baseline_samples=len(samples),
-            ))
+    for workload in benchmark["workloads"]:
+        entry = ledger.get(workload["name"], {})
+        for metric in benchmark["end_to_end"]:
+            value = entry.get("change", {}).get(metric["name"])
+            parent = entry.get("parent", {}).get(metric["name"])
+            if not (_number(value) and _number(parent)):
+                missing.append(f"{workload['name']}.{metric['name']}")
+                continue
+            checked += 1
+            if metric["better"] == "lower":
+                worse = value > parent * (1 + metric["bound"])
+            else:
+                worse = value < parent * (1 - metric["bound"])
+            if worse:
+                regressions.append(Regression(
+                    workload=workload["name"],
+                    metric=metric["name"],
+                    better=metric["better"],
+                    value=float(value),
+                    parent=float(parent),
+                    bound=metric["bound"],
+                ))
     return CheckResult(
-        regressions=regressions,
-        checked=checked,
-        tolerance=tolerance,
-        jitter=jitter,
-        baseline_records=len(baseline_records),
+        regressions=regressions, missing=missing,
+        checked=checked, record=record,
     )

@@ -1,9 +1,11 @@
-"""Append-only bench history and cross-commit regression detection."""
+"""Append-only bench history and the BENCHMARK.json regression check."""
 
 from __future__ import annotations
 
 import io
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -11,30 +13,46 @@ from repro._version import __version__
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.obs.bench_history import (
-    CheckResult,
     append_record,
-    calibrated_jitter,
     check_latest,
     git_commit,
+    load_benchmark,
     load_history,
-    metric_direction,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+PARENT = {
+    "setup_s": 0.01,
+    "run_wall_s": 3.0,
+    "events_per_s": 60_000.0,
+    "cs_entries_per_s": 700.0,
+    "us_per_delivery": 15.0,
+    "peak_rss_mb": 40.0,
+}
 
-def _sections(wall=1.0, rate=1000.0, jitter=0.02, rss=50_000):
-    return {
-        "engine": {
-            "wall_seconds": wall,
-            "events_per_second": rate,
-            "calibration_jitter": jitter,
-            "peak_rss_kb": rss,
-            "n_nodes": 100,
-        }
-    }
+
+def _micro(wall=1.0):
+    return {"engine": {"run_seconds": wall, "events_per_second": 1000.0}}
 
 
-def _history(tmp_path, runs):
-    tmp_path.mkdir(parents=True, exist_ok=True)
+def _ledger(workload=WORKLOADS[0], **scale):
+    """An ``e2e_ledger`` section whose ``change`` medians equal the parent
+    ones, except ``metric=factor`` on ``workload``."""
+    section = {}
+    for name in WORKLOADS:
+        change = dict(PARENT)
+        if name == workload:
+            for metric, factor in scale.items():
+                change[metric] = PARENT[metric] * factor
+        section[name] = {"parent": dict(PARENT), "change": change}
+    return {"e2e_ledger": section}
+
+
+def _history(tmp_path, *runs):
+    """A history of ``runs`` beside a copy of the repo's BENCHMARK.json."""
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     path = tmp_path / "hist.jsonl"
     for index, sections in enumerate(runs):
         append_record(
@@ -44,26 +62,34 @@ def _history(tmp_path, runs):
     return path
 
 
+def _check(path):
+    return check_latest(load_history(path), load_benchmark(path))
+
+
+def _flagged(result):
+    return {(r.workload, r.metric) for r in result.regressions}
+
+
 # -- record plumbing ---------------------------------------------------------
 
 
 def test_append_and_load_round_trip(tmp_path):
     path = tmp_path / "hist.jsonl"
     record = append_record(
-        path, _sections(), commit="abc", timestamp="now", peak_rss_kb=7
+        path, _micro(), commit="abc", timestamp="now", peak_rss_kb=7
     )
     assert record["version"] == __version__
     assert record["git_commit"] == "abc"
     loaded = load_history(path)
     assert loaded == [record]
-    append_record(path, _sections(wall=2.0), commit="def",
+    append_record(path, _micro(wall=2.0), commit="def",
                   timestamp="later", peak_rss_kb=8)
     assert len(load_history(path)) == 2  # append-only: first survives
 
 
 def test_append_defaults_stamp_provenance(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    record = append_record(tmp_path / "hist.jsonl", _sections())
+    record = append_record(tmp_path / "hist.jsonl", _micro())
     assert record["version"] == __version__
     assert record["peak_rss_kb"] is None or record["peak_rss_kb"] > 0
     assert record["timestamp"]
@@ -89,176 +115,124 @@ def test_load_missing_file_is_empty(tmp_path):
     assert load_history(tmp_path / "absent.jsonl") == []
 
 
-# -- direction + jitter ------------------------------------------------------
+# -- the BENCHMARK.json rule -------------------------------------------------
 
 
-def test_metric_direction_suffix_contract():
-    assert metric_direction("engine.wall_seconds") == "lower"
-    assert metric_direction("engine.peak_rss_kb") == "lower"
-    assert metric_direction("engine.events_per_second") == "higher"
-    assert metric_direction("scaling.speedup_4w") == "higher"
-    assert metric_direction("channel.delivery_ratio") == "higher"
-    assert metric_direction("engine.n_nodes") is None
-    assert metric_direction("engine.calibration_jitter") is None
-    assert metric_direction("engine.machine_factor") is None
+@pytest.mark.parametrize("factor, flagged", [(1.3, True), (1.2, False)])
+def test_run_wall_growth_is_judged_by_its_bound(tmp_path, factor, flagged):
+    result = _check(_history(tmp_path, _ledger(run_wall_s=factor)))
+    assert result.checked == len(WORKLOADS) * len(BENCHMARK["end_to_end"])
+    assert _flagged(result) == ({(WORKLOADS[0], "run_wall_s")} if flagged
+                                else set())
+    assert result.clean is not flagged
 
 
-def test_calibrated_jitter_takes_the_worst_section():
-    record = {
-        "sections": {
-            "a": {"calibration_jitter": 0.01},
-            "b": {"nested": {"calibration_jitter": 0.09}},
-        }
-    }
-    assert calibrated_jitter(record) == 0.09
+@pytest.mark.parametrize("factor, flagged", [(0.7, True), (1.3, False)])
+def test_events_per_s_is_judged_in_its_direction(tmp_path, factor, flagged):
+    result = _check(_history(tmp_path, _ledger(events_per_s=factor)))
+    assert _flagged(result) == ({(WORKLOADS[0], "events_per_s")} if flagged
+                                else set())
+    if flagged:
+        assert "fell 30.0%" in result.regressions[0].describe()
 
 
-# -- regression detection ----------------------------------------------------
+def test_peak_rss_has_its_own_bound(tmp_path):
+    result = _check(_history(tmp_path, _ledger(peak_rss_mb=1.21)))
+    assert _flagged(result) == {(WORKLOADS[0], "peak_rss_mb")}
+    assert "bound 20.0%" in result.regressions[0].describe()
 
 
-def test_short_history_never_flags(tmp_path):
-    path = _history(tmp_path, [_sections()])
-    result = check_latest(load_history(path))
-    assert isinstance(result, CheckResult)
-    assert result.clean
-    assert result.checked == 0
+def test_a_later_micro_record_does_not_hide_the_ledger(tmp_path):
+    path = _history(tmp_path, _ledger(run_wall_s=1.3), _micro(), _micro())
+    result = _check(path)
+    assert result.record["git_commit"] == "c0"
+    assert _flagged(result) == {(WORKLOADS[0], "run_wall_s")}
 
 
-def test_catches_synthetic_2x_regression(tmp_path):
-    runs = [_sections() for _ in range(3)]
-    runs.append(_sections(wall=2.0, rate=500.0))  # 2x slower across the board
-    path = _history(tmp_path, runs)
-    result = check_latest(load_history(path))
+def test_only_the_newest_ledger_is_judged(tmp_path):
+    path = _history(tmp_path, _ledger(run_wall_s=2.0), _ledger())
+    assert _check(path).clean
+
+
+def test_a_declared_leaf_missing_from_the_record_fails(tmp_path):
+    sections = _ledger()
+    del sections["e2e_ledger"][WORKLOADS[1]]["change"]["us_per_delivery"]
+    path = _history(tmp_path, sections)
+    result = _check(path)
+    assert result.missing == [f"{WORKLOADS[1]}.us_per_delivery"]
     assert not result.clean
-    flagged = {r.metric for r in result.regressions}
-    assert flagged == {"engine.wall_seconds", "engine.events_per_second"}
-    directions = {r.metric: r.direction for r in result.regressions}
-    assert directions["engine.wall_seconds"] == "lower"
-    assert directions["engine.events_per_second"] == "higher"
-    assert "2x" not in result.regressions[0].describe()  # human text renders
-    assert "100.0%" in next(
-        r.describe() for r in result.regressions
-        if r.metric == "engine.wall_seconds"
-    )
+    out = io.StringIO()
+    assert main(["bench", "check", "--history", str(path)], out) == 1
+    assert f"MISSING {WORKLOADS[1]}.us_per_delivery" in out.getvalue()
 
 
-def test_jitter_level_noise_passes(tmp_path):
-    # Latest run drifts by less than the calibrated jitter band.
-    runs = [_sections(wall=1.0, rate=1000.0, jitter=0.10) for _ in range(3)]
-    runs.append(_sections(wall=1.08, rate=930.0, jitter=0.10))
-    path = _history(tmp_path, runs)
-    result = check_latest(load_history(path))
-    assert result.tolerance == pytest.approx(0.10)
-    assert result.jitter == pytest.approx(0.10)
-    assert result.clean
-    # The same drift with a tight jitter still passes the 5% floor ...
-    runs = [_sections(jitter=0.001) for _ in range(3)]
-    runs.append(_sections(wall=1.04, rate=970.0, jitter=0.001))
-    assert check_latest(load_history(_history(tmp_path / "b", runs))).clean
-
-
-def test_floor_applies_when_jitter_is_tiny(tmp_path):
-    runs = [_sections(jitter=0.001) for _ in range(3)]
-    runs.append(_sections(wall=1.2, jitter=0.001))  # 20% >> 5% floor
-    (tmp_path / "c").mkdir(exist_ok=True)
-    result = check_latest(load_history(_history(tmp_path / "c", runs)))
-    assert {r.metric for r in result.regressions} == {"engine.wall_seconds"}
-
-
-def test_rss_gets_the_wider_floor(tmp_path):
-    runs = [_sections(rss=50_000) for _ in range(3)]
-    runs.append(_sections(rss=60_000))  # +20% — inside the 25% RSS band
-    result = check_latest(load_history(_history(tmp_path, runs)))
-    assert result.clean
-    runs.append(_sections(rss=80_000))  # +60% — a real leak
-    path = _history(tmp_path / "d", runs)
-    result = check_latest(load_history(path))
-    assert {r.metric for r in result.regressions} == {"engine.peak_rss_kb"}
-
-
-def test_trailing_median_absorbs_one_hot_run(tmp_path):
-    runs = [
-        _sections(wall=1.0),
-        _sections(wall=5.0),  # one anomalous run must not poison the base
-        _sections(wall=1.0),
-        _sections(wall=1.02),
+def test_an_absent_workload_misses_every_declared_metric(tmp_path):
+    sections = _ledger()
+    del sections["e2e_ledger"][WORKLOADS[-1]]
+    result = _check(_history(tmp_path, sections))
+    assert result.missing == [
+        f"{WORKLOADS[-1]}.{m['name']}" for m in BENCHMARK["end_to_end"]
     ]
-    result = check_latest(load_history(_history(tmp_path, runs)))
+    assert result.checked == (len(WORKLOADS) - 1) * len(BENCHMARK["end_to_end"])
+
+
+def test_an_undeclared_workload_is_not_judged(tmp_path):
+    # A record may hold extra runs (another seed); only declared
+    # workloads are judged.
+    sections = _ledger()
+    sections["e2e_ledger"][f"{WORKLOADS[0]}@seed2"] = {
+        "parent": dict(PARENT),
+        "change": dict(PARENT, run_wall_s=PARENT["run_wall_s"] * 2),
+    }
+    result = _check(_history(tmp_path, sections))
     assert result.clean
-
-
-def test_new_metric_starts_its_own_trend(tmp_path):
-    runs = [_sections() for _ in range(2)]
-    latest = _sections()
-    latest["fresh"] = {"brand_new_seconds": 9.0}
-    runs.append(latest)
-    result = check_latest(load_history(_history(tmp_path, runs)))
-    assert result.clean  # no baseline -> not comparable -> not flagged
-
-
-def test_window_bounds_the_baseline(tmp_path):
-    # Old fast runs age out of the window; the recent plateau rules.
-    runs = [_sections(wall=0.5)] * 3 + [_sections(wall=1.0)] * 5
-    runs.append(_sections(wall=1.03))
-    result = check_latest(load_history(_history(tmp_path, runs)), window=5)
-    assert result.clean
-    assert result.baseline_records == 5
+    assert result.checked == len(WORKLOADS) * len(BENCHMARK["end_to_end"])
 
 
 # -- CLI ---------------------------------------------------------------------
 
 
-def _write_bench(tmp_path, **kwargs):
-    bench = tmp_path / "BENCH_core.json"
-    bench.write_text(json.dumps(_sections(**kwargs)))
-    return bench
-
-
-def test_cli_append_history_check_round_trip(tmp_path):
-    bench = _write_bench(tmp_path)
-    history = tmp_path / "BENCH_history.jsonl"
-    for _ in range(3):
-        out = io.StringIO()
-        assert main(
-            ["bench", "append", "--bench", str(bench),
-             "--history", str(history)], out,
-        ) == 0
-        assert "appended" in out.getvalue()
-
+def test_cli_check_on_the_repo_history_checks_every_declared_metric():
     out = io.StringIO()
-    assert main(["bench", "history", "--history", str(history)], out) == 0
-    assert "3 record(s)" in out.getvalue()
+    main(["bench", "check", "--history", str(ROOT / "BENCH_history.jsonl"),
+          "--report-only"], out)
+    expected = len(BENCHMARK["workloads"]) * len(BENCHMARK["end_to_end"])
+    assert f"checked {expected} metric(s)" in out.getvalue()
 
+
+def test_cli_check_exit_codes(tmp_path):
+    path = _history(tmp_path, _ledger())
     out = io.StringIO()
-    assert main(["bench", "check", "--history", str(history)], out) == 0
+    assert main(["bench", "check", "--history", str(path)], out) == 0
     assert "no regressions" in out.getvalue()
 
-    # Inject a synthetic 2x regression -> exit 1.
-    _write_bench(tmp_path, wall=2.0, rate=500.0)
-    assert main(
-        ["bench", "append", "--bench", str(bench),
-         "--history", str(history)], io.StringIO(),
-    ) == 0
+    append_record(path, _ledger(run_wall_s=2.0), commit="c9",
+                  timestamp="t9", peak_rss_kb=1000)
     out = io.StringIO()
-    assert main(["bench", "check", "--history", str(history)], out) == 1
+    assert main(["bench", "check", "--history", str(path)], out) == 1
     assert "REGRESSION" in out.getvalue()
 
-    # Report-only mode mentions the regression but exits 0 (CI smoke).
+    # Report-only mode names the regression but exits 0 (CI smoke).
     out = io.StringIO()
     assert main(
-        ["bench", "check", "--history", str(history), "--report-only"], out,
+        ["bench", "check", "--history", str(path), "--report-only"], out,
     ) == 0
     assert "REGRESSION" in out.getvalue()
 
 
-def test_cli_check_with_one_record_is_clean(tmp_path):
-    bench = _write_bench(tmp_path)
-    history = tmp_path / "h.jsonl"
-    main(["bench", "append", "--bench", str(bench),
-          "--history", str(history)], io.StringIO())
+def test_cli_check_without_a_ledger_record_has_nothing_to_check(tmp_path):
+    path = _history(tmp_path, _micro())
     out = io.StringIO()
-    assert main(["bench", "check", "--history", str(history)], out) == 0
-    assert "nothing to compare" in out.getvalue()
+    assert main(["bench", "check", "--history", str(path)], out) == 0
+    assert "nothing to check" in out.getvalue()
+
+
+def test_cli_check_without_a_benchmark_declaration_is_an_error(tmp_path):
+    path = tmp_path / "hist.jsonl"
+    append_record(path, _ledger(), commit="c", timestamp="t", peak_rss_kb=1)
+    out = io.StringIO()
+    assert main(["bench", "check", "--history", str(path)], out) == 2
+    assert "BENCHMARK.json" in out.getvalue()
 
 
 def test_cli_history_empty_and_last(tmp_path):
@@ -266,22 +240,10 @@ def test_cli_history_empty_and_last(tmp_path):
     out = io.StringIO()
     assert main(["bench", "history", "--history", str(history)], out) == 0
     assert "no records" in out.getvalue()
-    bench = _write_bench(tmp_path)
-    for _ in range(4):
-        main(["bench", "append", "--bench", str(bench),
-              "--history", str(history)], io.StringIO())
+    for index in range(4):
+        append_record(history, _micro(), commit=f"c{index}",
+                      timestamp=f"t{index}", peak_rss_kb=1)
     out = io.StringIO()
     assert main(["bench", "history", "--history", str(history),
                  "--last", "2"], out) == 0
     assert "4 record(s)" in out.getvalue()
-
-
-def test_cli_append_rejects_non_object_bench(tmp_path):
-    bench = tmp_path / "bad.json"
-    bench.write_text("[1, 2, 3]")
-    out = io.StringIO()
-    assert main(
-        ["bench", "append", "--bench", str(bench),
-         "--history", str(tmp_path / "h.jsonl")], out,
-    ) == 2
-    assert "error" in out.getvalue()

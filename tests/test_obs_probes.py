@@ -147,10 +147,33 @@ def test_probes_never_perturb_the_protocol():
     assert without.probes == {}
 
 
+def _attr_values(obj):
+    """Attribute values of ``obj``, covering both ``__dict__`` and the
+    ``__slots__`` laid down anywhere in its MRO (the hot per-node
+    objects have no ``__dict__``)."""
+    seen = set()
+    for cls in type(obj).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            if slot not in seen:
+                seen.add(slot)
+                try:
+                    yield getattr(obj, slot)
+                except AttributeError:
+                    pass
+    yield from getattr(obj, "__dict__", {}).values()
+
+
 def test_telemetry_off_leaves_probe_handles_none():
+    """Zero cost when off: with telemetry disabled no instrumentation
+    object exists on a hot path, so the only residual cost is one
+    ``is not None`` test per probe site."""
     sim, _ = _run("alg2", telemetry=False, until=10.0)
     assert sim.registry is None
     assert sim.probes is None
     for harness in sim.harnesses.values():
         assert harness.probes is None
         assert getattr(harness.algorithm, "_probes", None) is None
+        # Sub-components picked their handle up from the harness too.
+        for attr in _attr_values(harness.algorithm):
+            if hasattr(attr, "_probes"):
+                assert attr._probes is None, type(attr).__name__

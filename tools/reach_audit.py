@@ -271,7 +271,6 @@ for _ in range(100):
         time.sleep(0.1)
 EOF
 wait
-python -m repro bench append --history $T/history.jsonl
 # docs/exploration.md
 repro=$(ls $T/repros/alg2-nonotify-*.json | head -1)
 python -m repro explore shrink $repro --out $T/min.json
@@ -373,10 +372,9 @@ OWNERS: Dict[str, str] = {
     "repro/explore/monitors.py::PriorityMonitor._scan_order_cycle": FAULT,
     "repro/explore/shrink.py::shrink_repro.<locals>.test_crashes":
         FAULT + " (shrinking a repro that holds crashes)",
-    "repro/obs/bench_history.py::_median":
-        "`bench check`: runs once the newest record shares a directed metric"
-        " with the ones before it (the newest, an `e2e_ledger`, has none; ROADMAP)",
-    "repro/obs/bench_history.py::Regression.describe": FAULT,
+    "repro/obs/bench_history.py::append_record":
+        "the `REPRO_WRITE_BENCH=1` sink of `benchmarks/test_perf_core.py`,"
+        " which CI's perf step runs",
     "repro/mobility/kinetic.py::KineticEngine._freeze":
         FAULT + " (a mover stopped or crashed mid-flight)",
     "repro/mobility/kinetic.py::KineticEngine._compact_examined": MECHANICS,
