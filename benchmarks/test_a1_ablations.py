@@ -13,7 +13,7 @@ removes one and measures what breaks:
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
-from repro.mobility import RandomWaypoint
+from repro.mobility import MobilityPlan
 from repro.net.geometry import grid_positions, line_positions
 from repro.runtime.simulation import ScenarioConfig, Simulation
 
@@ -38,11 +38,9 @@ def mobile_grid(algorithm: str, n: int = 16, movers: int = 5):
         seed=23,
         think_range=(0.5, 2.0),
         delta_override=n - 1,
-        mobility_factory=lambda i: (
-            RandomWaypoint(4.0, 4.0, speed_range=(0.5, 1.2),
-                           pause_range=(5.0, 15.0))
-            if i < movers
-            else None
+        mobility_factory=MobilityPlan.of(
+            "waypoint", range(movers), width=4.0, height=4.0,
+            speed_range=(0.5, 1.2), pause_range=(5.0, 15.0),
         ),
     )
     return Simulation(config).run(until=UNTIL)

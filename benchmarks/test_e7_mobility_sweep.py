@@ -10,7 +10,7 @@ mutual exclusion.
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
-from repro.mobility import RandomWaypoint
+from repro.mobility import MobilityPlan
 from repro.net.geometry import grid_positions
 from repro.runtime.simulation import ScenarioConfig, Simulation
 
@@ -27,11 +27,9 @@ def mobile_run(algorithm: str, movers: int):
         seed=23,
         think_range=(0.5, 2.0),
         delta_override=N - 1,
-        mobility_factory=lambda i: (
-            RandomWaypoint(4.0, 4.0, speed_range=(0.5, 1.2),
-                           pause_range=(5.0, 15.0))
-            if i < movers
-            else None
+        mobility_factory=MobilityPlan.of(
+            "waypoint", range(movers), width=4.0, height=4.0,
+            speed_range=(0.5, 1.2), pause_range=(5.0, 15.0),
         ),
     )
     sim = Simulation(config)

@@ -8,7 +8,7 @@ doorway machinery costs relative to Algorithm 2's notification scheme.
 """
 
 from repro.analysis.tables import render_table
-from repro.mobility import RandomWaypoint
+from repro.mobility import MobilityPlan
 from repro.net.geometry import grid_positions
 from repro.runtime.simulation import ScenarioConfig, Simulation
 
@@ -26,13 +26,10 @@ def run_one(algorithm: str, mobile: bool):
         seed=29,
         think_range=(0.5, 2.0),
         delta_override=N - 1,
-        mobility_factory=(
-            (lambda i: RandomWaypoint(4.0, 4.0, speed_range=(0.5, 1.0),
-                                      pause_range=(8.0, 20.0))
-             if i < 3 else None)
-            if mobile
-            else None
-        ),
+        mobility_factory=MobilityPlan.of(
+            "waypoint", range(3), width=4.0, height=4.0,
+            speed_range=(0.5, 1.0), pause_range=(8.0, 20.0),
+        ) if mobile else None,
     )
     return Simulation(config).run(until=UNTIL)
 

@@ -10,7 +10,7 @@ module's deterministic *safety* (strict monitor on throughout).
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
-from repro.mobility import RandomWalk
+from repro.mobility import MobilityPlan
 from repro.net.geometry import grid_positions
 from repro.runtime.simulation import ScenarioConfig, Simulation
 
@@ -27,11 +27,9 @@ def churn_run(algorithm: str):
         seed=37,
         think_range=(0.5, 2.0),
         delta_override=N - 1,
-        mobility_factory=lambda i: (
-            RandomWalk(4.0, 4.0, hop_range=(0.8, 1.5), speed=1.0,
-                       pause_range=(4.0, 10.0))
-            if i % 3 == 0
-            else None
+        mobility_factory=MobilityPlan.of(
+            "walk", range(0, N, 3), width=4.0, height=4.0,
+            hop_range=(0.8, 1.5), speed=1.0, pause_range=(4.0, 10.0),
         ),
     )
     sim = Simulation(config)

@@ -22,7 +22,7 @@ from repro import ScenarioConfig, Simulation, TimeBounds
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
 from repro.metrics.fairness import jain_index
-from repro.mobility import RandomWaypoint
+from repro.mobility import MobilityPlan
 from repro.net.geometry import random_positions
 from repro.sim.rng import RandomSource
 
@@ -44,11 +44,9 @@ def arbitrate(algorithm: str) -> list:
         bounds=TimeBounds(nu=0.05, tau=2.0),  # uplink bursts take ~2 tu
         think_range=(3.0, 10.0),              # data accumulates between bursts
         delta_override=NODES - 1,
-        mobility_factory=lambda i: (
-            RandomWaypoint(FIELD, FIELD, speed_range=(0.3, 0.8),
-                           pause_range=(10.0, 40.0))
-            if i < VEHICLES
-            else None
+        mobility_factory=MobilityPlan.of(
+            "waypoint", range(VEHICLES), width=FIELD, height=FIELD,
+            speed_range=(0.3, 0.8), pause_range=(10.0, 40.0),
         ),
     )
     sim = Simulation(config)

@@ -17,7 +17,7 @@ Run:
 """
 
 from repro import ScenarioConfig, Simulation
-from repro.mobility import ScriptedMobility, ScriptedMove
+from repro.mobility import MobilityPlan
 from repro.net.geometry import Point, ring_positions
 
 ATTENDEES = 6
@@ -33,16 +33,13 @@ def main() -> None:
     positions.append(Point(10.0, 0.0))
     positions.append(Point(12.0, 0.0))
 
-    def arrivals(node_id):
-        if node_id == ATTENDEES:
-            return ScriptedMobility(
-                [ScriptedMove(ARRIVALS[0], Point(0.0, 0.0), speed=2.0)]
-            )
-        if node_id == ATTENDEES + 1:
-            return ScriptedMobility(
-                [ScriptedMove(ARRIVALS[1], Point(0.1, 0.1), speed=2.0)]
-            )
-        return None
+    # Each latecomer walks to the table at speed 2: [time, x, y, speed].
+    arrivals = MobilityPlan([
+        {"kind": "scripted", "nodes": [ATTENDEES],
+         "params": {"moves": [[ARRIVALS[0], 0.0, 0.0, 2.0]]}},
+        {"kind": "scripted", "nodes": [ATTENDEES + 1],
+         "params": {"moves": [[ARRIVALS[1], 0.1, 0.1, 2.0]]}},
+    ])
 
     config = ScenarioConfig(
         positions=positions,

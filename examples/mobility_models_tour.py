@@ -15,12 +15,7 @@ Run:
 from repro import ScenarioConfig, Simulation
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
-from repro.mobility import (
-    GaussMarkov,
-    GroupCenter,
-    GroupMobility,
-    RandomWaypoint,
-)
+from repro.mobility import GroupCenter, GroupMobility, MobilityPlan
 from repro.net.geometry import grid_positions
 
 N = 16
@@ -36,15 +31,16 @@ def regime_factories():
     )
     return {
         "static": None,
-        "waypoint": lambda i: (
-            RandomWaypoint(ARENA, ARENA, speed_range=(0.5, 1.2),
-                           pause_range=(5.0, 15.0))
-            if i < MOVERS else None
+        "waypoint": MobilityPlan.of(
+            "waypoint", range(MOVERS), width=ARENA, height=ARENA,
+            speed_range=(0.5, 1.2), pause_range=(5.0, 15.0),
         ),
-        "gauss-markov": lambda i: (
-            GaussMarkov(ARENA, ARENA, mean_speed=0.8, alpha=0.8)
-            if i < MOVERS else None
+        "gauss-markov": MobilityPlan.of(
+            "gauss-markov", range(MOVERS), width=ARENA, height=ARENA,
+            mean_speed=0.8, alpha=0.8,
         ),
+        # A team shares one GroupCenter, so it stays a callable: a plan
+        # builds every member's model afresh.
         "group (team of 5)": lambda i: (
             GroupMobility(center, wander_radius=0.6, member_speed=1.0)
             if i < MOVERS else None

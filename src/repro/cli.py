@@ -56,7 +56,7 @@ from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.experiments import crash_probe
-from repro.mobility import RandomWaypoint
+from repro.mobility import MobilityPlan
 from repro.net.geometry import (
     Point,
     grid_positions,
@@ -121,18 +121,13 @@ def parse_crash(spec: str) -> Tuple[float, int]:
 
 def build_config(args, algorithm: Optional[str] = None) -> ScenarioConfig:
     positions, span = parse_topology(args.topology, seed=args.seed)
-    mobility_factory = None
+    mobility = None
     if args.movers > 0:
-        movers = args.movers
-
-        def mobility_factory(node_id, _span=span, _movers=movers):
-            if node_id < _movers:
-                return RandomWaypoint(
-                    _span, _span, speed_range=(0.5, 1.2),
-                    pause_range=(5.0, 20.0),
-                )
-            return None
-
+        mobility = MobilityPlan.of(
+            "waypoint", range(min(args.movers, len(positions))),
+            width=span, height=span, speed_range=(0.5, 1.2),
+            pause_range=(5.0, 20.0),
+        )
     return ScenarioConfig(
         positions=positions,
         radio_range=args.radio_range,
@@ -142,7 +137,7 @@ def build_config(args, algorithm: Optional[str] = None) -> ScenarioConfig:
         think_range=parse_range(args.think),
         crashes=[parse_crash(c) for c in args.crash],
         delta_override=len(positions) - 1 if args.movers else None,
-        mobility_factory=mobility_factory,
+        mobility_factory=mobility,
         # A report or metrics snapshot is only useful with the probe
         # metrics in it.
         telemetry=bool(
@@ -257,15 +252,6 @@ def cmd_report(args, out) -> int:
     return 1
 
 
-def cmd_explore(args, out) -> int:
-    handlers = {
-        "fuzz": cmd_explore_fuzz,
-        "replay": cmd_explore_replay,
-        "shrink": cmd_explore_shrink,
-    }
-    return handlers[args.explore_command](args, out)
-
-
 def cmd_explore_fuzz(args, out) -> int:
     from repro.explore import run_campaign, shrink_repro
 
@@ -344,14 +330,6 @@ def cmd_explore_shrink(args, out) -> int:
     return 0
 
 
-def cmd_metrics(args, out) -> int:
-    handlers = {
-        "export": cmd_metrics_export,
-        "serve": cmd_metrics_serve,
-    }
-    return handlers[args.metrics_command](args, out)
-
-
 def _report_openmetrics(path) -> str:
     from repro.obs.openmetrics import openmetrics_from_report
 
@@ -395,14 +373,6 @@ def cmd_metrics_serve(args, out) -> int:
     finally:
         server.server_close()
     return 0
-
-
-def cmd_bench(args, out) -> int:
-    handlers = {
-        "history": cmd_bench_history,
-        "check": cmd_bench_check,
-    }
-    return handlers[args.bench_command](args, out)
 
 
 def cmd_bench_history(args, out) -> int:
@@ -491,15 +461,6 @@ def cmd_locality(args, out) -> int:
             f"{radius if radius is not None else 0}\n"
         )
     return 0
-
-
-def cmd_live(args, out) -> int:
-    handlers = {
-        "run": cmd_live_run,
-        "verify": cmd_live_verify,
-        "serve": cmd_live_serve,
-    }
-    return handlers[args.live_command](args, out)
 
 
 def _write_recording(recording, destination, out) -> None:
@@ -611,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("algorithms", help="list registered protocols")
+    sub.add_parser(
+        "algorithms", help="list registered protocols"
+    ).set_defaults(func=cmd_algorithms)
 
     def add_common(p):
         p.add_argument("--topology", default="line:10",
@@ -636,6 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one simulation")
     add_common(run_parser)
+    run_parser.set_defaults(func=cmd_run)
     run_parser.add_argument("--algorithm", default="alg2",
                             choices=sorted(ALGORITHMS))
     run_parser.add_argument(
@@ -650,6 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare_parser = sub.add_parser("compare", help="compare protocols")
     add_common(compare_parser)
+    compare_parser.set_defaults(func=cmd_compare)
     compare_parser.add_argument(
         "--algorithms", nargs="+",
         default=["alg2", "alg1-greedy", "chandy-misra"],
@@ -658,6 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     locality_parser = sub.add_parser(
         "locality", help="crash probe with ASCII starvation strip"
     )
+    locality_parser.set_defaults(func=cmd_locality)
     locality_parser.add_argument("--nodes", type=int, default=13)
     locality_parser.add_argument("--until", type=float, default=600.0)
     locality_parser.add_argument("--seed", type=int, default=5)
@@ -674,6 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         "files", nargs="+", metavar="REPORT.json",
         help="one file to summarize, two to diff (exit 1 when they differ)",
     )
+    report_parser.set_defaults(func=cmd_report)
 
     explore_parser = sub.add_parser(
         "explore", help="adversarial exploration: fuzz, replay, shrink"
@@ -685,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser = explore_sub.add_parser(
         "fuzz", help="run a seeded fuzz campaign (exit 1 on violations)"
     )
+    fuzz_parser.set_defaults(func=cmd_explore_fuzz)
     fuzz_parser.add_argument("--algorithm", default="alg2",
                              choices=sorted(ALGORITHMS))
     fuzz_parser.add_argument("--runs", type=int, default=20)
@@ -705,6 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser = explore_sub.add_parser(
         "replay", help="re-run a repro file (exit 2 when it diverges)"
     )
+    replay_parser.set_defaults(func=cmd_explore_replay)
     replay_parser.add_argument("file", metavar="REPRO.json")
     replay_parser.add_argument("--report", default=None, metavar="OUT.json",
                                help="save the replay's RunReport")
@@ -712,6 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     shrink_parser = explore_sub.add_parser(
         "shrink", help="delta-debug a repro file to a minimal failing case"
     )
+    shrink_parser.set_defaults(func=cmd_explore_shrink)
     shrink_parser.add_argument("file", metavar="REPRO.json")
     shrink_parser.add_argument("--out", default=None, metavar="OUT.json",
                                help="destination (default: <file>.min.json)")
@@ -726,6 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     export_parser = metrics_sub.add_parser(
         "export", help="render a saved RunReport as OpenMetrics text"
     )
+    export_parser.set_defaults(func=cmd_metrics_export)
     export_parser.add_argument("file", metavar="REPORT.json")
     export_parser.add_argument("--out", default=None, metavar="OUT.prom",
                                help="destination (default: stdout)")
@@ -733,6 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve a saved RunReport on /metrics "
                       "(re-read per scrape)"
     )
+    serve_parser.set_defaults(func=cmd_metrics_serve)
     serve_parser.add_argument("file", metavar="REPORT.json")
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=9464)
@@ -748,6 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     history_parser = bench_sub.add_parser(
         "history", help="list the recorded bench runs"
     )
+    history_parser.set_defaults(func=cmd_bench_history)
     history_parser.add_argument("--history", default="BENCH_history.jsonl",
                                 metavar="HISTORY.jsonl")
     history_parser.add_argument("--last", type=int, default=0,
@@ -757,6 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "of the BENCHMARK.json beside the history "
                       "(exit 1 on regression)"
     )
+    check_parser.set_defaults(func=cmd_bench_check)
     check_parser.add_argument("--history", default="BENCH_history.jsonl",
                               metavar="HISTORY.jsonl")
     check_parser.add_argument("--report-only", action="store_true",
@@ -782,6 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="record one live scenario run"
     )
     add_live_scenario(live_run)
+    live_run.set_defaults(func=cmd_live_run)
     live_run.add_argument("--runtime", choices=("bus", "socket"),
                           default="bus",
                           help="in-process asyncio bus, or one OS process "
@@ -796,12 +771,14 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="replay recordings in-sim under invariant monitors "
                        "(exit 1 when any is not clean)"
     )
+    live_verify.set_defaults(func=cmd_live_verify)
     live_verify.add_argument("files", nargs="+", metavar="RECORDING.json")
 
     live_serve = live_sub.add_parser(
         "serve", help="run a bus scenario with a live /metrics endpoint"
     )
     add_live_scenario(live_serve)
+    live_serve.set_defaults(func=cmd_live_serve)
     live_serve.add_argument("--host", default="127.0.0.1")
     live_serve.add_argument("--port", type=int, default=9464)
     live_serve.add_argument("--duration", type=float, default=None,
@@ -823,19 +800,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return 0
     parser = build_parser()
     args = parser.parse_args(arguments)
-    handlers = {
-        "algorithms": cmd_algorithms,
-        "run": cmd_run,
-        "compare": cmd_compare,
-        "locality": cmd_locality,
-        "report": cmd_report,
-        "explore": cmd_explore,
-        "metrics": cmd_metrics,
-        "bench": cmd_bench,
-        "live": cmd_live,
-    }
     try:
-        return handlers[args.command](args, out)
+        return args.func(args, out)
     except FileNotFoundError as exc:
         out.write(f"error: {exc}\n")
         return 2

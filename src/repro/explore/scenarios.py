@@ -159,7 +159,7 @@ def _mobility_waypoint(algorithm: str, rng: random.Random) -> Dict[str, Any]:
         "scenario": _base(
             algorithm, _positions_line(n), seed=rng.randrange(1 << 16),
             scripted_hunger=_staggered_hunger(n, rng, until),
-            mobility={
+            mobility=[{
                 "kind": "waypoint",
                 "nodes": movers,
                 "params": {
@@ -167,7 +167,7 @@ def _mobility_waypoint(algorithm: str, rng: random.Random) -> Dict[str, Any]:
                     "speed_range": [0.5, 1.0],
                     "pause_range": [2.0, 6.0],
                 },
-            },
+            }],
         ),
     }
 
@@ -196,11 +196,11 @@ def _fig6(algorithm: str, rng: random.Random) -> Dict[str, Any]:
             initial_colors={"0": 2, "1": 1, "2": 0, "3": 3},
             scripted_hunger=hunger,
             crashes=[[20.0, 3]],
-            mobility={
+            mobility=[{
                 "kind": "scripted",
                 "nodes": [2],
                 "params": {"moves": [[move_at, 2.0, 10.0, 0.0]]},
-            },
+            }],
         ),
     }
 

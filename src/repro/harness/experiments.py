@@ -15,7 +15,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.stats import Summary, summarize
 from repro.core.doorway_harness import doorway_entry
 from repro.metrics.locality import LocalityReport
-from repro.mobility import RandomWaypoint, ScriptedMobility, ScriptedMove
+from repro.mobility import MobilityPlan
 from repro.net.geometry import Point, grid_positions, line_positions
 from repro.runtime.simulation import ScenarioConfig, Simulation, SimulationResult
 from repro.sim.clock import TimeBounds
@@ -245,11 +245,9 @@ def pipeline_breakdown(
         think_range=(1.0, 4.0),
         trace=True,
         delta_override=n - 1,
-        mobility_factory=lambda i: (
-            RandomWaypoint(side, side, speed_range=(0.5, 1.0),
-                           pause_range=(10.0, 30.0))
-            if i % 3 == 0
-            else None
+        mobility_factory=MobilityPlan.of(
+            "waypoint", range(0, n, 3), width=side, height=side,
+            speed_range=(0.5, 1.0), pause_range=(10.0, 30.0),
         ),
     )
     sim = Simulation(config)
@@ -350,10 +348,8 @@ def fig6_crash_scenario(
             2: [t * 4.0 + 30.0 for t in range(int((until - 30) / 4))],
         },
         crashes=[(20.0, 3)],
-        mobility_factory=lambda i: (
-            ScriptedMobility([ScriptedMove(move_time, Point(2.0, 10.0))])
-            if i == 2
-            else None
+        mobility_factory=MobilityPlan.of(
+            "scripted", [2], moves=[[move_time, 2.0, 10.0, 0.0]]
         ),
         trace=True,
     )

@@ -105,12 +105,11 @@ def scenario_key(
     SHA-256 of the declarative serialization of the scenario
     (:func:`repro.harness.config_io.config_to_dict`), the run horizon,
     the seed and the library version: any change to any
-    ``ScenarioConfig`` field changes it.  Scenarios that carry
-    behavior which does not serialize declaratively (a callable
-    algorithm entry or a mobility factory) have no key.
+    ``ScenarioConfig`` field changes it, a mobility plan's blocks
+    included.  Scenarios that carry behavior as an opaque callable (an
+    algorithm entry, or a mobility factory that is not a
+    :class:`~repro.mobility.plan.MobilityPlan`) have no key.
     """
-    if config.mobility_factory is not None:
-        return None
     try:
         payload = config_to_dict(dataclasses.replace(config, seed=seed))
     except ConfigurationError:

@@ -4,7 +4,7 @@
 campaigns use (:mod:`repro.explore.scenarios`), builds the unmodified
 node stack over a :class:`~repro.live.bus.InProcessBus`, drives the
 scenario's hunger, crash plan and link rows (its ``link_script`` plus
-the mobility block's teleports) on wall-clock timers through the
+the mobility plan's teleports) on wall-clock timers through the
 simulator's own scenario-event code, and returns a schema-versioned
 recording that :func:`repro.live.replay.verify_recording` can check
 in-sim.
@@ -34,12 +34,13 @@ from repro.net.geometry import Point
 from repro.net.topology import DynamicTopology
 from repro.obs.probes import build_probes
 from repro.obs.registry import MetricRegistry
+from repro.runtime.simulation import ScenarioConfig
 
 
 def scripted_link_feed(
-    scenario: Dict[str, Any],
+    config: ScenarioConfig,
 ) -> List[Tuple[float, str, int, int, int]]:
-    """Flatten a scenario's mobility block into timed link events.
+    """Flatten a scenario's mobility plan into timed link events.
 
     Replays the unit-disk geometry offline on a scratch topology: each
     teleport move yields its link diff, downs before ups, one entry per
@@ -47,31 +48,26 @@ def scripted_link_feed(
     continuous motion has no defined link schedule without a clock to
     integrate it against.
     """
-    mobility = scenario.get("mobility")
-    if mobility is None:
+    if config.mobility_factory is None:
         return []
-    if mobility.get("kind") != "scripted":
-        raise ConfigurationError(
-            "live runs support scripted mobility only "
-            f"(got {mobility.get('kind')!r})"
-        )
     moves: List[Tuple[float, int, Point]] = []
-    for node in mobility.get("nodes", []):
-        for t, x, y, speed in mobility.get("params", {}).get("moves", []):
-            if float(speed) > 0.0:
-                raise ConfigurationError(
-                    "live scripted moves must be teleports (speed 0); "
-                    f"got speed {speed} for node {node}"
-                )
-            moves.append((float(t), int(node), Point(float(x), float(y))))
+    for block in config.mobility_factory.blocks:
+        if block["kind"] != "scripted":
+            raise ConfigurationError(
+                f"live runs support scripted mobility only (got "
+                f"{block['kind']!r})"
+            )
+        for node in block["nodes"]:
+            for t, x, y, speed in block["params"]["moves"]:
+                if float(speed) > 0.0:
+                    raise ConfigurationError(
+                        "live scripted moves must be teleports (speed 0); "
+                        f"got speed {speed} for node {node}"
+                    )
+                moves.append((float(t), node, Point(float(x), float(y))))
     moves.sort(key=lambda m: (m[0], m[1]))
-    scratch = DynamicTopology(
-        radio_range=float(scenario.get("radio_range", 1.0))
-    )
-    scratch.add_nodes(
-        (node_id, Point(float(x), float(y)))
-        for node_id, (x, y) in enumerate(scenario["positions"])
-    )
+    scratch = DynamicTopology(radio_range=config.radio_range)
+    scratch.add_nodes(enumerate(config.positions))
     feed: List[Tuple[float, str, int, int, int]] = []
     for t, node, point in moves:
         diff = scratch.set_position(node, point)
@@ -108,7 +104,7 @@ def run_bus(
             probes=build_probes(registry),
         )
         runtime.start()
-        nodes.drive(scripted_link_feed(scenario))
+        nodes.drive(scripted_link_feed(config))
         t_end = runtime.run(until)
     finally:
         loop.close()

@@ -10,6 +10,7 @@ the paper's "a node does not change its location after it fails".
 from repro.mobility.base import Episode, MobilityController, MobilityModel
 from repro.mobility.gauss_markov import GaussMarkov
 from repro.mobility.group import GroupCenter, GroupMobility
+from repro.mobility.plan import MobilityPlan
 from repro.mobility.static import StaticMobility
 from repro.mobility.trace import ScriptedMobility, ScriptedMove
 from repro.mobility.walk import RandomWalk
@@ -22,6 +23,7 @@ __all__ = [
     "GroupMobility",
     "MobilityController",
     "MobilityModel",
+    "MobilityPlan",
     "RandomWalk",
     "RandomWaypoint",
     "ScriptedMobility",

@@ -83,7 +83,10 @@ class ScenarioConfig:
     #: independent of node positions — the replay path for live-run
     #: recordings, where the recorded churn is the ground truth.
     link_script: Optional[List[Sequence[Any]]] = None
-    #: Per-node mobility model factory (node_id -> model or None).
+    #: Per-node mobility model factory (node_id -> model or None).  A
+    #: :class:`~repro.mobility.plan.MobilityPlan` declares it as data that
+    #: serializes, keys the scenario and pickles; any other callable runs,
+    #: but the scenario then does not serialize.
     mobility_factory: Optional[Callable[[int], Optional[MobilityModel]]] = None
     #: Crash plan: (time, node_id) pairs.
     crashes: List[Tuple[float, int]] = field(default_factory=list)
@@ -115,6 +118,11 @@ class ScenarioConfig:
                     f"link script rows are [time, 'up'|'down', a, b, mover]:"
                     f" {row!r}"
                 )
+        movers = getattr(self.mobility_factory, "movers", ())  # a plan's
+        stray = sorted(n for n in movers if not 0 <= n < len(self.positions))
+        if stray:
+            raise ConfigurationError(f"mobility plan moves nodes {stray}, "
+                                     "which have no position")
 
 
 @dataclass
@@ -160,8 +168,8 @@ class SimulationResult:
         try:
             config_dict = config_to_dict(self.config)
         except ConfigurationError:
-            # Callable algorithm entries don't serialize; keep a stub so
-            # the report still says what ran.
+            # Opaque callables don't serialize; keep a stub so the
+            # report still says what ran.
             config_dict = {
                 "algorithm": getattr(
                     self.config.algorithm, "__name__",

@@ -131,9 +131,15 @@ def test_run_with_movers_moves_nodes_kinetically(tmp_path):
     )
     assert code == 0
     assert "cs entries" in output
-    probes = RunReport.load(path).probes
-    assert probes["mobility.updates"]["by_key"]["arrival"] > 0
-    assert probes["mobility.crossings"]["value"] > 0
+    report = RunReport.load(path)
+    assert report.probes["mobility.updates"]["by_key"]["arrival"] > 0
+    assert report.probes["mobility.crossings"]["value"] > 0
+    # The report says what moved: grid:16 spans a 4x4 arena.
+    assert report.config["mobility"] == [{
+        "kind": "waypoint", "nodes": [0, 1, 2, 3],
+        "params": {"width": 4.0, "height": 4.0, "speed_range": [0.5, 1.2],
+                   "pause_range": [5.0, 20.0]},
+    }]
 
 
 def test_run_watchdog_prints_warnings(tmp_path):

@@ -72,7 +72,7 @@ def test_shrunk_mobility_repro_replays_from_file(tmp_path):
         "alg1-noreturn", runs=12, seed=1, stop_on_first=True
     )
     repro = campaign.violations[0]
-    assert repro.scenario["mobility"]["kind"] == "waypoint"
+    assert repro.scenario["mobility"][0]["kind"] == "waypoint"
     shrunk, _ = shrink_repro(repro)
     assert shrunk.size() < repro.size()
     loaded = ReproFile.load(shrunk.save(tmp_path / "mobility.json"))

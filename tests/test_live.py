@@ -339,8 +339,8 @@ def test_socket_run_with_stochastic_hunger_replays_clean():
 
 
 @pytest.mark.parametrize("churn, value", [
-    ("mobility", {"kind": "scripted", "nodes": [2],
-                  "params": {"moves": [[5.0, 9.0, 9.0, 0.0]]}}),
+    ("mobility", [{"kind": "scripted", "nodes": [2],
+                   "params": {"moves": [[5.0, 9.0, 9.0, 0.0]]}}]),
     ("link_script", [[5.0, "down", 0, 1, -1]]),
 ])
 def test_socket_run_refuses_a_scenario_with_churn(churn, value):
@@ -640,13 +640,13 @@ def test_force_link_produces_diffs_and_rejects_self_links():
 
 def test_scripted_link_feed_rejects_moving_speeds():
     scenario = build_scenario("fig6", "alg1-greedy", seed=0)["scenario"]
-    feed = scripted_link_feed(scenario)
+    feed = scripted_link_feed(config_from_dict(scenario))
     assert feed, "fig6's teleport move must yield link events"
     assert all(op in ("up", "down") for _, op, _, _, _ in feed)
     scenario = json.loads(json.dumps(scenario))
-    scenario["mobility"]["params"]["moves"][0][3] = 1.0  # now a real move
+    scenario["mobility"][0]["params"]["moves"][0][3] = 1.0  # a real move
     with pytest.raises(ConfigurationError):
-        scripted_link_feed(scenario)
+        scripted_link_feed(config_from_dict(scenario))
 
 
 def test_build_scenario_names_unknown_families():

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.harness.config_io import config_from_dict, config_to_dict
 from repro.harness.multiseed import (
     DEFAULT_METRICS,
     estimate,
@@ -17,6 +18,7 @@ from repro.harness.multiseed import (
     scenario_key,
     t_critical_95,
 )
+from repro.mobility import MobilityPlan
 from repro.net.geometry import line_positions
 from repro.runtime.simulation import ScenarioConfig
 
@@ -139,6 +141,10 @@ def _config(**overrides):
     return ScenarioConfig(**base)
 
 
+def _plan(kind="waypoint", nodes=(0, 2), width=4.0):
+    return MobilityPlan.of(kind, nodes, width=width, height=2.0)
+
+
 def test_scenario_key_is_stable_and_seed_sensitive():
     config = _config()
     assert scenario_key(config, 30.0, 1) == scenario_key(config, 30.0, 1)
@@ -158,6 +164,12 @@ def test_scenario_key_changes_when_config_fields_change():
     base_key = scenario_key(config, 30.0, 1)
     for variant in variants:
         assert scenario_key(variant, 30.0, 1) != base_key
+    # A mobility plan is data: it has a key, and every block counts.
+    mobile = scenario_key(_config(mobility_factory=_plan()), 30.0, 1)
+    assert mobile is not None and mobile != base_key
+    assert mobile == scenario_key(_config(mobility_factory=_plan()), 30.0, 1)
+    for other in (_plan(nodes=[1]), _plan(width=5.0), _plan(kind="walk")):
+        assert scenario_key(_config(mobility_factory=other), 30.0, 1) != mobile
 
 
 def test_unserializable_scenarios_have_no_key():
@@ -169,13 +181,18 @@ def test_unserializable_scenarios_have_no_key():
 
 
 def test_replicate_workers_matches_serial():
-    config = _config()
-    serial = replicate(config, until=30.0, seeds=(1, 2, 3),
-                       metrics=DEFAULT_METRICS)
-    parallel = replicate(config, until=30.0, seeds=(1, 2, 3),
-                         metrics=DEFAULT_METRICS, workers=2)
-    for name in DEFAULT_METRICS:
-        assert _estimates_equal(serial[name], parallel[name])
+    # The mobile case is JSON-loaded: its plan crosses the process
+    # boundary with the config.
+    mobile = config_from_dict(
+        config_to_dict(_config(mobility_factory=_plan()))
+    )
+    for config in (_config(), mobile):
+        serial = replicate(config, until=30.0, seeds=(1, 2, 3),
+                           metrics=DEFAULT_METRICS)
+        parallel = replicate(config, until=30.0, seeds=(1, 2, 3),
+                             metrics=DEFAULT_METRICS, workers=2)
+        for name in DEFAULT_METRICS:
+            assert _estimates_equal(serial[name], parallel[name])
 
 
 def test_replicate_rejects_bad_workers():

@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import math
+import random
 
 import pytest
 
 from repro.analysis.scaling import fit_power_law
 from repro.errors import ConfigurationError
+from repro.explore.scenarios import _FAMILIES, build_scenario
 from repro.harness.config_io import config_from_dict, config_to_dict
+from repro.mobility import MobilityPlan, RandomWaypoint
 from repro.net.geometry import Point, line_positions
 from repro.runtime.simulation import ScenarioConfig, Simulation
 from repro.sim.clock import TimeBounds
@@ -157,11 +161,86 @@ def test_bad_positions_rejected():
         config_from_dict({"positions": "nope"})
 
 
-def test_unknown_keys_are_named_and_rejected():
-    # A removed knob or a misspelling must not load as if it were absent.
-    with pytest.raises(ConfigurationError) as raised:
-        config_from_dict(
-            {"positions": [[0, 0]], "max_entries": 3, "profil": True}
-        )
-    assert "['max_entries', 'profil']" in str(raised.value)
+def _waypoint_block(**overrides):
+    block = {"kind": "waypoint", "nodes": [0],
+             "params": {"width": 4.0, "height": 4.0}}
+    block.update(overrides)
+    return block
 
+
+def test_unknown_keys_are_named_and_rejected():
+    cases = [
+        # A removed knob or a misspelling must not load as if it were
+        # absent, at the top level or inside a nested block.
+        ({"max_entries": 3, "profil": True}, "['max_entries', 'profil']"),
+        ({"bounds": {"nuu": 5}}, "'nuu'"),
+        ({"mobility": [{"kind": "waypoint", "node": [0],
+                        "params": {"width": 4.0, "height": 4.0}}]}, "'node'"),
+        ({"mobility": [_waypoint_block(
+            params={"width": 4.0, "height": 4.0, "speed_rang": [1, 2]})]},
+         "'speed_rang'"),
+        ({"mobility": [_waypoint_block(nodes=[0, 7])]}, "[7]"),
+        ({"mobility": [_waypoint_block(nodes=[0, 1]),
+                       _waypoint_block(kind="walk", nodes=[1])]}, "node 1"),
+    ]
+    for extra, named in cases:
+        with pytest.raises(ConfigurationError) as raised:
+            config_from_dict({"positions": [[0, 0], [1, 0]], **extra})
+        assert named in str(raised.value), extra
+
+
+def _waypoint49(mobility_factory_for):
+    """A 7x7 copy of the e2e ledger's waypoint196-greedy at smoke size:
+    stratified unit-disk positions (density 9, radio 3), every 4th node
+    a random-waypoint mover."""
+    side, radio, seed = 7, 3.0, 1
+    cell = radio * math.sqrt(math.pi / 9.0)
+    width = side * cell
+    rng = random.Random(seed)
+    positions = [
+        Point((i % side + rng.random()) * cell,
+              (i // side + rng.random()) * cell)
+        for i in range(side * side)
+    ]
+    return ScenarioConfig(
+        positions=positions, radio_range=radio, algorithm="alg1-greedy",
+        seed=seed, delta_override=40,
+        mobility_factory=mobility_factory_for(width, side * side),
+    )
+
+
+def test_waypoint_plan_runs_like_the_lambda_it_replaces():
+    by_lambda = _waypoint49(lambda w, n: (
+        lambda i: None if i % 4
+        else RandomWaypoint(w, w, (0.5, 1.5), (1.0, 5.0))
+    ))
+    by_plan = _waypoint49(lambda w, n: MobilityPlan.of(
+        "waypoint", range(0, n, 4), width=w, height=w,
+        speed_range=(0.5, 1.5), pause_range=(1.0, 5.0),
+    ))
+    reports = [
+        Simulation(config).run(until=20.0).report().to_dict()
+        for config in (by_lambda, by_plan)
+    ]
+    assert reports[0]["engine"]["executed_events"] > 0
+    # The lambda's report holds the stub; the plan's says what moved.
+    assert "mobility" not in reports[0]["config"]
+    (block,) = reports[1]["config"]["mobility"]
+    assert block["nodes"] == list(range(0, 49, 4))
+    for report in reports:
+        del report["config"]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("algorithm", ["alg2", "alg1-greedy"])
+def test_every_explore_family_round_trips_to_the_same_run(family, algorithm):
+    for seed in range(3):
+        row = build_scenario(family, algorithm, seed)
+        config = config_from_dict(row["scenario"])
+        rebuilt = config_from_dict(config_to_dict(config))
+        reports = [
+            Simulation(c).run(until=row["until"]).report().to_dict()
+            for c in (config, rebuilt)
+        ]
+        assert reports[0] == reports[1], (family, algorithm, seed)

@@ -229,7 +229,8 @@ python -m repro run --topology line:8 --until 300 --seed 0 --algorithm alg2 \
     --crash 30:4 --watchdog 25 --report $T/ci/sample_run_report.json \
     --metrics $T/ci/sample_run_metrics.prom
 python -m repro report $T/ci/sample_run_report.json
-python -m repro run --topology grid:400 --algorithm alg2 --until 60 --movers 4
+python -m repro run --topology grid:400 --algorithm alg2 --until 60 --movers 4 \
+    --report $T/ci/mobile_run_report.json
 for algorithm in alg2 alg1-greedy alg1-linial; do
     python -m repro explore fuzz --algorithm $algorithm --runs 20 --seed 0 \
         --workers 2 --shrink --out $T/clean
