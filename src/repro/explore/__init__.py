@@ -3,11 +3,14 @@ fuzz campaigns, shrinking and replayable repro files.
 
 The simulator is deterministic, which makes every run an anecdote: one
 event ordering out of the astronomically many a real MANET could
-exhibit.  This package turns the simulator's nondeterministic *choice
-points* — same-instant event tie-breaks, per-hop message delays,
-crash timing — into first-class decisions a
+exhibit.  This package turns the simulator's two nondeterministic
+*choice points* — same-instant event tie-breaks and per-hop message
+delays — into first-class decisions a
 :class:`~repro.explore.schedule.ControlledScheduler` makes, records
-and replays.  On top of that sit online
+and replays; what a strategy varies before the first event (crash
+timing) it writes into the scenario itself, whose timed rows — crash
+plan, scripted hunger, link rows — are the one perturbation list the
+shrinker reduces.  On top of that sit online
 :class:`~repro.explore.monitors.InvariantMonitor`\\ s checking the
 paper's safety and progress claims after every event, seeded fuzz
 campaigns over generated scenarios, delta-debugging of failing runs,

@@ -730,15 +730,17 @@ def default_monitor_specs(scenario: Dict[str, Any],
     """The monitor set a fuzz campaign installs for one scenario.
 
     Safety monitors always run.  Algorithm-specific monitors follow the
-    registry-name prefix; progress follows the paper's failure-locality
-    claims — radius-2 exemption for Algorithm 2 under crashes, disabled
-    for Algorithm 1 under crashes (its locality is unbounded), plain
-    starvation check otherwise.
+    registry-name prefix; churn (``mobility`` or a ``link_script``)
+    turns off the stale-priority check and the priority cycle check.
+    Progress follows the paper's failure-locality claims — radius-2
+    exemption for Algorithm 2 under crashes, disabled for Algorithm 1
+    under crashes (its locality is unbounded), plain starvation check
+    otherwise.
     """
     algorithm = str(scenario.get("algorithm", ""))
     nu = float(scenario.get("bounds", {}).get("nu", 1.0))
     crashes = scenario.get("crashes") or []
-    mobile = "mobility" in scenario
+    mobile = "mobility" in scenario or bool(scenario.get("link_script"))
     specs: List[Dict[str, Any]] = [
         {"name": "exclusion", "params": {}},
         {"name": "fork-uniqueness", "params": {}},

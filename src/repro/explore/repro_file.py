@@ -1,9 +1,10 @@
 """Replayable repro files.
 
 A repro file is the complete, self-contained description of one
-violating run: the scenario (JSON dict), the horizon, the strategy
-that found it, the monitors that judged it, the full decision trace,
-and the violation itself.  Replaying it re-makes every recorded
+violating run: the scenario as it ran (JSON dict; a strategy's
+perturbations, such as a jittered crash plan, are written into it),
+the horizon, the strategy that found it, the monitors that judged it,
+the full decision trace, and the violation itself.  Replaying it re-makes every recorded
 decision (:class:`~repro.explore.schedule.ReplaySchedule`), so the
 engine executes the identical event sequence and the violation
 reappears at the same step — bit-identically, which the replay test
@@ -18,13 +19,45 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.errors import ConfigurationError
 
-#: Bump on any breaking change to the repro-file layout.
-REPRO_SCHEMA_VERSION = 1
+#: Bump on any breaking change to the repro-file layout.  Version 2:
+#: crash timing is scenario data, and traces carry no ``"c"`` decisions.
+REPRO_SCHEMA_VERSION = 2
+
+
+def _regroup(rows: List[Tuple[str, float]]) -> Dict[str, List[float]]:
+    hunger: Dict[str, List[float]] = {}
+    for node, time in rows:
+        hunger.setdefault(node, []).append(time)
+    return hunger
+
+
+#: The scenario's timed lists — the perturbations a repro carries:
+#: key -> (its value as a flat row list, the value holding given rows).
+#: Scripted hunger flattens to ``(node, time)`` rows.  The shrinker runs
+#: one ddmin pass per list, in this order; :meth:`ReproFile.size` counts
+#: every row.
+TIMED_ROWS: Dict[str, Tuple[Callable[[Any], List[Any]],
+                            Callable[[List[Any]], Any]]] = {
+    "crashes": (list, list),
+    "scripted_hunger": (
+        lambda hunger: [(node, time)
+                        for node, times in sorted(hunger.items())
+                        for time in times],
+        _regroup,
+    ),
+    "link_script": (list, list),
+}
+
+
+def timed_rows(scenario: Dict[str, Any], key: str) -> List[Any]:
+    """The rows of one :data:`TIMED_ROWS` list (empty when unset)."""
+    value = scenario.get(key)
+    return TIMED_ROWS[key][0](value) if value else []
 
 
 @dataclass
@@ -108,13 +141,12 @@ class ReproFile:
 
     # ------------------------------------------------------------------
     def size(self) -> int:
-        """Shrink metric: decisions + scripted-hunger entries + crashes
-        + the horizon in whole time units.  Monotone under every shrink
-        move, which the shrink tests assert."""
-        hunger = self.scenario.get("scripted_hunger") or {}
+        """Shrink metric: decisions + timed scenario rows
+        (:data:`TIMED_ROWS`) + the horizon in whole time units.
+        Monotone under every shrink move, which the shrink tests
+        assert."""
         return (
             len(self.decisions)
-            + sum(len(times) for times in hunger.values())
-            + len(self.scenario.get("crashes") or [])
+            + sum(len(timed_rows(self.scenario, key)) for key in TIMED_ROWS)
             + int(self.until)
         )

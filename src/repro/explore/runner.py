@@ -1,12 +1,15 @@
 """Controlled-run execution: one scenario under one strategy.
 
-:func:`run_controlled` builds a simulation from a scenario dict, wires
-a :class:`~repro.explore.schedule.ControlledScheduler` into all three
-choice points (engine tie-breaks, channel delays, crash timing),
-attaches a :class:`~repro.explore.monitors.MonitorSuite`, runs, and
-returns an :class:`ExplorationResult` whose
-:class:`~repro.obs.report.RunReport` carries an ``exploration``
-section and ``explore.*`` probe counters.
+:func:`run_controlled` lets a
+:class:`~repro.explore.schedule.ControlledScheduler` perturb a scenario
+dict (the random strategies jitter its crash plan), builds a simulation
+from the result, wires the scheduler into both runtime choice points
+(engine tie-breaks, channel delays), attaches a
+:class:`~repro.explore.monitors.MonitorSuite`, runs, and returns an
+:class:`ExplorationResult` whose ``scenario`` is the one that ran — so
+a repro file holds the crash times that actually fired — and whose
+:class:`~repro.obs.report.RunReport` carries an ``exploration`` section
+and ``explore.*`` probe counters.
 
 Every message delivery is one engine event, and so is every kinetic
 mobility event — link crossing, horizon refresh, arrival — at
@@ -38,7 +41,7 @@ from repro.explore.schedule import ControlledScheduler, ReplaySchedule
 from repro.obs.report import RunReport
 
 #: Decision-kind tag -> probe-counter key.
-_DECISION_KEYS = {"t": "tie", "d": "delay", "c": "crash"}
+_DECISION_KEYS = {"t": "tie", "d": "delay"}
 
 
 @dataclass
@@ -104,10 +107,12 @@ def run_controlled(
         monitor_specs = default_monitor_specs(scenario, until)
 
     config = config_from_dict(scenario)
+    strategy.bind(config.bounds.min_message_delay, config.bounds.nu)
+    perturbed = strategy.perturb(scenario)
+    if perturbed is not scenario:
+        scenario, config = perturbed, config_from_dict(perturbed)
     # See module docstring: record violations instead of raising.
     config.strict_safety = False
-
-    strategy.bind(config.bounds.min_message_delay, config.bounds.nu)
 
     # Local import mirrors the public API layering (repro -> explore).
     from repro.runtime.simulation import Simulation
@@ -115,7 +120,6 @@ def run_controlled(
     simulation = Simulation(config)
     simulation.sim.set_choice_controller(strategy)
     simulation.channel.delay_source = strategy.message_delay
-    simulation.failures.apply_control(strategy)
 
     suite = MonitorSuite(build_monitors(monitor_specs))
     suite.attach(simulation)

@@ -1,7 +1,7 @@
 """Controlled schedulers: the decision side of adversarial exploration.
 
-The simulator has exactly three nondeterministic choice points, each
-surfaced by a hook in the existing planes:
+The simulator has two nondeterministic choice points a run consults
+as it goes, each surfaced by a hook in the existing planes:
 
 ``tie_break(group)``
     Which of several live events sharing ``(time, priority)`` runs
@@ -11,15 +11,17 @@ surfaced by a hook in the existing planes:
 ``message_delay(src, dst, message)``
     The per-hop delivery latency in ``[min_message_delay, nu]``
     (:attr:`repro.net.channel.Channel.delay_source`).
-``crash_time(node_id, base)``
-    When a planned crash actually fires
-    (:meth:`repro.runtime.failures.CrashInjector.apply_control`).
+
+Everything else a strategy may vary is scenario data, chosen before
+the first event: ``perturb(scenario)`` returns the scenario the run
+executes (the random strategies jitter its crash plan), and that
+scenario is what a repro file stores.
 
 Every decision is appended to a flat typed :class:`DecisionLog` —
-``["t", index]``, ``["d", delay]``, ``["c", time]`` — which is the
-replayable trace written into repro files.  Floats survive the JSON
-round trip exactly (``repr`` is shortest-round-trip), so a replayed
-run is bit-identical to the original.
+``["t", index]`` or ``["d", delay]`` — which is the replayable trace
+written into repro files.  Floats survive the JSON round trip exactly
+(``repr`` is shortest-round-trip), so a replayed run is bit-identical
+to the original.
 
 Strategies:
 
@@ -44,9 +46,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 
 #: Decision-type tags used in the flat trace.
-TIE, DELAY, CRASH = "t", "d", "c"
+TIE, DELAY = "t", "d"
 
-Decision = List[Any]  # ["t", int] | ["d", float] | ["c", float]
+Decision = List[Any]  # ["t", int] | ["d", float]
 
 
 class DecisionLog:
@@ -59,7 +61,7 @@ class DecisionLog:
         self.decisions.append([kind, value])
 
     def counts(self) -> Dict[str, int]:
-        out = {TIE: 0, DELAY: 0, CRASH: 0}
+        out = {TIE: 0, DELAY: 0}
         for kind, _ in self.decisions:
             out[kind] = out.get(kind, 0) + 1
         return out
@@ -68,10 +70,11 @@ class DecisionLog:
 class ControlledScheduler:
     """Base class: records decisions and enforces the delay bounds.
 
-    Subclasses override ``_tie_break``/``_message_delay``/``_crash_time``;
-    the public methods wrap them with recording and clamping so every
-    strategy produces a legal, replayable trace.  ``bind`` is called by
-    the runner once the scenario's timing parameters are known.
+    Subclasses override ``_tie_break``/``_message_delay`` (and
+    ``perturb``); the public methods wrap them with recording and
+    clamping so every strategy produces a legal, replayable trace.
+    ``bind`` is called by the runner once the scenario's timing
+    parameters are known, before ``perturb``.
     """
 
     kind = "base"
@@ -102,11 +105,10 @@ class ControlledScheduler:
         self.log.record(DELAY, delay)
         return delay
 
-    # -- crash hook ----------------------------------------------------
-    def crash_time(self, node_id: int, base: float) -> float:
-        time = max(0.0, float(self._crash_time(node_id, base)))
-        self.log.record(CRASH, time)
-        return time
+    # -- scenario ------------------------------------------------------
+    def perturb(self, scenario: Dict[str, Any]) -> Dict[str, Any]:
+        """The scenario this run executes; by default the one given."""
+        return scenario
 
     # -- strategy body -------------------------------------------------
     def _tie_break(self, group: Sequence[Any]) -> int:
@@ -115,17 +117,24 @@ class ControlledScheduler:
     def _message_delay(self, src: int, dst: int, message: Any) -> float:
         return self._nu
 
-    def _crash_time(self, node_id: int, base: float) -> float:
-        return base
+    def _jitter_crashes(self, scenario: Dict[str, Any],
+                        rng: random.Random) -> Dict[str, Any]:
+        """Move every planned crash by a uniform +/-5*nu (not before 0),
+        so campaigns also explore crash/message interleavings the
+        scenario author did not pin down."""
+        crashes = scenario.get("crashes")
+        if not crashes:
+            return scenario
+        spread = 5.0 * self._nu
+        return {**scenario, "crashes": [
+            [max(0.0, float(time) + rng.uniform(-spread, spread)), node]
+            for time, node in crashes
+        ]}
 
 
 class RandomStrategy(ControlledScheduler):
-    """Seeded uniform randomness at every choice point.
-
-    Crash times get a +/-5*nu jitter around the planned time so
-    campaigns also explore crash/message interleavings the scenario
-    author did not pin down.
-    """
+    """Seeded uniform randomness at every choice point, and a jittered
+    crash plan."""
 
     kind = "random"
 
@@ -144,8 +153,8 @@ class RandomStrategy(ControlledScheduler):
         span = self._nu - self._delay_floor
         return self._delay_floor + span * self._rng.random()
 
-    def _crash_time(self, node_id: int, base: float) -> float:
-        return base + self._rng.uniform(-5.0 * self._nu, 5.0 * self._nu)
+    def perturb(self, scenario: Dict[str, Any]) -> Dict[str, Any]:
+        return self._jitter_crashes(scenario, self._rng)
 
 
 class PCTStrategy(ControlledScheduler):
@@ -224,30 +233,31 @@ class PCTStrategy(ControlledScheduler):
         level = self._rng.randrange(3)
         return self._delay_floor + span * level / 2.0
 
-    def _crash_time(self, node_id: int, base: float) -> float:
-        return base + self._rng.uniform(-5.0 * self._nu, 5.0 * self._nu)
+    def perturb(self, scenario: Dict[str, Any]) -> Dict[str, Any]:
+        return self._jitter_crashes(scenario, self._rng)
 
 
 class ReplaySchedule(ControlledScheduler):
     """Replays a recorded decision trace.
 
-    The flat trace is split into three per-type queues, so the replay
-    stays aligned even when shrinking removed decisions of one type.
-    An exhausted queue falls back to the deterministic defaults
-    (tie 0, delay ``nu``, crash at the planned time).
+    The flat trace is split into one queue per decision type, so the
+    replay stays aligned even when shrinking removed decisions of one
+    type.  An exhausted queue falls back to the deterministic defaults
+    (tie 0, delay ``nu``).  The scenario runs as given: a perturbed
+    run's repro file already stores the scenario that ran.
     """
 
     kind = "replay"
 
     def __init__(self, decisions: Sequence[Sequence[Any]]) -> None:
         super().__init__()
-        self._queues: Dict[str, List[Any]] = {TIE: [], DELAY: [], CRASH: []}
+        self._queues: Dict[str, List[Any]] = {TIE: [], DELAY: []}
         for kind, value in decisions:
             if kind not in self._queues:
                 raise ConfigurationError(
                     f"unknown decision kind {kind!r} in trace")
             self._queues[kind].append(value)
-        self._cursor = {TIE: 0, DELAY: 0, CRASH: 0}
+        self._cursor = {TIE: 0, DELAY: 0}
 
     def describe(self) -> Dict[str, Any]:
         return {"kind": self.kind}
@@ -269,10 +279,6 @@ class ReplaySchedule(ControlledScheduler):
     def _message_delay(self, src: int, dst: int, message: Any) -> float:
         value = self._next(DELAY)
         return self._nu if value is None else float(value)
-
-    def _crash_time(self, node_id: int, base: float) -> float:
-        value = self._next(CRASH)
-        return base if value is None else float(value)
 
 
 def build_strategy(descriptor: Dict[str, Any]) -> ControlledScheduler:

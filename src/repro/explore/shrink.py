@@ -2,7 +2,9 @@
 
 :func:`shrink_repro` minimizes a repro file while preserving *which*
 monitor fires: it truncates the horizon to just past the violation,
-then ddmin-reduces the crash plan, the scripted-hunger entries and the
+then ddmin-reduces each timed scenario list of
+:data:`~repro.explore.repro_file.TIMED_ROWS` — the crash plan, the
+scripted-hunger entries, the ``link_script`` rows — and then the
 decision trace (a removed decision replays as its deterministic
 default, so partial traces stay valid).  Every candidate is validated
 by an actual replay — a shrink step is kept only if the same monitor
@@ -10,7 +12,7 @@ still fires — and the kept repro's recorded violation is refreshed, so
 the output replays green through :func:`repro.explore.runner.replay`.
 
 The :meth:`~repro.explore.repro_file.ReproFile.size` metric (decisions
-+ hunger entries + crashes + horizon) decreases monotonically across
++ timed scenario rows + horizon) decreases monotonically across
 accepted steps; the shrink tests assert this.
 """
 
@@ -20,7 +22,7 @@ import copy
 import math
 from typing import Any, Callable, List, Tuple
 
-from repro.explore.repro_file import ReproFile
+from repro.explore.repro_file import TIMED_ROWS, ReproFile, timed_rows
 from repro.explore.runner import check_repro
 
 #: Horizon margin kept past the violation time when truncating.
@@ -93,35 +95,16 @@ def shrink_repro(repro: ReproFile,
         candidate.until = float(truncated)
         try_candidate(candidate)
 
-    # --- 2. crash plan --------------------------------------------------
-    crashes = best.scenario.get("crashes") or []
-    if crashes:
-        def test_crashes(kept: List[Any]) -> bool:
+    # --- 2. timed scenario rows: crashes, hunger, link rows ------------
+    for key, (_, rebuild) in TIMED_ROWS.items():
+        def test_rows(kept: List[Any], key=key, rebuild=rebuild) -> bool:
             candidate = _clone(best)
-            candidate.scenario["crashes"] = [list(c) for c in kept]
+            candidate.scenario[key] = rebuild(kept)
             return try_candidate(candidate)
 
-        _ddmin(list(crashes), test_crashes)
+        _ddmin(timed_rows(best.scenario, key), test_rows)
 
-    # --- 3. scripted hunger ---------------------------------------------
-    hunger = best.scenario.get("scripted_hunger") or {}
-    entries = [
-        (node, time)
-        for node, times in sorted(hunger.items())
-        for time in times
-    ]
-    if entries:
-        def test_hunger(kept: List[Any]) -> bool:
-            rebuilt: dict = {}
-            for node, time in kept:
-                rebuilt.setdefault(node, []).append(time)
-            candidate = _clone(best)
-            candidate.scenario["scripted_hunger"] = rebuilt
-            return try_candidate(candidate)
-
-        _ddmin(entries, test_hunger)
-
-    # --- 4. decision trace ----------------------------------------------
+    # --- 3. decision trace ----------------------------------------------
     if best.decisions:
         def test_decisions(kept: List[Any]) -> bool:
             candidate = _clone(best)

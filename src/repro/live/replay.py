@@ -1,8 +1,8 @@
 """The simulator as test oracle: replay a live recording in-sim.
 
-:func:`derive_replay` turns one recording into a scenario + decision
-stream whose controlled simulation reproduces the live execution
-*exactly* — same stamps, same delivery order, same state transitions:
+:func:`derive_replay` turns one recording into a scenario + delay
+decision stream whose controlled simulation reproduces the live
+execution *exactly* — same stamps, same delivery order, same state transitions:
 
 * every ``hungry`` row becomes a scripted hunger arrival at its
   recorded stamp (``become_hungry`` self-guards, so ineffective pokes
@@ -21,7 +21,13 @@ stream whose controlled simulation reproduces the live execution
   arrival times monotone per link, so the channel's FIFO clamp never
   fires and replayed delays land verbatim;
 * link rows become the scenario's ``link_script`` and crash rows its
-  crash plan plus crash-time decisions.
+  crash plan — scenario data, which the replay runs as given.
+
+The scenario is the recording's origin scenario decoded by
+:func:`~repro.harness.config_io.config_from_dict`, with those replayed
+fields, the bounds below and the oracle's observation switches
+replaced, and encoded back: every other field keeps the origin's
+value, defaults included.
 
 Live stamps are strictly increasing (the runtime monotonizes them), so
 the replay needs no tie-break decisions at all.  The scenario's ``nu``
@@ -35,8 +41,8 @@ antisymmetry, ... — progress excluded: a wall-clock run makes no
 virtual-time progress guarantees) and then checks *fidelity*: the
 replay's externally visible transitions must match the recording's
 ``fx`` stream one for one, to within float rounding (the sim computes
-``emit + delay`` where the recording stored the sum).  The replay runs
-with the trace log off: each node harness hands its transitions to the
+``emit + delay`` where the recording stored the sum).  The replay does
+not read the trace log: each node harness hands its transitions to the
 same :class:`~repro.live.recorder.EffectTrace` filter the live recorder
 uses, so one piece of code decides what an effect is in both runtimes.
 """
@@ -44,10 +50,11 @@ uses, so one piece of code decides what an effect is in both runtimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.harness.config_io import config_from_dict, config_to_dict
 from repro.live.recorder import FX_CATEGORIES, SCHEMA, EffectTrace
 
 #: Permitted stamp slack between a recorded effect and its replay.
@@ -96,9 +103,8 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
     eating: Dict[int, List[float]] = {}
     open_eat: Dict[int, Tuple[int, float]] = {}
     link_script: List[List[Any]] = []
-    crashes: List[List[Any]] = []
+    crashes: List[Tuple[float, int]] = []
     delays: List[float] = []
-    crash_times: List[float] = []
     expected: List[Tuple[float, str, int]] = []
 
     for row in rows:
@@ -114,8 +120,7 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
         elif kind == "down":
             link_script.append([t, "down", int(row["a"]), int(row["b"]), -1])
         elif kind == "crash":
-            crashes.append([t, int(row["n"])])
-            crash_times.append(t)
+            crashes.append((t, int(row["n"])))
         for src, dst, mid, _ in row.get("emits", ()):
             arrival = settled.get(mid, sentinel)
             delays.append(arrival - t)
@@ -136,9 +141,9 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
                 # replayed messages; the timer must simply never win.
                 open_eat.pop(node, None)
 
-    bounds = dict(origin.get("bounds", {}))
-    nu = float(bounds.get("nu", 1.0))
-    fraction = float(bounds.get("min_delay_fraction", 0.5))
+    base = config_from_dict(origin)
+    nu = float(base.bounds.nu)
+    fraction = float(base.bounds.min_delay_fraction)
     if delays:
         nu = max(nu, max(delays))
         floor = min(delays)
@@ -149,39 +154,28 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
         while fraction > 0.0 and fraction * nu > floor:
             fraction = math.nextafter(fraction, 0.0)
         fraction = max(fraction, 5e-324)
-    bounds["nu"] = nu
-    bounds["min_delay_fraction"] = fraction
-    bounds.setdefault("tau", 1.0)
-
-    scenario: Dict[str, Any] = {
-        "positions": origin["positions"],
-        "radio_range": origin.get("radio_range", 1.0),
-        "algorithm": origin["algorithm"],
-        "seed": origin.get("seed", 0),
-        "bounds": bounds,
-        "scripted_hunger": {
-            str(node): times for node, times in hunger.items()
-        },
-        "crashes": crashes,
-        "strict_safety": False,
-    }
-    if eating:
-        scenario["scripted_eating"] = {
-            str(node): durations for node, durations in eating.items()
-        }
-    if link_script:
-        scenario["link_script"] = link_script
-    for passthrough in ("initial_colors", "delta_override"):
-        if origin.get(passthrough) is not None:
-            scenario[passthrough] = origin[passthrough]
-
-    decisions: List[List[Any]] = [["d", delay] for delay in delays]
-    decisions.extend(["c", t] for t in crash_times)
+    # The recorded rows replace the origin's hunger, eating, churn
+    # (its mobility runs as the recorded link rows) and crash plan.  The
+    # oracle observes through its monitors and effect sink: no safety
+    # raise, no trace log, no metric registry.  Every other field is the
+    # origin's.
+    scenario = config_to_dict(replace(
+        base,
+        bounds=replace(base.bounds, nu=nu, min_delay_fraction=fraction),
+        scripted_hunger=hunger,
+        scripted_eating=eating or None,
+        link_script=link_script or None,
+        mobility_factory=None,
+        crashes=crashes,
+        strict_safety=False,
+        trace=False,
+        telemetry=False,
+    ))
 
     return DerivedReplay(
         scenario=scenario,
         until=until,
-        decisions=decisions,
+        decisions=[["d", delay] for delay in delays],
         expected=expected,
         monitor_specs=_monitor_specs(scenario, until),
     )
@@ -189,25 +183,16 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
 
 def _monitor_specs(scenario: Dict[str, Any],
                    until: float) -> List[Dict[str, Any]]:
-    """The invariant-monitor set for one replay.
-
-    The campaign defaults, minus progress (a live run compressed
-    through ``time_scale`` carries no virtual-time progress guarantee)
-    and with the same churn adjustments the defaults apply to mobile
-    scenarios — a ``link_script`` is churn by another name.
-    """
+    """The invariant-monitor set for one replay: the campaign defaults
+    (which treat the ``link_script`` as churn), minus progress — a live
+    run compressed through ``time_scale`` carries no virtual-time
+    progress guarantee."""
     from repro.explore.monitors import default_monitor_specs
 
-    specs = [
+    return [
         spec for spec in default_monitor_specs(scenario, until)
         if spec["name"] != "progress"
     ]
-    if scenario.get("link_script"):
-        specs = [s for s in specs if s["name"] != "stale-priority"]
-        for spec in specs:
-            if spec["name"] == "priority":
-                spec["params"] = {"cycles": False}
-    return specs
 
 
 def verify_recording(recording: Dict[str, Any]) -> Dict[str, Any]:

@@ -38,7 +38,7 @@ The probe catalogue (all instrument names live here, nowhere else):
                                             scheduled
 ``explore.decisions``           counter     controlled choice-point
                                             decisions, keyed by kind
-                                            (tie / delay / crash);
+                                            (tie / delay);
                                             incremented by
                                             :mod:`repro.explore.runner`
 ``explore.monitor_checks``      counter     invariant-monitor checks

@@ -52,9 +52,7 @@ def test_scheduler_records_and_clamps_decisions():
     for _ in range(50):
         delay = strategy.message_delay(0, 1, None)
         assert 0.5 <= delay <= 1.0
-    assert strategy.crash_time(3, 0.1) >= 0.0
-    counts = strategy.log.counts()
-    assert counts["d"] == 50 and counts["c"] == 1
+    assert strategy.log.counts() == {"t": 0, "d": 50}
 
 
 def test_same_seed_same_decisions():
@@ -67,11 +65,10 @@ def test_same_seed_same_decisions():
 
 
 def test_replay_schedule_splits_queues_by_type():
-    schedule = ReplaySchedule([["d", 0.75], ["t", 2], ["d", 0.5], ["c", 7.0]])
+    schedule = ReplaySchedule([["d", 0.75], ["t", 2], ["d", 0.5]])
     schedule.bind(0.5, 1.0)
     # Types interleave differently than recorded; per-type queues keep
     # each stream aligned.
-    assert schedule.crash_time(1, 3.0) == 7.0
     assert schedule.message_delay(0, 1, None) == 0.75
     assert schedule.tie_break([object()] * 5) == 2
     assert schedule.message_delay(0, 1, None) == 0.5
@@ -82,12 +79,17 @@ def test_replay_schedule_defaults_when_exhausted():
     schedule.bind(0.5, 2.0)
     assert schedule.tie_break([object(), object()]) == 0
     assert schedule.message_delay(0, 1, None) == 2.0
-    assert schedule.crash_time(1, 4.5) == 4.5
+    # A repro stores the scenario that ran: replay runs it as given.
+    scenario = {"crashes": [[4.5, 1]]}
+    assert schedule.perturb(scenario) is scenario
 
 
 def test_replay_schedule_rejects_unknown_kinds():
-    with pytest.raises(ConfigurationError):
-        ReplaySchedule([["x", 1]])
+    # "c" (crash time) was a decision kind up to repro schema 1; crash
+    # timing is scenario data now.
+    for kind in ("x", "c"):
+        with pytest.raises(ConfigurationError):
+            ReplaySchedule([[kind, 1]])
 
 
 def test_build_strategy_round_trips_descriptors():
@@ -130,9 +132,10 @@ def test_repro_file_round_trips_canonically(tmp_path):
     assert json.loads(text)["decisions"] == [["d", 0.625], ["t", 1]]
 
 
-def test_repro_file_rejects_other_schemas():
+@pytest.mark.parametrize("schema", [1, REPRO_SCHEMA_VERSION + 1])
+def test_repro_file_rejects_other_schemas(schema):
     data = _sample_repro().to_dict()
-    data["schema_version"] = REPRO_SCHEMA_VERSION + 1
+    data["schema_version"] = schema
     with pytest.raises(ConfigurationError):
         ReproFile.from_dict(data)
     with pytest.raises(ConfigurationError):
@@ -240,6 +243,14 @@ def test_default_monitor_specs_follow_algorithm_and_hazards():
     static_priority = [s for s in default_monitor_specs(alg2, until)
                        if s["name"] == "priority"]
     assert static_priority and static_priority[0]["params"] == {}
+
+    # Scripted link rows are churn too, wherever they come from (a
+    # replayed recording, a link perturbation).
+    scripted = dict(alg2, link_script=[[5.0, "down", 0, 1, -1],
+                                       [9.0, "up", 0, 1, -1]])
+    assert default_monitor_specs(scripted, until) == mobile_specs
+    assert default_monitor_specs(dict(alg2, link_script=[]), until) == \
+        default_monitor_specs(alg2, until)
 
     crashed = dict(alg2, crashes=[[5.0, 1]])
     specs = default_monitor_specs(crashed, until)

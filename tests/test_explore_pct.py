@@ -99,10 +99,16 @@ def test_pct_quantizes_delays_to_three_levels():
 def test_pct_crash_jitter_stays_within_five_nu():
     strategy = PCTStrategy(seed=4)
     strategy.bind(min_message_delay=0.5, nu=2.0)
-    times = [strategy.crash_time(1, 30.0) for _ in range(50)]
+    scenario = {"crashes": [[30.0, 1]] * 50 + [[0.0, 2]]}
+    crashes = strategy.perturb(scenario)["crashes"]
+    times = [t for t, _ in crashes[:-1]]
     assert all(20.0 <= t <= 40.0 for t in times)
     assert len(set(times)) > 1
-    assert strategy.crash_time(1, 0.0) >= 0.0
+    assert crashes[-1][0] >= 0.0
+    assert [n for _, n in crashes] == [1] * 50 + [2]
+    # The plan itself is left as written, and nothing is a decision.
+    assert scenario["crashes"][0] == [30.0, 1]
+    assert strategy.log.decisions == []
 
 
 # ----------------------------------------------------------------------
@@ -118,8 +124,17 @@ def test_pct_run_replays_bit_identically(family, algorithm):
                             PCTStrategy(seed=1))
     assert result.violation is None
     assert result.report.exploration["decisions"]["tie"] > 0
+    # Crash timing is scenario data: the result holds the jittered plan
+    # that ran, and the trace holds runtime choices only.
+    assert {kind for kind, _ in result.decisions} <= {"t", "d"}
+    nu = result.scenario.get("bounds", {}).get("nu", 1.0)
+    planned = entry["scenario"].get("crashes", [])
+    ran = result.scenario.get("crashes", [])
+    assert [n for _, n in ran] == [n for _, n in planned]
+    for (t_ran, _), (t_plan, _) in zip(ran, planned):
+        assert abs(t_ran - t_plan) <= 5.0 * nu
     again = run_controlled(
-        entry["scenario"], entry["until"], ReplaySchedule(result.decisions),
+        result.scenario, entry["until"], ReplaySchedule(result.decisions),
         monitor_specs=result.monitor_specs,
     )
     assert again.decisions == result.decisions

@@ -6,6 +6,8 @@ size metric never grows, the shrunk repro still trips the original
 monitor, and a replay of the shrunk file succeeds end to end.
 """
 
+import copy
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -95,15 +97,24 @@ def test_replay_of_tampered_repro_diverges(violation_repro):
         replay(tampered)
 
 
-def test_shrink_drops_crashes_the_violation_does_not_need(violation_repro):
-    # Two crashes planned after the violation cannot be what causes it:
-    # ddmin over the crash plan must remove both.
-    data = violation_repro.to_dict()
+@pytest.mark.parametrize("key", ["crashes", "link_script"])
+def test_shrink_drops_crashes_the_violation_does_not_need(violation_repro,
+                                                         key):
+    # Rows planned after the violation cannot be what causes it: ddmin
+    # over the scenario's timed list must remove them all — two
+    # crashes, or a link held down for a window (a link perturbation).
+    data = copy.deepcopy(violation_repro.to_dict())
     late = violation_repro.violation["time"]
-    data["scenario"]["crashes"] = [[late + 1.0, 0], [late + 2.0, 1]]
+    data["scenario"][key] = {
+        "crashes": [[late + 1.0, 0], [late + 2.0, 1]],
+        "link_script": [[late + 0.5, "down", 0, 1, -1],
+                        [late + 1.5, "up", 0, 1, -1]],
+    }[key]
     padded = ReproFile.from_dict(data)
+    assert key not in violation_repro.scenario
+    assert padded.size() == violation_repro.size() + 2  # rows count
     assert check_repro(padded) is not None
     shrunk, _ = shrink_repro(padded)
-    assert shrunk.scenario["crashes"] == []
+    assert shrunk.scenario[key] == []
     assert shrunk.violation["monitor"] == violation_repro.violation["monitor"]
     assert replay(shrunk).violation.to_dict() == shrunk.violation

@@ -12,6 +12,7 @@ ingestion fields, and the ``repro live`` / ``repro --version`` CLI.
 
 import asyncio
 import copy
+import dataclasses
 import io
 import json
 import pickle
@@ -295,6 +296,32 @@ def test_verify_replays_with_the_trace_log_off(fig6_recording, monkeypatch):
     assert list(simulation.trace) == []
     assert simulation.registry is None
     assert len(seen["kept"]) == report["fidelity"]["actual"]
+
+
+def test_derive_replay_keeps_every_field_it_does_not_replay():
+    # The origin leaves radio_range, seed and bounds to the defaults and
+    # sets a field the replay does not touch (think_range).
+    origin = {
+        "positions": [[0.0, 0.0], [0.8, 0.0], [1.6, 0.0]],
+        "algorithm": "alg2",
+        "think_range": [2.0, 3.0],
+        "crashes": [[6.0, 2]],
+    }
+    recording = run_bus(origin, 15.0, time_scale=0.003)
+    derived = derive_replay(recording)
+    base, config = config_from_dict(origin), config_from_dict(derived.scenario)
+    replayed = {"bounds", "scripted_hunger", "scripted_eating", "link_script",
+                "mobility_factory", "crashes", "strict_safety", "trace",
+                "telemetry"}
+    for f in dataclasses.fields(ScenarioConfig):
+        if f.name not in replayed:
+            assert getattr(config, f.name) == getattr(base, f.name), f.name
+    assert config.bounds.tau == base.bounds.tau
+    assert config.bounds.nu >= base.bounds.nu
+    # The crash is scenario data; the trace holds delays only.
+    assert [node for _, node in config.crashes] == [2]
+    assert {kind for kind, _ in derived.decisions} == {"d"}
+    assert_clean(verify_recording(recording))
 
 
 def _three_node_line_scenario():

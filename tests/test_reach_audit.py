@@ -226,13 +226,15 @@ def _fn(path, qualname, protocol=False):
     ("repro/obs/toy.py", "Toy.run", True),  # file scope
     ("repro/explore/schedule.py", "PCTStrategy", True),  # the scope itself
     ("repro/explore/schedule.py", "PCTStrategy._tie_break", True),  # member
-    ("repro/explore/shrink.py", "shrink_repro.<locals>.test_crashes", True),
+    ("repro/obs/nest.py", "outer.<locals>.inner", True),  # nested def
     ("repro/explore/schedule.py", "PCTStrategyX.run", False),  # name prefix
     ("repro/explore/schedule.py", "RandomStrategy._tie_break", False),
     ("repro/obs/toyx.py", "run", False),  # file-name prefix
 ])
 def test_owner_of_matches_whole_scopes_only(monkeypatch, path, qualname, owned):
     monkeypatch.setitem(reach_audit.OWNERS, "repro/obs/toy.py", "a whole file")
+    monkeypatch.setitem(reach_audit.OWNERS,
+                        "repro/obs/nest.py::outer.<locals>.inner", "a nested def")
     assert (reach_audit.owner_of(_fn(path, qualname)) is not None) is owned
 
 

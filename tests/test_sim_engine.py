@@ -68,35 +68,6 @@ def test_handle_outlives_its_event(method):
     assert not a_handle.pending and not b_handle.pending
 
 
-def test_crash_retime_skips_a_crash_that_already_fired():
-    from repro.net.geometry import line_positions
-    from repro.runtime.simulation import ScenarioConfig, Simulation
-
-    class TenLater:
-        def crash_time(self, node_id, base):
-            return base + 10.0
-
-    simulation = Simulation(ScenarioConfig(
-        positions=line_positions(5, spacing=1.0), radio_range=1.1,
-        algorithm="alg2", crashes=[(5.0, 1), (30.0, 3)],
-    ))
-    simulation.run(until=10.0)
-    failures = simulation.failures
-
-    def crashed():
-        return sorted(n for n, h in simulation.harnesses.items() if h.crashed)
-
-    assert crashed() == [1]
-    failures.apply_control(TenLater())
-    assert [(c.time, c.node_id) for c in failures.crashes] == [
-        (5.0, 1), (40.0, 3),
-    ]
-    simulation.run(until=35.0)
-    assert crashed() == [1]
-    simulation.run(until=45.0)
-    assert crashed() == [1, 3]
-
-
 def test_run_until_deadline_leaves_future_events_pending():
     sim = Simulator()
     fired = []

@@ -241,6 +241,9 @@ for algorithm in alg2-nonotify alg1-noreturn alg1-nodoorway; do
         exit 1
     fi
 done
+for repro in $T/repros/*.json; do
+    python -m repro explore replay $repro
+done
 python -m repro live run --runtime bus --family fig6 --algorithm alg1-greedy \
     --seed 0 --out $T/ci/live-logs/bus-fig6.json
 python -m repro live serve --port $PORT --duration 2 --out $T/serve.json
@@ -371,8 +374,6 @@ OWNERS: Dict[str, str] = {
     "repro/live/linklayer.py::_noop": FAULT + " (the live drop record)",
     "repro/explore/monitors.py::_lower": FAULT,
     "repro/explore/monitors.py::PriorityMonitor._scan_order_cycle": FAULT,
-    "repro/explore/shrink.py::shrink_repro.<locals>.test_crashes":
-        FAULT + " (shrinking a repro that holds crashes)",
     "repro/obs/bench_history.py::append_record":
         "the `REPRO_WRITE_BENCH=1` sink of `benchmarks/test_perf_core.py`,"
         " which CI's perf step runs",
@@ -398,6 +399,8 @@ OWNERS: Dict[str, str] = {
     "repro/mobility/base.py::MobilityController.position_now":
         ORACLE + " (the fixed-step walk inherits it; the link-graph ground truth reads it)",
     "repro/sim/timers.py::Timer.pending": INTERFACE + " (`TimerHandle.pending`)",
+    "repro/sim/events.py::ScheduledEvent.pending":
+        INTERFACE + " (`TimerHandle.pending` of `Simulator.schedule_at`)",
 }
 
 
