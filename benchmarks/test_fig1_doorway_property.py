@@ -26,7 +26,6 @@ def overtake_stats(kind: str, until: float = 300.0):
         seed=3,
         think_range=(0.0, 0.1),
         bounds=TimeBounds(nu=0.1, tau=0.1),
-        strict_safety=False,
         trace=True,
     )
     from repro.runtime.simulation import ScenarioConfig, Simulation
@@ -38,7 +37,6 @@ def overtake_stats(kind: str, until: float = 300.0):
         seed=3,
         think_range=(0.0, 0.1),
         bounds=TimeBounds(nu=0.1, tau=0.1),
-        strict_safety=False,
         trace=True,
     )
     sim = Simulation(config)

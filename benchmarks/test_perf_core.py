@@ -496,16 +496,14 @@ def test_monitor_suite_overhead(report):
     from repro.explore.monitors import (
         MonitorSuite, build_monitors, default_monitor_specs,
     )
+    from repro.harness.config_io import config_to_dict
 
     until = 30.0
     config = _crash_disk_config()
     # The suite the ledger's until=120 crash run would get (progress
     # threshold 72), timed over its first 30 time units: a threshold
     # scaled to 30 would flag the slow first entries of the bootstrap.
-    specs = default_monitor_specs(
-        {"algorithm": "alg2", "crashes": [list(c) for c in config.crashes]},
-        120.0,
-    )
+    specs = default_monitor_specs(config_to_dict(config), 120.0)
 
     def run(with_suite):
         simulation = Simulation(config)

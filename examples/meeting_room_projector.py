@@ -67,7 +67,7 @@ def main() -> None:
     recolors = [sim.algorithm_of(i).recolor_runs for i in range(len(positions))]
     print(f"\nRecoloring runs per node: {recolors}")
     print("Latecomers recolored on arrival and nobody ever shared the "
-          "projector (the strict safety monitor would have raised).")
+          "projector (the safety checker would have raised).")
 
 
 if __name__ == "__main__":

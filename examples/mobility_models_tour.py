@@ -6,7 +6,7 @@ static, random waypoint, Gauss-Markov (correlated velocity), and a
 moving team (reference-point group mobility) — plus Algorithm 1 under
 the most recoloring-hostile of them.  The table shows how movement
 churn translates into response time, demotions and recoloring work,
-with safety enforced by the strict monitor throughout.
+with safety enforced by the safety checker throughout.
 
 Run:
     python examples/mobility_models_tour.py
@@ -84,7 +84,7 @@ def main() -> None:
          "demotions", "recolor runs", "starved"],
         rows,
         title=f"Mobility tour: {N}-node grid, {MOVERS} movers, {UNTIL} tu "
-              "(strict safety monitor on)",
+              "(safety checker on)",
     ))
     print(
         "\nEvery regime kept full progress with zero mutual-exclusion "

@@ -4,8 +4,8 @@
 Runs the paper's Algorithm 2 (optimal failure locality) on an 8-node
 line for 200 time units and prints what every downstream user wants to
 know first: did everyone get their turns, how fast, at what message
-cost — and was mutual exclusion ever violated (the strict safety
-monitor would have raised).
+cost — and was mutual exclusion ever violated (the safety checker
+would have raised).
 
 Run:
     python examples/quickstart.py

@@ -85,6 +85,10 @@ class LocalMutexAlgorithm(abc.ABC):
 
     #: Human-readable protocol name (overridden by subclasses).
     name = "abstract"
+    #: Whether the protocol promises local mutual exclusion.  A run
+    #: reads it once, from node 0's algorithm: when False, its safety
+    #: checker drops its verdicts instead of raising.
+    guarantees_exclusion = True
 
     # One instance per node: slotted so city-scale runs don't carry a
     # per-algorithm ``__dict__``.  Subclasses that declare their own

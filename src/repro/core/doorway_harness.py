@@ -12,8 +12,8 @@ doorway(s), runs the module R times (taking the return path between
 runs where configured), briefly "eats" (so the harness records the
 response time = full traversal latency), and exits.  Doorways by
 themselves do NOT provide mutual exclusion — neighbors may be behind
-one concurrently — so scenarios using these protocols run with the
-safety monitor in non-strict mode.
+one concurrently — so :class:`DoorwayAlgorithm` declares
+``guarantees_exclusion = False`` and its runs do not check safety.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ class DoorwayAlgorithm(MessageDispatchMixin, LocalMutexAlgorithm):
     """One node's side of a synthetic doorway-guarded module."""
 
     name = "doorway"
+    guarantees_exclusion = False
 
     def __init__(
         self,
@@ -147,7 +148,6 @@ def doorway_entry(kind: str, module_time: float = 1.0, returns: int = 1):
         config = ScenarioConfig(
             positions=...,
             algorithm=doorway_entry("double", module_time=2.0),
-            strict_safety=False,
         )
     """
 

@@ -32,9 +32,11 @@ class SafetyViolation(ReproError):
     """The local mutual exclusion invariant was violated.
 
     Raised by :class:`repro.metrics.safety.SafetyMonitor` when two
-    neighboring nodes are observed eating simultaneously.  This is the
-    single most important failure mode of the reproduction: it should
-    never occur in a correct run.
+    neighboring nodes are observed eating simultaneously, unless an
+    attached :class:`~repro.explore.monitors.MonitorSuite` took its
+    verdicts over (its ``exclusion`` monitor then records them).  This
+    is the single most important failure mode of the reproduction: it
+    should never occur in a correct run.
     """
 
     def __init__(self, time: float, node_a: int, node_b: int) -> None:

@@ -24,7 +24,8 @@ reports exactly what a whole-network scan in link order would have
 Monitors and the claims they check:
 
 ``exclusion``
-    Local mutual exclusion itself: no link with both endpoints EATING.
+    Local mutual exclusion itself: no link with both endpoints EATING,
+    as the simulation's always-on safety checker flags it.
 ``fork-uniqueness``
     Lemma 3: per link at most one endpoint holds the shared fork.
 ``doorway-entry``
@@ -65,6 +66,8 @@ from typing import (
 from repro.core.doorway import FORK_SYNC, SYNC_DOORWAYS
 from repro.core.states import NodeState
 from repro.errors import ConfigurationError
+from repro.harness.config_io import config_from_dict
+from repro.metrics.safety import ignore_violation
 
 
 @dataclass
@@ -123,20 +126,21 @@ class InvariantMonitor:
 
 
 class ExclusionMonitor(InvariantMonitor):
-    """No two current neighbors eat at the same time."""
+    """No two current neighbors eat at once: reports the lowest link
+    the simulation's safety checker flagged during the event."""
 
     name = "exclusion"
 
+    def attach(self, simulation) -> None:
+        super().attach(simulation)
+        self._found: Optional[Tuple[int, int]] = None
+        simulation.safety.flag = self._flag
+
+    def _flag(self, time: float, a: int, b: int) -> None:
+        self._found = _lower(self._found, a, b)
+
     def check(self, nodes: List[int]) -> Optional[Dict[str, Any]]:
-        harnesses = self.simulation.harnesses
-        found = None
-        for a in nodes:
-            harness = harnesses[a]
-            if harness.state is not NodeState.EATING:
-                continue
-            for b in harness.neighbors():
-                if harnesses[b].state is NodeState.EATING:
-                    found = _lower(found, a, b)
+        found, self._found = self._found, None
         return None if found is None else {"link": list(found)}
 
 
@@ -634,6 +638,8 @@ class MonitorSuite:
 
     Stops the simulation at the first violation; ``violation`` then
     pins the monitor, step and time, which replay verifies against.
+    Attaching takes the simulation's safety verdicts over: a monitored
+    run reports them as ``exclusion`` violations instead of raising.
     """
 
     def __init__(self, monitors: List[InvariantMonitor]) -> None:
@@ -650,6 +656,7 @@ class MonitorSuite:
         for harness in simulation.harnesses.values():
             harness.dirty = dirty
         simulation.linklayer.observers.append(self._on_link_event)
+        simulation.safety.flag = ignore_violation
         for monitor in self.monitors:
             monitor.attach(simulation)
         simulation.sim.add_listener(self._on_event)
@@ -737,10 +744,9 @@ def default_monitor_specs(scenario: Dict[str, Any],
     under crashes (its locality is unbounded), plain starvation check
     otherwise.
     """
-    algorithm = str(scenario.get("algorithm", ""))
-    nu = float(scenario.get("bounds", {}).get("nu", 1.0))
-    crashes = scenario.get("crashes") or []
-    mobile = "mobility" in scenario or bool(scenario.get("link_script"))
+    config = config_from_dict(scenario)
+    algorithm = str(config.algorithm)
+    mobile = config.mobility_factory is not None or bool(config.link_script)
     specs: List[Dict[str, Any]] = [
         {"name": "exclusion", "params": {}},
         {"name": "fork-uniqueness", "params": {}},
@@ -756,9 +762,10 @@ def default_monitor_specs(scenario: Dict[str, Any],
         specs.append({"name": "priority", "params": priority_params})
         if not mobile:
             specs.append(
-                {"name": "stale-priority", "params": {"bound": 3.0 * nu}}
+                {"name": "stale-priority",
+                 "params": {"bound": 3.0 * config.bounds.nu}}
             )
-    if not crashes:
+    if not config.crashes:
         specs.append(
             {"name": "progress", "params": {"threshold": 0.6 * until}}
         )

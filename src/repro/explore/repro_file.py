@@ -26,7 +26,8 @@ from repro.errors import ConfigurationError
 
 #: Bump on any breaking change to the repro-file layout.  Version 2:
 #: crash timing is scenario data, and traces carry no ``"c"`` decisions.
-REPRO_SCHEMA_VERSION = 2
+#: Version 3: scenarios carry no ``strict_safety`` key.
+REPRO_SCHEMA_VERSION = 3
 
 
 def _regroup(rows: List[Tuple[str, float]]) -> Dict[str, List[float]]:

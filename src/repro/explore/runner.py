@@ -19,9 +19,9 @@ the delay choices decide where every delivery lands relative to the
 analytic crossing instants.  Controlled runs move nodes on the same
 path every other run uses; nothing is forced.
 
-``strict_safety`` is turned *off*: the monitors are the oracle here,
-and a violation must be recorded (step, time, details) rather than
-raised mid-event.
+The suite takes over the simulation's safety checker, so a broken
+exclusion is recorded by the ``exclusion`` monitor (step, time,
+details) rather than raised mid-event.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.explore.monitors import (
 )
 from repro.explore.repro_file import ReproFile
 from repro.explore.schedule import ControlledScheduler, ReplaySchedule
+from repro.harness.config_io import config_from_dict
 from repro.obs.report import RunReport
 
 #: Decision-kind tag -> probe-counter key.
@@ -94,10 +95,6 @@ def run_controlled(
     run starts — the hook live-run verification uses to hand every node
     harness the effect sink it checks fidelity against.
     """
-    # Local import: config_io imports runtime.simulation, which several
-    # explore modules sit below in test fakes.
-    from repro.harness.config_io import config_from_dict
-
     if strategy.log.decisions:
         raise ConfigurationError(
             "strategy has already recorded decisions; "
@@ -111,8 +108,6 @@ def run_controlled(
     perturbed = strategy.perturb(scenario)
     if perturbed is not scenario:
         scenario, config = perturbed, config_from_dict(perturbed)
-    # See module docstring: record violations instead of raising.
-    config.strict_safety = False
 
     # Local import mirrors the public API layering (repro -> explore).
     from repro.runtime.simulation import Simulation

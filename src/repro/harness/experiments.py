@@ -45,7 +45,6 @@ def run_static(
     radio_range: float = 1.0,
     think_range: Tuple[float, float] = (1.0, 4.0),
     bounds: Optional[TimeBounds] = None,
-    strict_safety: bool = True,
     **overrides,
 ) -> SimulationResult:
     """Run one algorithm on a static topology with the default workload."""
@@ -56,7 +55,6 @@ def run_static(
         seed=seed,
         think_range=think_range,
         bounds=bounds or TimeBounds(),
-        strict_safety=strict_safety,
         **overrides,
     )
     return Simulation(config).run(until=until)
@@ -202,7 +200,6 @@ def doorway_latency(
         radio_range=1.0,
         think_range=(0.0, 0.1),
         bounds=bounds,
-        strict_safety=False,
     )
     # The hub (node 0) has degree delta and experiences the full
     # interference Lemmas 1-2 bound; leaves only see the hub.

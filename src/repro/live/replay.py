@@ -156,9 +156,8 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
         fraction = max(fraction, 5e-324)
     # The recorded rows replace the origin's hunger, eating, churn
     # (its mobility runs as the recorded link rows) and crash plan.  The
-    # oracle observes through its monitors and effect sink: no safety
-    # raise, no trace log, no metric registry.  Every other field is the
-    # origin's.
+    # oracle observes through its monitors and effect sink: no trace
+    # log, no metric registry.  Every other field is the origin's.
     scenario = config_to_dict(replace(
         base,
         bounds=replace(base.bounds, nu=nu, min_delay_fraction=fraction),
@@ -167,7 +166,6 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
         link_script=link_script or None,
         mobility_factory=None,
         crashes=crashes,
-        strict_safety=False,
         trace=False,
         telemetry=False,
     ))

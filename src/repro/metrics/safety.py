@@ -1,34 +1,36 @@
-"""The local mutual exclusion safety monitor.
+"""The local mutual exclusion safety checker.
 
 Checks the paper's safety condition — no two *current neighbors*
-simultaneously in the critical section — at every point it could newly
-become violated: when a node starts eating, and when a link forms
-between two nodes (the mobile-setting hazard the eating->hungry
-demotion exists to close).
+simultaneously in the critical section — at the only two points it
+could newly become violated: when a node starts eating, and when a
+link forms between two nodes (the mobile-setting hazard the
+eating->hungry demotion exists to close).
 
-By default a violation raises :class:`~repro.errors.SafetyViolation`
-immediately (every test and benchmark runs under this); a non-strict
-mode records violations instead, used by tests that *expect* a broken
-protocol variant to fail.
+Every simulation carries one.  A violation raises
+:class:`~repro.errors.SafetyViolation` at once, unless the run hands
+the verdicts elsewhere: an attached
+:class:`~repro.explore.monitors.MonitorSuite` takes them over (its
+``exclusion`` monitor reports them), and a protocol that is not a
+mutex (``LocalMutexAlgorithm.guarantees_exclusion = False``) drops
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict
 
 from repro.core.states import NodeState
 from repro.errors import SafetyViolation
 from repro.net.topology import DynamicTopology
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A recorded (non-strict mode) safety violation."""
+def raise_violation(time: float, a: int, b: int) -> None:
+    """The default verdict: neighbors ``a`` and ``b`` both eat."""
+    raise SafetyViolation(time, a, b)
 
-    time: float
-    node_a: int
-    node_b: int
+
+def ignore_violation(time: float, a: int, b: int) -> None:
+    """The verdict of a run whose protocol promises no exclusion."""
 
 
 class SafetyMonitor:
@@ -38,33 +40,25 @@ class SafetyMonitor:
         self,
         topology: DynamicTopology,
         harnesses: Dict[int, "NodeHarness"],  # noqa: F821
-        strict: bool = True,
     ) -> None:
         self._topology = topology
         self._harnesses = harnesses
-        self.strict = strict
-        self.violations: List[Violation] = []
-        self.checks_performed = 0
+        #: Called as ``flag(time, a, b)`` for each pair of eating
+        #: neighbors found; replaced by whoever takes the verdicts over.
+        self.flag: Callable[[float, int, int], None] = raise_violation
 
-    # ------------------------------------------------------------------
     def _is_eating(self, node_id: int) -> bool:
         harness = self._harnesses.get(node_id)
         return harness is not None and harness.state is NodeState.EATING
-
-    def _flag(self, time: float, a: int, b: int) -> None:
-        if self.strict:
-            raise SafetyViolation(time, a, b)
-        self.violations.append(Violation(time, a, b))
 
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
     def note_eating_start(self, node_id: int, time: float) -> None:
         """A node entered the CS: none of its neighbors may be eating."""
-        self.checks_performed += 1
-        for peer in sorted(self._topology.neighbors(node_id)):
+        for peer in self._topology.sorted_neighbors(node_id):
             if self._is_eating(peer):
-                self._flag(time, node_id, peer)
+                self.flag(time, node_id, peer)
 
     def on_link_event(self, kind: str, a: int, b: int, time: float) -> None:
         """Link-layer observer: a new link must not join two eaters.
@@ -72,8 +66,5 @@ class SafetyMonitor:
         Called after both endpoints processed their indications, i.e.
         after the moving endpoint had its chance to demote itself.
         """
-        if kind != "up":
-            return
-        self.checks_performed += 1
-        if self._is_eating(a) and self._is_eating(b):
-            self._flag(time, a, b)
+        if kind == "up" and self._is_eating(a) and self._is_eating(b):
+            self.flag(time, a, b)

@@ -20,7 +20,7 @@ from typing import (
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.locality import LocalityReport, measure_failure_locality
-from repro.metrics.safety import SafetyMonitor
+from repro.metrics.safety import SafetyMonitor, ignore_violation
 from repro.mobility.base import MobilityController, MobilityModel
 from repro.net.channel import ChannelLayer
 from repro.net.geometry import Point
@@ -91,7 +91,6 @@ class ScenarioConfig:
     #: Crash plan: (time, node_id) pairs.
     crashes: List[Tuple[float, int]] = field(default_factory=list)
     trace: bool = False
-    strict_safety: bool = True
     #: Optional pre-assigned legal coloring (alg1 variants / choy-singh).
     initial_colors: Optional[Dict[int, int]] = None
     #: Override the delta the Linial procedure is built for (mobile runs
@@ -385,9 +384,7 @@ class Simulation:
             )
             self.watchdog.start()
         self.harnesses: Dict[int, NodeHarness] = {}
-        self.safety = SafetyMonitor(
-            self.topology, self.harnesses, strict=config.strict_safety
-        )
+        self.safety = SafetyMonitor(self.topology, self.harnesses)
         self.linklayer.observers.append(
             lambda kind, a, b: self.safety.on_link_event(kind, a, b, self.sim.now)
         )
@@ -407,6 +404,8 @@ class Simulation:
                 safety=self.safety,
             )
         )
+        if not self.harnesses[0].algorithm.guarantees_exclusion:
+            self.safety.flag = ignore_violation
         if config.scripted_eating is not None:
             for node_id, harness in self.harnesses.items():
                 durations = config.scripted_eating.get(node_id)

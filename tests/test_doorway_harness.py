@@ -30,7 +30,6 @@ def test_every_kind_traverses_on_a_line(kind):
         seed=1,
         think_range=(0.2, 0.6),
         bounds=TimeBounds(nu=0.1, tau=0.1),
-        strict_safety=False,
     )
     result = Simulation(config).run(until=60.0)
     for node in range(4):
@@ -47,7 +46,6 @@ def test_return_path_runs_module_r_times():
         seed=1,
         think_range=(0.5, 0.5),
         bounds=TimeBounds(nu=0.1, tau=0.1),
-        strict_safety=False,
     )
     result = Simulation(config).run(until=50.0)
     times = result.response_times
@@ -63,7 +61,6 @@ def test_module_time_floor():
         seed=1,
         think_range=(0.5, 0.5),
         bounds=TimeBounds(nu=0.1, tau=0.1),
-        strict_safety=False,
     )
     result = Simulation(config).run(until=40.0)
     assert min(result.response_times) >= 2.0 - 1e-9
@@ -75,7 +72,22 @@ def test_star_positions_hub_degree():
         positions=positions,
         radio_range=1.0,
         algorithm=doorway_entry("double"),
-        strict_safety=False,
     )
     sim = Simulation(config)
     assert len(sim.topology.neighbors(0)) == 7
+
+
+def test_doorway_runs_are_not_checked_for_exclusion():
+    # Doorways are not a mutex: on a clique, neighbours sit in the
+    # module together.  The protocol says so, and the run must not
+    # raise SafetyViolation for it.
+    config = ScenarioConfig(
+        positions=star_positions(6),
+        radio_range=3.0,
+        algorithm=doorway_entry("async", module_time=0.5),
+        seed=3,
+        think_range=(0.0, 0.1),
+        bounds=TimeBounds(nu=0.1, tau=0.1),
+    )
+    result = Simulation(config).run(until=100.0)
+    assert result.cs_entries > 0

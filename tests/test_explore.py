@@ -132,7 +132,7 @@ def test_repro_file_round_trips_canonically(tmp_path):
     assert json.loads(text)["decisions"] == [["d", 0.625], ["t", 1]]
 
 
-@pytest.mark.parametrize("schema", [1, REPRO_SCHEMA_VERSION + 1])
+@pytest.mark.parametrize("schema", [1, 2, REPRO_SCHEMA_VERSION + 1])
 def test_repro_file_rejects_other_schemas(schema):
     data = _sample_repro().to_dict()
     data["schema_version"] = schema
@@ -230,8 +230,8 @@ def test_default_monitor_specs_follow_algorithm_and_hazards():
     names = [s["name"] for s in default_monitor_specs(alg2, until)]
     assert "priority" in names and "stale-priority" in names
 
-    mobile = dict(alg2, mobility={"kind": "waypoint", "nodes": [0],
-                                  "params": {}})
+    mobile = dict(alg2, mobility=[{"kind": "waypoint", "nodes": [0],
+                                   "params": {"width": 4.0, "height": 1.0}}])
     mobile_specs = default_monitor_specs(mobile, until)
     names = [s["name"] for s in mobile_specs]
     assert "stale-priority" not in names
@@ -260,6 +260,22 @@ def test_default_monitor_specs_follow_algorithm_and_hazards():
     crashed_alg1 = dict(base, crashes=[[5.0, 1]])
     names = [s["name"] for s in default_monitor_specs(crashed_alg1, until)]
     assert "progress" not in names
+
+
+def test_stale_priority_bound_reads_nu_through_the_codec():
+    from repro.sim.clock import TimeBounds
+
+    alg2, until = _line_scenario("alg2")
+
+    def bound(scenario):
+        (spec,) = [s for s in default_monitor_specs(scenario, until)
+                   if s["name"] == "stale-priority"]
+        return spec["params"]["bound"]
+
+    assert bound(dict(alg2, bounds={"nu": 2.5})) == 7.5
+    # Without ``bounds`` the default is TimeBounds' own.
+    assert "bounds" not in alg2
+    assert bound(alg2) == 3 * TimeBounds().nu
 
 
 def test_priority_monitor_cycle_gate():
@@ -310,6 +326,7 @@ def test_suite_reads_only_the_event_neighbourhood():
 
     from repro.core.states import NodeState
     from repro.explore.monitors import MonitorSuite
+    from repro.metrics.safety import SafetyMonitor
     from repro.net.geometry import Point
     from repro.net.linklayer import LinkLayer
     from repro.net.topology import DynamicTopology
@@ -341,9 +358,14 @@ def test_suite_reads_only_the_event_neighbourhood():
     topology.add_nodes([(8, Point(4.0, 8.0)), (9, Point(4.0, 9.0))])
     linklayer = LinkLayer(engine, topology)
     harnesses = RecordingHarnesses()
+    # The safety checker on its two hooks, wired as Simulation wires it.
+    safety = SafetyMonitor(topology, harnesses)
+    linklayer.observers.append(
+        lambda kind, a, b: safety.on_link_event(kind, a, b, engine.now)
+    )
     for node in (0, 1, 2, 3, 4, 8, 9):
         harness = NodeHarness(node, engine, linklayer, TimeBounds(), None,
-                              eat_rng=None)
+                              eat_rng=None, safety=safety)
         # Each node holds the forks it shares with higher ids, so the
         # fork check looks past every dirty node to some neighbours.
         harness.bind(SimpleNamespace(
@@ -359,7 +381,7 @@ def test_suite_reads_only_the_event_neighbourhood():
     ]))
     suite.attach(SimpleNamespace(
         harnesses=harnesses, topology=topology, linklayer=linklayer,
-        sim=engine,
+        sim=engine, safety=safety,
     ))
     suite._on_event(engine)  # the first check reads everyone
     assert harnesses.read == {0, 1, 2, 3, 4, 8, 9}
@@ -379,9 +401,11 @@ def test_suite_reads_only_the_event_neighbourhood():
 
     # Two nodes that crashed mid-meal run no code when a link joins
     # them: only the link-layer observer can reveal the conflict, and
-    # it must, at once.
+    # it must, at once.  Each entered the CS (the harness's state flip
+    # and its safety hook) while not yet adjacent to the other.
     for node in (0, 2):
         harnesses[node]._state = NodeState.EATING
+        safety.note_eating_start(node, engine.now)
         harnesses[node].crash()
         linklayer.crash(node)
     suite._on_event(engine)
@@ -389,7 +413,9 @@ def test_suite_reads_only_the_event_neighbourhood():
     harnesses.read.clear()
     linklayer.apply_diff(topology.force_link(0, 2, True))
     suite._on_event(engine)
-    assert harnesses.read == {0, 1, 2, 3}
+    # The checker reads the new link's endpoints; the exclusion monitor
+    # reads nothing and stops the suite before the fork check runs.
+    assert harnesses.read == {0, 2}
     assert suite.violation.monitor == "exclusion"
     assert suite.violation.details == {"link": [0, 2]}
 

@@ -311,8 +311,7 @@ def test_derive_replay_keeps_every_field_it_does_not_replay():
     derived = derive_replay(recording)
     base, config = config_from_dict(origin), config_from_dict(derived.scenario)
     replayed = {"bounds", "scripted_hunger", "scripted_eating", "link_script",
-                "mobility_factory", "crashes", "strict_safety", "trace",
-                "telemetry"}
+                "mobility_factory", "crashes", "trace", "telemetry"}
     for f in dataclasses.fields(ScenarioConfig):
         if f.name not in replayed:
             assert getattr(config, f.name) == getattr(base, f.name), f.name

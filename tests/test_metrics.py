@@ -65,12 +65,20 @@ class StubHarness:
         self.state = state
 
 
-def build_monitor(strict=True):
+def build_monitor():
     topo = DynamicTopology(radio_range=1.5)
     for i, p in enumerate(line_positions(3, 1.0)):
         topo.add_node(i, p)
     harnesses = {i: StubHarness() for i in range(3)}
-    return topo, harnesses, SafetyMonitor(topo, harnesses, strict=strict)
+    return topo, harnesses, SafetyMonitor(topo, harnesses)
+
+
+def recording_monitor():
+    """A monitor whose verdicts are taken over, as a suite takes them."""
+    topo, harnesses, monitor = build_monitor()
+    flagged = []
+    monitor.flag = lambda time, a, b: flagged.append((time, a, b))
+    return harnesses, monitor, flagged
 
 
 def test_monitor_raises_on_neighbor_violation():
@@ -97,7 +105,7 @@ def test_safety_violation_pickles_with_its_fields():
 
 def test_safety_violation_in_a_process_pool_arrives_as_itself():
     """What ``replicate(workers>1)`` sees when a seed's run violates
-    safety under the default ``strict_safety``."""
+    safety (an unmonitored run raises)."""
     with ProcessPoolExecutor(max_workers=1) as pool:
         with pytest.raises(SafetyViolation) as raised:
             pool.submit(_violate_in_worker).result()
@@ -106,30 +114,29 @@ def test_safety_violation_in_a_process_pool_arrives_as_itself():
 
 
 def test_monitor_allows_distance_two_eaters():
-    topo, harnesses, monitor = build_monitor()
+    harnesses, monitor, flagged = recording_monitor()
     harnesses[0].state = NodeState.EATING
     harnesses[2].state = NodeState.EATING
     monitor.note_eating_start(2, time=5.0)  # 0 and 2 are not neighbors
-    assert monitor.checks_performed == 1
+    assert flagged == []
 
 
-def test_monitor_nonstrict_records():
-    topo, harnesses, monitor = build_monitor(strict=False)
-    harnesses[0].state = NodeState.EATING
-    harnesses[1].state = NodeState.EATING
+def test_monitor_hands_every_eating_neighbor_to_its_flag():
+    harnesses, monitor, flagged = recording_monitor()
+    for node in (2, 0, 1):
+        harnesses[node].state = NodeState.EATING
     monitor.note_eating_start(1, time=5.0)
-    assert len(monitor.violations) == 1
-    assert monitor.violations[0].time == 5.0
+    assert flagged == [(5.0, 1, 0), (5.0, 1, 2)]  # ascending peers
 
 
 def test_monitor_link_event_check():
-    topo, harnesses, monitor = build_monitor(strict=False)
+    harnesses, monitor, flagged = recording_monitor()
     harnesses[1].state = NodeState.EATING
     harnesses[2].state = NodeState.EATING
     monitor.on_link_event("up", 1, 2, time=7.0)
-    assert len(monitor.violations) == 1
+    assert flagged == [(7.0, 1, 2)]
     monitor.on_link_event("down", 1, 2, time=8.0)  # downs are ignored
-    assert len(monitor.violations) == 1
+    assert flagged == [(7.0, 1, 2)]
 
 
 # ----------------------------------------------------------------------

@@ -596,7 +596,7 @@ def test_crash_scenario_verdicts_match_across_paths(monkeypatch):
 
 
 def test_safety_monitor_stays_strict_under_kinetic_churn():
-    # High churn with several movers; strict safety raises on any
+    # High churn with several movers; the safety checker raises on any
     # same-instant double-eat between neighbors.
     def factory(node_id):
         if node_id % 2 == 0:
@@ -611,7 +611,6 @@ def test_safety_monitor_stays_strict_under_kinetic_churn():
         algorithm="alg2",
         seed=21,
         mobility_factory=factory,
-        strict_safety=True,
     )
     try:
         result = Simulation(config).run(until=150.0)

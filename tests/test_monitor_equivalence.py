@@ -14,6 +14,10 @@ ablation:
   engine, records the same ``(monitor, step, time, details)`` and the
   same check count.
 
+The ``exclusion`` monitor scans nothing: it reports the verdicts of the
+simulation's always-on safety checker, which an unmonitored run raises
+instead; both modes must name the same time and link.
+
 Tier-1 runs three scenario seeds per pair; ``pytest -m fuzz`` runs
 thirty.
 """
@@ -26,6 +30,7 @@ import pytest
 from oracles.monitor_scan import PriorityScan, ScanSuite, build_scan_monitors
 from repro.core.base import LocalMutexAlgorithm
 from repro.core.states import NodeState
+from repro.errors import SafetyViolation
 from repro.explore import monitors as monitors_module
 from repro.explore import runner
 from repro.explore.monitors import (
@@ -36,8 +41,11 @@ from repro.explore.monitors import (
 )
 from repro.explore.scenarios import build_scenario
 from repro.explore.schedule import RandomStrategy
+from repro.harness.config_io import config_from_dict
+from repro.metrics.safety import SafetyMonitor
 from repro.net.geometry import Point
 from repro.net.messages import Message
+from repro.runtime import registry
 from repro.runtime.simulation import ScenarioConfig, Simulation
 
 ALGORITHMS = [
@@ -254,27 +262,39 @@ def test_simultaneous_violations_report_the_full_scans_pick():
         add_listener=lambda listener: None, executed_events=1, now=0.0,
         stop=lambda: None,
     )
-    simulation = SimpleNamespace(
-        harnesses=harnesses, sim=engine,
-        linklayer=SimpleNamespace(observers=[]),
-        topology=SimpleNamespace(links=lambda: [(0, 1), (1, 2), (2, 3)]),
+    topology = SimpleNamespace(
+        links=lambda: [(0, 1), (1, 2), (2, 3)],
+        sorted_neighbors=lambda node: tuple(sorted(peers[node])),
     )
     specs = [
         {"name": "exclusion", "params": {}},
         {"name": "doorway-entry", "params": {}},
     ]
+    # One simulation per suite: each suite takes its own safety
+    # checker's verdicts over.
+    simulations = [
+        SimpleNamespace(
+            harnesses=harnesses, sim=engine, topology=topology,
+            linklayer=SimpleNamespace(observers=[]),
+            safety=SafetyMonitor(topology, harnesses),
+        )
+        for _ in specs
+    ]
     suites = [MonitorSuite(build_monitors([spec])) for spec in specs]
     scans = [ScanSuite([spec]) for spec in specs]
-    for suite in suites + scans:
-        suite.attach(simulation)
-        suite._on_event(engine)
-    # Nodes 3 and 1 cross SDf while a peer is behind; nodes 2 and 3
-    # eat, then 0 and 1.
+    for suite, scan, simulation in zip(suites, scans, simulations):
+        for each in (suite, scan):
+            each.attach(simulation)
+            each._on_event(engine)
+    # Nodes 3 and 1 cross SDf while a peer is behind; nodes 3 and 2
+    # enter the CS, then 1 and 0, each through the checker's hook.
     for node in (3, 1):
         doorways[node].behind = frozenset({"SDf"})
         doorways[node].peers = {node - 1}
     for node in (3, 2, 1, 0):
         harnesses[node].state = NodeState.EATING
+        for simulation in simulations:
+            simulation.safety.note_eating_start(node, engine.now)
     for suite, scan in zip(suites, scans):
         suite._dirty.update([3, 2, 1, 0])
         suite._on_event(engine)
@@ -284,6 +304,57 @@ def test_simultaneous_violations_report_the_full_scans_pick():
         {"link": [0, 1]},
         {"node": 1, "doorway": "SDf", "peers_behind": [0]},
     ]
+
+
+class Forkless(LocalMutexAlgorithm):
+    """An unsafe toy protocol: eats the moment it is hungry, asks no one."""
+
+    name = "forkless"
+
+    def on_hungry(self):
+        self.node.start_eating()
+
+    def on_exit_cs(self):
+        pass
+
+    def on_message(self, src, message):
+        pass
+
+
+@pytest.mark.parametrize("case", ["static-neighbours", "link-up"])
+def test_unmonitored_raise_and_exclusion_monitor_agree(monkeypatch, case):
+    """One checker, two verdicts: a plain run raises where a monitored
+    run records ``exclusion``, at the same time on the same link."""
+    monkeypatch.setitem(registry.ALGORITHMS, "forkless", lambda ctx: Forkless)
+    scenario = {
+        "algorithm": "forkless",
+        "positions": [[0.0, 0.0], [0.5, 0.0]],
+        "scripted_hunger": {"0": [1.0], "1": [2.0]},
+        "scripted_eating": {"0": [10.0], "1": [10.0]},
+    }
+    expected = (2.0, [0, 1])  # node 1 sits down next to eating node 0
+    if case == "link-up":
+        # Two distant eaters, then a scripted link joins them.
+        scenario["positions"] = [[0.0, 0.0], [5.0, 0.0]]
+        scenario["link_script"] = [[4.0, "up", 1, 0, -1]]
+        expected = (4.0, [0, 1])
+
+    with pytest.raises(SafetyViolation) as raised:
+        Simulation(config_from_dict(scenario)).run(until=20.0)
+    error = raised.value
+    assert (error.time, sorted([error.node_a, error.node_b])) == expected
+
+    result = runner.run_controlled(scenario, 20.0, RandomStrategy(seed=0))
+    violation = result.violation
+    assert violation.monitor == "exclusion"
+    assert (violation.time, violation.details["link"]) == expected
+
+    # A suite without ``exclusion`` still takes the verdicts: no raise.
+    quiet = runner.run_controlled(
+        scenario, 20.0, RandomStrategy(seed=0),
+        monitor_specs=[{"name": "fork-uniqueness", "params": {}}],
+    )
+    assert quiet.violation is None
 
 
 def test_priority_digraph_matches_full_scan_under_random_flips():

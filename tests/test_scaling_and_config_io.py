@@ -173,6 +173,8 @@ def test_unknown_keys_are_named_and_rejected():
         # A removed knob or a misspelling must not load as if it were
         # absent, at the top level or inside a nested block.
         ({"max_entries": 3, "profil": True}, "['max_entries', 'profil']"),
+        # Every older repro file and live recording carries this one.
+        ({"strict_safety": True}, "['strict_safety']"),
         ({"bounds": {"nuu": 5}}, "'nuu'"),
         ({"mobility": [{"kind": "waypoint", "node": [0],
                         "params": {"width": 4.0, "height": 4.0}}]}, "'node'"),

@@ -373,6 +373,8 @@ OWNERS: Dict[str, str] = {
     "repro/live/node.py::LiveProbes.note_reconnect": FAULT,
     "repro/live/linklayer.py::_noop": FAULT + " (the live drop record)",
     "repro/explore/monitors.py::_lower": FAULT,
+    "repro/explore/monitors.py::ExclusionMonitor._flag": FAULT,
+    "repro/metrics/safety.py::raise_violation": FAULT,
     "repro/explore/monitors.py::PriorityMonitor._scan_order_cycle": FAULT,
     "repro/obs/bench_history.py::append_record":
         "the `REPRO_WRITE_BENCH=1` sink of `benchmarks/test_perf_core.py`,"
