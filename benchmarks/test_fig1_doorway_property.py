@@ -14,20 +14,11 @@ from collections import defaultdict
 
 from repro.analysis.tables import render_table
 from repro.core.doorway_harness import doorway_entry
-from repro.harness.experiments import run_static, star_positions
+from repro.harness.experiments import star_positions
 from repro.sim.clock import TimeBounds
 
 
 def overtake_stats(kind: str, until: float = 300.0):
-    result_holder = {}
-
-    config_kwargs = dict(
-        until=until,
-        seed=3,
-        think_range=(0.0, 0.1),
-        bounds=TimeBounds(nu=0.1, tau=0.1),
-        trace=True,
-    )
     from repro.runtime.simulation import ScenarioConfig, Simulation
 
     config = ScenarioConfig(
@@ -46,15 +37,13 @@ def overtake_stats(kind: str, until: float = 300.0):
     waits = defaultdict(list)  # node -> [(start, end)]
     start = {}
     crossings = []  # (time, node)
-    for rec in sim.trace:
-        if rec.category == "app.hungry":
-            start[rec.node] = rec.time
-        elif rec.category == "cs.enter" and rec.node in start:
-            waits[rec.node].append((start.pop(rec.node), rec.time))
-        if rec.category == "doorway.crossed":
-            continue
-    for rec in sim.trace.select(category="cs.enter"):
-        crossings.append((rec.time, rec.node))
+    for time, tag, node in sim.effects:
+        if tag == "hungry":
+            start[node] = time
+        elif tag == "enter":
+            crossings.append((time, node))
+            if node in start:
+                waits[node].append((start.pop(node), time))
 
     max_overtakes = 0
     for node, intervals in waits.items():

@@ -366,7 +366,7 @@ def _mobility_plan(n, arena, hop, seed=5):
 def _run_mobility_churn(controller_cls, positions, plan, radio):
     sim = Simulator()
     topo = DynamicTopology(radio_range=radio)
-    link = LinkLayer(sim, topo)
+    link = LinkLayer(topo)
     channel = ChannelLayer(
         sim, topo, TimeBounds(), RandomSource(0).stream("c"),
         deliver=link.deliver,

@@ -54,10 +54,11 @@ def main() -> None:
     result = sim.run(until=DURATION)
 
     print("Projector control timeline (node >= 6 are latecomers):")
-    for record in sim.trace.select(category="cs.enter"):
-        who = f"laptop-{record.node}"
-        tag = "  <- latecomer" if record.node >= ATTENDEES else ""
-        print(f"  t={record.time:7.2f}  {who} takes the projector{tag}")
+    for time, effect, node in sim.effects:
+        if effect != "enter":
+            continue
+        tag = "  <- latecomer" if node >= ATTENDEES else ""
+        print(f"  t={time:7.2f}  laptop-{node} takes the projector{tag}")
 
     print()
     for node in range(len(positions)):

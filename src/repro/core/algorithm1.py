@@ -162,7 +162,6 @@ class Algorithm1(MessageDispatchMixin, LocalMutexAlgorithm):
         self.doorways.exit(FORK_SYNC)
         self.doorways.exit(FORK_ASYNC)
         self.fork_proto.clear_requests()
-        self._trace("alg1.cs_exit", color=color)
 
     # ------------------------------------------------------------------
     # Pipeline control
@@ -181,14 +180,12 @@ class Algorithm1(MessageDispatchMixin, LocalMutexAlgorithm):
         if self.pending_hellos or self._pipeline_active():
             return
         if self.needs_recolor or self.my_color is None:
-            self._trace("alg1.enter", stage="recolor")
             self.doorways.start_entry(RECOLOR_ASYNC)
         else:
-            self._trace("alg1.enter", stage="fork")
             self.doorways.start_entry(FORK_ASYNC)
 
     def _on_crossed(self, doorway: str) -> None:
-        self._trace("doorway.crossed", doorway=doorway)
+        self.node.mark(doorway)
         if doorway == RECOLOR_ASYNC:
             self.doorways.start_entry(RECOLOR_SYNC)
         elif doorway == RECOLOR_SYNC:
@@ -218,7 +215,6 @@ class Algorithm1(MessageDispatchMixin, LocalMutexAlgorithm):
             self._probes.note_recolor_begin()
             self._recolor_started = self.node.now
             self.session.probes = self._probes
-        self._trace("recolor.begin", peers=len(peers))
         self.session.begin()
 
     def _recolor_finished(self, value: int) -> None:
@@ -233,7 +229,7 @@ class Algorithm1(MessageDispatchMixin, LocalMutexAlgorithm):
             )
         self.session = None
         self.node.broadcast(UpdateColor(self.my_color))
-        self._trace("recolor.done", color=self.my_color)
+        self.node.mark("recolor")
         self.doorways.start_entry(FORK_ASYNC)
 
     def _participating(self) -> bool:
@@ -327,7 +323,6 @@ class Algorithm1(MessageDispatchMixin, LocalMutexAlgorithm):
         self.doorways.exit_all()  # Line 52
         self.fork_proto.clear_requests()
         self.pending_hellos.add(peer)  # Line 53: wait for the Hello
-        self._trace("alg1.moved", new_peer=peer)
 
     def on_link_down(self, peer: int) -> None:
         was_holding = self.forks.holds(peer)
@@ -354,7 +349,6 @@ class Algorithm1(MessageDispatchMixin, LocalMutexAlgorithm):
     def _take_return_path(self) -> None:
         """Exit SDf, release requested forks, re-enter (Figure 5's loop)."""
         self.return_paths_taken += 1
-        self._trace("alg1.return_path")
         self.fork_proto.grant_suspended()
         self.doorways.exit(FORK_SYNC)
         self.fork_proto.clear_requests()

@@ -20,7 +20,6 @@ from repro.net.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
-    from repro.sim.trace import TraceLog
 
 
 class NodeServices(Protocol):
@@ -36,9 +35,6 @@ class NodeServices(Protocol):
 
     @property
     def sim(self) -> "Simulator": ...
-
-    @property
-    def trace(self) -> "TraceLog": ...
 
     def neighbors(self) -> FrozenSet[int]:
         """Current neighbor set ``N`` (maintained by the link layer)."""
@@ -67,6 +63,11 @@ class NodeServices(Protocol):
 
     def demote_to_hungry(self) -> None:
         """Transition eating -> hungry (mobility preemption, Line 50)."""
+        ...
+
+    def mark(self, tag: str) -> None:
+        """Note a protocol stage mark in the run's effect log (a no-op
+        when the run keeps none)."""
         ...
 
 
@@ -146,5 +147,3 @@ class LocalMutexAlgorithm(abc.ABC):
     def node_id(self) -> int:
         return self.node.node_id
 
-    def _trace(self, category: str, **detail) -> None:
-        self.node.trace.record(self.node.now, category, self.node_id, **detail)

@@ -77,7 +77,7 @@ class DoorwaySet:
         # once since the current entry attempt began (sticky).
         self._seen_outside: Dict[str, Set[int]] = {d: set() for d in self._names}
         # Telemetry: None when the run is uninstrumented (the
-        # live_trace/NULL_TRACE idiom), so every probe site below is one
+        # live_registry idiom), so every probe site below is one
         # pointer test.  _crossed_at feeds the time-behind histogram.
         self._probes = getattr(node, "probes", None)
         self._crossed_at: Dict[str, float] = {}

@@ -92,8 +92,8 @@ def run_controlled(
     scenario.  The strategy must be fresh (strategies are stateful
     one-run objects).  ``on_simulation``, when given, is called with the
     fully wired :class:`~repro.runtime.simulation.Simulation` before the
-    run starts — the hook live-run verification uses to hand every node
-    harness the effect sink it checks fidelity against.
+    run starts — the hook live-run verification uses to read the
+    replay's effect log it checks fidelity against.
     """
     if strategy.log.decisions:
         raise ConfigurationError(

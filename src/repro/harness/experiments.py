@@ -210,17 +210,6 @@ def doorway_latency(
 # Figure 5: Algorithm 1 pipeline breakdown
 # ----------------------------------------------------------------------
 
-_STAGES = (
-    ("hungry", "app.hungry"),
-    ("cross_ADr", None),  # filled from doorway.crossed detail
-    ("cross_SDr", None),
-    ("recolor", "recolor.done"),
-    ("cross_ADf", None),
-    ("cross_SDf", None),
-    ("eat", "cs.enter"),
-)
-
-
 def pipeline_breakdown(
     n: int = 12,
     until: float = 400.0,
@@ -250,25 +239,20 @@ def pipeline_breakdown(
     sim = Simulation(config)
     sim.run(until=until)
 
-    # Reconstruct per-node episodes from the trace.
+    # Reconstruct per-node episodes from the effect log: the stage
+    # marks, framed by each episode's hunger and CS entry.
+    labels = {
+        "hungry": "hungry", "ADr": "cross_ADr", "SDr": "cross_SDr",
+        "recolor": "recolor", "ADf": "cross_ADf", "SDf": "cross_SDf",
+        "enter": "eat",
+    }
     events_by_node: Dict[int, List[Tuple[float, str]]] = {}
-    for rec in sim.trace:
-        label = None
-        if rec.category == "app.hungry":
-            label = "hungry"
-        elif rec.category == "doorway.crossed":
-            label = f"cross_{rec.detail['doorway']}"
-        elif rec.category == "recolor.done":
-            label = "recolor"
-        elif rec.category == "cs.enter":
-            label = "eat"
-        if label is not None and rec.node is not None:
-            events_by_node.setdefault(rec.node, []).append((rec.time, label))
+    for time, tag, node in sim.effects:
+        label = labels.get(tag)
+        if label is not None:
+            events_by_node.setdefault(node, []).append((time, label))
 
-    order = [
-        "hungry", "cross_ADr", "cross_SDr", "recolor",
-        "cross_ADf", "cross_SDf", "eat",
-    ]
+    order = list(labels.values())
     durations: Dict[str, List[float]] = {label: [] for label in order[1:]}
     for events in events_by_node.values():
         idx = 0
@@ -352,15 +336,14 @@ def fig6_crash_scenario(
     )
     sim = Simulation(config)
     sim.run(until=until)
-    p2_eats = [
-        rec.time for rec in sim.trace.select(category="cs.enter", node=1)
-    ]
-    p3_eats = [
-        rec.time for rec in sim.trace.select(category="cs.enter", node=2)
-    ]
+    eats: Dict[int, List[float]] = {0: [], 1: [], 2: []}
+    for time, tag, node in sim.effects:
+        if tag == "enter" and node in eats:
+            eats[node].append(time)
+    p2_eats, p3_eats = eats[1], eats[2]
     alg_p2 = sim.algorithm_of(1)
     return Fig6Outcome(
-        p1_entries=len(sim.trace.select(category="cs.enter", node=0)),
+        p1_entries=len(eats[0]),
         p2_entries_before_move=sum(1 for t in p2_eats if t < move_time),
         p2_entries_after_move=sum(1 for t in p2_eats if t >= move_time),
         p3_entries_before_move=sum(1 for t in p3_eats if t < move_time),

@@ -78,7 +78,7 @@ class LiveNodeSet:
         self.metrics = MetricsCollector()
         self.topology = DynamicTopology(radio_range=config.radio_range)
         self.topology.add_nodes(enumerate(config.positions))
-        self.linklayer = LinkLayer(runtime, self.topology)
+        self.linklayer = LinkLayer(self.topology)
         self.channel = LiveLinkLayer(
             runtime,
             recorder,
@@ -96,7 +96,7 @@ class LiveNodeSet:
             self.linklayer,
             self.topology,
             hosted,
-            recorder.trace,
+            recorder.note_fx,
             self.rng,
             self.metrics,
             probes,

@@ -22,10 +22,13 @@ The two per-row lists are what make the in-sim replay exact:
   emits live *inside* their causing row (not as separate rows), the
   socket-mode merge can re-stamp rows without ever separating a send
   from its cause.
-* ``fx`` — the externally visible state transitions (hungry / enter /
-  exit / demote / crashed) the execution produced, which is both the
-  source of the replay's eating-duration script and the expected
-  stream the verifier compares the sim trace against.
+* ``fx`` — the effects the execution noted: the externally visible
+  state transitions (``hungry`` / ``enter`` / ``exit`` / ``demote`` /
+  ``crashed``) and the algorithm's stage marks (Algorithm 1's doorway
+  crossings ``ADr`` / ``SDr`` / ``ADf`` / ``SDf`` and ``recolor``).
+  They are both the source of the replay's eating-duration script and
+  the expected stream the verifier compares the replay's effect log
+  against.
 
 Socket runs produce one recording per node process;
 :func:`merge_rows` interleaves them into a single global log: a stable
@@ -39,55 +42,14 @@ merged log satisfies the same invariants a bus-mode log does.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO
 
 from repro.errors import ConfigurationError
 from repro.sim.clock import TIME_EPSILON
 
-#: Schema tag written into (and demanded from) every recording.
-SCHEMA = "repro.live.recording/1"
-
-#: Trace categories that count as externally visible effects, and the
-#: compact tags they are recorded under.
-FX_TAGS = {
-    "app.hungry": "hungry",
-    "cs.enter": "enter",
-    "cs.exit": "exit",
-    "cs.demoted": "demote",
-    "node.crashed": "crashed",
-}
-
-#: Inverse mapping, for reconstructing the expected trace stream.
-FX_CATEGORIES = {tag: category for category, tag in FX_TAGS.items()}
-
-
-class EffectTrace:
-    """The TraceLog face both runtimes record effects through.
-
-    One filter decides what an effect is: only the five
-    :data:`FX_TAGS` categories with a node pass, each handed on as
-    ``keep(time, tag, node)``; everything else the protocols trace is
-    dropped.  The live recorder keeps effects in its current row; the
-    in-sim replay (:func:`repro.live.replay.verify_recording`) keeps
-    the stream it compares against the recording — live runs are
-    verified through replay, not through a full trace.
-    """
-
-    enabled = True
-
-    def __init__(self, keep: Callable[[float, str, int], None]) -> None:
-        self.keep = keep
-
-    def record(
-        self,
-        time: float,
-        category: str,
-        node: Optional[int] = None,
-        **detail: Any,
-    ) -> None:
-        tag = FX_TAGS.get(category)
-        if tag is not None and node is not None:
-            self.keep(time, tag, int(node))
+#: Schema tag written into (and demanded from) every recording.  ``/2``
+#: added the stage marks to ``fx``; ``/1`` recordings are refused.
+SCHEMA = "repro.live.recording/2"
 
 
 class LiveRecorder:
@@ -98,7 +60,6 @@ class LiveRecorder:
         #: are ``"origin:seq"`` so they stay unique after a merge.
         self.origin = int(origin)
         self.rows: List[Dict[str, Any]] = []
-        self.trace = EffectTrace(self._note_fx)
         self._current: Optional[Dict[str, Any]] = None
         self._mid_seq = 0
 
@@ -130,7 +91,9 @@ class LiveRecorder:
             )
         return mid
 
-    def _note_fx(self, time: float, tag: str, node: int) -> None:
+    def note_fx(self, time: float, tag: str, node: int) -> None:
+        """The effect sink of every hosted harness: one effect, kept in
+        the current row."""
         row = self._current
         if row is not None:
             row.setdefault("fx", []).append([tag, node])

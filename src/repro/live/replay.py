@@ -41,10 +41,11 @@ antisymmetry, ... — progress excluded: a wall-clock run makes no
 virtual-time progress guarantees) and then checks *fidelity*: the
 replay's externally visible transitions must match the recording's
 ``fx`` stream one for one, to within float rounding (the sim computes
-``emit + delay`` where the recording stored the sum).  The replay does
-not read the trace log: each node harness hands its transitions to the
-same :class:`~repro.live.recorder.EffectTrace` filter the live recorder
-uses, so one piece of code decides what an effect is in both runtimes.
+``emit + delay`` where the recording stored the sum).  Both sides are
+the same stream: the live recorder and the replay's
+:attr:`~repro.runtime.simulation.Simulation.effects` log are each the
+effect sink of every node harness, so one piece of code decides what an
+effect is in both runtimes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.harness.config_io import config_from_dict, config_to_dict
-from repro.live.recorder import FX_CATEGORIES, SCHEMA, EffectTrace
+from repro.live.recorder import SCHEMA
 
 #: Permitted stamp slack between a recorded effect and its replay.
 #: Rounding in ``emit + (settle - emit)`` is a few ulp (~1e-13 at these
@@ -76,7 +77,7 @@ class DerivedReplay:
     scenario: Dict[str, Any]
     until: float
     decisions: List[List[Any]]
-    #: The recording's effect stream: (stamp, trace category, node).
+    #: The recording's effect stream: (stamp, tag, node).
     expected: List[Tuple[float, str, int]]
     monitor_specs: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -126,7 +127,7 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
             delays.append(arrival - t)
         for tag, node in row.get("fx", ()):
             node = int(node)
-            expected.append((t, FX_CATEGORIES[tag], node))
+            expected.append((t, tag, node))
             if tag == "enter":
                 durations = eating.setdefault(node, [])
                 durations.append(sentinel - t)
@@ -156,8 +157,8 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
         fraction = max(fraction, 5e-324)
     # The recorded rows replace the origin's hunger, eating, churn
     # (its mobility runs as the recorded link rows) and crash plan.  The
-    # oracle observes through its monitors and effect sink: no trace
-    # log, no metric registry.  Every other field is the origin's.
+    # oracle observes through its monitors and effect log, without a
+    # metric registry.  Every other field is the origin's.
     scenario = config_to_dict(replace(
         base,
         bounds=replace(base.bounds, nu=nu, min_delay_fraction=fraction),
@@ -166,7 +167,7 @@ def derive_replay(recording: Dict[str, Any]) -> DerivedReplay:
         link_script=link_script or None,
         mobility_factory=None,
         crashes=crashes,
-        trace=False,
+        trace=True,
         telemetry=False,
     ))
 
@@ -204,24 +205,15 @@ def verify_recording(recording: Dict[str, Any]) -> Dict[str, Any]:
     from repro.explore.schedule import ReplaySchedule
 
     derived = derive_replay(recording)
-    actual: List[Tuple[float, str, int]] = []
-    sink = EffectTrace(
-        lambda time, tag, node: actual.append(
-            (time, FX_CATEGORIES[tag], node)
-        )
-    )
-
-    def attach_sink(simulation) -> None:
-        for harness in simulation.harnesses.values():
-            harness.trace_effects(sink)
-
+    simulations = []
     result = run_controlled(
         derived.scenario,
         derived.until,
         ReplaySchedule(derived.decisions),
         monitor_specs=derived.monitor_specs,
-        on_simulation=attach_sink,
+        on_simulation=simulations.append,
     )
+    actual = simulations[0].effects
     divergence = _first_divergence(derived.expected, actual)
     return {
         "schema": recording["schema"],

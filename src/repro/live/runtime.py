@@ -18,7 +18,7 @@ the record/replay contract is enforced:
 * ``now`` is frozen at that stamp for the duration of the execution,
   exactly like the simulator freezes ``now`` per event;
 * the recorder opens a row before the callback and closes it after, so
-  every send and every trace effect lands in the row of the execution
+  every send and every noted effect lands in the row of the execution
   that caused it.
 
 :meth:`observe_remote_stamp` is the socket transport's hybrid-clock

@@ -24,7 +24,6 @@ from repro.net.linklayer import LinkLayer
 from repro.net.topology import DynamicTopology
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
-from repro.sim.trace import TraceLog, live_trace
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,12 @@ class MobilityController:
         topology: DynamicTopology,
         linklayer: LinkLayer,
         rng_source,
-        trace: Optional[TraceLog] = None,
         probes=None,
     ) -> None:
         self._sim = sim
         self._topology = topology
         self._linklayer = linklayer
         self._rng_source = rng_source
-        self._trace = live_trace(trace)
         self._kinetic = KineticEngine(sim, topology, linklayer, probes=probes)
         self._models: Dict[int, MobilityModel] = {}
         self._started = False
@@ -168,10 +165,5 @@ class MobilityController:
 
     def _finish_episode(self, node_id: int, resume_model: bool) -> None:
         self._linklayer.set_moving(node_id, False)
-        if self._trace is not None:
-            pos = self._topology.position(node_id)
-            self._trace.record(
-                self._sim.now, "move.arrived", node_id, x=pos.x, y=pos.y
-            )
         if resume_model:
             self._consult(node_id)

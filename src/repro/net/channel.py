@@ -32,7 +32,6 @@ from repro.net.messages import Message
 from repro.net.topology import DynamicTopology, link_key
 from repro.sim.clock import TIME_EPSILON, TimeBounds
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog, live_trace
 
 DeliverFn = Callable[[int, int, Message], None]
 
@@ -86,7 +85,6 @@ class ChannelLayer:
         bounds: TimeBounds,
         rng,
         deliver: DeliverFn,
-        trace: Optional[TraceLog] = None,
     ) -> None:
         """
         Args:
@@ -96,11 +94,9 @@ class ChannelLayer:
             rng: a ``random.Random`` used for delay jitter.
             deliver: callback invoked as ``deliver(src, dst, message)``
                 when a message arrives at a live link endpoint.
-            trace: optional trace log (disabled logs cost nothing).
         """
         self._sim = sim
         self._deliver = deliver
-        self._trace = live_trace(trace)
         # send() runs once per message hop, so its collaborators are
         # pre-resolved: bound methods and the delay distribution's
         # parameters (the inline draw below reproduces ``rng.uniform``
@@ -180,8 +176,6 @@ class ChannelLayer:
         kind = message.kind
         sent_by_kind = stats.sent_by_kind
         sent_by_kind[kind] = sent_by_kind.get(kind, 0) + 1
-        if self._trace is not None:
-            self._trace.record(now, "msg.send", src, dst=dst, kind=kind)
         sim.schedule_at(
             arrival, self._arrive, src, dst, message,
             self._incarnation.get(key if src < dst else (dst, src), 0),
@@ -234,16 +228,10 @@ class ChannelLayer:
             stats.dropped_link_down += 1
             by_kind = stats.dropped_by_kind
             by_kind[kind] = by_kind.get(kind, 0) + 1
-            if self._trace is not None:
-                self._trace.record(
-                    self._sim._now, "msg.drop", src, dst=dst, kind=kind
-                )
             return
         stats.delivered += 1
         by_kind = stats.delivered_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        if self._trace is not None:
-            self._trace.record(self._sim._now, "msg.recv", dst, src=src, kind=kind)
         handlers = self._handlers
         if handlers is None or dst in self._crashed:
             self._deliver(src, dst, message)

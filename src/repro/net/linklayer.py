@@ -17,28 +17,20 @@ broadcast primitive.
 One contract serves both runtimes.  The simulator binds a
 :class:`~repro.net.channel.ChannelLayer` on its event engine; the live
 runtimes bind :class:`~repro.live.linklayer.LiveLinkLayer`, which hands
-messages to a real transport.  ``sim`` may be any
-:class:`~repro.runtime.interface.Runtime`: the link layer only reads
-its ``now`` for trace stamps.  Link changes that arrive as events
-rather than from geometry (a live topology feed, a live peer loss, the
-replay of a recorded ``link_script``) all go through
-:meth:`LinkLayer.apply_link_event`.
+messages to a real transport; the link layer itself keeps no clock.
+Link changes that arrive as events rather than from geometry (a live
+topology feed, a live peer loss, the replay of a recorded
+``link_script``) all go through :meth:`LinkLayer.apply_link_event`.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Optional, Protocol, Set,
-)
+from typing import AbstractSet, Dict, FrozenSet, Optional, Protocol, Set
 
 from repro.errors import TopologyError
 from repro.net.channel import ChannelLayer
 from repro.net.messages import Message
 from repro.net.topology import DynamicTopology, LinkDiff
-from repro.sim.trace import TraceLog, live_trace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.interface import Runtime
 
 
 class NodeHandler(Protocol):
@@ -54,15 +46,8 @@ class NodeHandler(Protocol):
 class LinkLayer:
     """Neighbor tracking, link indications and message dispatch."""
 
-    def __init__(
-        self,
-        sim: Runtime,
-        topology: DynamicTopology,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
-        self._sim = sim
+    def __init__(self, topology: DynamicTopology) -> None:
         self._topology = topology
-        self._trace = live_trace(trace)
         self._handlers: Dict[int, NodeHandler] = {}
         self._moving: Set[int] = set()
         self._crashed: Set[int] = set()
@@ -130,16 +115,11 @@ class LinkLayer:
             self._moving.add(node_id)
         else:
             self._moving.discard(node_id)
-        if self._trace is not None:
-            label = "move.start" if moving else "move.stop"
-            self._trace.record(self._sim.now, label, node_id)
 
     def crash(self, node_id: int) -> None:
         """Silently crash a node: it stops reacting and never moves again."""
         self._crashed.add(node_id)
         self._moving.discard(node_id)
-        if self._trace is not None:
-            self._trace.record(self._sim.now, "crash", node_id)
 
     def apply_link_event(self, op: str, a: int, b: int, mover: int) -> None:
         """Force one link ``"up"`` or ``"down"`` and deliver its indications.
@@ -171,19 +151,12 @@ class LinkLayer:
         for a, b in diff.removed:
             if self._channel is not None:
                 self._channel.link_down(a, b)
-            if self._trace is not None:
-                self._trace.record(self._sim.now, "link.down", None, a=a, b=b)
             self._indicate_down(a, b)
             self._indicate_down(b, a)
             for observer in self.observers:
                 observer("down", a, b)
         for a, b in diff.added:
             static_end, moving_end = self._assign_roles(a, b)
-            if self._trace is not None:
-                self._trace.record(
-                    self._sim.now, "link.up", None,
-                    static=static_end, moving=moving_end,
-                )
             # Static endpoint first: it immediately sends its state to
             # the moving endpoint, which is already waiting for it.
             self._indicate_up(static_end, moving_end, moving=False)

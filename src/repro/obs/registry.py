@@ -1,13 +1,13 @@
 """The metric registry: counters, gauges and histograms for one run.
 
-This is the telemetry counterpart of :mod:`repro.sim.trace`'s
-``live_trace``/``NULL_TRACE`` idiom: a component that *may* be
-instrumented normalizes its handle with :func:`live_registry` (or is
-handed a :class:`~repro.obs.probes.ProtocolProbes` built on a live
-registry) at construction time, holds ``None`` when telemetry is off,
-and guards every instrument update with an ``is not None`` pointer
-test.  The hot paths PR 1 and PR 2 made fast therefore pay nothing —
-not a method call, not a dict lookup — unless a run opted in.
+A component that *may* be instrumented normalizes its handle with
+:func:`live_registry` (or is handed a
+:class:`~repro.obs.probes.ProtocolProbes` built on a live registry) at
+construction time, holds ``None`` when telemetry is off, and guards
+every instrument update with an ``is not None`` pointer test — the
+idiom the node harness also uses for its effect sink.  The hot paths
+therefore pay nothing — not a method call, not a dict lookup — unless
+a run opted in.
 
 Instruments are deliberately tiny and deterministic:
 
@@ -231,8 +231,8 @@ class MetricRegistry:
     (it would silently split one metric into two).
     """
 
-    #: Mirrors ``TraceLog.enabled``: :func:`live_registry` returns
-    #: ``None`` for disabled registries so hot paths skip all work.
+    #: :func:`live_registry` returns ``None`` for disabled registries
+    #: so hot paths skip all work.
     enabled = True
 
     def __init__(self) -> None:
@@ -306,8 +306,7 @@ def live_registry(registry: Optional[MetricRegistry]) -> Optional[MetricRegistry
     """Normalize a registry handle for hot-path guards.
 
     Returns ``registry`` only if it is a real, enabled registry;
-    ``None`` for ``None`` and :data:`NULL_REGISTRY`.  Mirrors
-    :func:`repro.sim.trace.live_trace`.
+    ``None`` for ``None`` and :data:`NULL_REGISTRY`.
     """
     if registry is None or not registry.enabled:
         return None

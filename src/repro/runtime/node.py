@@ -4,7 +4,7 @@ Implements both sides of the node boundary: the
 :class:`~repro.core.base.NodeServices` the algorithm calls down into,
 and the link layer's handler contract events come up through.  Also the
 single place node state transitions happen, so the metrics collector,
-safety monitor and invariant-monitor suite see every change.
+safety monitor, effect log and invariant-monitor suite see every change.
 """
 
 from __future__ import annotations
@@ -16,11 +16,15 @@ from repro.core.states import NodeState, check_transition
 from repro.net.messages import Message
 from repro.sim.clock import TimeBounds
 from repro.sim.timers import Timer
-from repro.sim.trace import NULL_TRACE, TraceLog, live_trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.linklayer import LinkLayer
     from repro.runtime.interface import Runtime
+
+#: An effect sink: called as ``note(time, tag, node)`` for every state
+#: transition (``hungry``, ``enter``, ``exit``, ``demote``,
+#: ``crashed``) and every stage mark an algorithm makes.
+EffectSink = Callable[[float, str, int], None]
 
 
 class NodeHarness:
@@ -46,8 +50,7 @@ class NodeHarness:
         "_sim",
         "_linklayer",
         "_bounds",
-        "_trace",
-        "_trace_log",
+        "_note",
         "_eat_rng",
         "_rng_source",
         "_metrics",
@@ -68,7 +71,7 @@ class NodeHarness:
         sim: "Runtime",
         linklayer: "LinkLayer",
         bounds: TimeBounds,
-        trace: TraceLog,
+        note: Optional[EffectSink],
         eat_rng,
         metrics=None,
         safety=None,
@@ -79,12 +82,10 @@ class NodeHarness:
         self._sim = sim
         self._linklayer = linklayer
         self._bounds = bounds
-        # Hot-path handle: None unless tracing is live, so every record
-        # site below is one pointer test when tracing is off (mirroring
-        # the ``self._metrics is not None`` guards).  The full log stays
-        # reachable through the ``trace`` property for algorithm code.
-        self._trace = live_trace(trace)
-        self._trace_log = trace if trace is not None else NULL_TRACE
+        # The effect sink, or None when the run keeps no effect log:
+        # every note site below is one pointer test then (mirroring the
+        # ``self._metrics is not None`` guards).
+        self._note = note
         # Either a ready-made eating RNG, or (with ``eat_rng=None`` and
         # a ``rng_source``) the source to pull the memoized
         # ("eating", node_id) substream from on first use.
@@ -129,9 +130,10 @@ class NodeHarness:
     def sim(self) -> "Runtime":
         return self._sim
 
-    @property
-    def trace(self) -> TraceLog:
-        return self._trace_log
+    def mark(self, tag: str) -> None:
+        """Note an algorithm stage mark (e.g. a doorway crossing)."""
+        if self._note is not None:
+            self._note(self._sim.now, tag, self.node_id)
 
     def neighbors(self):
         return self._linklayer.neighbors(self.node_id)
@@ -158,8 +160,8 @@ class NodeHarness:
             self.dirty.add(self.node_id)
         check_transition(self._state, NodeState.EATING)
         self._state = NodeState.EATING
-        if self._trace is not None:
-            self._trace.record(self._sim.now, "cs.enter", self.node_id)
+        if self._note is not None:
+            self._note(self._sim.now, "enter", self.node_id)
         if self._metrics is not None:
             self._metrics.note_eat_start(self.node_id, self._sim.now)
         if self._safety is not None:
@@ -188,17 +190,6 @@ class NodeHarness:
         """
         self._eat_script = [float(d) for d in durations]
 
-    def trace_effects(self, trace: TraceLog) -> None:
-        """Record this node's state transitions to ``trace`` instead.
-
-        Swaps only the hot-path handle behind the five transition
-        records (hungry, enter, exit, demote, crashed); the full log the
-        algorithm traces through stays as built.  A live-run replay uses
-        it to keep just the effect stream it checks, with the trace log
-        off.
-        """
-        self._trace = trace
-
     def demote_to_hungry(self) -> None:
         """Mobility preemption: eating -> hungry (Algorithm 3 Line 50)."""
         if self.dirty is not None:
@@ -206,8 +197,8 @@ class NodeHarness:
         check_transition(self._state, NodeState.HUNGRY)
         self._eat_timer.cancel()
         self._state = NodeState.HUNGRY
-        if self._trace is not None:
-            self._trace.record(self._sim.now, "cs.demoted", self.node_id)
+        if self._note is not None:
+            self._note(self._sim.now, "demote", self.node_id)
         if self._metrics is not None:
             self._metrics.note_demotion(self.node_id, self._sim.now)
 
@@ -222,8 +213,8 @@ class NodeHarness:
             return
         check_transition(self._state, NodeState.HUNGRY)
         self._state = NodeState.HUNGRY
-        if self._trace is not None:
-            self._trace.record(self._sim.now, "app.hungry", self.node_id)
+        if self._note is not None:
+            self._note(self._sim.now, "hungry", self.node_id)
         if self._metrics is not None:
             self._metrics.note_hungry(self.node_id, self._sim.now)
         assert self.algorithm is not None, "harness not bound to an algorithm"
@@ -240,8 +231,8 @@ class NodeHarness:
         self.algorithm.on_exit_cs()
         check_transition(self._state, NodeState.THINKING)
         self._state = NodeState.THINKING
-        if self._trace is not None:
-            self._trace.record(self._sim.now, "cs.exit", self.node_id)
+        if self._note is not None:
+            self._note(self._sim.now, "exit", self.node_id)
         if self._metrics is not None:
             self._metrics.note_think(self.node_id, self._sim.now)
         if self.on_done_eating is not None:
@@ -284,5 +275,5 @@ class NodeHarness:
         self.crashed = True
         if self._eat_timer is not None:
             self._eat_timer.cancel()
-        if self._trace is not None:
-            self._trace.record(self._sim.now, "node.crashed", self.node_id)
+        if self._note is not None:
+            self._note(self._sim.now, "crashed", self.node_id)

@@ -32,12 +32,11 @@ from repro.obs.report import RunReport
 from repro.obs.watchdog import StarvationWatchdog
 from repro.runtime.app import HungerWorkload, schedule_link_rows, sim_hook
 from repro.runtime.failures import CrashInjector
-from repro.runtime.node import NodeHarness
+from repro.runtime.node import EffectSink, NodeHarness
 from repro.runtime.registry import BuildContext, resolve
 from repro.sim.clock import TimeBounds
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomSource
-from repro.sim.trace import TraceLog
 
 try:
     import resource as _resource
@@ -90,6 +89,7 @@ class ScenarioConfig:
     mobility_factory: Optional[Callable[[int], Optional[MobilityModel]]] = None
     #: Crash plan: (time, node_id) pairs.
     crashes: List[Tuple[float, int]] = field(default_factory=list)
+    #: Keep the run's effect log (:attr:`Simulation.effects`).
     trace: bool = False
     #: Optional pre-assigned legal coloring (alg1 variants / choy-singh).
     initial_colors: Optional[Dict[int, int]] = None
@@ -260,7 +260,7 @@ def assemble_nodes(
     linklayer: LinkLayer,
     topology: DynamicTopology,
     hosted: Iterable[int],
-    trace,
+    note: Optional[EffectSink],
     rng_source: RandomSource,
     metrics: MetricsCollector,
     probes,
@@ -295,7 +295,7 @@ def assemble_nodes(
             runtime,
             linklayer,
             config.bounds,
-            trace,
+            note,
             eat_rng=None,
             metrics=metrics,
             safety=safety,
@@ -343,7 +343,18 @@ class Simulation:
         # (paused runs) never double-count.
         self._sched_ops_recorded: Dict[str, int] = {}
         self.rng = RandomSource(config.seed)
-        self.trace = TraceLog(enabled=config.trace)
+        #: The effect log: ``(time, tag, node)`` for every state
+        #: transition and algorithm stage mark, in execution order —
+        #: or None when ``config.trace`` is off.
+        self.effects: Optional[List[Tuple[float, str, int]]] = (
+            [] if config.trace else None
+        )
+        note = None
+        if self.effects is not None:
+            keep = self.effects.append
+
+            def note(time: float, tag: str, node: int) -> None:
+                keep((time, tag, node))
         self.bounds = config.bounds
 
         node_ids = range(len(config.positions))
@@ -355,14 +366,13 @@ class Simulation:
         self.topology.add_nodes(
             (node_id, config.positions[node_id]) for node_id in node_ids
         )
-        self.linklayer = LinkLayer(self.sim, self.topology, trace=self.trace)
+        self.linklayer = LinkLayer(self.topology)
         self.channel = ChannelLayer(
             self.sim,
             self.topology,
             self.bounds,
             self.rng.stream("channel"),
             deliver=self.linklayer.deliver,
-            trace=self.trace,
         )
         self.linklayer.bind_channel(self.channel)
 
@@ -397,7 +407,7 @@ class Simulation:
                 self.linklayer,
                 self.topology,
                 node_ids,
-                self.trace,
+                note,
                 self.rng,
                 self.metrics,
                 self.probes,
@@ -432,7 +442,6 @@ class Simulation:
             self.topology,
             self.linklayer,
             self.rng,
-            trace=self.trace,
             probes=self.probes,
         )
         if config.mobility_factory is not None:

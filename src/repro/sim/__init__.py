@@ -4,9 +4,9 @@ This package provides the execution substrate on which every protocol in
 the reproduction runs: a deterministic event-driven scheduler
 (:class:`~repro.sim.engine.Simulator`), scheduled-event handles
 (:class:`~repro.sim.events.ScheduledEvent`), restartable timers
-(:class:`~repro.sim.timers.Timer`), seeded random substreams
-(:class:`~repro.sim.rng.RandomSource`) and a structured trace log
-(:class:`~repro.sim.trace.TraceLog`).
+(:class:`~repro.sim.timers.Timer`) and seeded random substreams
+(:class:`~repro.sim.rng.RandomSource`).  A run's effect log lives one
+layer up, on :class:`~repro.runtime.simulation.Simulation`.
 
 The kernel knows nothing about networks or mutual exclusion; it only
 orders callbacks in virtual time.  Determinism is a hard requirement:
@@ -19,7 +19,6 @@ from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority, ScheduledEvent
 from repro.sim.rng import RandomSource
 from repro.sim.timers import Timer
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "EventPriority",
@@ -28,6 +27,4 @@ __all__ = [
     "Simulator",
     "TimeBounds",
     "Timer",
-    "TraceLog",
-    "TraceRecord",
 ]

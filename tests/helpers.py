@@ -9,7 +9,6 @@ from repro.core.states import NodeState
 from repro.net.messages import Message
 from repro.runtime.simulation import Simulation
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
 
 
 class FakeNode:
@@ -24,7 +23,8 @@ class FakeNode:
         self._neighbors: Set[int] = set(neighbors)
         self._state = NodeState.THINKING
         self.sim = Simulator()
-        self.trace = TraceLog(enabled=True)
+        #: Stage marks the algorithm made, as (time, tag).
+        self.marks: List[Tuple[float, str]] = []
         self.sent: List[Tuple[int, Message]] = []
         self.broadcasts: List[Message] = []
         self.eat_calls = 0
@@ -70,6 +70,9 @@ class FakeNode:
     def demote_to_hungry(self) -> None:
         self.demote_calls += 1
         self._state = NodeState.HUNGRY
+
+    def mark(self, tag: str) -> None:
+        self.marks.append((self.now, tag))
 
     # -- assertions ---------------------------------------------------------
     def sent_to(self, dst: int) -> List[Message]:

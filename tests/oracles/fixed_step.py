@@ -28,9 +28,8 @@ class FixedStepController(MobilityController):
     """A :class:`MobilityController` that steps nodes in fixed hops."""
 
     def __init__(self, sim, topology, linklayer, rng_source,
-                 trace=None, probes=None, step_length: float = 0.25) -> None:
-        super().__init__(sim, topology, linklayer, rng_source,
-                         trace=trace, probes=probes)
+                 probes=None, step_length: float = 0.25) -> None:
+        super().__init__(sim, topology, linklayer, rng_source, probes=probes)
         self._step_length = step_length
         self._probes = probes
         self._updates = 0

@@ -96,7 +96,7 @@ def test_noreturn_survives_the_fig6_movement():
     sim = Simulation(config)
     sim.run(until=300.0)
     p2_after = [
-        r for r in sim.trace.select(category="cs.enter", node=1)
-        if r.time > 150.0
+        time for time, tag, node in sim.effects
+        if tag == "enter" and node == 1 and time > 150.0
     ]
     assert p2_after, "p2 must recover once p3 departs"

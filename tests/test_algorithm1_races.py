@@ -148,7 +148,6 @@ def test_eating_static_node_unaffected_by_arriving_mover():
             if i == 2
             else None
         ),
-        trace=True,
     )
     sim = Simulation(config)
     result = sim.run(until=120.0)

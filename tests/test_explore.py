@@ -356,7 +356,7 @@ def test_suite_reads_only_the_event_neighbourhood():
     topology = DynamicTopology(radio_range=1.1)
     topology.add_nodes([(node, Point(float(node), 0.0)) for node in range(5)])
     topology.add_nodes([(8, Point(4.0, 8.0)), (9, Point(4.0, 9.0))])
-    linklayer = LinkLayer(engine, topology)
+    linklayer = LinkLayer(topology)
     harnesses = RecordingHarnesses()
     # The safety checker on its two hooks, wired as Simulation wires it.
     safety = SafetyMonitor(topology, harnesses)

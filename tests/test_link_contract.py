@@ -69,7 +69,7 @@ class Net:
         self.log = []
         if runtime_kind == "sim":
             self.sim = Simulator()
-            self.link = LinkLayer(self.sim, self.topology)
+            self.link = LinkLayer(self.topology)
             # A fixed delay: arrivals tie and run in send order.
             self.channel = ChannelLayer(
                 self.sim, self.topology, TimeBounds(min_delay_fraction=1.0),
@@ -81,7 +81,7 @@ class Net:
             bus = InProcessBus(
                 self.loop, lambda *args: self.channel.dispatch(*args)
             )
-            self.link = LinkLayer(runtime, self.topology)
+            self.link = LinkLayer(self.topology)
             self.channel = LiveLinkLayer(
                 runtime, runtime.recorder, bus.send, self.topology,
                 self.link.deliver,

@@ -38,7 +38,6 @@ from repro.live import (
 )
 from repro.live.bus import InProcessBus
 from repro.live.codec import FrameDecoder, decode_body, encode_frame
-from repro.live.recorder import FX_CATEGORIES, EffectTrace
 from repro.live.socket_transport import backoff_delays
 from repro.net.geometry import Point
 from repro.core.messages import (
@@ -86,6 +85,9 @@ def test_bus_fig6_churn_and_crash_replays_clean(fig6_recording):
     assert "crash" in kinds
     assert {"up", "down"} & kinds
     assert recording["metrics"]["crashed"] == 1
+    # The effects hold the transitions and Algorithm 1's stage marks.
+    tags = {tag for _, tag, _ in _effects(recording)}
+    assert {"hungry", "enter", "exit", "crashed", "ADf", "SDf"} <= tags
     assert_clean(verify_recording(recording))
 
 
@@ -138,11 +140,6 @@ def _tamper(recording, edit):
     return verify_recording(tampered)
 
 
-def _categorized(effect):
-    stamp, tag, node = effect
-    return [stamp, FX_CATEGORIES[tag], node]
-
-
 def _shift_lone_hunger(recording, shift):
     """Move one hunger effect ``shift`` later, out of its own row.
 
@@ -176,8 +173,8 @@ def test_stamp_shift_beyond_tolerance_diverges(fig6_recording):
     stamp, tag, node = _effects(fig6_recording)[index]
     assert report["fidelity"]["divergence"] == {
         "index": index,
-        "expected": [stamp + 1e-6, FX_CATEGORIES[tag], node],
-        "actual": [stamp, FX_CATEGORIES[tag], node],
+        "expected": [stamp + 1e-6, tag, node],
+        "actual": [stamp, tag, node],
     }
 
 
@@ -195,8 +192,8 @@ def test_swapped_effect_tag_diverges(fig6_recording):
     stamp, _, node = _effects(fig6_recording)[index]
     assert report["fidelity"]["divergence"] == {
         "index": index,
-        "expected": [stamp, "cs.exit", node],
-        "actual": [stamp, "app.hungry", node],
+        "expected": [stamp, "exit", node],
+        "actual": [stamp, "hungry", node],
     }
 
 
@@ -213,8 +210,8 @@ def test_dropped_effect_diverges(fig6_recording):
     assert report["fidelity"]["actual"] == len(effects)
     assert report["fidelity"]["divergence"] == {
         "index": index,
-        "expected": _categorized(effects[index + 1]),
-        "actual": _categorized(effects[index]),
+        "expected": list(effects[index + 1]),
+        "actual": list(effects[index]),
     }
 
 
@@ -231,7 +228,7 @@ def test_extra_trailing_effect_diverges(fig6_recording):
     assert report["fidelity"]["actual"] == count
     assert report["fidelity"]["divergence"] == {
         "index": count,
-        "expected": [last["t"], "app.hungry", 0],
+        "expected": [last["t"], "hungry", 0],
         "actual": None,
     }
 
@@ -259,43 +256,54 @@ def test_cli_live_verify_reports_a_tampered_file(fig6_recording, tmp_path):
     )
 
 
-def test_verify_replays_with_the_trace_log_off(fig6_recording, monkeypatch):
-    # The replay keeps only the effect stream it checks: no trace log,
-    # no telemetry registry, and one shared sink on every harness
-    # holding exactly the effects fidelity compares.
+def test_dropped_stage_mark_diverges(fig6_recording):
+    # The stage marks are checked like the transitions: a recording
+    # that lost one SDf crossing is caught at that crossing.
+    effects = _effects(fig6_recording)
+    index = next(i for i, (_, tag, _) in enumerate(effects) if tag == "SDf")
+    seen = 0
+    for position, row in enumerate(fig6_recording["rows"]):
+        fx = row.get("fx", ())
+        if seen + len(fx) > index:
+            break
+        seen += len(fx)
+
+    def edit(rows):
+        del rows[position]["fx"][index - seen]
+
+    report = _tamper(fig6_recording, edit)
+    assert report["clean"] is False
+    assert report["violation"] is None
+    assert report["fidelity"]["expected"] == len(effects) - 1
+    assert report["fidelity"]["actual"] == len(effects)
+    assert report["fidelity"]["divergence"] == {
+        "index": index,
+        "expected": list(effects[index + 1]),
+        "actual": list(effects[index]),
+    }
+
+
+def test_verify_replays_lean(fig6_recording, monkeypatch):
+    # The replay keeps its effect log and nothing else: no telemetry
+    # registry, and exactly the effects fidelity compares.
     import repro.explore.runner as runner
 
     original = runner.run_controlled
-    seen = {}
+    built = []
 
     def spy(*args, on_simulation, **kwargs):
         def hook(simulation):
+            built.append(simulation)
             on_simulation(simulation)
-            sinks = {harness._trace for harness in
-                     simulation.harnesses.values()}
-            assert len(sinks) == 1
-            sink = sinks.pop()
-            assert isinstance(sink, EffectTrace)
-            keep = sink.keep
-            kept = seen.setdefault("kept", [])
-
-            def counted(time, tag, node):
-                kept.append((time, tag, node))
-                keep(time, tag, node)
-
-            sink.keep = counted
-            seen["sim"] = simulation
 
         return original(*args, on_simulation=hook, **kwargs)
 
     monkeypatch.setattr(runner, "run_controlled", spy)
     report = verify_recording(fig6_recording)
     assert_clean(report)
-    simulation = seen["sim"]
-    assert simulation.trace.enabled is False
-    assert list(simulation.trace) == []
+    simulation, = built
     assert simulation.registry is None
-    assert len(seen["kept"]) == report["fidelity"]["actual"]
+    assert len(simulation.effects) == report["fidelity"]["actual"]
 
 
 def test_derive_replay_keeps_every_field_it_does_not_replay():
@@ -394,6 +402,15 @@ def test_load_recording_rejects_unknown_schema():
     bad = io.StringIO(json.dumps({"schema": "nope/9", "rows": []}))
     with pytest.raises(ConfigurationError):
         load_recording(bad)
+
+
+def test_schema_1_recordings_are_refused(fig6_recording):
+    # /1 recordings carry no stage marks; they are refused, not migrated.
+    old = dict(fig6_recording, schema="repro.live.recording/1")
+    with pytest.raises(ConfigurationError):
+        load_recording(io.StringIO(json.dumps(old)))
+    with pytest.raises(ConfigurationError):
+        derive_replay(old)
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +545,7 @@ def test_peer_loss_surfaces_link_down_and_counts():
         transport = SocketTransport(loop, runtime, 1, [0], probes=probes)
         topology = DynamicTopology(radio_range=1.0)
         topology.add_nodes([(0, Point(0.0, 0.0)), (1, Point(1.0, 0.0))])
-        linklayer = LinkLayer(runtime, topology)
+        linklayer = LinkLayer(topology)
         channel = LiveLinkLayer(
             runtime, recorder, transport.send, topology, linklayer.deliver,
             probes=probes,

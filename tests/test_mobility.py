@@ -37,7 +37,7 @@ def build(nodes=3, spacing=1.0, fixed_step=False):
     """A small line; ``fixed_step=True`` moves it with the hop oracle."""
     sim = Simulator()
     topo = DynamicTopology(radio_range=1.2)
-    link = LinkLayer(sim, topo)
+    link = LinkLayer(topo)
     channel = ChannelLayer(
         sim, topo, TimeBounds(), RandomSource(0).stream("c"),
         deliver=link.deliver,

@@ -55,7 +55,7 @@ class NullHandler:
 def build_stack(positions, radio=1.5, hop_oracle=False, seed=0):
     sim = Simulator()
     topo = DynamicTopology(radio_range=radio)
-    link = LinkLayer(sim, topo)
+    link = LinkLayer(topo)
     channel = ChannelLayer(
         sim, topo, TimeBounds(), RandomSource(seed).stream("c"),
         deliver=link.deliver,

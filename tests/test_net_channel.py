@@ -240,7 +240,7 @@ def _kinetic_pair(a, b):
 
     sim = Simulator()
     topo = DynamicTopology(radio_range=1.0)
-    link = LinkLayer(sim, topo)
+    link = LinkLayer(topo)
     channel = ChannelLayer(
         sim, topo, SLOW, RandomSource(0).stream("c"), deliver=link.deliver
     )

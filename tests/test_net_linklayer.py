@@ -38,7 +38,7 @@ def build(nodes=3, spacing=1.0, radio=1.5):
     sim = Simulator()
     topo = DynamicTopology(radio_range=radio)
     handlers = {}
-    link = LinkLayer(sim, topo)
+    link = LinkLayer(topo)
     channel = ChannelLayer(
         sim, topo, TimeBounds(), RandomSource(0).stream("c"),
         deliver=link.deliver,

@@ -1,4 +1,4 @@
-"""Tests for the trace log and the algorithm registry."""
+"""Tests for the algorithm registry."""
 
 import pytest
 
@@ -6,30 +6,6 @@ from repro.errors import ConfigurationError
 from repro.net.geometry import line_positions
 from repro.net.topology import DynamicTopology
 from repro.runtime.registry import ALGORITHMS, BuildContext, resolve
-from repro.sim.trace import TraceLog
-
-
-# ----------------------------------------------------------------------
-# TraceLog
-# ----------------------------------------------------------------------
-
-
-def test_trace_records_and_filters():
-    log = TraceLog()
-    log.record(1.0, "a", 1, x=1)
-    log.record(2.0, "b", 1)
-    log.record(3.0, "a", 2)
-    assert len(log.select()) == 3
-    assert [r.time for r in log.select(category="a")] == [1.0, 3.0]
-    assert [r.time for r in log.select(node=1)] == [1.0, 2.0]
-    assert log.select(category="a", node=2)[0].time == 3.0
-    assert log.select(predicate=lambda r: r.time > 1.5)[0].category == "b"
-
-
-def test_trace_disabled_is_free():
-    log = TraceLog(enabled=False)
-    log.record(1.0, "a", 1)
-    assert log.select() == []
 
 
 # ----------------------------------------------------------------------
@@ -81,8 +57,52 @@ def test_oracle_scheduler_shared_within_context():
     assert a.scheduler is b.scheduler
 
 
-def test_trace_keeps_every_record():
-    log = TraceLog()
-    for i in range(1000):
-        log.record(float(i), "tick", 0)
-    assert [r.time for r in log.select()] == [float(i) for i in range(1000)]
+
+# ----------------------------------------------------------------------
+# The effect log
+# ----------------------------------------------------------------------
+def _mobile_crash_config(algorithm, trace):
+    from repro.mobility.plan import MobilityPlan
+    from repro.net.geometry import grid_positions
+    from repro.runtime.simulation import ScenarioConfig
+
+    return ScenarioConfig(
+        positions=grid_positions(16, 1.0),
+        radio_range=1.2,
+        algorithm=algorithm,
+        seed=5,
+        think_range=(0.5, 2.0),
+        crashes=[(20.0, 5)],
+        delta_override=15,
+        mobility_factory=MobilityPlan.of(
+            "waypoint", range(0, 16, 3), width=4, height=4,
+            speed_range=(0.5, 1.5), pause_range=(1.0, 5.0),
+        ),
+        trace=trace,
+    )
+
+
+@pytest.mark.parametrize("algorithm", ["alg1-greedy", "alg2"])
+def test_effect_log_holds_every_transition(algorithm):
+    from collections import Counter
+
+    from repro.runtime.simulation import Simulation
+
+    sim = Simulation(_mobile_crash_config(algorithm, trace=True))
+    result = sim.run(until=150.0)
+    counts = Counter((tag, node) for _, tag, node in sim.effects)
+    metrics = result.metrics
+    for node, counters in metrics.counters.items():
+        assert counts["hungry", node] == counters.hungry_count, node
+        assert counts["enter", node] == counters.cs_entries, node
+        assert counts["exit", node] == counters.cs_completions, node
+        assert counts["demote", node] == counters.demotions, node
+    assert {node for (_, node) in counts} <= set(metrics.counters) | {5}
+    crashed = {node: time for time, tag, node in sim.effects
+               if tag == "crashed"}
+    assert crashed == metrics.crashed == {5: 20.0}
+    assert sum(c.demotions for c in metrics.counters.values()) > 0
+    stamps = [time for time, _, _ in sim.effects]
+    assert stamps == sorted(stamps)
+
+    assert Simulation(_mobile_crash_config(algorithm, trace=False)).effects is None
