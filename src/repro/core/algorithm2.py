@@ -30,7 +30,9 @@ from repro.core.base import LocalMutexAlgorithm, NodeServices
 from repro.core.dispatch import MessageDispatchMixin, handles
 from repro.core.fork_collection import ForkProtocol
 from repro.core.forks import ForkTable
-from repro.core.messages import ForkGrant, ForkRequest, Notification, Switch
+from repro.core.messages import (
+    NOTIFICATION, SWITCH, ForkGrant, ForkRequest, Notification, Switch,
+)
 from repro.core.states import NodeState
 
 
@@ -72,16 +74,14 @@ class Algorithm2(MessageDispatchMixin, LocalMutexAlgorithm):
         """Fused :meth:`bootstrap_peer` loop (city-scale construction).
 
         Same per-peer state in the same (ascending) insertion order,
-        writing the two per-peer dicts directly instead of paying two
-        method calls and a property read per link endpoint; the peers
-        above us — a tail of the ascending sequence — are both ``held``
-        and ``low``.
+        writing ``higher[]`` directly instead of paying two method calls
+        and a property read per link endpoint; the peers above us — a
+        tail of the ascending sequence — are both ``held`` and ``low``.
         """
         me = self.node.node_id
-        at = self.forks._at
         higher = self.higher
         for peer in peers:
-            at[peer] = higher[peer] = me < peer
+            higher[peer] = me < peer
         above = peers[bisect_right(peers, me):]
         self.forks.held.update(above)
         self.low.update(above)
@@ -122,7 +122,7 @@ class Algorithm2(MessageDispatchMixin, LocalMutexAlgorithm):
         """Lines 1-5: notify everyone, then start collecting."""
         if self._probes is not None:
             self._probes.note_notification()
-        self.node.broadcast(Notification())
+        self.node.broadcast(NOTIFICATION)
         self.fork_proto.start_collection()
 
     def on_exit_cs(self) -> None:
@@ -149,7 +149,7 @@ class Algorithm2(MessageDispatchMixin, LocalMutexAlgorithm):
                 # violation the priority monitor guards against.
                 continue
             if not state:
-                self.node.send(peer, Switch())
+                self.node.send(peer, SWITCH)
                 self._set_higher(peer, True)
                 self.switches_sent += 1
                 if probes is not None:

@@ -47,6 +47,11 @@ FORK_SYNC = "SDf"
 ALL_DOORWAYS = (RECOLOR_ASYNC, RECOLOR_SYNC, FORK_ASYNC, FORK_SYNC)
 SYNC_DOORWAYS = frozenset({RECOLOR_SYNC, FORK_SYNC})
 
+#: Their crossing and exit broadcasts, built once (messages are frozen);
+#: a doorway under any other name builds its message per send.
+_CROSS = {name: DoorwayCross(name) for name in ALL_DOORWAYS}
+_EXIT = {name: DoorwayExit(name) for name in ALL_DOORWAYS}
+
 
 class DoorwaySet:
     """All doorway state of one node.
@@ -138,7 +143,7 @@ class DoorwaySet:
             self._probes.note_doorway_exit(
                 doorway, now - self._crossed_at.pop(doorway, now)
             )
-        self._node.broadcast(DoorwayExit(doorway))
+        self._node.broadcast(_EXIT.get(doorway) or DoorwayExit(doorway))
 
     def exit_all(self) -> None:
         """Exit every doorway we are behind and abort pending entries.
@@ -156,7 +161,9 @@ class DoorwaySet:
                     self._probes.note_doorway_exit(
                         doorway, now - self._crossed_at.pop(doorway, now)
                     )
-                self._node.broadcast(DoorwayExit(doorway))
+                self._node.broadcast(
+                    _EXIT.get(doorway) or DoorwayExit(doorway)
+                )
 
     # ------------------------------------------------------------------
     # Upcalls from the host algorithm
@@ -232,5 +239,5 @@ class DoorwaySet:
         if self._probes is not None:
             self._probes.note_doorway_cross(doorway)
             self._crossed_at[doorway] = self._node.now
-        self._node.broadcast(DoorwayCross(doorway))
+        self._node.broadcast(_CROSS.get(doorway) or DoorwayCross(doorway))
         self._on_crossed(doorway)

@@ -39,7 +39,7 @@ from typing import Protocol
 
 from repro.core.base import NodeServices
 from repro.core.forks import ForkTable
-from repro.core.messages import ForkGrant, ForkRequest
+from repro.core.messages import FORK_GRANT, FORK_GRANT_BACK, FORK_REQUEST
 
 
 class ForkHost(Protocol):
@@ -168,7 +168,7 @@ class ForkProtocol:
         if self._probes is not None:
             self._probes.note_fork_request()
             self._requested_at[peer] = self._host.node.now
-        self._host.node.send(peer, ForkRequest())
+        self._host.node.send(peer, FORK_REQUEST)
 
     # ------------------------------------------------------------------
     # Request handling (Lines 10-16)
@@ -233,7 +233,9 @@ class ForkProtocol:
         host = self._host
         if self._probes is not None:
             self._probes.note_fork_grant()
-        host.node.send(peer, ForkGrant(flag=host.want_back(peer)))
+        host.node.send(
+            peer, FORK_GRANT_BACK if host.want_back(peer) else FORK_GRANT
+        )
         host.forks.set_holds(peer, False)
         host.forks.suspended.discard(peer)
 

@@ -3,34 +3,33 @@
 A fork is a token shared by the two endpoints of a live link; holding
 it means holding the neighbor's permission to eat.  Forks are created
 at link formation (owned by the static endpoint) and destroyed at link
-failure.  ``at[j]`` is the paper's boolean "I hold the fork shared with
-p_j"; ``S`` is the set of neighbors whose fork requests are suspended.
+failure.  The paper's boolean array ``at[j]`` ("I hold the fork shared
+with p_j") is kept as the set ``held = {j : at[j]}``; ``S`` is the set
+of neighbors whose fork requests are suspended.
 
-Next to ``at[]`` the table maintains ``held = {j : at[j]}``, updated by
-every write, so the paper's macros become C-level set algebra over the
-current neighbor set ``N`` rather than per-neighbor scans: ``all-forks``
-is ``held ⊇ N``, and ``all-low-forks`` / the request lists are built by
+The paper's macros are then C-level set algebra over the current
+neighbor set ``N`` rather than per-neighbor scans: ``all-forks`` is
+``held ⊇ N``, and ``all-low-forks`` / the request lists are built by
 :class:`~repro.core.fork_collection.ForkProtocol` from ``held`` and the
-host's low set.  A peer outside ``N`` is never judged, whatever ``at[]``
-still says about it; a peer in ``N`` without an ``at[]`` entry (its
-link handshake has not run yet) counts as not held — exactly what the
-per-neighbor scans in ``tests/oracles/fork_scan.py`` decide.
+host's low set.  A peer outside ``N`` is never judged, whatever
+``held`` still says about it; a peer in ``N`` whose link handshake has
+not run yet is not in ``held`` — exactly what the per-neighbor scans in
+``tests/oracles/fork_scan.py`` decide.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Set
 
 
 class ForkTable:
-    """The ``at[]`` array, its ``held`` index and the suspended set ``S``."""
+    """The ``at[]`` array as the set ``held``, and the suspended set ``S``."""
 
-    __slots__ = ("_at", "held", "suspended")
+    __slots__ = ("held", "suspended")
 
     def __init__(self) -> None:
-        self._at: Dict[int, bool] = {}
-        #: Peers whose fork we hold — ``{j : at[j]}``, kept in step with
-        #: ``_at`` by every write below.  Read-only for everyone else.
+        #: Peers whose fork we hold — ``{j : at[j]}``.  Written by the
+        #: methods below; read-only for everyone else.
         self.held: Set[int] = set()
         self.suspended: Set[int] = set()
 
@@ -42,7 +41,6 @@ class ForkTable:
         return peer in self.held
 
     def set_holds(self, peer: int, value: bool) -> None:
-        self._at[peer] = value
         if value:
             self.held.add(peer)
         else:
@@ -58,6 +56,5 @@ class ForkTable:
 
     def link_destroyed(self, peer: int) -> None:
         """Fork destroyed with the link."""
-        self._at.pop(peer, None)
         self.held.discard(peer)
         self.suspended.discard(peer)

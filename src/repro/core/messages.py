@@ -3,6 +3,10 @@
 Naming follows the paper where it has a name; the ``Hello`` message is
 the pair "(update-color(color[i]), L[i])" that a static node sends to a
 newly arrived neighbor in Algorithm 3 Line 46.
+
+Messages are frozen and compared by value, so the payload-free ones are
+module constants (``FORK_REQUEST``, ``FORK_GRANT``, ``SWITCH``...): a
+send pays a global lookup instead of a dataclass construction.
 """
 
 from __future__ import annotations
@@ -51,6 +55,12 @@ class ForkGrant(Message):
     """
 
     flag: bool
+
+
+FORK_REQUEST = ForkRequest()
+FORK_GRANT = ForkGrant(flag=False)
+#: The grant with the "I want it back" flag set.
+FORK_GRANT_BACK = ForkGrant(flag=True)
 
 
 # ----------------------------------------------------------------------
@@ -154,3 +164,7 @@ class Notification(Message):
 @dataclass(frozen=True, slots=True)
 class Switch(Message):
     """``switch`` — the sender lowers its priority below the receiver."""
+
+
+NOTIFICATION = Notification()
+SWITCH = Switch()

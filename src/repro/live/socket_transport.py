@@ -242,7 +242,7 @@ class SocketTransport:
         if self.probes is not None:
             self.probes.note_link_down(reason)
         if (self.runtime.started
-                and peer in self.linklayer.neighbors(self.node_id)):
+                and self.linklayer.topology.has_link(self.node_id, peer)):
             a, b = link_key(self.node_id, peer)
             self.runtime.execute(
                 "down",
@@ -273,7 +273,7 @@ class SocketTransport:
 
     def _link_restored(self, peer: int) -> None:
         if (self.runtime.started
-                and peer not in self.linklayer.neighbors(self.node_id)):
+                and not self.linklayer.topology.has_link(self.node_id, peer)):
             a, b = link_key(self.node_id, peer)
             self.runtime.execute(
                 "up",

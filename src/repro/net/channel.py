@@ -15,53 +15,62 @@ the void (the crashed node ignores everything), matching silent crashes.
 Scheduling
 ----------
 
-Every accepted message is one engine event: ``send`` draws the delay,
-applies the FIFO clamp and schedules :meth:`ChannelLayer._arrive` at the
-arrival time; the event carries the link incarnation it was sent under,
-and ``_arrive`` drops it if the link has died (or died and re-formed)
-in the meantime.  ``link_down`` therefore only bumps the incarnation —
-messages in flight are counted as dropped when their event fires.
+Every accepted message is one engine event, which ``send`` pushes onto
+the engine's queue itself.  A directed link has one *pipe*, the record
+``[last_arrival, live]``, made on its first send (the one send that
+asks the topology) and handed to each arrival event.  ``link_down``
+retires both directions' pipes (``live`` cleared, table entry gone):
+messages in flight are counted as dropped when their event fires, and
+a re-formed link's first send makes a fresh pipe.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Callable, Dict, Optional, Tuple
+import math
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import TopologyError
+from repro.errors import SimulationError, TopologyError
 from repro.net.messages import Message
-from repro.net.topology import DynamicTopology, link_key
+from repro.net.topology import DynamicTopology
 from repro.sim.clock import TIME_EPSILON, TimeBounds
 from repro.sim.engine import Simulator
+from repro.sim.events import EventPriority, ScheduledEvent
 
 DeliverFn = Callable[[int, int, Message], None]
 
+#: Resolved once: an enum member lookup costs as much as a dict probe.
+_NORMAL = EventPriority.NORMAL
+
 
 class ChannelStats:
-    """Message accounting: totals plus per-kind breakdowns.
+    """Message accounting per kind, and the totals they sum to.
 
-    ``sent``, ``delivered`` and ``dropped_link_down`` count every
-    message the channel accepted, handed to the deliver callback, or
-    discarded because its link died first; each total has a matching
-    ``*_by_kind`` dict keyed on :attr:`Message.kind`.  ``snapshot()``
-    returns the full counter set as one plain dict.
+    ``sent_by_kind``, ``delivered_by_kind`` and ``dropped_by_kind``
+    count, keyed on :attr:`Message.kind`, every message the channel
+    accepted, handed to its receiver, or discarded because its link
+    died first; ``sent``, ``delivered`` and ``dropped_link_down`` are
+    their sums, so a message pays for one counter, not two.
+    ``snapshot()`` returns the full counter set as one plain dict.
     """
 
-    __slots__ = (
-        "sent",
-        "delivered",
-        "dropped_link_down",
-        "sent_by_kind",
-        "delivered_by_kind",
-        "dropped_by_kind",
-    )
+    __slots__ = ("sent_by_kind", "delivered_by_kind", "dropped_by_kind")
 
     def __init__(self) -> None:
-        self.sent = 0
-        self.delivered = 0
-        self.dropped_link_down = 0
         self.sent_by_kind: Dict[str, int] = {}
         self.delivered_by_kind: Dict[str, int] = {}
         self.dropped_by_kind: Dict[str, int] = {}
+
+    @property
+    def sent(self) -> int:
+        return sum(self.sent_by_kind.values())
+
+    @property
+    def delivered(self) -> int:
+        return sum(self.delivered_by_kind.values())
+
+    @property
+    def dropped_link_down(self) -> int:
+        return sum(self.dropped_by_kind.values())
 
     def snapshot(self) -> Dict[str, object]:
         """All counters — totals and per-kind dicts — as one copy."""
@@ -89,7 +98,7 @@ class ChannelLayer:
         """
         Args:
             sim: the shared event engine.
-            topology: consulted at send and delivery time for link existence.
+            topology: consulted on a link's first send for its existence.
             bounds: supplies the message-delay distribution.
             rng: a ``random.Random`` used for delay jitter.
             deliver: callback invoked as ``deliver(src, dst, message)``
@@ -98,9 +107,11 @@ class ChannelLayer:
         self._sim = sim
         self._deliver = deliver
         # send() runs once per message hop, so its collaborators are
-        # pre-resolved: bound methods and the delay distribution's
-        # parameters (the inline draw below reproduces ``rng.uniform``
-        # bit for bit: ``a + (b - a) * random()``).
+        # pre-resolved: the engine's ticket counter and queue push, bound
+        # methods and the delay distribution's parameters (the inline
+        # draw reproduces ``rng.uniform``: ``a + (b - a) * random()``).
+        self._seq = sim._seq
+        self._push = sim._queue.push
         self._has_link = topology.has_link
         self._rng_random = rng.random
         if bounds.min_delay_fraction >= 1.0:
@@ -109,11 +120,9 @@ class ChannelLayer:
             self._delay_floor = bounds.min_message_delay
         self._delay_span = bounds.nu - bounds.min_message_delay
         self._nu = bounds.nu
-        self._last_arrival: Dict[Tuple[int, int], float] = {}
-        # A link that breaks and re-forms is a *new* link in the paper's
-        # model (fresh fork, fresh doorway state).  Incarnation counters
-        # keep messages from a dead incarnation out of the new one.
-        self._incarnation: Dict[Tuple[int, int], int] = {}
+        # (src, dst) -> pipe.  A link that breaks and re-forms is a *new*
+        # link in the paper's model, so it never sees the old pipe.
+        self._pipes: Dict[Tuple[int, int], List[Any]] = {}
         #: Optional delay override hook (set post-construction by the
         #: exploration subsystem): ``delay_source(src, dst, message)``
         #: returns the per-hop delay, replacing the rng draw.  The
@@ -149,37 +158,40 @@ class ChannelLayer:
                 Protocol code only ever talks to its neighbor set, so a
                 non-neighbor send is a protocol bug worth failing fast on.
         """
-        if not self._has_link(src, dst):
-            raise TopologyError(
-                f"send on non-existent link {src}->{dst} "
-                f"(message {message.kind})"
-            )
+        key = (src, dst)
+        pipe = self._pipes.get(key)
+        if pipe is None:
+            if not self._has_link(src, dst):
+                raise TopologyError(
+                    f"send on non-existent link {src}->{dst} "
+                    f"(message {message.kind})"
+                )
+            pipe = self._pipes[key] = [-math.inf, True]
         sim = self._sim
         now = sim._now
         delay_source = self.delay_source
         floor_delay = self._delay_floor
         if delay_source is not None:
             delay = delay_source(src, dst, message)
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot schedule into the past: delay={delay}"
+                )
+            arrival = now + delay
         elif floor_delay is None:
-            delay = self._nu
+            arrival = now + self._nu
         else:
-            delay = floor_delay + self._delay_span * self._rng_random()
-        arrival = now + delay
-        key = (src, dst)
-        last = self._last_arrival
-        floor = last.get(key)
-        if floor is not None and arrival <= floor:
-            arrival = floor + TIME_EPSILON
-        last[key] = arrival
-        stats = self.stats
-        stats.sent += 1
+            arrival = now + (floor_delay + self._delay_span * self._rng_random())
+        if arrival <= pipe[0]:
+            arrival = pipe[0] + TIME_EPSILON
+        pipe[0] = arrival
         kind = message.kind
-        sent_by_kind = stats.sent_by_kind
-        sent_by_kind[kind] = sent_by_kind.get(kind, 0) + 1
-        sim.schedule_at(
-            arrival, self._arrive, src, dst, message,
-            self._incarnation.get(key if src < dst else (dst, src), 0),
-        )
+        by_kind = self.stats.sent_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        self._push(ScheduledEvent(
+            arrival, _NORMAL, next(self._seq), self._arrive,
+            (src, dst, message, pipe), sim,
+        ))
 
     def broadcast(self, src: int, neighbors, message: Message) -> None:
         """Send the same message to every node in ``neighbors``.
@@ -190,7 +202,7 @@ class ChannelLayer:
         asynchronous MANET and only weakens timing, never FIFO-ness.
 
         Fan-out order is ascending node id.  Callers on the hot path
-        (the link layer) pass the topology's presorted neighbor tuple;
+        (the node harness) pass the topology's presorted neighbor tuple;
         any other iterable is sorted here.
         """
         if type(neighbors) is not tuple:
@@ -201,36 +213,31 @@ class ChannelLayer:
 
     # ------------------------------------------------------------------
     def link_down(self, a: int, b: int) -> None:
-        """Forget FIFO state for a destroyed link (both directions).
+        """Retire both directions' pipes of a destroyed link.
 
-        Bumping the incarnation is what drops the messages in flight:
-        their events still fire and :meth:`_arrive` discards (and
-        counts) them then.
+        Clearing ``live`` is what drops the messages in flight: their
+        events still fire and :meth:`_arrive` discards (and counts)
+        them then.
         """
-        self._last_arrival.pop((a, b), None)
-        self._last_arrival.pop((b, a), None)
-        link = link_key(a, b)
-        self._incarnation[link] = self._incarnation.get(link, 0) + 1
+        pipes = self._pipes
+        for key in ((a, b), (b, a)):
+            pipe = pipes.pop(key, None)
+            if pipe is not None:
+                pipe[1] = False
 
     # ------------------------------------------------------------------
-    def _arrive(self, src: int, dst: int, message: Message, incarnation: int) -> None:
-        """Delivery event of one message sent under ``incarnation``.
+    def _arrive(self, src: int, dst: int, message: Message, pipe) -> None:
+        """Delivery event of one message sent through ``pipe``.
 
-        Link existence is checked here, at delivery time: the link may
-        have died — or died and re-formed, hence the incarnation — while
-        the message was in flight.
+        The pipe was retired if its link died — or died and re-formed —
+        while the message was in flight.
         """
-        stats = self.stats
         kind = message.kind
-        link = (src, dst) if src < dst else (dst, src)
-        stale = incarnation != self._incarnation.get(link, 0)
-        if stale or not self._has_link(src, dst):
-            stats.dropped_link_down += 1
-            by_kind = stats.dropped_by_kind
+        if not pipe[1]:
+            by_kind = self.stats.dropped_by_kind
             by_kind[kind] = by_kind.get(kind, 0) + 1
             return
-        stats.delivered += 1
-        by_kind = stats.delivered_by_kind
+        by_kind = self.stats.delivered_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
         handlers = self._handlers
         if handlers is None or dst in self._crashed:

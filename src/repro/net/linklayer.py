@@ -10,9 +10,11 @@ Responsibilities, exactly as the paper assumes of its "lower level":
   indication, matching the paper's "e.g., according to their ID's";
 * never deliver anything to a crashed node (silent crash model).
 
-The link layer is also the single place protocol code sends messages
-through, so it can refuse sends from crashed nodes and offer a local
-broadcast primitive.
+Messages do not pass through it: a node harness sends on the bound
+channel (:attr:`LinkLayer.channel`) itself, refusing to while its node
+is crashed, and the simulated channel calls the registered handlers
+directly.  :meth:`LinkLayer.deliver` is the channel's delivery callback
+for the rest: arrivals at crashed nodes, and every live delivery.
 
 One contract serves both runtimes.  The simulator binds a
 :class:`~repro.net.channel.ChannelLayer` on its event engine; the live
@@ -25,9 +27,8 @@ topology feed, a live peer loss, the replay of a recorded
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Optional, Protocol, Set
+from typing import Dict, Optional, Protocol, Set
 
-from repro.errors import TopologyError
 from repro.net.channel import ChannelLayer
 from repro.net.messages import Message
 from repro.net.topology import DynamicTopology, LinkDiff
@@ -47,11 +48,14 @@ class LinkLayer:
     """Neighbor tracking, link indications and message dispatch."""
 
     def __init__(self, topology: DynamicTopology) -> None:
-        self._topology = topology
+        #: The network; node harnesses read their neighbor sets from it.
+        self.topology = topology
         self._handlers: Dict[int, NodeHandler] = {}
         self._moving: Set[int] = set()
         self._crashed: Set[int] = set()
-        self._channel: Optional[ChannelLayer] = None
+        #: The bound channel (see :meth:`bind_channel`); node harnesses
+        #: send on it directly.
+        self.channel: Optional[ChannelLayer] = None
         #: Observers called as ``fn(kind, a, b)`` after each link event's
         #: indications have been delivered ("up" / "down"); used by the
         #: safety monitor to validate the post-event state.
@@ -70,8 +74,10 @@ class LinkLayer:
         ``bind_handlers``, ``send``, ``broadcast`` and ``link_down``.
         The simulated channel calls registered handlers directly;
         :meth:`deliver` stays the path for messages to crashed nodes.
+        Bind before building the node harnesses, which pick the
+        channel up at construction.
         """
-        self._channel = channel
+        self.channel = channel
         channel.bind_handlers(self._handlers, self._crashed)
 
     def register(self, node_id: int, handler: NodeHandler) -> None:
@@ -79,25 +85,8 @@ class LinkLayer:
         self._handlers[node_id] = handler
 
     # ------------------------------------------------------------------
-    # Queries offered to protocol code (the node's local view)
+    # Role and failure state
     # ------------------------------------------------------------------
-    def neighbors(self, node_id: int) -> FrozenSet[int]:
-        """The node's current neighbor set ``N`` (maintained here).
-
-        Served from the topology's per-node frozenset cache: repeated
-        reads between topology changes return the same object.
-        """
-        return self._topology.neighbors(node_id)
-
-    def neighbor_view(self, node_id: int) -> AbstractSet[int]:
-        """``N`` as the topology's live adjacency set — read only, one
-        object for the node's lifetime (nodes are never removed)."""
-        return self._topology.neighbor_view(node_id)
-
-    def sorted_neighbors(self, node_id: int):
-        """``N`` in ascending id order (the topology's cached tuple)."""
-        return self._topology.sorted_neighbors(node_id)
-
     def is_moving(self, node_id: int) -> bool:
         """True while the node is inside a movement episode."""
         return node_id in self._moving
@@ -128,13 +117,13 @@ class LinkLayer:
         event, so the static/moving roles come out as the recorded
         execution saw them; role state is restored afterwards.  A link
         already in the requested state changes nothing: no indication,
-        no incarnation bump.
+        no channel state retired.
         """
         restore = mover >= 0 and not self.is_moving(mover)
         if restore:
             self.set_moving(mover, True)
         try:
-            diff = self._topology.force_link(a, b, op == "up")
+            diff = self.topology.force_link(a, b, op == "up")
             if not diff.empty:
                 self.apply_diff(diff)
         finally:
@@ -149,8 +138,8 @@ class LinkLayer:
         one appears, matching the paper's per-link treatment.
         """
         for a, b in diff.removed:
-            if self._channel is not None:
-                self._channel.link_down(a, b)
+            if self.channel is not None:
+                self.channel.link_down(a, b)
             self._indicate_down(a, b)
             self._indicate_down(b, a)
             for observer in self.observers:
@@ -165,30 +154,8 @@ class LinkLayer:
                 observer("up", a, b)
 
     # ------------------------------------------------------------------
-    # Message plane
+    # Delivery
     # ------------------------------------------------------------------
-    def send(self, src: int, dst: int, message: Message) -> None:
-        """Send a unicast message from a live node to a current neighbor."""
-        if src in self._crashed:
-            return  # a crashed node emits nothing
-        if self._channel is None:
-            raise TopologyError("link layer has no channel bound")
-        self._channel.send(src, dst, message)
-
-    def broadcast(self, src: int, message: Message) -> None:
-        """Send ``message`` to every current neighbor of ``src``.
-
-        Fan-out uses the topology's cached presorted neighbor tuple, so
-        repeated broadcasts between topology changes never re-sort.
-        """
-        if src in self._crashed:
-            return
-        if self._channel is None:
-            raise TopologyError("link layer has no channel bound")
-        self._channel.broadcast(
-            src, self._topology.sorted_neighbors(src), message
-        )
-
     def deliver(self, src: int, dst: int, message: Message) -> None:
         """Channel-layer delivery callback (crashed destinations, and
         every delivery of the live channel)."""

@@ -40,15 +40,19 @@ class NodeHarness:
 
     The harness is runtime-agnostic: ``sim`` is anything satisfying the
     :class:`~repro.runtime.interface.Runtime` protocol and
-    ``linklayer`` anything with the :class:`~repro.net.linklayer.LinkLayer`
-    query/send surface, so the same harness (and the algorithm inside
-    it) runs under the discrete-event simulator or a live transport.
+    ``linklayer`` anything with a :class:`~repro.net.linklayer.LinkLayer`'s
+    ``topology`` and bound ``channel``, so the same harness (and the
+    algorithm inside it) runs under the discrete-event simulator or a
+    live transport.  Neighbor reads go straight to that topology and
+    sends to that channel; the harness's own ``crashed`` flag is what
+    silences a crashed node.
     """
 
     __slots__ = (
         "node_id",
         "_sim",
-        "_linklayer",
+        "_topology",
+        "_channel",
         "_bounds",
         "_note",
         "_eat_rng",
@@ -80,7 +84,8 @@ class NodeHarness:
     ) -> None:
         self.node_id = node_id
         self._sim = sim
-        self._linklayer = linklayer
+        self._topology = linklayer.topology
+        self._channel = linklayer.channel
         self._bounds = bounds
         # The effect sink, or None when the run keeps no effect log:
         # every note site below is one pointer test then (mirroring the
@@ -136,23 +141,31 @@ class NodeHarness:
             self._note(self._sim.now, tag, self.node_id)
 
     def neighbors(self):
-        return self._linklayer.neighbors(self.node_id)
+        return self._topology.neighbors(self.node_id)
 
     def neighbor_view(self):
-        return self._linklayer.neighbor_view(self.node_id)
+        return self._topology.neighbor_view(self.node_id)
 
     def sorted_neighbors(self):
-        return self._linklayer.sorted_neighbors(self.node_id)
+        return self._topology.sorted_neighbors(self.node_id)
 
     def send(self, dst: int, message: Message) -> None:
         if self.dirty is not None:
             self.dirty.add(self.node_id)
-        self._linklayer.send(self.node_id, dst, message)
+        if self.crashed:
+            return  # a crashed node emits nothing
+        self._channel.send(self.node_id, dst, message)
 
     def broadcast(self, message: Message) -> None:
+        """Send ``message`` to every current neighbor, ascending by id."""
         if self.dirty is not None:
             self.dirty.add(self.node_id)
-        self._linklayer.broadcast(self.node_id, message)
+        if self.crashed:
+            return
+        node_id = self.node_id
+        self._channel.broadcast(
+            node_id, self._topology.sorted_neighbors(node_id), message
+        )
 
     def start_eating(self) -> None:
         """Algorithm grants the critical section."""

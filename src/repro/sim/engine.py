@@ -21,14 +21,14 @@ Design notes
   list is snapshotted once per :meth:`run` call.
 * **Scheduler.**  The pending set is one adaptive ladder queue
   (:class:`repro.sim.schedqueue.LadderQueue` — O(1) amortized
-  enqueue/dequeue), fed by one pair of entry points
-  (:meth:`schedule` / :meth:`schedule_at`) whether the event is a
-  message hop or a restartable deadline.  The tests check it against a
-  binary heap (``tests/oracles/heap_queue.py``, installed on a fresh
-  engine in its place): both compare the same precomputed ``(time,
-  priority, seq)`` keys and bucket routing is monotone in time (see
-  :mod:`repro.sim.schedqueue`), so execution order, timestamps, and
-  every deterministic counter are bit-identical to the heap's.
+  enqueue/dequeue), fed by :meth:`schedule` / :meth:`schedule_at` —
+  except message hops, which the channel builds and pushes itself —
+  and drained by one ``pop_due`` call per event.  The tests check it
+  against a binary heap (``tests/oracles/heap_queue.py``, installed
+  on a fresh engine in its place): both compare the same precomputed
+  ``(time, priority, seq)`` keys and bucket routing is monotone in time
+  (see :mod:`repro.sim.schedqueue`), so execution order, timestamps,
+  and every deterministic counter are bit-identical to the heap's.
 * **Hot loop.**  Cancellation is lazy (cancelled shells stay resident),
   but the engine keeps a live count of them: ``pending_events`` is
   O(1), and when shells outnumber live events the pending set is swept
@@ -238,9 +238,7 @@ class Simulator:
         self._stopped = False
         wall_started = perf_counter()
         executed_this_call = 0
-        queue = self._queue
-        peek = queue.peek
-        take = queue.take
+        pop_due = self._queue.pop_due
         controller = self._choice_controller
         until_f = math.inf if until is None else until
         listeners = tuple(self._listeners)
@@ -250,21 +248,16 @@ class Simulator:
                     break
                 if max_events is not None and executed_this_call >= max_events:
                     break
-                event = peek()
+                event = pop_due(until_f)
                 if event is None:
-                    # Queue drained; advance to the deadline if given.
+                    # Drained, or the next event is past the deadline:
+                    # advance to the deadline if given.
                     if until is not None and until > self._now:
                         self._now = until
                     break
-                t = event.time
-                if t > until_f:
-                    self._now = until
-                    break
-                if controller is None:
-                    take()
-                else:
-                    event = self._pop_with_controller(controller)
-                self._now = t
+                if controller is not None:
+                    event = self._pop_with_controller(controller, event)
+                self._now = event.time
                 # Mark fired up front: a cancel() of the in-flight event
                 # from inside its own callback must stay a no-op and must
                 # not disturb the lazy-cancellation count.
@@ -280,31 +273,30 @@ class Simulator:
             self._wall_time_s += perf_counter() - wall_started
         return self._now
 
-    def _pop_with_controller(self, controller) -> ScheduledEvent:
-        """Pop the next event, letting a controller resolve same-key ties.
+    def _pop_with_controller(self, controller, first) -> ScheduledEvent:
+        """Let a controller resolve the ties of ``first``, just popped.
 
-        Collects every live event tied with the head on ``(time,
+        Pops every live event tied with ``first`` on ``(time,
         priority)``; with two or more, the controller picks which runs
         now and the rest go back on the queue with their original
         tickets (so a later consultation sees the same relative order).
-        The head is known live and in-bounds — :meth:`run` checked.
-        Tie comparison uses the precomputed ``_key`` fields,
-        so no per-head IntEnum conversion happens in the loop.
+        The one same-time event of a later priority class that ends the
+        group goes back the same way.  Tie comparison uses the
+        precomputed ``_key`` fields, so no per-head IntEnum conversion
+        happens in the loop.
         """
         queue = self._queue
-        peek = queue.peek
-        take = queue.take
-        first = take()
+        pop_due = queue.pop_due
         time, priority, _ = first._key
         group = [first]
         while True:
-            head = peek()
+            head = pop_due(time)
             if head is None:
                 break
-            key = head._key
-            if key[0] != time or key[1] != priority:
+            if head._key[1] != priority:
+                queue.push(head)
                 break
-            group.append(take())
+            group.append(head)
         if len(group) == 1:
             return first
         index = controller.tie_break(group)

@@ -98,10 +98,9 @@ class LadderQueue:
     The interface the engine (and the tests' heap oracle) relies on:
 
     * ``push(event)`` inserts.
-    * ``peek()`` returns the minimum *live* event without removing it
-      (dropping any cancelled shells it uncovers), or ``None``.
-    * ``take()`` removes the event the immediately preceding ``peek``
-      returned (peek-then-take pairing; never called cold).
+    * ``pop_due(until)`` removes and returns the minimum *live* event
+      if its time is ``<= until`` (dropping any cancelled shells it
+      uncovers), else ``None`` and leaves it queued.
     * ``note_cancelled()`` records one lazy cancellation and may
       compact.
     """
@@ -218,23 +217,24 @@ class LadderQueue:
         self._rungs.append(_Rung(tmin, width, buckets))
 
     # ------------------------------------------------------------------
-    def peek(self) -> Optional[ScheduledEvent]:
+    def pop_due(self, until: float) -> Optional[ScheduledEvent]:
         while True:
             bottom = self._bottom
             while bottom:
                 event = bottom[-1]
-                if not event.cancelled:
-                    return event
+                if event.cancelled:
+                    bottom.pop()
+                    self._size -= 1
+                    self._cancelled -= 1
+                    continue
+                if event.time > until:
+                    return None
                 bottom.pop()
                 self._size -= 1
-                self._cancelled -= 1
+                self.dequeues += 1
+                return event
             if not self._refill():
                 return None
-
-    def take(self) -> ScheduledEvent:
-        self.dequeues += 1
-        self._size -= 1
-        return self._bottom.pop()
 
     def _refill(self) -> bool:
         """Load the next bucket into the (empty) bottom.

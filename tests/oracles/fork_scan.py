@@ -3,9 +3,10 @@
 :class:`repro.core.forks.ForkTable` keeps ``held`` next to ``at[]`` and
 :class:`repro.core.fork_collection.ForkProtocol` evaluates the macros
 as set algebra over it.  These are the O(degree) scans over the
-neighbor set they replaced, kept verbatim (``self`` became ``table``)
-as the reference ``tests/test_fork_predicates.py`` checks against.
-They read only ``at[]`` (``table._at``), never ``held``.
+neighbor set they replaced (``self`` became ``table``), kept as the
+reference ``tests/test_fork_predicates.py`` checks against.  They read
+``at[j]`` neighbor by neighbor, as ``j in table.held``, and never use
+set algebra.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.core.forks import ForkTable
 
 def all_forks(table: ForkTable, neighbors: FrozenSet[int]) -> bool:
     """True iff we hold the fork of every current neighbor."""
-    return all(table._at.get(j, False) for j in neighbors)
+    return all(j in table.held for j in neighbors)
 
 
 def all_low_forks(
@@ -29,7 +30,7 @@ def all_low_forks(
     Algorithm 1, ``higher[j]`` true in Algorithm 6); the predicate
     is injected by the host algorithm.
     """
-    return all(table._at.get(j, False) for j in neighbors if is_low(j))
+    return all(j in table.held for j in neighbors if is_low(j))
 
 
 def missing(
@@ -37,5 +38,5 @@ def missing(
 ) -> Iterable[int]:
     """Neighbors matching ``want`` whose fork we do not hold (sorted)."""
     return sorted(
-        j for j in neighbors if want(j) and not table._at.get(j, False)
+        j for j in neighbors if want(j) and j not in table.held
     )

@@ -49,19 +49,19 @@ class HeapQueue:
         if len(heap) > self.high_water:
             self.high_water = len(heap)
 
-    def peek(self) -> Optional[ScheduledEvent]:
+    def pop_due(self, until: float) -> Optional[ScheduledEvent]:
         heap = self._heap
         while heap:
             event = heap[0]
-            if not event.cancelled:
-                return event
-            heapq.heappop(heap)
-            self._cancelled -= 1
+            if event.cancelled:
+                heapq.heappop(heap)
+                self._cancelled -= 1
+                continue
+            if event.time > until:
+                return None
+            self.dequeues += 1
+            return heapq.heappop(heap)
         return None
-
-    def take(self) -> ScheduledEvent:
-        self.dequeues += 1
-        return heapq.heappop(self._heap)
 
     def note_cancelled(self) -> None:
         self.cancels += 1

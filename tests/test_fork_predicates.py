@@ -4,17 +4,17 @@
 ``all-forks`` / ``all-low-forks`` macros and the two request lists as
 set algebra over maintained state — the fork table's ``held``, the
 host's ``low`` set (Algorithm 2) and the node's live neighbor set.
-``tests/oracles/fork_scan.py`` keeps the O(degree) scans over ``at[]``
+``tests/oracles/fork_scan.py`` keeps the O(degree) per-neighbor scans
 they replaced.  Two properties:
 
 * differential — after every engine event, on every scenario family
   of :mod:`repro.explore.scenarios` under each algorithm with a fork
   engine, every node's maintained predicates and request list equal
-  the scans, and the maintained sets equal the dicts they index;
-* window — inside one link event the neighbor set and ``at[]`` keys
-  disagree (a peer already removed from ``N`` but not yet indicated
-  down, or already in ``N`` but not yet indicated up).  The predicates
-  judge ``N``, as the scans do, never the ``at[]`` keys.
+  the scans, and the maintained ``low`` set equals the dict it indexes;
+* window — inside one link event the neighbor set and the per-link
+  state disagree (a peer already removed from ``N`` but not yet
+  indicated down, or already in ``N`` but not yet indicated up).  The
+  predicates judge ``N``, as the scans do, never the per-link state.
 
 Tier-1 runs three scenario seeds per pair; ``pytest -m fuzz`` runs
 seeds 3-29.
@@ -66,7 +66,6 @@ def _assert_node_agrees(node_id, harness):
     nbrs = harness.neighbors()
     where = f"node {node_id}"
     assert proto._nbrs == nbrs, where
-    assert table.held == {j for j, v in table._at.items() if v}, where
     if isinstance(host, Algorithm2):
         assert host.low == {j for j, v in host.higher.items() if v}, where
     is_low = _scan_is_low(host)
@@ -167,24 +166,24 @@ def test_two_links_lost_in_one_diff_first_indication_ignores_second():
     """Node 5 holds only the fork of 9 and loses 1 and 2 in one diff.
 
     The topology drops both links before either indication; inside
-    the first ``on_link_down`` the other departed peer still has an
-    ``at[]`` entry (a fork we lack) but is out of ``N``, so the node
-    already holds all forks and eats there.
+    the first ``on_link_down`` the other departed peer still has its
+    per-link state (a ``higher[]`` entry, a fork we lack) but is out of
+    ``N``, so the node already holds all forks and eats there.
     """
     node, alg = _hungry_alg2(5, {1, 2, 9})
     assert alg.forks.held == {9}
     node.set_neighbors({9})
     alg.on_link_down(1)
     assert node.eat_calls == 1
-    assert 2 in alg.forks._at and not alg.forks.holds(2)
+    assert 2 in alg.higher and not alg.forks.holds(2)
     alg.on_link_down(2)
-    assert node.eat_calls == 1 and alg.forks._at.keys() == {9}
+    assert node.eat_calls == 1 and alg.higher.keys() == {9}
 
 
 def test_peer_in_n_before_its_link_up_is_a_missing_high_fork():
     """Node 0 holds the forks of 5 and 6; 9 has just joined ``N``.
 
-    Until ``on_link_up(9)`` runs, 9 has no ``at[]`` entry: the node
+    Until ``on_link_up(9)`` runs, 9 has no per-link state: the node
     neither holds its fork nor counts it low.  A re-check in that
     window must not eat and asks 9 (a high neighbor) for its fork.
     """

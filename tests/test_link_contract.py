@@ -1,8 +1,9 @@
 """The link-layer contract of Section 3.1, checked on both runtimes.
 
 Both runtimes build the same :class:`~repro.net.linklayer.LinkLayer`
-over a :class:`~repro.net.topology.DynamicTopology`; only the channel
-bound under it differs.  ``sim`` binds a
+over a :class:`~repro.net.topology.DynamicTopology`, and nodes send
+through the same :class:`~repro.runtime.node.NodeHarness`; only the
+channel bound under the link layer differs.  ``sim`` binds a
 :class:`~repro.net.channel.ChannelLayer` on a
 :class:`~repro.sim.engine.Simulator`; ``live`` binds the live channel
 (:class:`~repro.live.linklayer.LiveLinkLayer`) on a
@@ -28,7 +29,8 @@ from repro.net.channel import ChannelLayer
 from repro.net.geometry import Point
 from repro.net.linklayer import LinkLayer
 from repro.net.messages import Message
-from repro.net.topology import DynamicTopology, link_key
+from repro.net.topology import DynamicTopology
+from repro.runtime.node import NodeHarness
 from repro.sim.clock import TimeBounds
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomSource
@@ -60,7 +62,9 @@ class LoggingHandler:
 
 
 class Net:
-    """One link layer, its channel and a logging handler per node."""
+    """One link layer, its channel, a logging handler per node and a
+    sending harness per node (registered nowhere: the handlers log
+    what arrives)."""
 
     def __init__(self, runtime_kind):
         self.kind = runtime_kind
@@ -75,21 +79,44 @@ class Net:
                 self.sim, self.topology, TimeBounds(min_delay_fraction=1.0),
                 RandomSource(0).stream("channel"), deliver=self.link.deliver,
             )
+            runtime = self.sim
         else:
             self.loop = asyncio.new_event_loop()
             runtime = WallClockRuntime(self.loop, 1.0, LiveRecorder())
             bus = InProcessBus(
                 self.loop, lambda *args: self.channel.dispatch(*args)
             )
+            self.transmitted = 0
+
+            def transmit(*args):
+                self.transmitted += 1
+                bus.send(*args)
+
             self.link = LinkLayer(self.topology)
             self.channel = LiveLinkLayer(
-                runtime, runtime.recorder, bus.send, self.topology,
+                runtime, runtime.recorder, transmit, self.topology,
                 self.link.deliver,
             )
             runtime.start()
         self.link.bind_channel(self.channel)
+        self.nodes = {}
         for node_id in self.topology.nodes():
             self.link.register(node_id, LoggingHandler(node_id, self.log))
+            self.nodes[node_id] = NodeHarness(
+                node_id, runtime, self.link, TimeBounds(), None, eat_rng=None
+            )
+
+    def crash(self, node_id):
+        """Crash a node as the crash injector does: link layer, then
+        harness."""
+        self.link.crash(node_id)
+        self.nodes[node_id].crash()
+
+    def sent(self):
+        """Messages the channel accepted for transmission."""
+        if self.kind == "sim":
+            return self.channel.stats.sent
+        return self.transmitted
 
     def settle(self):
         """Deliver (or drop) every message in flight."""
@@ -99,8 +126,16 @@ class Net:
             self.loop.call_soon(self.loop.stop)
             self.loop.run_forever()
 
-    def incarnation(self, a, b):
-        return self.channel._incarnation.get(link_key(a, b), 0)
+    def link_state(self, a, b):
+        """The channel's per-link state: each direction's pipe (identity
+        and live flag) in the simulator, the link's incarnation live."""
+        if self.kind == "sim":
+            pipes = self.channel._pipes
+            return [
+                None if pipe is None else (id(pipe), pipe[1])
+                for pipe in (pipes.get((a, b)), pipes.get((b, a)))
+            ]
+        return self.channel._incarnation.get((min(a, b), max(a, b)), 0)
 
     def close(self):
         if self.kind == "live":
@@ -114,21 +149,23 @@ def net(request):
     built.close()
 
 
-def test_crashed_source_send_is_absorbed(net):
-    net.link.crash(2)
-    net.link.send(2, 3, Probe("x"))
-    net.link.broadcast(2, Probe("y"))
+def test_crashed_harness_sends_nothing(net):
+    net.crash(2)
+    net.nodes[2].send(3, Probe("x"))
+    net.nodes[2].broadcast(Probe("y"))
     net.settle()
     assert net.log == []
+    assert net.sent() == 0
 
 
 def test_send_over_a_non_link_raises(net):
     with pytest.raises(TopologyError):
-        net.link.send(0, 1, Probe("x"))
+        net.nodes[0].send(1, Probe("x"))
+    assert net.sent() == 0
 
 
 def test_broadcast_is_ascending(net):
-    net.link.broadcast(2, Probe("hello"))
+    net.nodes[2].broadcast(Probe("hello"))
     net.settle()
     assert net.log == [(0, "msg", 2), (1, "msg", 2), (3, "msg", 2)]
 
@@ -137,7 +174,7 @@ def test_broadcast_is_ascending(net):
     "churn", [("down",), ("down", "up")], ids=["down", "down-up"]
 )
 def test_in_flight_message_is_dropped_by_churn(net, churn):
-    net.link.send(2, 3, Probe("stale"))
+    net.nodes[2].send(3, Probe("stale"))
     for op in churn:
         net.link.apply_link_event(op, 2, 3, -1)
     del net.log[:]
@@ -145,14 +182,14 @@ def test_in_flight_message_is_dropped_by_churn(net, churn):
     assert net.log == []
     if churn[-1] == "up":
         # The re-formed link carries what is sent on it.
-        net.link.send(2, 3, Probe("fresh"))
+        net.nodes[2].send(3, Probe("fresh"))
         net.settle()
         assert net.log == [(3, "msg", 2)]
 
 
 def test_delivery_to_a_crashed_node_is_absorbed_and_counted(net):
-    net.link.send(2, 3, Probe("x"))
-    net.link.crash(3)
+    net.nodes[2].send(3, Probe("x"))
+    net.crash(3)
     net.settle()
     assert net.log == []
     assert net.link.messages_to_crashed == 1
@@ -181,7 +218,7 @@ def test_down_indications_reach_both_endpoints_in_canonical_order(net):
 
 
 def test_crashed_endpoints_get_nothing(net):
-    net.link.crash(2)
+    net.crash(2)
     net.link.apply_link_event("down", 3, 2, -1)
     net.link.apply_link_event("up", 3, 2, -1)
     assert net.log == [(3, "down", 2), (3, "up", 2, True)]
@@ -191,8 +228,10 @@ def test_crashed_endpoints_get_nothing(net):
 def test_link_event_for_a_link_already_in_that_state_changes_nothing(
     net, op, a, b
 ):
-    before = net.incarnation(a, b)
+    if op == "up":
+        net.nodes[a].send(b, Probe("in flight"))
+    before = net.link_state(a, b)
     net.link.apply_link_event(op, a, b, a)
     assert net.log == []
-    assert net.incarnation(a, b) == before
+    assert net.link_state(a, b) == before
     assert net.topology.has_link(a, b) == (op == "up")

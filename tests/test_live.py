@@ -563,7 +563,7 @@ def test_peer_loss_surfaces_link_down_and_counts():
         # The loss is an on_link_down to the algorithm, an
         # endpoint-scoped down row in the log, and a live.* count.
         assert handler.downs == [0]
-        assert 0 not in linklayer.neighbors(1)
+        assert 0 not in topology.neighbors(1)
         down_rows = [row for row in recorder.rows if row["k"] == "down"]
         assert down_rows and down_rows[0]["endpoint"] == 1
         assert probes.link_down.by_key.get("liveness") == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import SimulationError, TopologyError
 from repro.net.channel import ChannelLayer
 from repro.net.geometry import Point
 from repro.net.messages import Message
@@ -137,28 +137,58 @@ def test_deterministic_delay_mode():
     assert sim.now == pytest.approx(3.0)
 
 
+def test_first_send_to_a_non_neighbor_raises_and_counts_nothing():
+    sim, topo, channel, sink = build()
+    with pytest.raises(TopologyError):
+        channel.send(0, 2, Ping())
+    assert channel.stats.snapshot()["sent"] == 0
+    assert channel.stats.sent_by_kind == {}
+    assert (0, 2) not in channel._pipes
+    assert sim.pending_events == 0
+
+
+def test_send_after_link_down_raises():
+    sim, topo, channel, sink = build(nu=1.0, jitter=False)
+    channel.send(0, 1, Ping(1))
+    topo.set_position(1, Point(10, 10))
+    channel.link_down(0, 1)
+    with pytest.raises(TopologyError):
+        channel.send(0, 1, Ping(2))
+    assert channel.stats.sent == 1
+    sim.run()
+    assert sink.received == []
+
+
+def test_controlled_delay_into_the_past_raises():
+    sim, topo, channel, sink = build()
+    channel.delay_source = lambda src, dst, message: -0.5
+    with pytest.raises(SimulationError):
+        channel.send(0, 1, Ping())
+    assert sim.pending_events == 0
+
+
 # ----------------------------------------------------------------------
-# Every link removal bumps the incarnation
+# Every link removal retires both directions' pipes
 # ----------------------------------------------------------------------
 
-INCARNATION_ALGORITHMS = ["alg2", "alg1-greedy", "alg1-linial"]
-INCARNATION_FAMILIES = [
+RETIREMENT_ALGORITHMS = ["alg2", "alg1-greedy", "alg1-linial"]
+RETIREMENT_FAMILIES = [
     "static-line", "asym-line", "static-ring", "crash-line",
     "mobility-waypoint", "fig6",
 ]
 
 
-def _removals_bump_incarnations(algorithm, seed):
-    """Run every explore family; after each event, every pair the
-    topology unlinked during it must carry a larger channel incarnation
-    than before the unlink.  Returns the number of unlinks checked."""
+def _removals_retire_pipes(algorithm, seed):
+    """Run every explore family; after each event, every pipe a pair
+    the topology unlinked during it had — either direction — must be
+    dead and gone from the channel's table.  Returns the number of
+    pipes checked."""
     from repro.explore import runner
     from repro.explore.scenarios import build_scenario
     from repro.explore.schedule import RandomStrategy
-    from repro.net.topology import link_key
 
     checked = 0
-    for family in INCARNATION_FAMILIES:
+    for family in RETIREMENT_FAMILIES:
         if family == "fig6" and not algorithm.startswith("alg1"):
             continue  # fig6 carries an Algorithm 1 coloring
         entry = build_scenario(family, algorithm, seed)
@@ -166,18 +196,22 @@ def _removals_bump_incarnations(algorithm, seed):
 
         def wire(simulation):
             topology, channel = simulation.topology, simulation.channel
+            pipes = channel._pipes
             unlink = topology._unlink
 
             def recording_unlink(a, b):
-                pair = link_key(a, b)
-                before.setdefault(pair, channel._incarnation.get(pair, 0))
+                for key in ((a, b), (b, a)):
+                    pipe = pipes.get(key)
+                    if pipe is not None:
+                        before.setdefault(key, pipe)
                 unlink(a, b)
 
             def after_event(engine):
                 nonlocal checked
-                for pair, incarnation in before.items():
-                    assert channel._incarnation.get(pair, 0) > incarnation, (
-                        family, pair, engine.now,
+                for key, pipe in before.items():
+                    assert not pipe[1], (family, key, engine.now)
+                    assert pipes.get(key) is not pipe, (
+                        family, key, engine.now,
                     )
                 checked += len(before)
                 before.clear()
@@ -193,26 +227,26 @@ def _removals_bump_incarnations(algorithm, seed):
     return checked
 
 
-@pytest.mark.parametrize("algorithm", INCARNATION_ALGORITHMS)
-def test_every_link_removal_bumps_the_incarnation(algorithm):
-    """The channel drops a stale message by incarnation alone only if
-    no removal path skips ``link_down``."""
+@pytest.mark.parametrize("algorithm", RETIREMENT_ALGORITHMS)
+def test_every_link_removal_retires_both_pipes(algorithm):
+    """The channel drops a stale message by its pipe alone only if no
+    removal path skips ``link_down``."""
     assert sum(
-        _removals_bump_incarnations(algorithm, seed) for seed in range(3)
+        _removals_retire_pipes(algorithm, seed) for seed in range(3)
     ) > 0
 
 
 @pytest.mark.fuzz
-@pytest.mark.parametrize("algorithm", INCARNATION_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", RETIREMENT_ALGORITHMS)
 @pytest.mark.parametrize("seed", range(30))
-def test_fuzz_every_link_removal_bumps_the_incarnation(algorithm, seed):
-    _removals_bump_incarnations(algorithm, seed)
+def test_fuzz_every_link_removal_retires_both_pipes(algorithm, seed):
+    _removals_retire_pipes(algorithm, seed)
 
 
 # ----------------------------------------------------------------------
 # Each removal path, alone: a message sent before the link breaks is
 # dropped even though the link has re-formed by its arrival, so only
-# the incarnation can tell it is stale
+# its retired pipe can tell it is stale
 # ----------------------------------------------------------------------
 
 
@@ -319,13 +353,16 @@ REMOVAL_PATHS = {
 
 
 @pytest.mark.parametrize("path", sorted(REMOVAL_PATHS))
-def test_removal_path_bumps_the_incarnation(path):
+def test_removal_path_retires_the_pipe(path):
     sim, topo, channel = REMOVAL_PATHS[path]()
     sim.schedule_at(0.05, channel.send, 0, 1, Ping(1))
+    sim.run(until=0.06)
+    pipe = channel._pipes[(0, 1)]
+    assert pipe[1]
     sim.run(until=1.5)
     # The link broke once and is back before the message lands.
     assert topo.has_link(0, 1)
-    assert channel._incarnation.get((0, 1), 0) == 1
+    assert not pipe[1] and channel._pipes.get((0, 1)) is not pipe
     sim.run(until=3.0)
     stats = channel.stats
     assert stats.sent_by_kind["Ping"] == stats.dropped_by_kind["Ping"] == 1

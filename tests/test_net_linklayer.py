@@ -8,6 +8,7 @@ from repro.net.geometry import Point
 from repro.net.linklayer import LinkLayer
 from repro.net.messages import Message
 from repro.net.topology import DynamicTopology
+from repro.runtime.node import NodeHarness
 from repro.sim.clock import TimeBounds
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomSource
@@ -74,7 +75,8 @@ def test_link_up_between_two_movers_breaks_tie_by_id():
 
 def test_broadcast_goes_to_current_neighbors_only():
     sim, topo, link, handlers = build()
-    link.broadcast(1, Probe("hello"))
+    sender = NodeHarness(1, sim, link, TimeBounds(), None, eat_rng=None)
+    sender.broadcast(Probe("hello"))
     sim.run()
     assert [src for src, _ in handlers[0].messages] == [1]
     assert [src for src, _ in handlers[2].messages] == [1]

@@ -3,16 +3,19 @@
 The ladder scheduler is only allowed to exist because it is
 bit-identical to the binary heap (tests/oracles/heap_queue.py).  These
 tests drive both through randomized schedules (cancellations, retimes,
-same-instant tie groups under a ControlledScheduler) and require the *exact* execution sequence to match, then
+same-instant tie groups under a ControlledScheduler) and require the
+*exact* execution sequence to match, drive both queues' ``pop_due``
+directly with random cut-offs and cancelled heads, then
 poke the ladder's own mechanics (rung spills, bottom spill, sweep)
 directly.
 """
 
+import math
 import random
 
 import pytest
 
-from oracles.heap_queue import heap_simulator
+from oracles.heap_queue import HeapQueue, heap_simulator
 from repro.explore.schedule import RandomStrategy
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
@@ -106,6 +109,59 @@ def test_tie_groups_match_under_a_controller(seed):
     assert logs[0] == logs[1]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 13])
+def test_pop_due_matches_the_heap_under_random_cutoffs(seed):
+    """Queue level: the same pushes, cancellations (often of the head)
+    and ``pop_due(until)`` calls with random cut-offs — some before the
+    head, some past it — return the same event or ``None`` from both
+    queues, and leave the same live count."""
+    from repro.sim.events import ScheduledEvent
+
+    rng = random.Random(seed)
+    ladder, heap = LadderQueue(), HeapQueue()
+    pending = []  # ladder handle, heap handle
+    now, seq = 0.0, 0
+    for _ in range(4000):
+        roll = rng.random()
+        if roll < 0.5:
+            t = now + rng.choice((0.0, 0.0, 0.5, 1.0, 3.0, 60.0))
+            pair = tuple(
+                ScheduledEvent(t, EventPriority.NORMAL, seq, fire, ())
+                for fire in (lambda: None, lambda: None)
+            )
+            seq += 1
+            ladder.push(pair[0])
+            heap.push(pair[1])
+            pending.append(pair)
+        elif roll < 0.65 and pending:
+            # Cancel the earliest pending event half of the time, so
+            # pop_due keeps meeting cancelled heads.
+            if rng.random() < 0.5:
+                index = min(
+                    range(len(pending)), key=lambda i: pending[i][0]._key
+                )
+            else:
+                index = rng.randrange(len(pending))
+            for event, queue in zip(pending.pop(index), (ladder, heap)):
+                event.cancelled = True
+                queue.note_cancelled()
+        else:
+            until = now + rng.choice((-1.0, 0.0, 0.25, 1.0, 5.0))
+            got = ladder.pop_due(until)
+            want = heap.pop_due(until)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got._key == want._key
+                assert want.time <= until
+                now = want.time
+                pending = [p for p in pending if p[1] is not want]
+        assert ladder.live == heap.live == len(pending)
+    tail = [event._key for event in _drain(ladder)]
+    assert tail == [event._key for event in _drain(heap)]
+    assert ladder.dequeues == heap.dequeues
+
+
 # ----------------------------------------------------------------------
 # Ladder mechanics
 # ----------------------------------------------------------------------
@@ -121,6 +177,21 @@ def _shells(times):
     ]
 
 
+def _drain(q):
+    """Pop every live event, in order."""
+    popped = []
+    while (event := q.pop_due(math.inf)) is not None:
+        popped.append(event)
+    return popped
+
+
+def _prime(q):
+    """Load the bottom tier without popping: nothing is due before
+    ``-inf``, but the lookup refills from the top first."""
+    assert q.pop_due(-math.inf) is None
+    assert q._bottom
+
+
 def test_ladder_pops_random_times_in_sorted_order():
     q = LadderQueue()
     rng = random.Random(42)
@@ -129,8 +200,7 @@ def test_ladder_pops_random_times_in_sorted_order():
     for shell in shells:
         q.push(shell)
     popped = []
-    while q.peek() is not None:
-        popped.append(q.take())
+    popped.extend(_drain(q))
     assert popped == sorted(shells, key=lambda e: e._key)
     assert q.dequeues == 3000 and q.live == 0
 
@@ -143,15 +213,14 @@ def test_ladder_spills_an_overloaded_bucket_into_a_deeper_rung():
     anchors = _shells([0.0, 1000.0])
     for shell in anchors:
         q.push(shell)
-    assert q.peek() is anchors[0]  # top transfer spawns the rung
+    _prime(q)  # the top transfer spawns the rung
     burst = _shells([600.0 + 0.1 * i for i in range(200)])
     for seq, shell in enumerate(burst, start=10):
         shell.seq = seq
         shell._key = (shell.time, int(shell.priority), seq)
         q.push(shell)
     popped = []
-    while q.peek() is not None:
-        popped.append(q.take())
+    popped.extend(_drain(q))
     assert popped == sorted(anchors + burst, key=lambda e: e._key)
     assert q.rung_spills >= 1
 
@@ -164,8 +233,7 @@ def test_ladder_single_timestamp_bucket_goes_straight_to_bottom():
     for shell in shells:
         q.push(shell)
     order = []
-    while q.peek() is not None:
-        order.append(q.take().seq)
+    order.extend(event.seq for event in _drain(q))
     assert order == [300] + list(range(300))
 
 
@@ -180,8 +248,7 @@ def _overfill_bottom(times):
     anchors = _shells([0.0, 1000.0])
     for shell in anchors:
         q.push(shell)
-    assert q.peek() is anchors[0]
-    q.take()
+    assert q.pop_due(0.0) is anchors[0]
     burst = _shells(times)
     for seq, shell in enumerate(burst, start=10):
         shell.seq = seq
@@ -200,8 +267,7 @@ def test_ladder_spills_an_overlong_bottom_into_a_rung():
     assert len(q._bottom) < _BOTTOM_LIMIT
     assert len(q._rungs) == 2
     popped = []
-    while q.peek() is not None:
-        popped.append(q.take())
+    popped.extend(_drain(q))
     assert popped == sorted(shells, key=lambda e: e._key)
 
 
@@ -211,8 +277,7 @@ def test_ladder_single_timestamp_bottom_stays_sorted_past_the_limit():
     q, shells = _overfill_bottom([250.0] * (_BOTTOM_LIMIT + 10))
     assert len(q._bottom) == _BOTTOM_LIMIT + 10
     popped = []
-    while q.peek() is not None:
-        popped.append(q.take())
+    popped.extend(_drain(q))
     assert popped == sorted(shells, key=lambda e: e._key)
 
 
@@ -228,8 +293,7 @@ def test_ladder_sweep_recycles_cancelled_shells():
     # The sweep dropped shells; draining drops those cancelled after it.
     assert q.live == 50 < q._size < 200
     drained = []
-    while q.peek() is not None:
-        drained.append(q.take())
+    drained.extend(_drain(q))
     assert drained == sorted(shells[150:], key=lambda e: e._key)
     assert q._size == 0 and q.live == 0
 
@@ -241,12 +305,12 @@ def test_ladder_equal_time_push_after_top_transfer():
     shells = _shells([10.0, 20.0, 30.0])
     for shell in shells:
         q.push(shell)
-    assert q.peek() is shells[0]  # forces the top transfer
+    _prime(q)  # forces the top transfer
     late = _shells([30.0])[0]
     late.seq = 99
     late._key = (30.0, int(late.priority), 99)
     q.push(late)
-    order = [q.take().seq for _ in range(4) if q.peek() is not None]
+    order = [event.seq for event in _drain(q)]
     assert order == [0, 1, 2, 99]
 
 
