@@ -88,6 +88,15 @@ class LiveNodeSet:
             probes=live_probes,
         )
         self.linklayer.bind_channel(self.channel)
+        # One effect sink for every hosted harness: the recording's fx
+        # rows first, then the collector.
+        record = recorder.note_fx
+        intake = self.metrics.note_fx
+
+        def note(time: float, tag: str, node: int) -> None:
+            record(time, tag, node)
+            intake(time, tag, node)
+
         # Substream seeds derive from the (name, node) key alone, so a
         # node's streams are identical no matter which process hosts it.
         self.harnesses: Dict[int, NodeHarness] = assemble_nodes(
@@ -96,9 +105,8 @@ class LiveNodeSet:
             self.linklayer,
             self.topology,
             hosted,
-            recorder.note_fx,
+            note,
             self.rng,
-            self.metrics,
             probes,
         )
 
@@ -112,10 +120,7 @@ class LiveNodeSet:
             self.runtime, at, self.rng, config.think_range,
             config.scripted_hunger,
         ).attach_all(self.harnesses.values())
-        CrashInjector(
-            self.runtime, at, self.linklayer, self.harnesses,
-            metrics=self.metrics,
-        ).schedule_all(
+        CrashInjector(at, self.linklayer, self.harnesses).schedule_all(
             [(t, node) for t, node in config.crashes if node in self.harnesses]
         )
         schedule_link_rows(

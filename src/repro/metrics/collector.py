@@ -40,7 +40,7 @@ class NodeCounters:
 
 
 class MetricsCollector:
-    """Aggregates state-transition events from all node harnesses."""
+    """Aggregates the state transitions of all node harnesses."""
 
     def __init__(self) -> None:
         self.samples: List[ResponseSample] = []
@@ -58,50 +58,50 @@ class MetricsCollector:
         return counters
 
     # ------------------------------------------------------------------
-    # Event intake (called by NodeHarness)
+    # Event intake: one subscriber of the run's effect sink
     # ------------------------------------------------------------------
-    def note_hungry(self, node_id: int, time: float) -> None:
-        self._node(node_id).hungry_count += 1
-        self._hungry_since[node_id] = time
-        self._after_demotion[node_id] = False
+    def note_fx(self, time: float, tag: str, node: int) -> None:
+        """One node transition, as the harness reports it to its sink.
 
-    def note_demotion(self, node_id: int, time: float) -> None:
-        self._node(node_id).demotions += 1
-        self._hungry_since[node_id] = time
-        self._after_demotion[node_id] = True
-
-    def note_eat_start(self, node_id: int, time: float) -> None:
-        counters = self._node(node_id)
-        counters.cs_entries += 1
-        hungry_at = self._hungry_since.pop(node_id, None)
-        if hungry_at is not None:
-            self.samples.append(
-                ResponseSample(
-                    node=node_id,
-                    hungry_at=hungry_at,
-                    eating_at=time,
-                    after_demotion=self._after_demotion.pop(node_id, False),
-                )
-            )
-
-    def note_think(self, node_id: int, time: float) -> None:
-        self._node(node_id).cs_completions += 1
-        # The eating interval is over, so any demotion marker from it is
-        # stale; without this, a hungry interval recorded without a
-        # matching note_hungry/note_demotion would inherit the old flag.
-        self._after_demotion.pop(node_id, None)
-
-    def note_crash(self, node_id: int, time: float) -> None:
-        """A node crashed: close out its in-flight measurement state.
-
-        A crashed node is dead, not starving — leaving it in the hungry
-        table would make :meth:`starving` (and the starvation watchdog
-        built on it) report it forever.  The crash time is retained for
-        run reports.
+        ``hungry`` and ``demote`` open a hungry interval (a demotion's
+        is flagged ``after_demotion``), ``enter`` closes it into a
+        :class:`ResponseSample`, ``exit`` counts a completed CS, and
+        ``crashed`` closes out the node's in-flight measurement state:
+        a crashed node is dead, not starving, so leaving it in the
+        hungry table would make :meth:`starving` (and the starvation
+        watchdog built on it) report it forever.  The crash time is
+        kept for run reports.  Stage marks (any other tag) are ignored.
         """
-        self.crashed[node_id] = time
-        self._hungry_since.pop(node_id, None)
-        self._after_demotion.pop(node_id, None)
+        if tag == "hungry":
+            self._node(node).hungry_count += 1
+            self._hungry_since[node] = time
+            self._after_demotion[node] = False
+        elif tag == "enter":
+            self._node(node).cs_entries += 1
+            hungry_at = self._hungry_since.pop(node, None)
+            if hungry_at is not None:
+                self.samples.append(
+                    ResponseSample(
+                        node=node,
+                        hungry_at=hungry_at,
+                        eating_at=time,
+                        after_demotion=self._after_demotion.pop(node, False),
+                    )
+                )
+        elif tag == "exit":
+            self._node(node).cs_completions += 1
+            # The eating interval is over, so any demotion marker from
+            # it is stale; without this, a hungry interval recorded
+            # without a matching hungry/demote would inherit the flag.
+            self._after_demotion.pop(node, None)
+        elif tag == "demote":
+            self._node(node).demotions += 1
+            self._hungry_since[node] = time
+            self._after_demotion[node] = True
+        elif tag == "crashed":
+            self.crashed[node] = time
+            self._hungry_since.pop(node, None)
+            self._after_demotion.pop(node, None)
 
     # ------------------------------------------------------------------
     # Queries

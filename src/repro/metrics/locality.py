@@ -83,10 +83,10 @@ def measure_failure_locality(
 ) -> LocalityReport:
     """Build a :class:`LocalityReport` from post-run bookkeeping.
 
-    Distance queries go through ``topology.distances_from``, which is
-    memoized against the topology's version counter — repeated locality
-    probes of the same crash against an unchanged end-of-run graph cost
-    one BFS, not one per call.
+    Crash distances are one multi-source ``topology.distances_from``
+    query, memoized against the topology's version counter — repeated
+    locality probes of the same crashes against an unchanged end-of-run
+    graph cost one BFS, not one per call.
 
     Args:
         topology: the (post-run) communication graph used for distances.
@@ -98,13 +98,10 @@ def measure_failure_locality(
     crashed = sorted(set(crashed))
     ate = set(ate_after_crash)
     hungry = sorted(set(hungry_after_crash))
-    distances: Dict[int, int] = {}
-    for crash_node in crashed:
-        if crash_node not in topology:
-            continue
-        for node, dist in topology.distances_from(crash_node).items():
-            if node not in distances or dist < distances[node]:
-                distances[node] = dist
+    # A copy: the report owns its map, the topology's memo stays intact.
+    distances = dict(
+        topology.distances_from(*(c for c in crashed if c in topology))
+    )
     report = LocalityReport(crashed=crashed, distances=distances)
     for node in hungry:
         if node in crashed:

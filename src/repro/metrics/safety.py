@@ -2,9 +2,10 @@
 
 Checks the paper's safety condition — no two *current neighbors*
 simultaneously in the critical section — at the only two points it
-could newly become violated: when a node starts eating, and when a
-link forms between two nodes (the mobile-setting hazard the
-eating->hungry demotion exists to close).
+could newly become violated: when a node starts eating (the run's
+effect sink calls :meth:`SafetyMonitor.note_eating_start` on each
+``enter``), and when a link forms between two nodes (the
+mobile-setting hazard the eating->hungry demotion exists to close).
 
 Every simulation carries one.  A violation raises
 :class:`~repro.errors.SafetyViolation` at once, unless the run hands

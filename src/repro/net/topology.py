@@ -41,8 +41,9 @@ A monotone :attr:`~DynamicTopology.version` counter ticks on every
 membership or link change (never on a pure position update), and backs
 three caches: the per-node ``neighbors()`` frozenset, the presorted
 ``sorted_neighbors()`` tuple, and a one-slot BFS memo serving
-``distances_from`` (the failure-locality metric issues the same source
-repeatedly against an unchanged graph).
+``distances_from`` (the failure-locality metric and the progress
+monitor ask for the same crash distances repeatedly against an
+unchanged graph).
 
 The kinetic mobility engine (:mod:`repro.mobility.kinetic`) moves one
 node per arrival, freeze or teleport through ``set_position``, naming
@@ -134,8 +135,10 @@ class DynamicTopology:
         #: change, never on a pure position update.  External caches
         #: (and the BFS memo below) key on it.
         self.version = 0
-        # One-slot BFS memo: (version, source) -> distance dict.
-        self._bfs_key: Optional[Tuple[int, int]] = None
+        # One-slot BFS memo: (version, sources, limit) -> distance dict.
+        self._bfs_key: Optional[
+            Tuple[int, Tuple[int, ...], Optional[int]]
+        ] = None
         self._bfs_result: Dict[int, int] = {}
         # One-slot links() memo, keyed on version the same way.
         self._links_version = -1
@@ -417,25 +420,33 @@ class DynamicTopology:
         """delta — the maximum degree over all nodes (0 if empty)."""
         return self._max_degree
 
-    def distances_from(self, source: int) -> Dict[int, int]:
-        """Hop distances from ``source`` to every reachable node.
+    def distances_from(
+        self, *sources: int, limit: Optional[int] = None
+    ) -> Dict[int, int]:
+        """Hop distance to the nearest of ``sources`` of every node
+        reachable from them (within ``limit`` hops, when given).
 
-        Memoized against :attr:`version` for the last source queried —
-        the failure-locality metric walks the same crash node's distance
-        map repeatedly against an unchanged end-of-run graph.  Treat the
-        returned dict as read-only.
+        The crash distance of both the failure-locality metric and the
+        progress monitor's exemption.  Memoized against :attr:`version`
+        for the last query — the locality metric and the monitor ask
+        the same question repeatedly against an unchanged graph.  Treat
+        the returned dict as read-only.
         """
-        self._require(source)
-        key = (self.version, source)
+        for source in sources:
+            self._require(source)
+        key = (self.version, sources, limit)
         if key == self._bfs_key:
             return self._bfs_result
-        dist = {source: 0}
-        frontier = deque([source])
+        dist = dict.fromkeys(sources, 0)
+        frontier = deque(dist)
         while frontier:
             node = frontier.popleft()
+            hops = dist[node] + 1
+            if limit is not None and hops > limit:
+                continue
             for nbr in self._adjacency[node]:
                 if nbr not in dist:
-                    dist[nbr] = dist[node] + 1
+                    dist[nbr] = hops
                     frontier.append(nbr)
         self._bfs_key = key
         self._bfs_result = dist

@@ -62,7 +62,8 @@ class StarvationWatchdog:
     Args:
         sim: the shared engine (the watchdog schedules itself on it).
         metrics: the run's collector; crashed nodes never appear
-            because :meth:`MetricsCollector.note_crash` clears them.
+            because the harness's ``crashed`` effect reaches
+            :meth:`MetricsCollector.note_fx`, which clears them.
         threshold: hungry duration (virtual time) that counts as
             starving.
         registry: optional metric registry — a live one gains a

@@ -26,22 +26,20 @@ class CrashEvent:
 class CrashInjector:
     """Schedules silent crashes against the link layer and harnesses,
     as ``crash`` events through the scenario-event hook ``at`` (see
-    :mod:`repro.runtime.app`); ``runtime`` supplies the clock."""
+    :mod:`repro.runtime.app`).  The harness reports its own crash to
+    the run's effect sink, which is how the metrics collector learns
+    of it."""
 
     def __init__(
         self,
-        runtime,
         at: Callable[..., Any],
         linklayer: LinkLayer,
         harnesses: Dict[int, NodeHarness],
-        metrics=None,
         mobility=None,
     ) -> None:
-        self._runtime = runtime
         self._at = at
         self._linklayer = linklayer
         self._harnesses = harnesses
-        self._metrics = metrics
         self._mobility = mobility
         self.crashes: List[CrashEvent] = []
 
@@ -63,5 +61,3 @@ class CrashInjector:
             # crashed node itself is already silenced above, so only its
             # neighbors observe any resulting link changes).
             self._mobility.note_crash(node_id)
-        if self._metrics is not None:
-            self._metrics.note_crash(node_id, self._runtime.now)

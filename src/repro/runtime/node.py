@@ -3,8 +3,14 @@
 Implements both sides of the node boundary: the
 :class:`~repro.core.base.NodeServices` the algorithm calls down into,
 and the link layer's handler contract events come up through.  Also the
-single place node state transitions happen, so the metrics collector,
-safety monitor, effect log and invariant-monitor suite see every change.
+single place node state transitions happen: each one (and each
+algorithm stage mark) goes to the harness's effect sink, the one
+observer seam of a run.  The runtime composes that sink once and shares
+it across all harnesses; its subscribers are the metrics collector
+(:meth:`~repro.metrics.collector.MetricsCollector.note_fx`), the safety
+check on each CS entry, the effect log and the live recorder.  The
+invariant-monitor suite reads the harnesses through their ``dirty``
+set instead.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: An effect sink: called as ``note(time, tag, node)`` for every state
 #: transition (``hungry``, ``enter``, ``exit``, ``demote``,
-#: ``crashed``) and every stage mark an algorithm makes.
+#: ``crashed``) and every stage mark an algorithm makes.  A transition
+#: calls it after the harness state changed, so a subscriber that reads
+#: the harnesses sees the new state.
 EffectSink = Callable[[float, str, int], None]
 
 
@@ -57,8 +65,6 @@ class NodeHarness:
         "_note",
         "_eat_rng",
         "_rng_source",
-        "_metrics",
-        "_safety",
         "probes",
         "_state",
         "_eat_timer",
@@ -75,10 +81,8 @@ class NodeHarness:
         sim: "Runtime",
         linklayer: "LinkLayer",
         bounds: TimeBounds,
-        note: Optional[EffectSink],
+        note: EffectSink,
         eat_rng,
-        metrics=None,
-        safety=None,
         probes=None,
         rng_source=None,
     ) -> None:
@@ -87,17 +91,12 @@ class NodeHarness:
         self._topology = linklayer.topology
         self._channel = linklayer.channel
         self._bounds = bounds
-        # The effect sink, or None when the run keeps no effect log:
-        # every note site below is one pointer test then (mirroring the
-        # ``self._metrics is not None`` guards).
         self._note = note
         # Either a ready-made eating RNG, or (with ``eat_rng=None`` and
         # a ``rng_source``) the source to pull the memoized
         # ("eating", node_id) substream from on first use.
         self._eat_rng = eat_rng
         self._rng_source = rng_source
-        self._metrics = metrics
-        self._safety = safety
         #: Shared telemetry probes, or None when the run is
         #: uninstrumented.  Protocol components pick this up at
         #: construction time (``getattr(node, "probes", None)``), so
@@ -137,8 +136,7 @@ class NodeHarness:
 
     def mark(self, tag: str) -> None:
         """Note an algorithm stage mark (e.g. a doorway crossing)."""
-        if self._note is not None:
-            self._note(self._sim.now, tag, self.node_id)
+        self._note(self._sim.now, tag, self.node_id)
 
     def neighbors(self):
         return self._topology.neighbors(self.node_id)
@@ -173,12 +171,7 @@ class NodeHarness:
             self.dirty.add(self.node_id)
         check_transition(self._state, NodeState.EATING)
         self._state = NodeState.EATING
-        if self._note is not None:
-            self._note(self._sim.now, "enter", self.node_id)
-        if self._metrics is not None:
-            self._metrics.note_eat_start(self.node_id, self._sim.now)
-        if self._safety is not None:
-            self._safety.note_eating_start(self.node_id, self._sim.now)
+        self._note(self._sim.now, "enter", self.node_id)
         timer = self._eat_timer
         if timer is None:
             timer = self._eat_timer = Timer(self._sim, self._finish_eating)
@@ -210,10 +203,7 @@ class NodeHarness:
         check_transition(self._state, NodeState.HUNGRY)
         self._eat_timer.cancel()
         self._state = NodeState.HUNGRY
-        if self._note is not None:
-            self._note(self._sim.now, "demote", self.node_id)
-        if self._metrics is not None:
-            self._metrics.note_demotion(self.node_id, self._sim.now)
+        self._note(self._sim.now, "demote", self.node_id)
 
     # ------------------------------------------------------------------
     # Application-driven transitions
@@ -226,10 +216,7 @@ class NodeHarness:
             return
         check_transition(self._state, NodeState.HUNGRY)
         self._state = NodeState.HUNGRY
-        if self._note is not None:
-            self._note(self._sim.now, "hungry", self.node_id)
-        if self._metrics is not None:
-            self._metrics.note_hungry(self.node_id, self._sim.now)
+        self._note(self._sim.now, "hungry", self.node_id)
         assert self.algorithm is not None, "harness not bound to an algorithm"
         self.algorithm.on_hungry()
 
@@ -244,10 +231,7 @@ class NodeHarness:
         self.algorithm.on_exit_cs()
         check_transition(self._state, NodeState.THINKING)
         self._state = NodeState.THINKING
-        if self._note is not None:
-            self._note(self._sim.now, "exit", self.node_id)
-        if self._metrics is not None:
-            self._metrics.note_think(self.node_id, self._sim.now)
+        self._note(self._sim.now, "exit", self.node_id)
         if self.on_done_eating is not None:
             self.on_done_eating(self)
 
@@ -288,5 +272,4 @@ class NodeHarness:
         self.crashed = True
         if self._eat_timer is not None:
             self._eat_timer.cancel()
-        if self._note is not None:
-            self._note(self._sim.now, "crashed", self.node_id)
+        self._note(self._sim.now, "crashed", self.node_id)

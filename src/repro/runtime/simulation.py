@@ -44,6 +44,11 @@ except ImportError:  # pragma: no cover - non-Unix platforms
     _resource = None
 
 
+#: A run's result counts a node as starved when its current hungry
+#: interval is longer than this share of the run length ``until``.
+STARVATION_SHARE = 0.2
+
+
 def peak_rss_kb() -> Optional[int]:
     """This process's peak resident set size in KiB (None off-Unix)."""
     if _resource is None:  # pragma: no cover
@@ -260,11 +265,9 @@ def assemble_nodes(
     linklayer: LinkLayer,
     topology: DynamicTopology,
     hosted: Iterable[int],
-    note: Optional[EffectSink],
+    note: EffectSink,
     rng_source: RandomSource,
-    metrics: MetricsCollector,
     probes,
-    safety: Optional[SafetyMonitor] = None,
 ) -> Dict[int, NodeHarness]:
     """Build, bind and register the harness of every hosted node.
 
@@ -273,7 +276,8 @@ def assemble_nodes(
     the global graph even when a process hosts one node) with the
     ``coloring`` substream of ``rng_source``.  Each hosted node then
     gets an unmodified :class:`NodeHarness` registered with
-    ``linklayer``, and bootstraps its initial per-link protocol state
+    ``linklayer`` and reporting to the run's one effect sink ``note``,
+    and bootstraps its initial per-link protocol state
     (forks, priorities, colors) in one bulk call over its ascending
     neighbor list.
     """
@@ -297,8 +301,6 @@ def assemble_nodes(
             config.bounds,
             note,
             eat_rng=None,
-            metrics=metrics,
-            safety=safety,
             probes=probes,
             rng_source=rng_source,
         )
@@ -349,12 +351,6 @@ class Simulation:
         self.effects: Optional[List[Tuple[float, str, int]]] = (
             [] if config.trace else None
         )
-        note = None
-        if self.effects is not None:
-            keep = self.effects.append
-
-            def note(time: float, tag: str, node: int) -> None:
-                keep((time, tag, node))
         self.bounds = config.bounds
 
         node_ids = range(len(config.positions))
@@ -399,6 +395,27 @@ class Simulation:
             lambda kind, a, b: self.safety.on_link_event(kind, a, b, self.sim.now)
         )
 
+        # --- the effect sink ----------------------------------------
+        # One sink for every harness: the effect log (trace runs), then
+        # the collector, then the safety check of a CS entry — so a
+        # SafetyViolation is raised after the entry is logged and counted.
+        intake = self.metrics.note_fx
+        check_entry = self.safety.note_eating_start
+        if self.effects is None:
+
+            def note(time: float, tag: str, node: int) -> None:
+                intake(time, tag, node)
+                if tag == "enter":
+                    check_entry(node, time)
+        else:
+            keep = self.effects.append
+
+            def note(time: float, tag: str, node: int) -> None:
+                keep((time, tag, node))
+                intake(time, tag, node)
+                if tag == "enter":
+                    check_entry(node, time)
+
         # --- nodes and algorithms -----------------------------------
         self.harnesses.update(
             assemble_nodes(
@@ -409,9 +426,7 @@ class Simulation:
                 node_ids,
                 note,
                 self.rng,
-                self.metrics,
                 self.probes,
-                safety=self.safety,
             )
         )
         if not self.harnesses[0].algorithm.guarantees_exclusion:
@@ -453,11 +468,9 @@ class Simulation:
 
         # --- failures --------------------------------------------------
         self.failures = CrashInjector(
-            self.sim,
             at,
             self.linklayer,
             self.harnesses,
-            metrics=self.metrics,
             mobility=self.mobility,
         )
         self.failures.schedule_all(config.crashes)
@@ -468,22 +481,14 @@ class Simulation:
         return self.harnesses[node_id].algorithm
 
     def run(
-        self,
-        until: float,
-        max_events: Optional[int] = None,
-        starvation_threshold: Optional[float] = None,
+        self, until: float, max_events: Optional[int] = None
     ) -> SimulationResult:
         """Run up to virtual time ``until`` and summarize.
 
-        ``starvation_threshold`` classifies still-hungry nodes as
-        starved in the result (default: 20% of the run length).
+        The result's ``starved`` lists the nodes whose current hungry
+        interval is longer than :data:`STARVATION_SHARE` of ``until``.
         """
         self.sim.run(until=until, max_events=max_events)
-        threshold = (
-            starvation_threshold
-            if starvation_threshold is not None
-            else 0.2 * until
-        )
         locality: Optional[Dict[str, Any]] = None
         if self.failures.crashes:
             locality = self.locality_report().to_dict()
@@ -496,7 +501,9 @@ class Simulation:
             metrics=self.metrics,
             messages_sent=self.channel.stats.sent,
             messages_by_kind=dict(self.channel.stats.sent_by_kind),
-            starved=self.metrics.starving(self.sim.now, threshold),
+            starved=self.metrics.starving(
+                self.sim.now, STARVATION_SHARE * until
+            ),
             cs_entries=self.metrics.total_cs_entries(),
             channel=self.channel.stats.snapshot(),
             engine=engine_stats,

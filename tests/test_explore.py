@@ -358,14 +358,20 @@ def test_suite_reads_only_the_event_neighbourhood():
     topology.add_nodes([(8, Point(4.0, 8.0)), (9, Point(4.0, 9.0))])
     linklayer = LinkLayer(topology)
     harnesses = RecordingHarnesses()
-    # The safety checker on its two hooks, wired as Simulation wires it.
+    # The safety checker on its two hooks, wired as Simulation wires it:
+    # link events through the link layer, CS entries through the sink.
     safety = SafetyMonitor(topology, harnesses)
     linklayer.observers.append(
         lambda kind, a, b: safety.on_link_event(kind, a, b, engine.now)
     )
+
+    def note(time, tag, node):
+        if tag == "enter":
+            safety.note_eating_start(node, time)
+
     for node in (0, 1, 2, 3, 4, 8, 9):
-        harness = NodeHarness(node, engine, linklayer, TimeBounds(), None,
-                              eat_rng=None, safety=safety)
+        harness = NodeHarness(node, engine, linklayer, TimeBounds(), note,
+                              eat_rng=None)
         # Each node holds the forks it shares with higher ids, so the
         # fork check looks past every dirty node to some neighbours.
         harness.bind(SimpleNamespace(

@@ -100,17 +100,21 @@ class Net:
             runtime.start()
         self.link.bind_channel(self.channel)
         self.nodes = {}
+        #: What the harnesses report to their shared effect sink.
+        self.effects = []
         for node_id in self.topology.nodes():
             self.link.register(node_id, LoggingHandler(node_id, self.log))
             self.nodes[node_id] = NodeHarness(
-                node_id, runtime, self.link, TimeBounds(), None, eat_rng=None
+                node_id, runtime, self.link, TimeBounds(),
+                lambda *fx: self.effects.append(fx), eat_rng=None,
             )
 
     def crash(self, node_id):
         """Crash a node as the crash injector does: link layer, then
-        harness."""
+        harness, which reports the crash to its sink."""
         self.link.crash(node_id)
         self.nodes[node_id].crash()
+        assert self.effects[-1][1:] == ("crashed", node_id)
 
     def sent(self):
         """Messages the channel accepted for transmission."""

@@ -91,6 +91,16 @@ def test_bus_fig6_churn_and_crash_replays_clean(fig6_recording):
     assert_clean(verify_recording(recording))
 
 
+def test_bus_metrics_count_the_recorded_effects(fig6_recording):
+    # The bus run composes one effect sink per process: the recorder's
+    # fx rows first, then the collector.  Both read the same stream,
+    # so the metrics block counts exactly what the rows hold.
+    tags = [tag for _, tag, _ in _effects(fig6_recording)]
+    metrics = fig6_recording["metrics"]
+    assert metrics["cs_entries"] == tags.count("enter") > 0
+    assert metrics["crashed"] == tags.count("crashed") == 1
+
+
 def test_bus_recording_round_trips_through_json():
     recording = run_bus_family("fig6", "alg1-greedy", seed=1,
                                time_scale=0.003)

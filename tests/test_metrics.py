@@ -21,9 +21,9 @@ from repro.net.topology import DynamicTopology
 
 def test_response_time_recorded_per_episode():
     m = MetricsCollector()
-    m.note_hungry(1, 10.0)
-    m.note_eat_start(1, 13.5)
-    m.note_think(1, 14.0)
+    m.note_fx(10.0, "hungry", 1)
+    m.note_fx(13.5, "enter", 1)
+    m.note_fx(14.0, "exit", 1)
     assert m.response_times() == [3.5]
     assert m.counters[1].cs_entries == 1
     assert m.counters[1].cs_completions == 1
@@ -31,10 +31,10 @@ def test_response_time_recorded_per_episode():
 
 def test_demotion_restarts_the_clock_and_flags_sample():
     m = MetricsCollector()
-    m.note_hungry(1, 0.0)
-    m.note_eat_start(1, 2.0)
-    m.note_demotion(1, 5.0)
-    m.note_eat_start(1, 9.0)
+    m.note_fx(0.0, "hungry", 1)
+    m.note_fx(2.0, "enter", 1)
+    m.note_fx(5.0, "demote", 1)
+    m.note_fx(9.0, "enter", 1)
     samples = m.samples
     assert [s.response_time for s in samples] == [2.0, 4.0]
     assert samples[1].after_demotion
@@ -43,8 +43,8 @@ def test_demotion_restarts_the_clock_and_flags_sample():
 
 def test_starving_threshold():
     m = MetricsCollector()
-    m.note_hungry(1, 0.0)
-    m.note_hungry(2, 90.0)
+    m.note_fx(0.0, "hungry", 1)
+    m.note_fx(90.0, "hungry", 2)
     assert m.starving(now=100.0, threshold=50.0) == [1]
     assert m.hungry_nodes() == {1: 0.0, 2: 90.0}
 
@@ -182,23 +182,85 @@ def test_locality_report_crashed_nodes_excluded():
     assert report.starved == [2]
 
 
+def _two_crash_line():
+    """Path 0-1-...-7 plus node 9 out of range; nodes 1 and 5 crash."""
+    topo = DynamicTopology(radio_range=1.1)
+    for i, p in enumerate(line_positions(8, 1.0)):
+        topo.add_node(i, p)
+    topo.add_node(9, Point(30.0, 30.0))
+    return topo, [1, 5]
+
+
+def test_distances_from_several_sources_is_the_per_source_minimum():
+    topo, crashed = _two_crash_line()
+    each = [dict(topo.distances_from(c)) for c in crashed]
+    both = topo.distances_from(*crashed)
+    assert both == {
+        node: min(d[node] for d in each if node in d)
+        for node in set(each[0]) | set(each[1])
+    }
+    assert both == {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 0, 6: 1, 7: 2}
+    # The hop limit cuts the search, not just the answer.
+    assert topo.distances_from(*crashed, limit=1) == {
+        node: d for node, d in both.items() if d <= 1
+    }
+    assert topo.distances_from(*crashed, limit=0) == {1: 0, 5: 0}
+    # The locality metric reads the same distances.
+    report = measure_failure_locality(
+        topo, crashed=crashed, hungry_after_crash=[], ate_after_crash=[]
+    )
+    assert report.distances == both
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_progress_monitor_exempts_within_radius_of_either_crash(radius):
+    from types import SimpleNamespace
+
+    from repro.explore.monitors import ProgressMonitor
+
+    topo, crashed = _two_crash_line()
+    metrics = MetricsCollector()
+    for node in crashed:
+        metrics.note_fx(3.0, "crashed", node)
+    monitor = ProgressMonitor({"threshold": 10.0, "exempt_radius": radius})
+    monitor.attach(SimpleNamespace(metrics=metrics, topology=topo))
+    exempt = {node for node in topo.nodes() if monitor._exempt(node)}
+    expected = {
+        0: set(),
+        1: {0, 1, 2, 4, 5, 6},
+        2: {0, 1, 2, 3, 4, 5, 6, 7},
+    }[radius]
+    assert exempt == expected
+
+
+def test_collector_ignores_stage_marks():
+    m = MetricsCollector()
+    m.note_fx(0.0, "hungry", 1)
+    m.note_fx(1.0, "ADf", 1)
+    m.note_fx(2.0, "recolor", 1)
+    m.note_fx(3.0, "enter", 1)
+    assert m.response_times() == [3.0]
+    assert m.counters[1].hungry_count == 1
+    assert m.crashed == {}
+
+
 def test_think_clears_demotion_flag_for_the_next_episode():
     m = MetricsCollector()
-    m.note_hungry(1, 0.0)
-    m.note_eat_start(1, 2.0)
-    m.note_demotion(1, 5.0)
+    m.note_fx(0.0, "hungry", 1)
+    m.note_fx(2.0, "enter", 1)
+    m.note_fx(5.0, "demote", 1)
     # The demoted node gives up and thinks instead of re-entering; the
     # *next* hungry episode is a fresh one, not an after-demotion retry.
-    m.note_think(1, 6.0)
-    m.note_hungry(1, 10.0)
-    m.note_eat_start(1, 12.0)
+    m.note_fx(6.0, "exit", 1)
+    m.note_fx(10.0, "hungry", 1)
+    m.note_fx(12.0, "enter", 1)
     assert [s.after_demotion for s in m.samples] == [False, False]
 
 
 def test_note_crash_clears_live_state():
     m = MetricsCollector()
-    m.note_hungry(2, 0.0)
-    m.note_crash(2, 5.0)
+    m.note_fx(0.0, "hungry", 2)
+    m.note_fx(5.0, "crashed", 2)
     assert m.crashed == {2: 5.0}
     assert 2 not in m.hungry_nodes()
     assert m.starving(now=100.0, threshold=10.0) == []
@@ -206,12 +268,12 @@ def test_note_crash_clears_live_state():
 
 def test_note_crash_clears_pending_demotion():
     m = MetricsCollector()
-    m.note_hungry(3, 0.0)
-    m.note_eat_start(3, 1.0)
-    m.note_demotion(3, 2.0)
-    m.note_crash(3, 3.0)
+    m.note_fx(0.0, "hungry", 3)
+    m.note_fx(1.0, "enter", 3)
+    m.note_fx(2.0, "demote", 3)
+    m.note_fx(3.0, "crashed", 3)
     # A dead node's half-open demotion episode never flags a later
     # sample (e.g. if node ids were ever reused by a restart model).
-    m.note_hungry(3, 10.0)
-    m.note_eat_start(3, 11.0)
+    m.note_fx(10.0, "hungry", 3)
+    m.note_fx(11.0, "enter", 3)
     assert m.samples[-1].after_demotion is False

@@ -75,7 +75,9 @@ def test_link_up_between_two_movers_breaks_tie_by_id():
 
 def test_broadcast_goes_to_current_neighbors_only():
     sim, topo, link, handlers = build()
-    sender = NodeHarness(1, sim, link, TimeBounds(), None, eat_rng=None)
+    sender = NodeHarness(
+        1, sim, link, TimeBounds(), lambda *fx: None, eat_rng=None
+    )
     sender.broadcast(Probe("hello"))
     sim.run()
     assert [src for src, _ in handlers[0].messages] == [1]

@@ -26,7 +26,7 @@ def test_threshold_must_be_positive():
 def test_warns_once_per_hungry_interval():
     sim, metrics = Simulator(), MetricsCollector()
     dog = StarvationWatchdog(sim, metrics, threshold=10.0)
-    metrics.note_hungry(1, 0.0)
+    metrics.note_fx(0.0, "hungry", 1)
     _advance(sim, 50.0)
 
     fresh = dog._check(sim.now)
@@ -37,9 +37,9 @@ def test_warns_once_per_hungry_interval():
     assert dog._check(sim.now) == []
 
     # A new hungry interval warns again.
-    metrics.note_eat_start(1, 50.0)
-    metrics.note_think(1, 51.0)
-    metrics.note_hungry(1, 51.0)
+    metrics.note_fx(50.0, "enter", 1)
+    metrics.note_fx(51.0, "exit", 1)
+    metrics.note_fx(51.0, "hungry", 1)
     _advance(sim, 100.0)
     again = dog._check(sim.now)
     assert [w.node for w in again] == [1]
@@ -50,8 +50,8 @@ def test_warns_once_per_hungry_interval():
 def test_crashed_nodes_are_never_reported():
     sim, metrics = Simulator(), MetricsCollector()
     dog = StarvationWatchdog(sim, metrics, threshold=10.0)
-    metrics.note_hungry(1, 0.0)
-    metrics.note_crash(1, 5.0)
+    metrics.note_fx(0.0, "hungry", 1)
+    metrics.note_fx(5.0, "crashed", 1)
     _advance(sim, 50.0)
     assert dog._check(sim.now) == []
 
@@ -60,7 +60,7 @@ def test_periodic_ticks_and_registry_counter():
     sim, metrics = Simulator(), MetricsCollector()
     registry = MetricRegistry()
     dog = StarvationWatchdog(sim, metrics, threshold=10.0, registry=registry)
-    metrics.note_hungry(2, 0.0)
+    metrics.note_fx(0.0, "hungry", 2)
     dog.start()
     _advance(sim, 30.0)
     # Checks run every PERIOD; the first one strictly past the
@@ -75,7 +75,7 @@ def test_warning_to_dict_round_trips_through_json():
 
     sim, metrics = Simulator(), MetricsCollector()
     dog = StarvationWatchdog(sim, metrics, threshold=1.0)
-    metrics.note_hungry(3, 2.0)
+    metrics.note_fx(2.0, "hungry", 3)
     _advance(sim, 10.0)
     dog._check(sim.now)
     (payload,) = dog.warning_dicts()
